@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload verify-S243 --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload verify-S243 --seed 1 --seconds 30 --trace 0
 
 With --trace 0 it prints, per workload:
 
@@ -22,6 +22,10 @@ With --trace 1 a separate process alternates untraced and traced
 invocations and prints the per-layer metrics of the traced ones (see
 tracer.py), plus trace.overhead_frac.  Spans go to
 .perfbench_out/<run>/spans.json.
+
+Every child process runs with min(workload.blas_threads, nproc) BLAS
+threads (see workloads.py), and the sample workload's pool with
+min(2, nproc) threads.
 
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.  The program is imported from
@@ -81,11 +85,11 @@ class BenchError(Exception):
     """The benchmark could not run; no result is printed."""
 
 
-def child_env(nproc):
+def child_env(blas_threads):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(nproc)
+        env[var] = str(blas_threads)
     return env
 
 
@@ -210,7 +214,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description="frdlat benchmark")
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -219,7 +223,7 @@ def main(argv=None):
         return 2
     workload = WORKLOADS[args.workload]
     nproc = len(os.sched_getaffinity(0))
-    env = child_env(nproc)
+    env = child_env(min(workload.blas_threads, nproc))
     work_dir = os.path.join(OUT, "%s-seed%d-trace%d-%d" % (
         args.workload, args.seed, args.trace, os.getpid()))
     os.makedirs(work_dir)

@@ -2,8 +2,8 @@
 
 Started by run.py in a fresh interpreter with the checkout's `src` on
 PYTHONPATH.  After one untimed warm-up it calls `cli.main` back to back
-(a closed loop with one caller) until --seconds have passed, and writes
-what it measured to --result as JSON.  With --trace 1 it alternates an
+(a closed loop with one caller) for about --seconds in whole invocations,
+and writes what it measured to --result as JSON.  With --trace 1 it alternates an
 untraced and a traced invocation, so the tracing overhead is measured in
 the same process, and it writes the traced spans to --spans.
 
@@ -21,6 +21,7 @@ import os
 import platform
 import resource
 import shutil
+import statistics
 import sys
 import time
 
@@ -92,6 +93,14 @@ def environment(nproc):
     }
 
 
+def another(start, seconds, durations):
+    """Whether to start one more invocation: yes while it is expected to
+    end nearer to `seconds` after `start` than the run is now, so a run
+    measures about `seconds` in whole invocations."""
+    elapsed = time.perf_counter() - start
+    return elapsed + 0.5 * statistics.median(durations) < seconds
+
+
 class Runner:
     def __init__(self, workload, config_path, warmup_path, work_dir, nproc):
         self.workload = workload
@@ -158,8 +167,10 @@ def main(argv=None):
     if args.trace:
         tracer = Tracer()
         spans = []
-        deadline = time.perf_counter() + args.seconds
+        start = time.perf_counter()
+        pairs = []
         while True:
+            t0 = time.perf_counter()
             runner.invoke("plain")
             tracer.reset()
             tracer.install()
@@ -179,7 +190,8 @@ def main(argv=None):
                     "projector.local_green_flat", "decomposition.decompose"),
             })
             spans.append([list(s) for s in tracer.spans])
-            if time.perf_counter() >= deadline:
+            pairs.append(time.perf_counter() - t0)
+            if not another(start, args.seconds, pairs):
                 break
         result["wrapped"] = tracer.wrapped
         result["broken_hooks"] = sorted(tracer.broken)
@@ -189,10 +201,11 @@ def main(argv=None):
                                       "thread_cpu"],
                            "invocations": spans}, fh)
     else:
-        deadline = time.perf_counter() + args.seconds
+        start = time.perf_counter()
+        walls = []
         while True:
-            runner.invoke("timed")
-            if time.perf_counter() >= deadline:
+            walls.append(runner.invoke("timed")["wall_s"])
+            if not another(start, args.seconds, walls):
                 break
 
     result["invocations"] = runner.invocations

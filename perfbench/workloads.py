@@ -16,6 +16,13 @@ Why these three:
 - deriv-d3m2: the complex LU branch with many small projector calls,
   plus the contour nodes; covers d=3 and m=2.
 
+`blas_threads` (capped at nproc) is the thread count of the BLAS library.
+On a 2-core host shared with other loads, the run to run spread of wall_s
+was measured with one and with two: verify-S243's large Cholesky
+factorizations are faster and steadier on two threads, sample-9x9 barely
+calls BLAS, and deriv-d3m2's many small LU solves spread twice as much on
+two threads as on one, because every call waits for the slower core.
+
 The untimed warm-up invocation runs the same subcommand on the same torus
 with the `warmup` overrides: the cheapest inputs that still reach every
 code path the timed invocations take (imports, LAPACK lookups, FFT plans).
@@ -41,7 +48,7 @@ ARTIFACTS = {
 
 class Workload:
     def __init__(self, name, command, d, m, L, N, schedule=None, samples=None,
-                 derivative=None, threads=None, warmup=None):
+                 derivative=None, threads=None, blas_threads=2, warmup=None):
         self.name = name
         self.command = command
         self.d, self.m, self.L, self.N = d, m, L, N
@@ -49,6 +56,7 @@ class Workload:
         self.samples = samples
         self.derivative = derivative or {}
         self.threads = threads
+        self.blas_threads = blas_threads
         self.warmup = warmup or {}
 
     @property
@@ -110,6 +118,6 @@ WORKLOADS = {
         Workload("sample-9x9", "sample", d=2, m=1, L=3, N=2, schedule=[3, 5],
                  samples=20000, threads=2, warmup={"samples": 512}),
         Workload("deriv-d3m2", "deriv", d=3, m=2, L=3, N=2, schedule=[3, 5],
-                 derivative={"order": 2, "r": 0.5, "nodes": 32}),
+                 derivative={"order": 2, "r": 0.5, "nodes": 32}, blas_threads=1),
     )
 }
