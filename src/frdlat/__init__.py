@@ -36,7 +36,6 @@ from .elliptic import (
     green_symbol,
     identity_map,
     symbol,
-    symbol_table,
     validate_map,
 )
 from .errors import (

@@ -24,6 +24,7 @@ from .lattice import TorusGeometry
 from .spectral import (
     Kernel,
     MultiplierTable,
+    _embed_body,
     flat_table,
     grid_table,
     kernel_derivative,
@@ -58,12 +59,6 @@ class DerivativeResult:
     def kernel(self, k: int) -> Kernel:
         """Scale index k is 1-based, up to N+1."""
         return self.kernels[k - 1]
-
-
-def _embed(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)
-    out[1:] = body
-    return out
 
 
 def contour_derivatives(
@@ -131,10 +126,10 @@ def contour_derivatives(
         tables = []
         kernels = []
         for X in fs[:n_scales]:
-            tab = MultiplierTable(g, grid_table(_embed(X, g), g), real_kernel=True)
+            tab = MultiplierTable(g, grid_table(_embed_body(X, g), g), real_kernel=True)
             tables.append(tab)
             kernels.append(multiplier_to_kernel(tab))
-        green_table = MultiplierTable(g, grid_table(_embed(fs[-1], g), g), real_kernel=True)
+        green_table = MultiplierTable(g, grid_table(_embed_body(fs[-1], g), g), real_kernel=True)
         out[j] = DerivativeResult(
             path=path,
             order=j,

@@ -22,7 +22,8 @@ from .analyticity import (
 )
 from .config import parse_config
 from .decomposition import build_schedule, decompose
-from .errors import FrdError, InsufficientScales, ParseError, ValidationError
+from .errors import InsufficientScales, ParseError, ValidationError
+from .lattice import DENSE_LIMIT
 from .output import (
     decay_csv_text,
     envelope_csv_text,
@@ -35,7 +36,6 @@ from .output import (
 from .sampling import build_sampler, covariance_deviation, run_sampling_suite, sample_total
 from .spectral import multiplier_to_kernel
 from .verification import (
-    ORACLE_LIMIT,
     brute_force_green,
     check_finite_range,
     check_psd,
@@ -66,7 +66,8 @@ exit codes:
   1  run completed but at least one check failed (named on stderr)
   2  usage or configuration error
   3  I/O error (unreadable config, missing output directory)
-  4  numerical or domain error (schedule, factorization, quadrature)
+  4  numerical or domain error (schedule, factorization, quadrature), or
+     any other unexpected error; the exception type is named on stderr
 """
 
 
@@ -173,7 +174,7 @@ def run_verify(cfg, out_dir, threads) -> int:
     _decomposition_checks(result, cfg.tolerances, checks)
 
     report = {"tolerances": dict(cfg.tolerances), "diagnostics": result.diagnostics}
-    if g.site_count * g.m <= ORACLE_LIMIT:
+    if g.site_count * g.m <= DENSE_LIMIT:
         oracle = brute_force_green(A, g)
         spectral = multiplier_to_kernel(result.green_table)
         diff = float(np.max(np.abs(oracle.values - spectral.values)))
@@ -416,7 +417,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except (FrdError, ValueError) as exc:
+    except Exception as exc:
+        # Anything unforeseen exits 4 like the named package errors, never
+        # with a traceback and status 1, which means a check failed.
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -34,10 +34,12 @@ import numpy as np
 from .elliptic import EllipticMap, ComplexEllipticPath, complex_symbol_flat, sqrt_and_invsqrt_flat, symbol_flat
 from .errors import EmptyFarRegion, InvalidSchedule
 from .lattice import TorusGeometry, cube, rho_inf_grid
-from .projector import StiffnessFactor, assemble_stiffness, local_green_flat
+from .projector import assemble_stiffness, local_green_flat
 from .spectral import (
     Kernel,
     MultiplierTable,
+    _embed_body,
+    _hermitize,
     flat_table,
     grid_table,
     multiplier_to_kernel,
@@ -130,8 +132,6 @@ class ProjectorSymbols:
 
     level: int
     l: int
-    Ghat: np.ndarray = field(repr=False)
-    That: np.ndarray = field(repr=False)
     Ttilde: np.ndarray = field(repr=False)
     Rtilde: np.ndarray = field(repr=False)
 
@@ -151,10 +151,6 @@ def renormalized_products(level_symbols, F: int, m: int):
         else:
             products.append(products[-1] @ sym.Rtilde)
     return products
-
-
-def _hermitize(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
 
 
 @dataclass
@@ -203,7 +199,7 @@ def far_field_constant(K: Kernel, r: int):
     return C, residual
 
 
-def _level_symbols_real(A, g, sched, Ahat_body, Asqrt):
+def _level_symbols_real(A, g, sched, Asqrt):
     symbols = []
     for j, l in enumerate(sched.levels, start=1):
         if l is None:
@@ -211,19 +207,10 @@ def _level_symbols_real(A, g, sched, Ahat_body, Asqrt):
             continue
         factor = assemble_stiffness(A, cube(l, g))
         Ghat = local_green_flat(factor, g)[1:]
-        That = (Ghat @ Ahat_body) / factor.cube.volume
         Ttilde = _hermitize((Asqrt @ Ghat @ Asqrt) / factor.cube.volume)
         Rtilde = _identity_stack(*Ttilde.shape[:2]) - Ttilde
-        symbols.append(
-            ProjectorSymbols(level=j, l=l, Ghat=Ghat, That=That, Ttilde=Ttilde, Rtilde=Rtilde)
-        )
+        symbols.append(ProjectorSymbols(level=j, l=l, Ttilde=Ttilde, Rtilde=Rtilde))
     return symbols
-
-
-def _embed_body(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)
-    out[1:] = body
-    return out
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
@@ -244,7 +231,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     green_body = _hermitize(green_body)
     green_table = MultiplierTable(g, grid_table(_embed_body(green_body, g), g), real_kernel=True)
 
-    symbols = _level_symbols_real(A, g, sched, body, Asqrt)
+    symbols = _level_symbols_real(A, g, sched, Asqrt)
     products = renormalized_products(symbols, body.shape[0], m)
 
     grams = [_hermitize(Mk @ np.conj(np.swapaxes(Mk, -1, -2))) for Mk in products]

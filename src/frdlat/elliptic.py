@@ -24,7 +24,7 @@ from .errors import (
     SingularSymbol,
 )
 from .lattice import TorusGeometry, p_flat
-from .spectral import MultiplierTable, grid_table
+from .spectral import MultiplierTable, _hermitize, grid_table
 
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e14
@@ -99,11 +99,6 @@ def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return np.einsum("fj,rjsk,fk->frs", np.conj(q), tensor, q)
 
 
-def symbol_table(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
-    flat = symbol_flat(A.tensor, g)
-    return MultiplierTable(g, grid_table(flat, g), real_kernel=True)
-
-
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
     """Chat(p) = Ahat(p)^-1 for p != 0, zero at p = 0, Hermitian PD."""
     flat = symbol_flat(A.tensor, g)
@@ -115,10 +110,8 @@ def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
         raise SingularSymbol(
             "symbol family conditioning %.3e exceeds %.1e" % (hi / max(lo, 1e-300), COND_LIMIT)
         )
-    inv = np.linalg.inv(body)
-    inv = 0.5 * (inv + np.conj(np.swapaxes(inv, -1, -2)))
     out = np.zeros_like(flat)
-    out[1:] = inv
+    out[1:] = _hermitize(np.linalg.inv(body))
     return MultiplierTable(g, grid_table(out, g), real_kernel=True)
 
 
@@ -145,8 +138,7 @@ def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     w, U = _eigh_checked(M)
     w = _clamp_psd(w)
-    root = (U * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
-    return 0.5 * (root + np.conj(np.swapaxes(root, -1, -2)))
+    return _hermitize((U * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
 
 
 def sqrt_and_invsqrt_flat(flat: np.ndarray):

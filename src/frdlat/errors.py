@@ -14,7 +14,8 @@ class ShapeMismatch(FrdError):
 
 
 class CubeTooLarge(FrdError):
-    """Requested cube does not fit inside the torus."""
+    """Requested cube does not fit inside the torus, or has more unknowns
+    than the dense stiffness matrix allows."""
 
 
 class ImaginaryResidue(FrdError):

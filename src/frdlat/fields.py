@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ShapeMismatch
 from .lattice import TorusGeometry
 
-ZERO_MEAN_TOL = 1e-12
-
 
 @dataclass
 class Field:
@@ -75,10 +73,6 @@ def mean_residual(phi: Field) -> float:
     sums = np.abs(phi.values.sum(axis=phi.site_axes))
     scale = g.site_count * max(np.max(np.abs(phi.values)), 1e-300)
     return float(np.max(sums) / scale)
-
-
-def has_zero_mean(phi: Field, tol: float = ZERO_MEAN_TOL) -> bool:
-    return mean_residual(phi) <= tol
 
 
 def project_zero_mean(phi: Field) -> Field:

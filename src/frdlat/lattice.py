@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import CubeTooLarge
 
+# Largest dimension n of any dense n x n matrix the package builds: the cube
+# stiffness K and its inverse, and the dense Green and covariance oracles.
+# At the limit one complex matrix takes 268 MB.
+DENSE_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -205,11 +210,6 @@ def rho_inf_grid(g: TorusGeometry) -> np.ndarray:
     line = np.abs(centered(np.arange(S), S))
     grids = np.meshgrid(*([line] * g.d), indexing="ij")
     return np.maximum.reduce(grids)
-
-
-def centered_grid_axes(g: TorusGeometry):
-    """Per-axis centered integer labels of the canonical grid order."""
-    return [centered(np.arange(g.side), g.side) for _ in range(g.d)]
 
 
 def p_flat(g: TorusGeometry) -> np.ndarray:

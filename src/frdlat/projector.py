@@ -11,31 +11,35 @@ support-only reading, which is the one the locality arguments use.)
 
 The stiffness matrix K[(z,s),(z',s')] = <A grad(delta_{z'} e_{s'}),
 grad(delta_z e_s)> couples nearest and diagonal neighbors only and is
-independent of frequency, so one factorization per cube size is reused
-across every frequency and basis vector.  The averaged-projection symbol
-is That(p) = l^-d Ghat_Q(p) Ahat(p) with
-Ghat_Q(p)_{st} = (f_p e_s)|_Q^dagger K^-1 (f_p e_t)|_Q.
+independent of frequency.  The averaged-projection symbol is
+That(p) = l^-d Ghat_Q(p) Ahat(p), where averaging the local projection
+over every translate of Q is a convolution, so Ghat_Q is the Fourier
+transform of one real-space m x m block kernel:
+
+    Ghat_Q(p) = sum_w e^{i<p,w>} g(w),   g(w) = sum_z K^-1[z, z+w].
+
+g vanishes for |w|_inf > l-2 by construction, which is where the finite
+range of every scale kernel comes from.  projector_symbol evaluates the
+same symbol at one frequency by the plane-wave quadratic form
+(f_p e_s)|_Q^dagger K^-1 (f_p e_t)|_Q and serves as the independent
+oracle for local_green_flat.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .elliptic import EllipticMap, symbol_from_tensor
 from .errors import (
+    CubeTooLarge,
     FactorizationFailure,
     ShapeMismatch,
     TooLargeForOracle,
     ZeroFrequency,
 )
 from .fields import Field, apply_elliptic
-from .lattice import Cube, TorusGeometry, p_flat
-
-DENSE_LIMIT = 2048
-ORACLE_SITE_LIMIT = 4096
+from .lattice import DENSE_LIMIT, Cube, TorusGeometry
 
 
 def _coefficient_tensor(A) -> np.ndarray:
@@ -43,7 +47,6 @@ def _coefficient_tensor(A) -> np.ndarray:
         return A.tensor.astype(np.float64)
     tensor = np.asarray(A)
     if tensor.ndim == 2:
-        n = tensor.shape[0]
         # Infer (m, d) is impossible from a square array alone; require 4-d.
         raise ShapeMismatch("pass coefficients as a (m, d, m, d) tensor")
     if tensor.ndim != 4 or tensor.shape[0] != tensor.shape[2] or tensor.shape[1] != tensor.shape[3]:
@@ -97,21 +100,11 @@ class StiffnessFactor:
     def n(self) -> int:
         return self.n_sites * self.m
 
-    @property
-    def is_complex(self) -> bool:
-        return np.issubdtype(self.matrix.dtype, np.complexfloating)
-
     def solve(self, B: np.ndarray) -> np.ndarray:
         """K^-1 B for B of shape (n, k); complex right-hand sides allowed."""
         if self.mode == "cholesky":
-            if np.issubdtype(B.dtype, np.complexfloating):
-                re = scipy.linalg.cho_solve(self.handle, np.ascontiguousarray(B.real))
-                im = scipy.linalg.cho_solve(self.handle, np.ascontiguousarray(B.imag))
-                return re + 1j * im
             return scipy.linalg.cho_solve(self.handle, B)
-        if self.mode == "lu":
-            return scipy.linalg.lu_solve(self.handle, B.astype(np.complex128, copy=False))
-        return self.handle.solve(B)
+        return scipy.linalg.lu_solve(self.handle, B)
 
 
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
@@ -119,12 +112,18 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
 
     A may be an EllipticMap (real branch, Cholesky) or a complex
     (m, d, m, d) tensor (general LU).  Positive definiteness in the real
-    branch is verified by the factorization itself.
+    branch is verified by the factorization itself.  K is dense, so a cube
+    with more than DENSE_LIMIT unknowns is rejected before assembly.
     """
     tensor = _coefficient_tensor(A)
     m, d = tensor.shape[0], tensor.shape[1]
     if cube.d != d:
         raise ShapeMismatch("cube dimension %d does not match coefficients %d" % (cube.d, d))
+    if cube.interior_count * m > DENSE_LIMIT:
+        raise CubeTooLarge(
+            "cube l=%d has %d unknowns, above the dense limit %d"
+            % (cube.l, cube.interior_count * m, DENSE_LIMIT)
+        )
     sites = cube.interior
     n_sites = sites.shape[0]
     side = cube.l - 1
@@ -145,26 +144,17 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
         K4[rows, :, cols, :] += blk
     K = K4.reshape(n_sites * m, n_sites * m)
 
-    n = n_sites * m
     if is_complex:
-        if n <= DENSE_LIMIT:
-            handle = scipy.linalg.lu_factor(K)
-            mode = "lu"
-        else:
-            handle = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(K))
-            mode = "sparse"
+        handle = scipy.linalg.lu_factor(K)
+        mode = "lu"
     else:
-        if n <= DENSE_LIMIT:
-            try:
-                handle = scipy.linalg.cho_factor(K)
-            except scipy.linalg.LinAlgError as exc:
-                raise FactorizationFailure(
-                    "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
-                ) from exc
-            mode = "cholesky"
-        else:
-            handle = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(K))
-            mode = "sparse"
+        try:
+            handle = scipy.linalg.cho_factor(K)
+        except scipy.linalg.LinAlgError as exc:
+            raise FactorizationFailure(
+                "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
+            ) from exc
+        mode = "cholesky"
     return StiffnessFactor(
         cube=cube,
         tensor=tensor,
@@ -176,32 +166,32 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     )
 
 
-def _phases(factor: StiffnessFactor, p_rows: np.ndarray) -> np.ndarray:
-    """exp(i <p, z>) over interior sites, shape (n_sites, n_freq)."""
-    return np.exp(1j * (factor.cube.interior @ p_rows.T))
-
-
-def local_green_flat(
-    factor: StiffnessFactor, g: TorusGeometry, chunk: int = 4096
-) -> np.ndarray:
+def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
     """Ghat_Q(p) for every frequency of g, shape (S^d, m, m).
 
-    Row order matches lattice.p_flat.  Frequencies are processed in fixed
-    chunks so memory stays bounded and results do not depend on chunking.
+    Ghat_Q(p)_{st} = sum_{z,z'} e^{i<p,z'-z>} K^-1[(z,s),(z',t)], so each
+    entry of K^-1 is added into the torus slot w = z' - z mod S of the
+    block kernel g(w), and one unnormalized inverse FFT evaluates
+    sum_w e^{i<p,w>} g(w).  Every p lies in 2 pi Z^d / S, so folding w
+    mod S is exact.  Row order matches lattice.p_flat.
     """
-    m = factor.m
-    ps = p_flat(g)
-    F = ps.shape[0]
-    eye = np.eye(m)
-    out = np.empty((F, m, m), dtype=np.complex128)
-    for start in range(0, F, chunk):
-        rows = ps[start : start + chunk]
-        phi = _phases(factor, rows)
-        nc = rows.shape[0]
-        W = np.einsum("zf,st->zsft", phi, eye).reshape(factor.n, nc * m)
-        X = factor.solve(W).reshape(factor.n_sites, m, nc, m)
-        out[start : start + chunk] = np.einsum("zf,zsft->fst", np.conj(phi), X)
-    return out
+    m, S, F = factor.m, g.side, g.site_count
+    sites = factor.cube.interior
+    # Torus slot of w = z' - z for each pair (z, z'), ravelled like the site grid.
+    slot = np.zeros((factor.n_sites, factor.n_sites), dtype=np.intp)
+    for a in range(g.d):
+        slot = slot * S + (sites[None, :, a] - sites[:, None, a]) % S
+    slot = slot.ravel()
+    Kinv = factor.solve(np.eye(factor.n)).reshape(factor.n_sites, m, factor.n_sites, m)
+    kernel = np.empty((F, m, m), dtype=np.complex128)
+    for s in range(m):
+        for t in range(m):
+            entries = Kinv[:, s, :, t].ravel()
+            kernel[:, s, t] = np.bincount(slot, entries.real, F) + 1j * np.bincount(
+                slot, entries.imag, F
+            )
+    grid = kernel.reshape(g.site_shape + (m, m))
+    return np.fft.ifftn(grid, axes=tuple(range(g.d)), norm="forward").reshape(F, m, m)
 
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:
@@ -210,7 +200,7 @@ def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:
     if np.allclose(pv, 0.0):
         raise ZeroFrequency("projector symbol undefined at p = 0")
     m = factor.m
-    phi = _phases(factor, pv[None, :])[:, 0]
+    phi = np.exp(1j * (factor.cube.interior @ pv))
     W = np.einsum("z,st->zst", phi, np.eye(m)).reshape(factor.n, m)
     X = factor.solve(W).reshape(factor.n_sites, m, m)
     G = np.einsum("z,zst->st", np.conj(phi), X)
@@ -234,9 +224,9 @@ def oracle_projection(A, cube: Cube, phi: Field) -> Field:
     the identity is re-checked and treated as a bug if violated.
     """
     g = phi.geometry
-    if g.site_count > ORACLE_SITE_LIMIT:
+    if cube.interior_count * g.m > DENSE_LIMIT:
         raise TooLargeForOracle(
-            "site count %d exceeds the oracle guard %d" % (g.site_count, ORACLE_SITE_LIMIT)
+            "cube unknowns %d exceed the dense limit %d" % (cube.interior_count * g.m, DENSE_LIMIT)
         )
     if cube.l - 1 >= g.side:
         raise ShapeMismatch("cube does not fit in the torus")

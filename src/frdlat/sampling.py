@@ -21,13 +21,12 @@ from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
 from .errors import EmptyFarRegion, FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
-from .lattice import TorusGeometry, centered, rho_inf_grid
-from .spectral import Kernel, flat_table, spectral_norms
+from .lattice import DENSE_LIMIT, TorusGeometry, centered, rho_inf_grid
+from .spectral import Kernel, _hermitize, flat_table, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
 REAL_TOL = 1e-10
-DENSE_LIMIT = 4096
 
 
 def _half_set(g: TorusGeometry):
@@ -79,8 +78,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
-        flat = flat_table(tab.values, g)
-        flat = 0.5 * (flat + np.conj(np.swapaxes(flat, -1, -2)))
+        flat = _hermitize(flat_table(tab.values, g))
         root = hermitian_sqrt_flat(flat, "scale %d multiplier" % idx)
         resid = float(np.max(spectral_norms(root @ root - flat)))
         scale = max(float(np.max(spectral_norms(flat, hermitian=True))), 1e-300)

@@ -161,6 +161,18 @@ def reflect_sites(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return out
 
 
+def _hermitize(X: np.ndarray) -> np.ndarray:
+    """Hermitian part of each trailing m x m matrix."""
+    return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+
+
+def _embed_body(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """Flat (S^d - 1, m, m) rows for p != 0 -> (S^d, m, m) with row 0 zero."""
+    out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)
+    out[1:] = body
+    return out
+
+
 def flat_table(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     """(m, m, *grid) -> (S^d, m, m), rows aligned with lattice.p_flat."""
     m = g.m

@@ -15,16 +15,15 @@ from .decomposition import DecompositionResult, far_field_constant, kernel_sup_n
 from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
-from .lattice import TorusGeometry, p_norms
+from .lattice import DENSE_LIMIT, TorusGeometry, p_norms
 from .spectral import (
     Kernel,
+    _hermitize,
     flat_table,
     kernel_derivative,
     reflect_sites,
     spectral_norms,
 )
-
-ORACLE_LIMIT = 4096
 
 
 def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
@@ -36,8 +35,8 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
     (delta_0 - S^-d) e_s.
     """
     n = g.site_count * g.m
-    if n > ORACLE_LIMIT:
-        raise TooLargeForOracle("site_count * m = %d exceeds %d" % (n, ORACLE_LIMIT))
+    if n > DENSE_LIMIT:
+        raise TooLargeForOracle("site_count * m = %d exceeds %d" % (n, DENSE_LIMIT))
     S = g.side
     M = np.empty((n, n))
     basis = np.zeros(g.field_shape())
@@ -95,8 +94,7 @@ def check_psd(result: DecompositionResult):
     g = result.geometry
     out = []
     for t in result.tables:
-        body = flat_table(t.values, g)[1:]
-        body = 0.5 * (body + np.conj(np.swapaxes(body, -1, -2)))
+        body = _hermitize(flat_table(t.values, g)[1:])
         eigs = np.linalg.eigvalsh(body)
         norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
         out.append(float(np.min(eigs[:, 0] / norms)))

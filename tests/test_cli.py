@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 
+from frdlat import cli
 from frdlat.cli import main
 
 MINIMAL = {"d": 2, "m": 1, "L": 3, "N": 1, "A": [1.0]}
@@ -147,3 +148,31 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["decompose", "--config", cfg]) == 2
     shallow = write_cfg(tmp_path, name="nodes.json", derivative={"nodes": 4})
     assert main(["deriv", "--config", shallow, "--out", out]) == 4
+
+
+def test_real_cube_above_2048_unknowns_runs(tmp_path):
+    """(47 - 1)^2 = 2116 unknowns in the real Cholesky branch."""
+    cfg = write_cfg(tmp_path, L=7, N=2, schedule=[3, 47])
+    out = outdir(tmp_path)
+    assert main(["decompose", "--config", cfg, "--out", out]) == 0
+
+
+def test_cube_above_dense_limit_exits_numeric(tmp_path, capsys):
+    """(66 - 1)^2 = 4225 unknowns exceed the dense limit of 4096."""
+    cfg = write_cfg(tmp_path, L=9, N=2, schedule=[3, 66])
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 4
+    assert "CubeTooLarge" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_numeric(tmp_path, capsys, monkeypatch):
+    def broken_runner(cfg, out_dir, threads):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "decompose", broken_runner)
+    cfg = write_cfg(tmp_path)
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 4
+    assert "RuntimeError: boom" in capsys.readouterr().err

@@ -7,9 +7,10 @@ from frdlat.elliptic import (
     symbol_flat,
     validate_map,
 )
-from frdlat.errors import FactorizationFailure, ShapeMismatch, ZeroFrequency
+from frdlat import projector
+from frdlat.errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
 from frdlat.fields import Field, apply_elliptic
-from frdlat.lattice import TorusGeometry, cube, p_flat
+from frdlat.lattice import Cube, TorusGeometry, cube, p_flat
 from frdlat.projector import (
     assemble_stiffness,
     dual_symbol,
@@ -61,13 +62,6 @@ def test_local_green_matches_per_frequency_symbol():
         expected = green[row] @ sym[row] / Q.volume
         got = projector_symbol(factor, p_flat(G5)[row])
         assert np.allclose(got, expected, atol=1e-13)
-
-
-def test_chunking_does_not_change_green():
-    factor = assemble_stiffness(identity_map(2, 1), cube(3, G5))
-    a = local_green_flat(factor, G5, chunk=3)
-    b = local_green_flat(factor, G5, chunk=4096)
-    assert np.array_equal(a, b)
 
 
 def test_projector_symbol_rejects_zero_frequency():
@@ -166,3 +160,16 @@ def test_indefinite_coefficients_fail_factorization():
     object.__setattr__(bad, "entries", -np.eye(2))
     with pytest.raises(FactorizationFailure):
         assemble_stiffness(bad, cube(3, G5))
+
+
+def test_dense_limit_is_checked_before_assembly(monkeypatch):
+    """65^2 = 4225 unknowns exceed the limit of 4096; 64^2 = 4096 do not."""
+
+    def assembly_started(tensor):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(projector, "_offset_blocks", assembly_started)
+    with pytest.raises(CubeTooLarge):
+        assemble_stiffness(identity_map(2, 1), Cube(l=66, d=2))
+    with pytest.raises(AssertionError):
+        assemble_stiffness(identity_map(2, 1), Cube(l=65, d=2))

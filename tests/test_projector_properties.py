@@ -1,0 +1,72 @@
+"""Property tests of the block-sum local Green symbol.
+
+Random SPD coefficients (real, and complex members of the analytic
+family) on small tori: the FFT of the folded block kernel must agree with
+the per-frequency plane-wave solve, and its inverse transform must vanish
+beyond the cube's range l - 2.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frdlat.elliptic import ComplexEllipticPath, symbol_flat, validate_map
+from frdlat.lattice import TorusGeometry, cube, p_flat, rho_inf_grid
+from frdlat.projector import assemble_stiffness, local_green_flat, projector_symbol
+
+# (d, L, N) with small enough tori and cubes to keep each example cheap.
+TORI = [(2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 3, 2), (3, 3, 1), (3, 5, 1)]
+
+
+@st.composite
+def projector_cases(draw):
+    d, L, N = draw(st.sampled_from(TORI))
+    m = draw(st.sampled_from([1, 2]))
+    g = TorusGeometry(d=d, m=m, L=L, N=N)
+    l = draw(st.integers(min_value=2, max_value=g.side))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    if draw(st.booleans()):
+        D = rng.standard_normal((n, n))
+        D = D + D.T
+        D /= np.max(np.abs(np.linalg.eigvalsh(D)))
+        radius = draw(st.floats(min_value=0.0, max_value=0.95))
+        angle = draw(st.floats(min_value=0.0, max_value=2.0 * np.pi))
+        coefficients = ComplexEllipticPath.from_direction(A, D).tensor_at(
+            radius * np.exp(1j * angle)
+        )
+    else:
+        coefficients = A
+    rows = draw(st.lists(st.integers(min_value=1, max_value=g.site_count - 1), min_size=1, max_size=4))
+    return g, cube(l, g), coefficients, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(projector_cases())
+def test_block_sum_matches_plane_wave_solve(case):
+    g, Q, coefficients, rows = case
+    factor = assemble_stiffness(coefficients, Q)
+    green = local_green_flat(factor, g)
+    sym = symbol_flat(factor.tensor, g)
+    ps = p_flat(g)
+    for row in rows:
+        expected = projector_symbol(factor, ps[row])
+        got = green[row] @ sym[row] / Q.volume
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(projector_cases())
+def test_block_kernel_vanishes_beyond_cube_range(case):
+    g, Q, coefficients, _ = case
+    reach = Q.l - 2
+    if 2 * reach >= g.side:
+        return
+    green = local_green_flat(assemble_stiffness(coefficients, Q), g)
+    grid = green.reshape(g.site_shape + (g.m, g.m))
+    kernel = np.fft.fftn(grid, axes=tuple(range(g.d)), norm="forward")
+    far = rho_inf_grid(g) > reach
+    assert np.max(np.abs(kernel[~far])) > 0.0
+    assert np.all(np.abs(kernel[far]) <= 1e-13 * np.max(np.abs(kernel)))
