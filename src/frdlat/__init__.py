@@ -75,8 +75,6 @@ from .sampling import (
     CovarianceEstimate,
     SamplerState,
     build_sampler,
-    component_covariance,
-    component_gradient_check,
     covariance_deviation,
     dense_reference_samples,
     empirical_covariance,
@@ -86,7 +84,6 @@ from .sampling import (
     sample_component,
     sample_total,
     shuffled_control,
-    total_covariance,
 )
 from .spectral import (
     Kernel,

@@ -28,7 +28,6 @@ oracle for local_green_flat.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .elliptic import EllipticMap, symbol_from_tensor
 from .errors import (
@@ -86,15 +85,13 @@ def _offset_blocks(tensor: np.ndarray):
 
 @dataclass
 class StiffnessFactor:
-    """Factorized local energy matrix over the cube interior."""
+    """Local energy matrix over the cube interior."""
 
     cube: Cube
     tensor: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
     n_sites: int
     m: int
-    mode: str
-    handle: object = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -102,18 +99,16 @@ class StiffnessFactor:
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """K^-1 B for B of shape (n, k); complex right-hand sides allowed."""
-        if self.mode == "cholesky":
-            return scipy.linalg.cho_solve(self.handle, B)
-        return scipy.linalg.lu_solve(self.handle, B)
+        return np.linalg.solve(self.matrix, B)
 
 
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
-    """Assemble and factorize K over the interior sites of the cube.
+    """Assemble K over the interior sites of the cube.
 
-    A may be an EllipticMap (real branch, Cholesky) or a complex
-    (m, d, m, d) tensor (general LU).  Positive definiteness in the real
-    branch is verified by the factorization itself.  K is dense, so a cube
-    with more than DENSE_LIMIT unknowns is rejected before assembly.
+    A may be an EllipticMap (real branch) or a complex (m, d, m, d)
+    tensor.  Positive definiteness in the real branch is verified by a
+    Cholesky factorization.  K is dense, so a cube with more than
+    DENSE_LIMIT unknowns is rejected before assembly.
     """
     tensor = _coefficient_tensor(A)
     m, d = tensor.shape[0], tensor.shape[1]
@@ -144,26 +139,14 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
         K4[rows, :, cols, :] += blk
     K = K4.reshape(n_sites * m, n_sites * m)
 
-    if is_complex:
-        handle = scipy.linalg.lu_factor(K)
-        mode = "lu"
-    else:
+    if not is_complex:
         try:
-            handle = scipy.linalg.cho_factor(K)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError as exc:
             raise FactorizationFailure(
                 "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
             ) from exc
-        mode = "cholesky"
-    return StiffnessFactor(
-        cube=cube,
-        tensor=tensor,
-        matrix=K,
-        n_sites=n_sites,
-        m=m,
-        mode=mode,
-        handle=handle,
-    )
+    return StiffnessFactor(cube=cube, tensor=tensor, matrix=K, n_sites=n_sites, m=m)
 
 
 def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
@@ -182,7 +165,7 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
     for a in range(g.d):
         slot = slot * S + (sites[None, :, a] - sites[:, None, a]) % S
     slot = slot.ravel()
-    Kinv = factor.solve(np.eye(factor.n)).reshape(factor.n_sites, m, factor.n_sites, m)
+    Kinv = np.linalg.inv(factor.matrix).reshape(factor.n_sites, m, factor.n_sites, m)
     kernel = np.empty((F, m, m), dtype=np.complex128)
     for s in range(m):
         for t in range(m):

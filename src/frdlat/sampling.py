@@ -7,9 +7,12 @@ transforms.  Streams are keyed by (seed, scale, sample index) through a
 counter-based generator, so any sample can be regenerated in isolation
 and thread scheduling cannot change the draw.
 
-Estimator reductions are organized in fixed-size batches combined in
-batch-index order, which makes multi-threaded runs bitwise identical to
-single-threaded ones.
+The scale fields are independent and the total field is their sum, so
+run_sampling_suite draws every (scale, sample index) once and feeds the
+per-scale estimators, the total estimator and the gradient range checks
+from that one draw.  Every estimator is reduced in fixed-size batches
+whose partial sums are combined in batch-index order, which makes
+multi-threaded runs bitwise identical to single-threaded ones.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -173,21 +176,29 @@ def _combine(partials, n: int, g: TorusGeometry) -> CovarianceEstimate:
     return CovarianceEstimate(g, np.ascontiguousarray(mean), np.sqrt(var / n), n)
 
 
-def _batched(values_fn, n: int, threads: int, g: TorusGeometry):
+def _batched(values_fn, n: int, threads: int, g: TorusGeometry) -> list:
+    """One CovarianceEstimate per array of values_fn(start, count).
+
+    values_fn returns a list of (count, c, *site) arrays for the samples
+    start..start+count-1; each array's per-batch sums are combined in
+    batch-index order, whatever the thread count.
+    """
     n_batches = (n + BATCH - 1) // BATCH
 
     def work(bi):
         start = bi * BATCH
-        vals = values_fn(start, min(BATCH, n - start))
-        est = _correlation_batch(vals, g)
-        return est.sum(axis=0), (est * est).sum(axis=0)
+        sums = []
+        for vals in values_fn(start, min(BATCH, n - start)):
+            est = _correlation_batch(vals, g)
+            sums.append((est.sum(axis=0), (est * est).sum(axis=0)))
+        return sums
 
     if threads <= 1:
         partials = [work(bi) for bi in range(n_batches)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             partials = list(ex.map(work, range(n_batches)))
-    return _combine(partials, n, g)
+    return [_combine(per_array, n, g) for per_array in zip(*partials)]
 
 
 def empirical_covariance(samples) -> CovarianceEstimate:
@@ -200,25 +211,7 @@ def empirical_covariance(samples) -> CovarianceEstimate:
     samples = list(samples)
     g = samples[0].geometry
     stack = np.stack([f.values for f in samples])
-
-    def values_fn(start, count):
-        return stack[start : start + count]
-
-    return _batched(values_fn, len(samples), 1, g)
-
-
-def component_covariance(state: SamplerState, k: int, n: int, threads: int = 1) -> CovarianceEstimate:
-    return _batched(lambda s, c: _component_batch(state, k, s, c), n, threads, state.geometry)
-
-
-def total_covariance(state: SamplerState, n: int, threads: int = 1) -> CovarianceEstimate:
-    def values_fn(start, count):
-        vals = _component_batch(state, 1, start, count)
-        for k in range(2, state.n_scales + 1):
-            vals = vals + _component_batch(state, k, start, count)
-        return vals
-
-    return _batched(values_fn, n, threads, state.geometry)
+    return _batched(lambda s, c: [stack[s : s + c]], len(samples), 1, g)[0]
 
 
 def covariance_deviation(est: CovarianceEstimate, kernel_values: np.ndarray) -> float:
@@ -260,11 +253,7 @@ def _gradient_channels(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return out
 
 
-def _far_report(est: CovarianceEstimate, g: TorusGeometry, r: int) -> GradientRangeReport:
-    mask = rho_inf_grid(g) > r + 2
-    far = int(np.count_nonzero(mask))
-    if far == 0:
-        raise EmptyFarRegion("no site lies beyond range %d + 2" % r)
+def _far_report(est: CovarianceEstimate, mask: np.ndarray, r: int) -> GradientRangeReport:
     mean = est.mean[:, :, mask]
     se = est.se[:, :, mask]
     diff = np.abs(mean)
@@ -275,7 +264,7 @@ def _far_report(est: CovarianceEstimate, g: TorusGeometry, r: int) -> GradientRa
     trivial = bool(np.max(diff) == 0.0)
     return GradientRangeReport(
         r=r,
-        far_sites=far,
+        far_sites=int(np.count_nonzero(mask)),
         max_abs=float(np.max(diff)),
         max_se_ratio=float(np.max(ratio)),
         trivial=trivial,
@@ -290,40 +279,45 @@ def gradient_range_check(samples, r: int) -> GradientRangeReport:
     """
     samples = list(samples)
     g = samples[0].geometry
+    mask = rho_inf_grid(g) > r + 2
+    if not np.any(mask):
+        raise EmptyFarRegion("no site lies beyond range %d + 2" % r)
     stack = np.stack([f.values for f in samples])
-
-    def values_fn(start, count):
-        return _gradient_channels(stack[start : start + count], g)
-
-    est = _batched(values_fn, len(samples), 1, g)
-    return _far_report(est, g, r)
-
-
-def component_gradient_check(
-    state: SamplerState, k: int, n: int, threads: int = 1
-) -> GradientRangeReport:
-    g = state.geometry
-
-    def values_fn(start, count):
-        return _gradient_channels(_component_batch(state, k, start, count), g)
-
-    est = _batched(values_fn, n, threads, g)
-    return _far_report(est, g, state.ranges[k - 1])
+    est = _batched(lambda s, c: [_gradient_channels(stack[s : s + c], g)], len(samples), 1, g)[0]
+    return _far_report(est, mask, r)
 
 
 def run_sampling_suite(state: SamplerState, n: int, threads: int = 1) -> dict:
-    """One pass over n samples: per-scale and total covariance estimates
-    plus per-scale gradient range reports (None where vacuous)."""
+    """Per-scale and total covariance estimates plus per-scale gradient
+    range reports from one draw of each (scale, sample index).
+
+    The total is the scale fields summed in scale order.  A gradient
+    report is None where the scale's far region is empty, which is
+    decided before any draw; only the other scales feed gradient
+    estimators.
+    """
     g = state.geometry
-    suite = {"component": {}, "gradient": {}}
-    for k in range(1, state.n_scales + 1):
-        suite["component"][k] = component_covariance(state, k, n, threads)
-    suite["total"] = total_covariance(state, n, threads)
-    for k in range(1, len(state.ranges) + 1):
-        try:
-            suite["gradient"][k] = component_gradient_check(state, k, n, threads)
-        except EmptyFarRegion:
-            suite["gradient"][k] = None
+    scales = range(1, state.n_scales + 1)
+    rho = rho_inf_grid(g)
+    masks = {k: rho > r + 2 for k, r in enumerate(state.ranges, start=1)}
+    checked = [k for k, mask in masks.items() if np.any(mask)]
+
+    def values_fn(start, count):
+        comps = [_component_batch(state, k, start, count) for k in scales]
+        total = comps[0]
+        for vals in comps[1:]:
+            total = total + vals
+        grads = [_gradient_channels(comps[k - 1], g) for k in checked]
+        return comps + [total] + grads
+
+    ests = _batched(values_fn, n, threads, g)
+    suite = {
+        "component": dict(zip(scales, ests)),
+        "gradient": dict.fromkeys(masks),
+        "total": ests[len(scales)],
+    }
+    for k, est in zip(checked, ests[len(scales) + 1 :]):
+        suite["gradient"][k] = _far_report(est, masks[k], state.ranges[k - 1])
     return suite
 
 

@@ -1,7 +1,10 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
+import frdlat
 from frdlat import cli
 from frdlat.cli import main
 
@@ -176,3 +179,11 @@ def test_unexpected_exception_exits_numeric(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["decompose", "--config", cfg, "--out", out]) == 4
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frdlat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = 'import sys, frdlat.cli; sys.exit("scipy" in sys.modules)'
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

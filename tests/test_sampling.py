@@ -6,10 +6,10 @@ from frdlat.elliptic import identity_map
 from frdlat.errors import EmptyFarRegion
 from frdlat.fields import Field
 from frdlat.lattice import TorusGeometry, centered
+from frdlat import sampling
 from frdlat.sampling import (
     _half_set,
     build_sampler,
-    component_covariance,
     covariance_deviation,
     dense_reference_samples,
     empirical_covariance,
@@ -19,7 +19,6 @@ from frdlat.sampling import (
     sample_component,
     sample_total,
     shuffled_control,
-    total_covariance,
 )
 
 
@@ -92,7 +91,7 @@ def test_component_variance_matches_kernel():
     """The remainder scale of the trivial schedule is the full Green
     kernel, so the variance at 0 must estimate C(0) = 2/9."""
     state, res = make_state()
-    est = component_covariance(state, 2, n=4000)
+    est = run_sampling_suite(state, n=4000)["component"][2]
     dev = covariance_deviation(est, res.kernel(2).values)
     assert dev < 5.0
     assert abs(est.mean[0, 0, 0, 0] - 2.0 / 9.0) < 5.0 * max(est.se[0, 0, 0, 0], 1e-12)
@@ -100,7 +99,7 @@ def test_component_variance_matches_kernel():
 
 def test_total_covariance_matches_green():
     state, res = make_state(L=5, N=1, override=(3,))
-    est = total_covariance(state, n=4000)
+    est = run_sampling_suite(state, n=4000)["total"]
     ref = res.kernel(1).values + res.kernel(2).values
     assert covariance_deviation(est, ref) < 5.0
 
@@ -165,9 +164,57 @@ def test_component_gradient_decorrelates_beyond_range():
     assert {1, 2, 3} <= set(suite["component"])
 
 
+def make_ranged_state():
+    """25x25 torus where scale 1 has a far region and scale 2 has none."""
+    g = TorusGeometry(d=2, m=1, L=5, N=2)
+    res = decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
+    return build_sampler(res)
+
+
+def test_suite_draws_each_field_once(monkeypatch):
+    state = make_ranged_state()
+    drawn = []
+    original = sampling._component_batch
+
+    def counting(state, k, start, count):
+        drawn.extend((k, start + i) for i in range(count))
+        return original(state, k, start, count)
+
+    monkeypatch.setattr(sampling, "_component_batch", counting)
+    run_sampling_suite(state, n=600)
+    assert len(drawn) == 600 * state.n_scales
+    assert sorted(drawn) == [(k, i) for k in range(1, state.n_scales + 1) for i in range(600)]
+
+
+def same_estimate(a, b):
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
+
+
+def test_suite_matches_the_list_api_bit_for_bit():
+    state = make_ranged_state()
+    n = 600
+    suite = run_sampling_suite(state, n=n)
+    for k in range(1, state.n_scales + 1):
+        samples = [sample_component(state, k, i) for i in range(n)]
+        assert same_estimate(suite["component"][k], empirical_covariance(samples))
+        if k > len(state.ranges):
+            continue
+        if suite["gradient"][k] is None:
+            with pytest.raises(EmptyFarRegion):
+                gradient_range_check(samples, state.ranges[k - 1])
+        else:
+            assert suite["gradient"][k] == gradient_range_check(samples, state.ranges[k - 1])
+    assert suite["gradient"][1] is not None and suite["gradient"][2] is None
+    totals = [sample_total(state, i) for i in range(n)]
+    assert same_estimate(suite["total"], empirical_covariance(totals))
+
+
 def test_threaded_estimates_are_identical():
-    state, _ = make_state(L=5, N=1, override=(3,))
-    a = component_covariance(state, 1, n=600, threads=1)
-    b = component_covariance(state, 1, n=600, threads=4)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.se, b.se)
+    state = make_ranged_state()
+    a = run_sampling_suite(state, n=600, threads=1)
+    b = run_sampling_suite(state, n=600, threads=4)
+    assert a["component"].keys() == b["component"].keys()
+    for k in a["component"]:
+        assert same_estimate(a["component"][k], b["component"][k])
+    assert same_estimate(a["total"], b["total"])
+    assert a["gradient"] == b["gradient"]
