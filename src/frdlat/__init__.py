@@ -12,7 +12,6 @@ from .analyticity import (
     DerivativeResult,
     contour_derivative,
     contour_derivatives,
-    contour_scalar,
     derivative_bound_check,
     derivative_sum_residual,
     fd_agreement,
@@ -69,7 +68,7 @@ from .fields import (
     forward_gradient,
     project_zero_mean,
 )
-from .lattice import Cube, FrequencyIndex, SiteIndex, TorusGeometry, cube, rho_inf
+from .lattice import Cube, TorusGeometry, cube, rho_inf
 from .projector import assemble_stiffness, oracle_projection, projector_symbol
 from .sampling import (
     CovarianceEstimate,
@@ -104,8 +103,10 @@ from .verification import (
     check_sum,
     check_symmetry,
     decay_table,
+    diagnostics,
     envelope_report,
     eta,
+    green_equation_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

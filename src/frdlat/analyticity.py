@@ -35,15 +35,6 @@ from .spectral import (
 CONVERGENCE_TOL = 1e-9
 
 
-def contour_scalar(f, order: int, r: float, n_nodes: int) -> complex:
-    """Trapezoid-rule derivative of a scalar function at the origin."""
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    z = r * np.exp(1j * theta)
-    vals = np.array([f(zz) for zz in z])
-    coef = np.sum(vals * np.exp(-1j * order * theta)) / n_nodes
-    return math.factorial(order) * coef / r**order
-
-
 @dataclass
 class DerivativeResult:
     path: ComplexEllipticPath
@@ -166,18 +157,24 @@ def derivative_sum_residual(result: DerivativeResult) -> float:
     return float(np.max(spectral_norms(total - green))) / den
 
 
-def radius_agreement(res_a: DerivativeResult, res_b: DerivativeResult) -> float:
-    """Relative sup-norm spread between two contour radii, max over scales."""
-    g = res_a.tables[0].geometry
+def _relative_gap(res: DerivativeResult, kernels, green) -> float:
+    """Relative sup-norm gap between res's kernels and the given ones,
+    max over scales and the Green kernel."""
+    g = res.tables[0].geometry
     worst = 0.0
-    pairs = list(zip(res_a.kernels, res_b.kernels))
-    pairs.append((res_a.green_kernel, res_b.green_kernel))
+    pairs = list(zip(res.kernels, kernels))
+    pairs.append((res.green_kernel, green))
     for ka, kb in pairs:
         fa = flat_table(ka.values, g)
         fb = flat_table(kb.values, g)
         den = max(float(np.max(spectral_norms(fa))), 1e-300)
         worst = max(worst, float(np.max(spectral_norms(fa - fb))) / den)
     return worst
+
+
+def radius_agreement(res_a: DerivativeResult, res_b: DerivativeResult) -> float:
+    """Relative sup-norm spread between two contour radii, max over scales."""
+    return _relative_gap(res_a, res_b.kernels, res_b.green_kernel)
 
 
 def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, step: float = 1e-5):
@@ -208,16 +205,7 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
 def fd_agreement(res: DerivativeResult, fd_kernels, fd_green) -> float:
     """Relative sup-norm gap between contour and finite-difference
     first derivatives, max over scales and the Green kernel."""
-    g = res.tables[0].geometry
-    worst = 0.0
-    pairs = list(zip(res.kernels, fd_kernels))
-    pairs.append((res.green_kernel, fd_green))
-    for ka, kb in pairs:
-        fa = flat_table(ka.values, g)
-        fb = flat_table(kb.values, g)
-        den = max(float(np.max(spectral_norms(fa))), 1e-300)
-        worst = max(worst, float(np.max(spectral_norms(fa - fb))) / den)
-    return worst
+    return _relative_gap(res, fd_kernels, fd_green)
 
 
 @dataclass

@@ -5,8 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ComplexEllipticPath, EllipticMap, max_asymmetry, validate_map
-from .errors import NotPositiveDefinite, NotSymmetric, ParseError, ValidationError
+from .decomposition import check_levels
+from .elliptic import ComplexEllipticPath, EllipticMap, check_direction, validate_map
+from .errors import InvalidSchedule, NotPositiveDefinite, NotSymmetric, ParseError, ValidationError
 from .lattice import TorusGeometry
 
 DEFAULT_TOLERANCES = {"sum": 1e-12, "range": 1e-8, "psd": 1e-10, "imag": 1e-10}
@@ -147,20 +148,15 @@ def parse_config(text: str) -> RunConfig:
 
     if "schedule" in doc:
         sched = doc["schedule"]
-        if not isinstance(sched, list) or len(sched) != N:
+        if not isinstance(sched, list):
             raise ValidationError("schedule: expected an array of %d levels" % N)
-        checked = []
         for j, l in enumerate(sched):
-            if l is None:
-                checked.append(None)
-                continue
-            l = _as_int(l, "schedule[%d]" % j, low=3)
-            if l - 1 >= S:
-                raise ValidationError(
-                    "schedule[%d]: side %d does not fit in torus of side %d" % (j, l, S)
-                )
-            checked.append(l)
-        cfg.schedule = checked
+            if l is not None:
+                _as_int(l, "schedule[%d]" % j)
+        try:
+            cfg.schedule = list(check_levels(sched, N, S))
+        except InvalidSchedule as exc:
+            raise ValidationError("schedule: %s" % exc)
 
     if "tolerances" in doc:
         tols = doc["tolerances"]
@@ -193,16 +189,10 @@ def parse_config(text: str) -> RunConfig:
             direction = _coefficient_array(
                 deriv["direction"], d, m, path="derivative.direction", positive_scalar=False
             )
-            asym, idx = max_asymmetry(direction)
-            if asym > 1e-12 * max(float(np.max(np.abs(direction))), 1e-300):
-                raise ValidationError(
-                    "derivative.direction: entry (%d, %d) breaks symmetry" % idx
-                )
-            norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (direction + direction.T)))))
-            if norm > 1.0 + 1e-12:
-                raise ValidationError(
-                    "derivative.direction: operator norm %.3g exceeds 1" % norm
-                )
+            try:
+                check_direction(direction, 1.0)
+            except (NotSymmetric, ValueError) as exc:
+                raise ValidationError("derivative.direction: %s" % exc)
             merged["direction"] = direction
         if "order" in deriv:
             merged["order"] = _as_int(

@@ -27,7 +27,6 @@ and makes no finite-range claim.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -77,6 +76,26 @@ class CubeSchedule:
         return self.levels[k - 1] is None
 
 
+def check_levels(levels, N: int, S: int) -> tuple:
+    """The one schedule rule: N levels, each skipped (None) or a cube side
+    l with l >= 3 and l - 1 < S."""
+    levels = list(levels)
+    if len(levels) != N:
+        raise InvalidSchedule("%d levels given but N = %d" % (len(levels), N))
+    checked = []
+    for j, l in enumerate(levels, start=1):
+        if l is not None:
+            l = int(l)
+            if l < 3:
+                raise InvalidSchedule("level %d: side %d is below 3" % (j, l))
+            if l - 1 >= S:
+                raise InvalidSchedule(
+                    "level %d: side %d does not fit in torus of side %d" % (j, l, S)
+                )
+        checked.append(l)
+    return tuple(checked)
+
+
 def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
     """Default cube sides per level, or a validated user override.
 
@@ -87,25 +106,7 @@ def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
     """
     S = g.side
     if override is not None:
-        levels = list(override)
-        if len(levels) != g.N:
-            raise InvalidSchedule(
-                "override has %d levels but N = %d" % (len(levels), g.N)
-            )
-        checked = []
-        for j, l in enumerate(levels, start=1):
-            if l is None:
-                checked.append(None)
-                continue
-            l = int(l)
-            if l < 3:
-                raise InvalidSchedule("level %d: side %d is below 3" % (j, l))
-            if l - 1 >= S:
-                raise InvalidSchedule(
-                    "level %d: side %d does not fit in torus of side %d" % (j, l, S)
-                )
-            checked.append(l)
-        sched = CubeSchedule(tuple(checked), S)
+        sched = CubeSchedule(check_levels(override, g.N, S), S)
     else:
         levels = []
         for j in range(1, g.N + 1):
@@ -160,11 +161,9 @@ class DecompositionResult:
     schedule: CubeSchedule
     tables: list
     kernels: list
-    far_constants: list
     green_table: MultiplierTable
     symbols: list
     products: list = field(repr=False)
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_scales(self) -> int:
@@ -214,12 +213,10 @@ def _level_symbols_real(A, g, sched, Asqrt):
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
-    """Build all scale kernels C_1..C_{N+1} with diagnostics.
+    """Build all scale kernels C_1..C_{N+1}.
 
-    The returned diagnostics hold the telescoping residual, per-scale
-    range residuals (None where the far region is empty), per-scale
-    normalized minimum eigenvalues, the worst relative imaginary residue
-    of the kernel reconstructions, and the schedule with its ranges.
+    The construction only; verification.diagnostics measures how well
+    the result telescopes, stays positive and has finite range.
     """
     if sched.S != g.side:
         raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
@@ -227,8 +224,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     Ahat = symbol_flat(A.tensor, g)
     body = Ahat[1:]
     Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
-    green_body = np.linalg.inv(body)
-    green_body = _hermitize(green_body)
+    green_body = _hermitize(np.linalg.inv(body))
     green_table = MultiplierTable(g, grid_table(_embed_body(green_body, g), g), real_kernel=True)
 
     symbols = _level_symbols_real(A, g, sched, Asqrt)
@@ -237,61 +233,25 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     grams = [_hermitize(Mk @ np.conj(np.swapaxes(Mk, -1, -2))) for Mk in products]
     tables = []
     kernels = []
-    psd_mins = []
-    imag_rel = 0.0
     for k in range(1, sched.N + 2):
         if k <= sched.N:
             diff = grams[k - 1] - grams[k]
         else:
             diff = grams[sched.N]
         Ck = _hermitize(Ainvsqrt @ diff @ Ainvsqrt)
-        eigs = np.linalg.eigvalsh(Ck)
-        norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
-        psd_mins.append(float(np.min(eigs[:, 0] / norms)))
         table = MultiplierTable(g, grid_table(_embed_body(Ck, g), g), real_kernel=True)
-        kern = multiplier_to_kernel(table)
-        scale = max(float(np.max(np.abs(kern.values))), 1e-300)
-        imag_rel = max(imag_rel, kern.imag_residue / scale)
         tables.append(table)
-        kernels.append(kern)
+        kernels.append(multiplier_to_kernel(table))
 
-    sums = np.sum([flat_table(t.values, g)[1:] for t in tables], axis=0)
-    denom = np.maximum(spectral_norms(green_body, hermitian=True), 1e-300)
-    sum_residual = float(np.max(spectral_norms(sums - green_body) / denom))
-
-    ranges = sched.ranges
-    far_constants = []
-    range_residual = []
-    for k in range(1, sched.N + 1):
-        try:
-            C, residual = far_field_constant(kernels[k - 1], ranges[k - 1])
-        except EmptyFarRegion:
-            far_constants.append(None)
-            range_residual.append(None)
-            continue
-        far_constants.append((C, residual))
-        sup = kernel_sup_norm(kernels[k - 1])
-        range_residual.append(residual / sup if sup > 0.0 else 0.0)
-
-    diagnostics = {
-        "sum_residual": sum_residual,
-        "range_residual": range_residual,
-        "min_psd_eig": psd_mins,
-        "imag_residue": imag_rel,
-        "schedule": list(sched.levels),
-        "ranges": list(ranges),
-    }
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
         kernels=kernels,
-        far_constants=far_constants,
         green_table=green_table,
         symbols=symbols,
         products=products,
-        diagnostics=diagnostics,
     )
 
 

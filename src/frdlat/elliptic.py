@@ -89,8 +89,7 @@ def symbol_from_tensor(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def symbol(A: EllipticMap, p) -> np.ndarray:
     """Ahat(p) as a complex m x m matrix; the zero matrix at p = 0."""
-    pv = np.asarray(getattr(p, "p", p), dtype=np.float64)
-    return symbol_from_tensor(A.tensor, pv)
+    return symbol_from_tensor(A.tensor, p)
 
 
 def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
@@ -164,6 +163,25 @@ def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:
     return (U * np.sqrt(w)[..., None, :]) @ Uh
 
 
+def check_direction(raw: np.ndarray, bound: float, scale: float = 0.0) -> np.ndarray:
+    """The symmetric part of a coefficient direction, or a rejection.
+
+    Raises NotSymmetric when an entry breaks symmetry by more than
+    SYMMETRY_TOL of max(max |raw|, scale), and ValueError when the
+    operator norm exceeds bound (up to a relative 1e-12).
+    """
+    asym, idx = max_asymmetry(raw)
+    if asym > SYMMETRY_TOL * max(float(np.max(np.abs(raw))), scale, 1e-300):
+        raise NotSymmetric(
+            "direction entry (%d, %d) breaks symmetry by %.3e" % (idx[0], idx[1], asym)
+        )
+    sym = 0.5 * (raw + raw.T)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(sym)))) if np.any(sym) else 0.0
+    if norm > bound * (1.0 + 1e-12):
+        raise ValueError("direction norm %.3e exceeds %.3e" % (norm, bound))
+    return sym
+
+
 @dataclass(frozen=True)
 class ComplexEllipticPath:
     """The affine family A(z) = A0 + z A1 on the open unit disc.
@@ -181,28 +199,14 @@ class ComplexEllipticPath:
         n = self.A0.m * self.A0.d
         if A1.shape != (n, n):
             raise ValueError("direction must be %d x %d" % (n, n))
-        asym, idx = max_asymmetry(A1)
-        scale = max(float(np.max(np.abs(A1))), self.A0.opnorm, 1e-300)
-        if asym > 1e-12 * scale:
-            raise NotSymmetric(
-                "direction entry (%d, %d) breaks symmetry by %.3e" % (idx[0], idx[1], asym)
-            )
-        A1 = 0.5 * (A1 + A1.T)
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(A1)))) if np.any(A1) else 0.0
-        if norm > 0.5 * self.A0.c0 * (1.0 + 1e-12):
-            raise ValueError(
-                "direction norm %.3e exceeds c0/2 = %.3e" % (norm, 0.5 * self.A0.c0)
-            )
+        A1 = check_direction(A1, 0.5 * self.A0.c0, scale=self.A0.opnorm)
         object.__setattr__(self, "A1", A1)
 
     @classmethod
     def from_direction(cls, A0: EllipticMap, direction) -> "ComplexEllipticPath":
         """Scale a unit-ball direction to the admissible radius c0/2."""
         direction = np.asarray(direction, dtype=np.float64)
-        sym = 0.5 * (direction + direction.T)
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(sym)))) if np.any(sym) else 0.0
-        if norm > 1.0 + 1e-12:
-            raise ValueError("direction norm %.3e exceeds 1" % norm)
+        check_direction(direction, 1.0)
         return cls(A0=A0, A1=0.5 * A0.c0 * direction)
 
     @property
@@ -216,12 +220,6 @@ class ComplexEllipticPath:
         m, d = self.A0.m, self.A0.d
         ent = self.A0.entries.astype(np.complex128) + complex(z) * self.A1
         return ent.reshape(m, d, m, d)
-
-
-def complex_symbol(path: ComplexEllipticPath, z: complex, p) -> np.ndarray:
-    """Symbol of A0 + z A1; invertible for p != 0 by coercivity."""
-    pv = np.asarray(getattr(p, "p", p), dtype=np.float64)
-    return symbol_from_tensor(path.tensor_at(z), pv)
 
 
 def complex_symbol_flat(path: ComplexEllipticPath, z: complex, g: TorusGeometry) -> np.ndarray:

@@ -83,45 +83,6 @@ def canonical(coords, S: int):
 
 
 @dataclass(frozen=True)
-class SiteIndex:
-    """A lattice site; coords are canonical, centered view derived."""
-
-    coords: tuple
-    S: int
-
-    def __post_init__(self):
-        c = tuple(int(v) % self.S for v in self.coords)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def centered(self) -> tuple:
-        return tuple(int(v) for v in centered(np.array(self.coords), self.S))
-
-
-@dataclass(frozen=True)
-class FrequencyIndex:
-    """A dual-lattice point, indexed by the centered integer vector n."""
-
-    n: tuple
-    S: int
-
-    def __post_init__(self):
-        h = (self.S - 1) // 2
-        n = tuple(int(v) for v in self.n)
-        if any(abs(v) > h for v in n):
-            raise ValueError("frequency index outside the centered window")
-        object.__setattr__(self, "n", n)
-
-    @property
-    def p(self) -> tuple:
-        return tuple(2.0 * np.pi * v / self.S for v in self.n)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.n)
-
-
-@dataclass(frozen=True)
 class Cube:
     """The cube family of one scale: interior Q, lower closure, full closure.
 
@@ -176,32 +137,8 @@ def cube(l: int, g: TorusGeometry) -> Cube:
 
 def rho_inf(x, y, g: TorusGeometry) -> int:
     """Periodic sup-norm distance: min over images of max_i |x_i - y_i|."""
-    xc = np.asarray(x.coords if isinstance(x, SiteIndex) else x)
-    yc = np.asarray(y.coords if isinstance(y, SiteIndex) else y)
-    delta = np.abs(centered(xc - yc, g.side))
+    delta = np.abs(centered(np.asarray(x) - np.asarray(y), g.side))
     return int(np.max(delta))
-
-
-def dist_inf(sites_a, sites_b, g: TorusGeometry) -> int:
-    """min over pairs of rho_inf; arguments are iterables of sites."""
-    best = None
-    for a in sites_a:
-        for b in sites_b:
-            r = rho_inf(a, b, g)
-            if best is None or r < best:
-                best = r
-    if best is None:
-        raise ValueError("dist_inf of an empty site set")
-    return best
-
-
-def dual_frequencies(g: TorusGeometry):
-    """All S^d frequencies, ordered lexicographically by the centered n."""
-    h = (g.side - 1) // 2
-    axes = [np.arange(-h, h + 1)] * g.d
-    grid = np.meshgrid(*axes, indexing="ij")
-    ns = np.stack([a.ravel() for a in grid], axis=-1)
-    return [FrequencyIndex(tuple(int(v) for v in row), g.side) for row in ns]
 
 
 def rho_inf_grid(g: TorusGeometry) -> np.ndarray:

@@ -129,20 +129,6 @@ def write_kernel_csv(path, kern_or_values, g: TorusGeometry = None):
     write_text(path, kernel_csv_text(np.asarray(values), g))
 
 
-def field_csv_text(values: np.ndarray, g: TorusGeometry) -> str:
-    """Sample table: raw site coords 0..S-1 in row-major order, m values."""
-    header = ",".join("x_%d" % (a + 1) for a in range(g.d))
-    header += "," + ",".join("v_%d" % r for r in range(g.m))
-    lines = [header]
-    flat = values.reshape(g.m, g.site_count)
-    for t in range(g.site_count):
-        coords = np.unravel_index(t, g.site_shape)
-        prefix = ",".join(str(int(c)) for c in coords)
-        vals = ",".join(format_float(flat[r, t]) for r in range(g.m))
-        lines.append(prefix + "," + vals)
-    return "\n".join(lines) + "\n"
-
-
 def samples_csv_text(sample_values, g: TorusGeometry) -> str:
     """All samples in one table: sample index, site coords, m values."""
     header = "sample," + ",".join("x_%d" % (a + 1) for a in range(g.d))

@@ -179,7 +179,7 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:
     """That(p) = l^-d Ghat_Q(p) Ahat(p) for a single frequency p != 0."""
-    pv = np.asarray(getattr(p, "p", p), dtype=np.float64)
+    pv = np.asarray(p, dtype=np.float64)
     if np.allclose(pv, 0.0):
         raise ZeroFrequency("projector symbol undefined at p = 0")
     m = factor.m
@@ -189,14 +189,6 @@ def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:
     G = np.einsum("z,zst->st", np.conj(phi), X)
     Ahat = symbol_from_tensor(factor.tensor, pv)
     return (G @ Ahat) / factor.cube.volume
-
-
-def dual_symbol(T_flat: np.ndarray, A_flat: np.ndarray) -> np.ndarray:
-    """T'(p) = Ahat(p) That(p) Ahat(p)^-1, batched over frequencies."""
-    X = A_flat @ T_flat
-    Xt = np.swapaxes(X, -1, -2)
-    At = np.swapaxes(A_flat, -1, -2)
-    return np.swapaxes(np.linalg.solve(At, Xt), -1, -2)
 
 
 def oracle_projection(A, cube: Cube, phi: Field) -> Field:

@@ -135,12 +135,24 @@ def sample_component(state: SamplerState, k: int, sample_index: int) -> Field:
     return Field(state.geometry, vals, zero_mean=True)
 
 
+def _scale_sum(comps: list) -> np.ndarray:
+    """The scale fields summed in scale order."""
+    total = comps[0]
+    for vals in comps[1:]:
+        total = total + vals
+    return total
+
+
+def total_batch(state: SamplerState, start: int, count: int) -> np.ndarray:
+    """Total field values for indices start..start+count-1, shaped
+    (count, m, *site); row i equals sample_total(state, start + i)."""
+    scales = range(1, state.n_scales + 1)
+    return _scale_sum([_component_batch(state, k, start, count) for k in scales])
+
+
 def sample_total(state: SamplerState, sample_index: int) -> Field:
     """Sum of independent scale samples sharing the sample index."""
-    total = _component_batch(state, 1, sample_index, 1)[0]
-    for k in range(2, state.n_scales + 1):
-        total = total + _component_batch(state, k, sample_index, 1)[0]
-    return Field(state.geometry, total, zero_mean=True)
+    return Field(state.geometry, total_batch(state, sample_index, 1)[0], zero_mean=True)
 
 
 @dataclass
@@ -214,25 +226,23 @@ def empirical_covariance(samples) -> CovarianceEstimate:
     return _batched(lambda s, c: [stack[s : s + c]], len(samples), 1, g)[0]
 
 
-def covariance_deviation(est: CovarianceEstimate, kernel_values: np.ndarray) -> float:
-    """Max per-entry |mean - reference| in standard-error units."""
-    diff = np.abs(est.mean - kernel_values)
-    ratio = np.zeros_like(diff)
-    live = est.se > 0.0
-    ratio[live] = diff[live] / est.se[live]
-    ratio[~live & (diff > 0.0)] = np.inf
-    return float(np.max(ratio))
-
-
-def estimate_agreement(a: CovarianceEstimate, b: CovarianceEstimate) -> float:
-    """Max per-entry difference of two estimates in combined-SE units."""
-    diff = np.abs(a.mean - b.mean)
-    se = np.sqrt(a.se**2 + b.se**2)
+def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
+    """Max per-entry diff / se; infinite where se is zero but diff is not."""
     ratio = np.zeros_like(diff)
     live = se > 0.0
     ratio[live] = diff[live] / se[live]
     ratio[~live & (diff > 0.0)] = np.inf
     return float(np.max(ratio))
+
+
+def covariance_deviation(est: CovarianceEstimate, kernel_values: np.ndarray) -> float:
+    """Max per-entry |mean - reference| in standard-error units."""
+    return _max_se_ratio(np.abs(est.mean - kernel_values), est.se)
+
+
+def estimate_agreement(a: CovarianceEstimate, b: CovarianceEstimate) -> float:
+    """Max per-entry difference of two estimates in combined-SE units."""
+    return _max_se_ratio(np.abs(a.mean - b.mean), np.sqrt(a.se**2 + b.se**2))
 
 
 @dataclass
@@ -254,20 +264,13 @@ def _gradient_channels(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 
 def _far_report(est: CovarianceEstimate, mask: np.ndarray, r: int) -> GradientRangeReport:
-    mean = est.mean[:, :, mask]
-    se = est.se[:, :, mask]
-    diff = np.abs(mean)
-    ratio = np.zeros_like(diff)
-    live = se > 0.0
-    ratio[live] = diff[live] / se[live]
-    ratio[~live & (diff > 0.0)] = np.inf
-    trivial = bool(np.max(diff) == 0.0)
+    diff = np.abs(est.mean[:, :, mask])
     return GradientRangeReport(
         r=r,
         far_sites=int(np.count_nonzero(mask)),
         max_abs=float(np.max(diff)),
-        max_se_ratio=float(np.max(ratio)),
-        trivial=trivial,
+        max_se_ratio=_max_se_ratio(diff, est.se[:, :, mask]),
+        trivial=bool(np.max(diff) == 0.0),
     )
 
 
@@ -304,9 +307,7 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1) -> dict:
 
     def values_fn(start, count):
         comps = [_component_batch(state, k, start, count) for k in scales]
-        total = comps[0]
-        for vals in comps[1:]:
-            total = total + vals
+        total = _scale_sum(comps)
         grads = [_gradient_channels(comps[k - 1], g) for k in checked]
         return comps + [total] + grads
 

@@ -7,7 +7,7 @@ sharp constants: only the scaling is falsifiable at desk scale.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +99,50 @@ def check_psd(result: DecompositionResult):
         norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
         out.append(float(np.min(eigs[:, 0] / norms)))
     return out
+
+
+def diagnostics(result: DecompositionResult) -> dict:
+    """The decomposition's own invariants, as written to diagnostics.json.
+
+    sum_residual is the telescoping residual (check_sum), range_residual
+    the relative far-field residual per scale k = 1..N, None where the
+    far region is empty (check_finite_range), min_psd_eig the per-scale
+    normalized minimum eigenvalue (check_psd), and imag_residue the worst
+    imaginary part left by a kernel reconstruction, relative to that
+    kernel's largest entry.  The schedule and its ranges ride along.
+    """
+    imag = max(
+        kern.imag_residue / max(float(np.max(np.abs(kern.values))), 1e-300)
+        for kern in result.kernels
+    )
+    return {
+        "sum_residual": check_sum(result),
+        "range_residual": check_finite_range(result),
+        "min_psd_eig": check_psd(result),
+        "imag_residue": imag,
+        "schedule": list(result.schedule.levels),
+        "ranges": list(result.schedule.ranges),
+    }
+
+
+def green_equation_residual(result: DecompositionResult) -> float:
+    """max over s of |A (sum_k C_k)[:, s] - (delta_0 - S^-d) e_s|.
+
+    Applies the real-space operator (fields.apply_elliptic, the one the
+    dense oracle is built from) to each column of the summed scale
+    kernels, so it shares neither the symbols nor the multiplier
+    arithmetic of the decomposition, and it runs on every torus.
+    """
+    g = result.geometry
+    total = np.sum([kern.values for kern in result.kernels], axis=0)
+    worst = 0.0
+    for s in range(g.m):
+        rhs = np.zeros(g.field_shape())
+        rhs[s] = -1.0 / g.site_count
+        rhs[(s,) + (0,) * g.d] += 1.0
+        lhs = apply_elliptic(result.A, Field(g, total[:, s])).values
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def check_symmetry(result: DecompositionResult) -> float:

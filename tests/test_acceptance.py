@@ -36,6 +36,7 @@ from frdlat.verification import (
     brute_force_green,
     check_symmetry,
     decay_table,
+    diagnostics,
     envelope_report,
 )
 
@@ -114,7 +115,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_telescoping(telescoping_run):
     res, dt = telescoping_run
-    residual = res.diagnostics["sum_residual"]
+    residual = diagnostics(res)["sum_residual"]
     ok = residual <= 1e-12 and dt < 10.0
     criterion(2, "telescoping sum", ok, "residual %.3g, %.2fs" % (residual, dt))
 
@@ -122,8 +123,8 @@ def test_criterion_02_telescoping(telescoping_run):
 def test_criterion_03_finite_range(telescoping_run, wide_run):
     res, dt_a = telescoping_run
     t0 = time.perf_counter()
-    residuals = res.diagnostics["range_residual"]
-    assert res.diagnostics["ranges"][:2] == [3, 11]
+    residuals = diagnostics(res)["range_residual"]
+    assert diagnostics(res)["ranges"][:2] == [3, 11]
     wide, dt_b = wide_run
     _, raw = far_field_constant(wide.kernel(1), wide.schedule.ranges[0])
     wide_rel = raw / kernel_sup_norm(wide.kernel(1))
@@ -144,7 +145,7 @@ def test_criterion_03_finite_range(telescoping_run, wide_run):
 
 def test_criterion_04_positivity(telescoping_run, wide_run, decay_run, path_run):
     runs = [telescoping_run[0], wide_run[0], decay_run[0], path_run[0]]
-    worst = min(min(r.diagnostics["min_psd_eig"]) for r in runs)
+    worst = min(min(diagnostics(r)["min_psd_eig"]) for r in runs)
     ok = worst >= -1e-10
     criterion(4, "positive semidefinite multipliers", ok, "min normalized eig %.3g" % worst)
 
@@ -195,7 +196,7 @@ def test_criterion_06_decay_scaling(decay_run):
 def test_criterion_07_symmetry_and_realness(telescoping_run, wide_run, decay_run, path_run):
     runs = [telescoping_run[0], wide_run[0], decay_run[0], path_run[0]]
     sym = max(check_symmetry(r) for r in runs)
-    imag = max(r.diagnostics["imag_residue"] for r in runs)
+    imag = max(diagnostics(r)["imag_residue"] for r in runs)
     ok = sym <= 1e-10 and imag <= 1e-10
     criterion(
         7,

@@ -4,7 +4,6 @@ import pytest
 from frdlat.analyticity import (
     contour_derivative,
     contour_derivatives,
-    contour_scalar,
     derivative_bound_check,
     derivative_sum_residual,
     fd_agreement,
@@ -31,18 +30,6 @@ def setup_path(m=1, seed=None):
         D = 0.5 * (D + D.T)
         direction = D / np.max(np.abs(np.linalg.eigvalsh(D)))
     return ComplexEllipticPath.from_direction(A, direction), g, sched
-
-
-def test_contour_scalar_geometric_series():
-    assert contour_scalar(lambda z: 1.0 / (1.0 + 0.5 * z), 1, 0.5, 64) == pytest.approx(
-        -0.5, abs=1e-12
-    )
-    assert contour_scalar(lambda z: 1.0 / (1.0 - 0.5 * z), 2, 0.5, 64) == pytest.approx(
-        0.5, abs=1e-12
-    )
-    assert contour_scalar(lambda z: 1.0 / (1.0 - 0.5 * z), 0, 0.5, 64) == pytest.approx(
-        1.0, abs=1e-12
-    )
 
 
 def test_contour_guard_errors():

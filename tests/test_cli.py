@@ -4,9 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import frdlat
 from frdlat import cli
 from frdlat.cli import main
+from frdlat.config import parse_config
+from frdlat.decomposition import build_schedule, decompose
+from frdlat.output import samples_csv_text
+from frdlat.sampling import build_sampler, sample_total
+from frdlat.spectral import Kernel
 
 MINIMAL = {"d": 2, "m": 1, "L": 3, "N": 1, "A": [1.0]}
 
@@ -82,7 +89,27 @@ def test_verify_with_two_live_scales(tmp_path):
     assert report["decay"]["performed"] is True
     assert report["decay"]["slopes"]["0,0"] < 0.0
     assert os.path.exists(os.path.join(out, "decay.csv"))
-    assert report["range_residual"][0] is not None
+    assert report["diagnostics"]["range_residual"][0] is not None
+    assert report["green_equation"] <= cli.GREEN_TOL
+
+
+def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, monkeypatch):
+    """Zeroing the real-space remainder kernel leaves every multiplier-side
+    check passing; only the Green equation sees it."""
+
+    def dropped(A, g, sched):
+        res = decompose(A, g, sched)
+        res.kernels[-1] = Kernel(g, np.zeros(g.kernel_shape()))
+        return res
+
+    monkeypatch.setattr(cli, "decompose", dropped)
+    cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5])
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    assert "check failed: green_equation" in capsys.readouterr().err
+    report = json.loads(open(os.path.join(out, "verify_report.json")).read())
+    assert [name for name, ok in report["checks"].items() if not ok] == ["green_equation"]
 
 
 def test_sample_artifacts_and_thread_identity(tmp_path):
@@ -122,6 +149,22 @@ def test_sample_writes_fields_on_request(tmp_path):
     assert main(["sample", "--config", cfg, "--out", out]) == 0
     lines = open(os.path.join(out, "samples.csv")).read().strip().split("\n")
     assert len(lines) == 1 + 8 * 9
+
+
+def test_samples_csv_matches_per_index_totals(tmp_path):
+    """The batched samples.csv equals the file built from sample_total one
+    index at a time, across a batch boundary on the 9x9 torus."""
+    n = 300
+    cfg_path = write_cfg(tmp_path, L=3, N=2, schedule=[3, 5], samples=n, seed=5,
+                         write_samples=True)
+    out = outdir(tmp_path)
+    assert main(["sample", "--config", cfg_path, "--out", out, "--threads", "2"]) == 0
+    cfg = parse_config(open(cfg_path).read())
+    g = cfg.geometry()
+    res = decompose(cfg.elliptic_map(), g, build_schedule(g, cfg.schedule))
+    state = build_sampler(res, cfg.seed)
+    expected = samples_csv_text([sample_total(state, i).values for i in range(n)], g)
+    assert open(os.path.join(out, "samples.csv")).read() == expected
 
 
 def test_deriv_report(tmp_path):

@@ -4,13 +4,9 @@ import pytest
 from frdlat.errors import CubeTooLarge
 from frdlat.lattice import (
     Cube,
-    FrequencyIndex,
-    SiteIndex,
     TorusGeometry,
     centered,
     cube,
-    dist_inf,
-    dual_frequencies,
     p_flat,
     p_norms,
     rho_inf,
@@ -49,21 +45,6 @@ def test_centered_representatives():
     assert centered(np.array([5, -5]), 3).tolist() == [-1, 1]
 
 
-def test_site_index_canonicalizes():
-    s = SiteIndex((-1, 10), 9)
-    assert s.coords == (8, 1)
-    assert s.centered == (-1, 1)
-
-
-def test_frequency_index():
-    f = FrequencyIndex((1, 0), 3)
-    assert f.p == (2.0 * np.pi / 3.0, 0.0)
-    assert not f.is_zero
-    assert FrequencyIndex((0, 0), 3).is_zero
-    with pytest.raises(ValueError):
-        FrequencyIndex((2, 0), 3)
-
-
 def test_cube_site_sets():
     c = Cube(l=3, d=2)
     assert c.interior_count == 4
@@ -81,8 +62,8 @@ def test_rho_inf_values():
     g = TorusGeometry(d=2, m=1, L=3, N=2)
     assert rho_inf((0, 0), (5, 5), g) == 4
     assert rho_inf((0, 0), (8, 0), g) == 1
-    assert rho_inf(SiteIndex((1, 2), 9), SiteIndex((1, 2), 9), g) == 0
-    assert dist_inf([(0, 0), (1, 1)], [(3, 3)], g) == 2
+    assert rho_inf((1, 2), (1, 2), g) == 0
+    assert rho_inf((1, 11), (10, 2), g) == 0
 
 
 def test_rho_inf_triangle_inequality():
@@ -99,15 +80,6 @@ def test_rho_inf_grid_matches_pointwise():
     for x0 in range(5):
         for x1 in range(5):
             assert grid[x0, x1] == rho_inf((x0, x1), (0, 0), g)
-
-
-def test_dual_frequencies_cover_and_order():
-    g = TorusGeometry(d=2, m=1, L=3, N=1)
-    freqs = dual_frequencies(g)
-    assert len(freqs) == 9
-    ns = [f.n for f in freqs]
-    assert ns == sorted(ns)
-    assert (0, 0) in ns
 
 
 def test_p_flat_layout():

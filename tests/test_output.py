@@ -7,7 +7,6 @@ from frdlat.output import (
     canonical,
     centered_site_order,
     dumps_json,
-    field_csv_text,
     format_float,
     kernel_csv_text,
     samples_csv_text,
@@ -67,14 +66,14 @@ def test_matrix_kernel_csv_rows():
 
 
 def test_field_and_samples_csv():
+    """Each field is one block of rows: raw site coords 0..S-1 in
+    row-major order, then its m values."""
     vals = np.arange(9.0).reshape(1, 3, 3)
-    text = field_csv_text(vals, G3)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x_1,x_2,v_0"
-    assert lines[1] == "0,0,0"
-    assert len(lines) == 10
     stext = samples_csv_text([vals, vals + 1.0], G3)
     slines = stext.strip().split("\n")
     assert slines[0] == "sample,x_1,x_2,v_0"
     assert slines[1] == "0,0,0,0"
+    assert slines[2] == "0,0,1,1"
+    assert slines[9] == "0,2,2,8"
+    assert slines[10] == "1,0,0,1"
     assert len(slines) == 1 + 18

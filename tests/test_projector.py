@@ -13,7 +13,6 @@ from frdlat.fields import Field, apply_elliptic
 from frdlat.lattice import Cube, TorusGeometry, cube, p_flat
 from frdlat.projector import (
     assemble_stiffness,
-    dual_symbol,
     local_green_flat,
     oracle_projection,
     projector_symbol,
@@ -127,18 +126,6 @@ def test_symbol_is_a_contraction_after_conjugation():
     assert np.max(np.abs(vals.imag)) < 1e-13
     assert np.min(vals.real) >= -1e-12
     assert np.max(vals.real) <= 1.0 + 1e-12
-
-
-def test_dual_symbol_relation():
-    g = TorusGeometry(d=2, m=2, L=5, N=1)
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((4, 4))
-    A = validate_map(B.T @ B + 0.4 * np.eye(4), 2, 2)
-    factor = assemble_stiffness(A, cube(3, g))
-    sym = symbol_flat(A.tensor, g)[1:]
-    T = local_green_flat(factor, g)[1:] @ sym / cube(3, g).volume
-    dual = dual_symbol(T, sym)
-    assert np.max(np.abs(dual @ sym - sym @ T)) < 1e-10
 
 
 def test_complex_coefficients_factorize():
