@@ -84,16 +84,7 @@ from .sampling import (
     sample_total,
     shuffled_control,
 )
-from .spectral import (
-    Kernel,
-    MultiplierTable,
-    apply_multiplier,
-    dft_field,
-    idft_field,
-    kernel_derivative,
-    kernel_to_multiplier,
-    multiplier_to_kernel,
-)
+from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_kernel
 from .verification import (
     DecayReport,
     EnvelopeReport,

@@ -17,20 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import CubeSchedule, complex_decompose, decompose
+from .decomposition import CubeSchedule, complex_decompose, decompose, kernel_sup_norm
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import (
-    Kernel,
-    MultiplierTable,
-    _embed_body,
-    flat_table,
-    grid_table,
-    kernel_derivative,
-    multiplier_to_kernel,
-    spectral_norms,
-)
+from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_kernel, spectral_norms
 
 CONVERGENCE_TOL = 1e-9
 
@@ -88,8 +79,7 @@ def contour_derivatives(
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
         res = complex_decompose(path, z, g, sched)
-        bodies = [flat_table(tab.values, g)[1:] for tab in res.tables]
-        bodies.append(flat_table(res.green_table.values, g)[1:])
+        bodies = [tab.values for tab in res.tables] + [res.green_table.values]
         for j in orders:
             w_full = np.exp(-1j * j * theta) / total
             for acc, b in zip(full[j], bodies):
@@ -117,10 +107,10 @@ def contour_derivatives(
         tables = []
         kernels = []
         for X in fs[:n_scales]:
-            tab = MultiplierTable(g, grid_table(_embed_body(X, g), g), real_kernel=True)
+            tab = MultiplierTable(g, X)
             tables.append(tab)
             kernels.append(multiplier_to_kernel(tab))
-        green_table = MultiplierTable(g, grid_table(_embed_body(fs[-1], g), g), real_kernel=True)
+        green_table = MultiplierTable(g, fs[-1])
         out[j] = DerivativeResult(
             path=path,
             order=j,
@@ -150,9 +140,8 @@ def contour_derivative(
 
 def derivative_sum_residual(result: DerivativeResult) -> float:
     """Relative deviation of sum_k D^j C_k from D^j C over p != 0."""
-    g = result.tables[0].geometry
-    green = flat_table(result.green_table.values, g)[1:]
-    total = np.sum([flat_table(t.values, g)[1:] for t in result.tables], axis=0)
+    green = result.green_table.values
+    total = np.sum([t.values for t in result.tables], axis=0)
     den = max(float(np.max(spectral_norms(green))), 1e-300)
     return float(np.max(spectral_norms(total - green))) / den
 
@@ -160,15 +149,12 @@ def derivative_sum_residual(result: DerivativeResult) -> float:
 def _relative_gap(res: DerivativeResult, kernels, green) -> float:
     """Relative sup-norm gap between res's kernels and the given ones,
     max over scales and the Green kernel."""
-    g = res.tables[0].geometry
     worst = 0.0
     pairs = list(zip(res.kernels, kernels))
     pairs.append((res.green_kernel, green))
     for ka, kb in pairs:
-        fa = flat_table(ka.values, g)
-        fb = flat_table(kb.values, g)
-        den = max(float(np.max(spectral_norms(fa))), 1e-300)
-        worst = max(worst, float(np.max(spectral_norms(fa - fb))) / den)
+        den = max(kernel_sup_norm(ka), 1e-300)
+        worst = max(worst, kernel_sup_norm(Kernel(ka.geometry, ka.values - kb.values)) / den)
     return worst
 
 
@@ -241,13 +227,13 @@ def derivative_bound_check(base, derivs, alphas=None) -> BoundReport:
     for k in range(1, base.n_scales + 1):
         for alpha in alphas:
             base_kern = kernel_derivative(base.kernel(k), alpha)
-            v0 = float(np.max(spectral_norms(flat_table(base_kern.values, g))))
+            v0 = kernel_sup_norm(base_kern)
             rows.append(BoundRow(k=k, alpha=alpha, order=0, value=v0, ratio=1.0))
             if v0 <= 0.0:
                 continue
             for res in derivs:
                 dk = kernel_derivative(res.kernel(k), alpha)
-                vj = float(np.max(spectral_norms(flat_table(dk.values, g))))
+                vj = kernel_sup_norm(dk)
                 vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
                 ratio = vj / v0
                 rows.append(BoundRow(k=k, alpha=alpha, order=res.order, value=vj, ratio=ratio))

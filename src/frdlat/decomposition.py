@@ -37,10 +37,8 @@ from .projector import assemble_stiffness, local_green_flat
 from .spectral import (
     Kernel,
     MultiplierTable,
-    _embed_body,
     _hermitize,
     flat_table,
-    grid_table,
     multiplier_to_kernel,
     spectral_norms,
 )
@@ -134,7 +132,11 @@ class ProjectorSymbols:
     level: int
     l: int
     Ttilde: np.ndarray = field(repr=False)
-    Rtilde: np.ndarray = field(repr=False)
+
+    @property
+    def Rtilde(self) -> np.ndarray:
+        """I - Ttilde, derived on each read."""
+        return _identity_stack(*self.Ttilde.shape[:2]) - self.Ttilde
 
 
 def _identity_stack(F: int, m: int) -> np.ndarray:
@@ -207,8 +209,7 @@ def _level_symbols_real(A, g, sched, Asqrt):
         factor = assemble_stiffness(A, cube(l, g))
         Ghat = local_green_flat(factor, g)[1:]
         Ttilde = _hermitize((Asqrt @ Ghat @ Asqrt) / factor.cube.volume)
-        Rtilde = _identity_stack(*Ttilde.shape[:2]) - Ttilde
-        symbols.append(ProjectorSymbols(level=j, l=l, Ttilde=Ttilde, Rtilde=Rtilde))
+        symbols.append(ProjectorSymbols(level=j, l=l, Ttilde=Ttilde))
     return symbols
 
 
@@ -224,8 +225,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     Ahat = symbol_flat(A.tensor, g)
     body = Ahat[1:]
     Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
-    green_body = _hermitize(np.linalg.inv(body))
-    green_table = MultiplierTable(g, grid_table(_embed_body(green_body, g), g), real_kernel=True)
+    green_table = MultiplierTable(g, _hermitize(np.linalg.inv(body)))
 
     symbols = _level_symbols_real(A, g, sched, Asqrt)
     products = renormalized_products(symbols, body.shape[0], m)
@@ -238,8 +238,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
             diff = grams[k - 1] - grams[k]
         else:
             diff = grams[sched.N]
-        Ck = _hermitize(Ainvsqrt @ diff @ Ainvsqrt)
-        table = MultiplierTable(g, grid_table(_embed_body(Ck, g), g), real_kernel=True)
+        table = MultiplierTable(g, _hermitize(Ainvsqrt @ diff @ Ainvsqrt))
         tables.append(table)
         kernels.append(multiplier_to_kernel(table))
 
@@ -258,7 +257,6 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
 @dataclass
 class ComplexDecompositionResult:
     geometry: TorusGeometry
-    z: complex
     tables: list
     green_table: MultiplierTable
 
@@ -282,13 +280,11 @@ def complex_decompose(
     body = Ahat[1:]
     Ainv = np.linalg.inv(body)
     F = body.shape[0]
-    is_real = complex(z).imag == 0.0
 
     P = _identity_stack(F, m)
     rev = _identity_stack(F, m)
     F_prev = Ainv
     tables = []
-    remainder = F_prev
     for j, l in enumerate(sched.levels, start=1):
         if l is None:
             Ck = np.zeros((F, m, m), dtype=np.complex128)
@@ -302,12 +298,7 @@ def complex_decompose(
             F_cur = P @ rev @ Ainv
             Ck = F_prev - F_cur
             F_prev = F_cur
-        remainder = F_prev
-        tables.append(
-            MultiplierTable(g, grid_table(_embed_body(Ck, g), g), real_kernel=is_real)
-        )
-    tables.append(
-        MultiplierTable(g, grid_table(_embed_body(remainder, g), g), real_kernel=is_real)
-    )
-    green = MultiplierTable(g, grid_table(_embed_body(Ainv, g), g), real_kernel=is_real)
-    return ComplexDecompositionResult(geometry=g, z=complex(z), tables=tables, green_table=green)
+        tables.append(MultiplierTable(g, Ck))
+    tables.append(MultiplierTable(g, F_prev))
+    green = MultiplierTable(g, Ainv)
+    return ComplexDecompositionResult(geometry=g, tables=tables, green_table=green)

@@ -24,7 +24,7 @@ from .errors import (
     SingularSymbol,
 )
 from .lattice import TorusGeometry, p_flat
-from .spectral import MultiplierTable, _hermitize, grid_table
+from .spectral import MultiplierTable, _hermitize
 
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e14
@@ -99,9 +99,8 @@ def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
-    """Chat(p) = Ahat(p)^-1 for p != 0, zero at p = 0, Hermitian PD."""
-    flat = symbol_flat(A.tensor, g)
-    body = flat[1:]
+    """Chat(p) = Ahat(p)^-1 for p != 0, Hermitian PD."""
+    body = symbol_flat(A.tensor, g)[1:]
     eigs = np.linalg.eigvalsh(body)
     lo = float(np.min(eigs))
     hi = float(np.max(eigs))
@@ -109,9 +108,7 @@ def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
         raise SingularSymbol(
             "symbol family conditioning %.3e exceeds %.1e" % (hi / max(lo, 1e-300), COND_LIMIT)
         )
-    out = np.zeros_like(flat)
-    out[1:] = _hermitize(np.linalg.inv(body))
-    return MultiplierTable(g, grid_table(out, g), real_kernel=True)
+    return MultiplierTable(g, _hermitize(np.linalg.inv(body)))
 
 
 def _eigh_checked(M: np.ndarray):

@@ -7,7 +7,7 @@ centered integer vectors n with p_j = 2*pi*n_j/S, so every component of p
 lies in (-pi, pi).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .errors import CubeTooLarge
 # At the limit one complex matrix takes 268 MB.
 DENSE_LIMIT = 4096
 
+# Largest torus site count S^d that TorusGeometry accepts.
+MAX_SITES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -27,7 +30,6 @@ class TorusGeometry:
     m: int
     L: int
     N: int
-    max_sites: int = field(default=2 ** 24, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -38,19 +40,12 @@ class TorusGeometry:
             raise ValueError("N must be >= 1")
         if self.L < 3 or self.L % 2 == 0:
             raise ValueError("L must be an odd integer >= 3")
-        if self.site_count > self.max_sites:
-            raise ValueError(
-                "site count %d exceeds the cap %d" % (self.site_count, self.max_sites)
-            )
+        if self.site_count > MAX_SITES:
+            raise ValueError("site count %d exceeds the cap %d" % (self.site_count, MAX_SITES))
 
     @property
     def side(self) -> int:
         return self.L ** self.N
-
-    # Alias matching the S notation used throughout.
-    @property
-    def S(self) -> int:
-        return self.side
 
     @property
     def site_count(self) -> int:
@@ -77,17 +72,9 @@ def centered(coords, S: int):
     return ((c + h) % S) - h
 
 
-def canonical(coords, S: int):
-    """Map any integer coordinates to {0,...,S-1} mod S."""
-    return np.mod(np.asarray(coords), S)
-
-
 @dataclass(frozen=True)
 class Cube:
-    """The cube family of one scale: interior Q, lower closure, full closure.
-
-    Q = {1,...,l-1}^d, Q_minus = {0,...,l-1}^d, closure = {0,...,l}^d.
-    """
+    """The cube of one scale: its interior Q = {1,...,l-1}^d."""
 
     l: int
     d: int
@@ -96,25 +83,11 @@ class Cube:
         if self.l < 2:
             raise ValueError("l must be >= 2")
 
-    def _box(self, lo: int, hi: int) -> np.ndarray:
-        axes = [np.arange(lo, hi + 1)] * self.d
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=-1)
-
     @property
     def interior(self) -> np.ndarray:
         """Sites of Q as an ((l-1)^d, d) array in lexicographic order."""
-        return self._box(1, self.l - 1)
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Sites of Q_minus as an (l^d, d) array."""
-        return self._box(0, self.l - 1)
-
-    @property
-    def closure(self) -> np.ndarray:
-        """Sites of the closed cube {0,...,l}^d."""
-        return self._box(0, self.l)
+        grid = np.meshgrid(*([np.arange(1, self.l)] * self.d), indexing="ij")
+        return np.stack([g.ravel() for g in grid], axis=-1)
 
     @property
     def interior_count(self) -> int:
@@ -152,8 +125,8 @@ def rho_inf_grid(g: TorusGeometry) -> np.ndarray:
 def p_flat(g: TorusGeometry) -> np.ndarray:
     """Frequencies on the canonical grid, flattened C-order: shape (S^d, d).
 
-    Row 0 is p = 0; row order matches ravelling the canonical grid, so
-    tables stored on the grid align with this enumeration after reshape.
+    Row 0 is p = 0 and row order matches ravelling the canonical grid;
+    multiplier stacks hold rows 1.. (p != 0) in this order.
     """
     S = g.side
     line = 2.0 * np.pi * centered(np.arange(S), S) / S

@@ -25,7 +25,7 @@ from .elliptic import hermitian_sqrt_flat
 from .errors import EmptyFarRegion, FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, centered, rho_inf_grid
-from .spectral import Kernel, _hermitize, flat_table, spectral_norms
+from .spectral import Kernel, _hermitize, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
@@ -50,7 +50,7 @@ def _half_set(g: TorusGeometry):
     neg_coords = (-coords[pos]) % S
     neg = np.ravel_multi_index(tuple(neg_coords.T), g.site_shape)
     # Odd side: no nonzero frequency is its own mirror, only p = 0 is
-    # self-paired and that slot stays pinned to zero.
+    # self-paired and that slot stays zero.
     if np.any(pos == neg) or 2 * len(pos) + 1 != g.site_count:
         raise AssertionError("half-set pairing failed; side must be odd")
     return pos, neg
@@ -81,7 +81,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
-        flat = _hermitize(flat_table(tab.values, g))
+        flat = _hermitize(tab.values)
         root = hermitian_sqrt_flat(flat, "scale %d multiplier" % idx)
         resid = float(np.max(spectral_norms(root @ root - flat)))
         scale = max(float(np.max(spectral_norms(flat, hermitian=True))), 1e-300)
@@ -119,7 +119,9 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
     zhat = np.zeros((count, g.site_count, g.m), dtype=np.complex128)
     zhat[:, state.pos_idx] = zeta
     zhat[:, state.neg_idx] = np.conj(zeta)
-    xhat = g.side ** (g.d / 2.0) * np.einsum("prs,bps->bpr", root, zhat)
+    # The roots cover p != 0, rows 1.. of the frequency stack; row 0 stays zero.
+    xhat = np.zeros_like(zhat)
+    xhat[:, 1:] = g.side ** (g.d / 2.0) * np.einsum("prs,bps->bpr", root, zhat[:, 1:])
     grid = np.moveaxis(xhat.reshape((count,) + g.site_shape + (g.m,)), -1, 1)
     vals = np.fft.ifftn(grid, axes=tuple(range(2, 2 + g.d)))
     scale = max(1.0, float(np.max(np.abs(vals.real))))

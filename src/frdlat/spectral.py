@@ -3,22 +3,21 @@
 Conventions: the forward transform is hat f(p) = sum_x e^{-i<p,x>} f(x) and
 the inverse carries the S^-d factor, which is exactly numpy's fftn/ifftn
 pair, so the transforms delegate to pocketfft (deterministic, handles the
-odd composite sizes L^N).  Frequency tables are stored on the canonical
-grid: slot n' in {0,...,S-1} along each axis holds the centered index
-n = n' or n' - S, matching the FFT layout.
+odd composite sizes L^N).  Kernels live on the canonical site grid.
 
-The p = 0 slot of every multiplier is pinned to the zero matrix: all
-operators here act on zero-mean fields, where constants vanish, and the
-pin fixes the kernel's additive-constant ambiguity (kernels are stored in
-the canonical zero-mean gauge).
+Multipliers are flat (S^d - 1, m, m) stacks over the frequencies p != 0,
+in lattice.p_flat row order from row 1: all operators here act on
+zero-mean fields, where constants vanish, so the p = 0 slot is zero by
+construction and the kernel's additive-constant ambiguity is fixed
+(kernels are stored in the canonical zero-mean gauge).  Only
+multiplier_to_kernel embeds the zero row and moves to the grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ImaginaryResidue, OrderTooHigh, ShapeMismatch
-from .fields import Field
 from .lattice import TorusGeometry
 
 DEFAULT_MAX_ORDER = 4
@@ -41,70 +40,37 @@ class Kernel:
                 % (self.values.shape, self.geometry.kernel_shape())
             )
 
-    @property
-    def site_axes(self) -> tuple:
-        return tuple(range(2, 2 + self.geometry.d))
-
-    def mean_residual(self) -> float:
-        sums = np.abs(self.values.sum(axis=self.site_axes))
-        scale = self.geometry.site_count * max(np.max(np.abs(self.values)), 1e-300)
-        return float(np.max(sums) / scale)
-
 
 @dataclass
 class MultiplierTable:
-    """Complex m x m matrix per frequency; the p = 0 slot is pinned zero."""
+    """Complex m x m matrix per frequency p != 0, as an (S^d - 1, m, m) stack."""
 
     geometry: TorusGeometry
     values: np.ndarray
-    real_kernel: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.geometry.kernel_shape():
+        g = self.geometry
+        shape = (g.site_count - 1, g.m, g.m)
+        if self.values.shape != shape:
             raise ShapeMismatch(
-                "multiplier values %s do not match geometry %s"
-                % (self.values.shape, self.geometry.kernel_shape())
+                "multiplier values %s are not the p != 0 stack %s" % (self.values.shape, shape)
             )
-        zero = (slice(None), slice(None)) + (0,) * self.geometry.d
-        self.values[zero] = 0.0
-
-    @property
-    def site_axes(self) -> tuple:
-        return tuple(range(2, 2 + self.geometry.d))
 
 
 def _site_axes(values: np.ndarray, g: TorusGeometry) -> tuple:
     return tuple(range(values.ndim - g.d, values.ndim))
 
 
-def dft_field(phi: Field) -> Field:
-    """Forward transform per component; output lives on the dual grid."""
-    g = phi.geometry
-    hat = np.fft.fftn(phi.values, axes=_site_axes(phi.values, g))
-    return Field(g, hat)
-
-
-def idft_field(phi_hat: Field) -> Field:
-    g = phi_hat.geometry
-    vals = np.fft.ifftn(phi_hat.values, axes=_site_axes(phi_hat.values, g))
-    return Field(g, vals)
-
-
-def kernel_to_multiplier(K: Kernel) -> MultiplierTable:
-    g = K.geometry
-    hat = np.fft.fftn(K.values, axes=_site_axes(K.values, g))
-    return MultiplierTable(g, hat, real_kernel=True)
-
-
 def multiplier_to_kernel(M: MultiplierTable, tol: float = IMAG_TOL) -> Kernel:
-    """Inverse transform, canonicalized to zero mean by the pinned p = 0 slot.
+    """Inverse transform, canonicalized to zero mean by the zero p = 0 slot.
 
     The reconstruction must be real: the residual imaginary part is
     recorded on the kernel and rejected beyond tol * max|entry|.
     """
     g = M.geometry
-    vals = np.fft.ifftn(M.values, axes=_site_axes(M.values, g))
+    grid = _grid_table(_embed_body(M.values, g), g)
+    vals = np.fft.ifftn(grid, axes=_site_axes(grid, g))
     scale = max(float(np.max(np.abs(vals.real))), 1e-300)
     residue = float(np.max(np.abs(vals.imag)))
     if residue > tol * scale:
@@ -113,26 +79,6 @@ def multiplier_to_kernel(M: MultiplierTable, tol: float = IMAG_TOL) -> Kernel:
             % (residue, tol, scale)
         )
     return Kernel(g, vals.real.copy(), imag_residue=residue)
-
-
-def apply_multiplier(M: MultiplierTable, phi: Field) -> Field:
-    """Transform, multiply per frequency, transform back; zero-mean output."""
-    g = phi.geometry
-    if M.geometry != g:
-        raise ShapeMismatch("multiplier and field geometries differ")
-    axes = _site_axes(phi.values, g)
-    phi_hat = np.fft.fftn(phi.values, axes=axes)
-    out_hat = np.einsum("rs...,s...->r...", M.values, phi_hat)
-    out = np.fft.ifftn(out_hat, axes=axes)
-    if not phi.complex_mode and M.real_kernel:
-        scale = max(float(np.max(np.abs(out.real))), 1e-300)
-        residue = float(np.max(np.abs(out.imag)))
-        if residue > IMAG_TOL * scale:
-            raise ImaginaryResidue(
-                "multiplier output has imaginary residue %.3e" % residue
-            )
-        out = out.real.copy()
-    return Field(g, out, zero_mean=True)
 
 
 def kernel_derivative(
@@ -180,7 +126,7 @@ def flat_table(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return moved.reshape(g.site_count, m, m)
 
 
-def grid_table(flat: np.ndarray, g: TorusGeometry) -> np.ndarray:
+def _grid_table(flat: np.ndarray, g: TorusGeometry) -> np.ndarray:
     """(S^d, m, m) -> (m, m, *grid), inverse of flat_table."""
     m = g.m
     grid = flat.reshape(g.site_shape + (m, m))

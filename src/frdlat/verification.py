@@ -16,14 +16,7 @@ from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, TorusGeometry, p_norms
-from .spectral import (
-    Kernel,
-    _hermitize,
-    flat_table,
-    kernel_derivative,
-    reflect_sites,
-    spectral_norms,
-)
+from .spectral import Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms
 
 
 def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
@@ -66,9 +59,8 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
 
 def check_sum(result: DecompositionResult) -> float:
     """Max over p != 0 of the relative telescoping deviation."""
-    g = result.geometry
-    green = flat_table(result.green_table.values, g)[1:]
-    total = np.sum([flat_table(t.values, g)[1:] for t in result.tables], axis=0)
+    green = result.green_table.values
+    total = np.sum([t.values for t in result.tables], axis=0)
     denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
     return float(np.max(spectral_norms(total - green) / denom))
 
@@ -91,11 +83,9 @@ def check_finite_range(result: DecompositionResult):
 
 def check_psd(result: DecompositionResult):
     """Per-scale min eigenvalue over frequencies, normalized per frequency."""
-    g = result.geometry
     out = []
     for t in result.tables:
-        body = _hermitize(flat_table(t.values, g)[1:])
-        eigs = np.linalg.eigvalsh(body)
+        eigs = np.linalg.eigvalsh(_hermitize(t.values))
         norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
         out.append(float(np.min(eigs[:, 0] / norms)))
     return out
@@ -225,7 +215,7 @@ def decay_table(result: DecompositionResult, alphas=None) -> DecayReport:
         kern = result.kernel(k)
         for alpha in alphas:
             dk = kernel_derivative(kern, alpha)
-            sup = float(np.max(spectral_norms(flat_table(dk.values, g))))
+            sup = kernel_sup_norm(dk)
             shape = float(
                 g.L ** (-(k - 1) * (g.d - 2 + sum(alpha))) * g.L ** eta(sum(alpha), g.d)
             )

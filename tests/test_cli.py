@@ -194,6 +194,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["decompose", "--config", cfg]) == 2
     shallow = write_cfg(tmp_path, name="nodes.json", derivative={"nodes": 4})
     assert main(["deriv", "--config", shallow, "--out", out]) == 4
+    too_few = write_cfg(tmp_path, name="order.json", derivative={"order": 6, "nodes": 4})
+    capsys.readouterr()
+    assert main(["deriv", "--config", too_few, "--out", out]) == 2
+    assert "derivative.nodes" in capsys.readouterr().err
 
 
 def test_real_cube_above_2048_unknowns_runs(tmp_path):

@@ -132,6 +132,9 @@ def test_derivative_validation():
         parse({"derivative": {"direction": [[3.0, 0.0], [0.0, 3.0]]}})
     with pytest.raises(ValidationError):
         parse({"derivative": {"spin": 1}})
+    with pytest.raises(ValidationError, match="derivative.nodes"):
+        parse({"derivative": {"order": 6, "nodes": 4}})
+    assert parse({"derivative": {"order": 6, "nodes": 7}}).derivative["nodes"] == 7
 
 
 def test_default_derivative_direction_is_identity():

@@ -50,8 +50,6 @@ def test_cube_site_sets():
     assert c.interior_count == 4
     assert c.volume == 9
     assert c.interior.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
-    assert c.lower.shape == (9, 2)
-    assert c.closure.shape == (16, 2)
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     with pytest.raises(CubeTooLarge):
         cube(4, g)

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from frdlat.errors import ImaginaryResidue, OrderTooHigh
-from frdlat.fields import Field, delta_field
+from frdlat.errors import ImaginaryResidue, OrderTooHigh, ShapeMismatch
+from frdlat.fields import delta_field
 from frdlat.lattice import TorusGeometry
 from frdlat.spectral import (
     Kernel,
     MultiplierTable,
-    apply_multiplier,
-    dft_field,
+    _grid_table,
     flat_table,
-    grid_table,
-    idft_field,
     kernel_derivative,
-    kernel_to_multiplier,
     multiplier_to_kernel,
     reflect_sites,
     spectral_norms,
@@ -23,29 +19,17 @@ G3 = TorusGeometry(d=2, m=1, L=3, N=1)
 G5 = TorusGeometry(d=2, m=2, L=5, N=1)
 
 
-def test_dft_matches_numpy_convention():
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(G5.field_shape())
-    hat = dft_field(Field(G5, vals))
-    assert np.allclose(hat.values, np.fft.fftn(vals, axes=(1, 2)))
-    back = idft_field(hat)
-    assert np.allclose(back.values, vals)
+def test_p_nonzero_indicator_is_the_centered_delta():
+    # the indicator of p != 0 transforms back to delta_0 - 1/9
+    K = multiplier_to_kernel(MultiplierTable(G3, np.ones((8, 1, 1))))
+    assert np.allclose(K.values[0], delta_field(G3, (0, 0)).values - 1.0 / 9.0)
 
 
-def test_dft_of_centered_delta():
-    # delta_0 - 1/9 transforms to the indicator of p != 0
-    vals = delta_field(G3, (0, 0)).values - 1.0 / 9.0
-    hat = dft_field(Field(G3, vals)).values
-    assert abs(hat[0, 0, 0]) < 1e-14
-    body = np.delete(hat.reshape(-1), 0)
-    assert np.allclose(body, 1.0)
-
-
-def test_multiplier_pins_zero_row():
-    vals = np.ones((1, 1, 3, 3), dtype=np.complex128)
-    M = MultiplierTable(G3, vals)
-    assert M.values[0, 0, 0, 0] == 0.0
-    assert np.all(M.values.reshape(-1)[1:] == 1.0)
+def test_multiplier_rejects_grid_and_full_layouts():
+    for shape in ((2, 2, 5, 5), (25, 2, 2)):
+        with pytest.raises(ShapeMismatch):
+            MultiplierTable(G5, np.ones(shape, dtype=np.complex128))
+    assert MultiplierTable(G5, np.ones((24, 2, 2))).values.dtype == np.complex128
 
 
 def test_kernel_multiplier_round_trip():
@@ -54,37 +38,18 @@ def test_kernel_multiplier_round_trip():
     # symmetrize so the multiplier is that of a real kernel with K(-x) = K(x)^T
     sym = 0.5 * (raw + np.swapaxes(reflect_sites(raw, G5), 0, 1))
     sym -= sym.mean(axis=(2, 3), keepdims=True)
-    K = Kernel(G5, sym)
-    M = kernel_to_multiplier(K)
-    back = multiplier_to_kernel(M)
+    flat = flat_table(np.fft.fftn(sym, axes=(2, 3)), G5)
+    assert np.max(np.abs(flat[0])) < 1e-13
+    back = multiplier_to_kernel(MultiplierTable(G5, flat[1:]))
     assert np.max(np.abs(back.values - sym)) < 1e-13
     assert back.imag_residue < 1e-13
 
 
 def test_multiplier_to_kernel_rejects_complex_kernels():
-    vals = np.zeros((1, 1, 3, 3), dtype=np.complex128)
-    vals[0, 0, 0, 1] = 1.0  # no conjugate partner at -p
+    vals = np.zeros((8, 1, 1), dtype=np.complex128)
+    vals[0] = 1.0  # no conjugate partner at -p
     with pytest.raises(ImaginaryResidue):
         multiplier_to_kernel(MultiplierTable(G3, vals))
-
-
-def test_apply_multiplier_is_circular_convolution():
-    rng = np.random.default_rng(3)
-    kern_vals = rng.standard_normal(G3.kernel_shape())
-    kern_vals -= kern_vals.mean(axis=(2, 3), keepdims=True)
-    K = Kernel(G3, kern_vals)
-    M = kernel_to_multiplier(K)
-    phi_vals = rng.standard_normal(G3.field_shape())
-    got = apply_multiplier(M, Field(G3, phi_vals)).values
-    want = np.zeros_like(phi_vals)
-    for x0 in range(3):
-        for x1 in range(3):
-            acc = 0.0
-            for y0 in range(3):
-                for y1 in range(3):
-                    acc += kern_vals[0, 0, (x0 - y0) % 3, (x1 - y1) % 3] * phi_vals[0, y0, y1]
-            want[0, x0, x1] = acc
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_kernel_derivative_forward_difference():
@@ -113,7 +78,7 @@ def test_flat_grid_round_trip_and_norms():
     vals = rng.standard_normal((2, 2, 5, 5)) + 1j * rng.standard_normal((2, 2, 5, 5))
     flat = flat_table(vals, G5)
     assert flat.shape == (25, 2, 2)
-    assert np.allclose(grid_table(flat, G5), vals)
+    assert np.allclose(_grid_table(flat, G5), vals)
     norms = spectral_norms(flat)
     want = np.array([np.linalg.norm(flat[i], ord=2) for i in range(25)])
     assert np.allclose(norms, want)
