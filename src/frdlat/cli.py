@@ -27,10 +27,9 @@ from .lattice import DENSE_LIMIT
 from .output import (
     decay_csv_text,
     envelope_csv_text,
-    kernel_csv_text,
-    samples_csv_text,
     write_json,
     write_kernel_csv,
+    write_samples_csv,
     write_text,
 )
 from .sampling import BATCH, build_sampler, covariance_deviation, run_sampling_suite, total_batch
@@ -257,22 +256,16 @@ def run_sample(cfg, out_dir, threads) -> int:
             "covariance_k%d" % k, dev <= SE_LIMIT, "%.3g SE > %.3g SE" % (dev, SE_LIMIT)
         )
         comp[str(k)] = dev
-        write_text(
-            os.path.join(out_dir, "covariance_k%d.csv" % k), kernel_csv_text(est.mean, g)
-        )
-        write_text(
-            os.path.join(out_dir, "covariance_k%d_se.csv" % k), kernel_csv_text(est.se, g)
-        )
+        write_kernel_csv(os.path.join(out_dir, "covariance_k%d.csv" % k), est.mean, g)
+        write_kernel_csv(os.path.join(out_dir, "covariance_k%d_se.csv" % k), est.se, g)
     report["component_deviation"] = comp
 
     total = suite["total"]
     dev = covariance_deviation(total, green_kernel.values)
     checks.add("covariance_total", dev <= SE_LIMIT, "%.3g SE > %.3g SE" % (dev, SE_LIMIT))
     report["total_deviation"] = dev
-    write_text(os.path.join(out_dir, "covariance_total.csv"), kernel_csv_text(total.mean, g))
-    write_text(
-        os.path.join(out_dir, "covariance_total_se.csv"), kernel_csv_text(total.se, g)
-    )
+    write_kernel_csv(os.path.join(out_dir, "covariance_total.csv"), total.mean, g)
+    write_kernel_csv(os.path.join(out_dir, "covariance_total_se.csv"), total.se, g)
 
     grad = {}
     for k, rep in suite["gradient"].items():
@@ -295,10 +288,8 @@ def run_sample(cfg, out_dir, threads) -> int:
     report["gradient"] = grad
 
     if cfg.write_samples:
-        values = []
-        for start in range(0, n, BATCH):
-            values.extend(total_batch(state, start, min(BATCH, n - start)))
-        write_text(os.path.join(out_dir, "samples.csv"), samples_csv_text(values, g))
+        batches = (total_batch(state, s, min(BATCH, n - s)) for s in range(0, n, BATCH))
+        write_samples_csv(os.path.join(out_dir, "samples.csv"), batches, g)
 
     report["checks"] = checks.as_dict()
     write_json(os.path.join(out_dir, "sample_report.json"), report)

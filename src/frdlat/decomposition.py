@@ -33,7 +33,7 @@ import numpy as np
 from .elliptic import EllipticMap, ComplexEllipticPath, complex_symbol_flat, sqrt_and_invsqrt_flat, symbol_flat
 from .errors import EmptyFarRegion, InvalidSchedule
 from .lattice import TorusGeometry, cube, rho_inf_grid
-from .projector import assemble_stiffness, local_green_flat
+from .projector import assemble_stiffness, check_cube_size, local_green_flat
 from .spectral import (
     Kernel,
     MultiplierTable,
@@ -200,6 +200,16 @@ def far_field_constant(K: Kernel, r: int):
     return C, residual
 
 
+def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule):
+    """Fail before any frequency work: the schedule matches the torus and
+    every live cube is small enough to factor densely."""
+    if sched.S != g.side:
+        raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
+    for l in sched.levels:
+        if l is not None:
+            check_cube_size(cube(l, g), g.m)
+
+
 def _level_symbols_real(A, g, sched, Asqrt):
     symbols = []
     for j, l in enumerate(sched.levels, start=1):
@@ -219,8 +229,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     The construction only; verification.diagnostics measures how well
     the result telescopes, stays positive and has finite range.
     """
-    if sched.S != g.side:
-        raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
+    _check_schedule_fits(g, sched)
     m = g.m
     Ahat = symbol_flat(A.tensor, g)
     body = Ahat[1:]
@@ -272,8 +281,7 @@ def complex_decompose(
     Uses the non-Hermitian product form with duals folded analytically;
     telescoping to the full Green symbol is exact by construction.
     """
-    if sched.S != g.side:
-        raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
+    _check_schedule_fits(g, sched)
     m = g.m
     tensor = path.tensor_at(z)
     Ahat = complex_symbol_flat(path, z, g)

@@ -1,17 +1,21 @@
 """Deterministic artifact serialization.
 
-All floats are written as decimal with 17 significant digits, JSON keys
-are emitted sorted with fixed separators, and row orders are fixed
-functions of the geometry, so identical data produces identical bytes
-regardless of platform or thread count.
+All floats are written as decimal with 17 significant digits (NaN,
+Infinity, -Infinity if not finite), JSON keys are emitted sorted with
+fixed separators, and row orders are fixed functions of the geometry, so
+identical data produces identical bytes regardless of platform or thread
+count.  Kernel and sample tables are streamed: each chunk of rows (one
+first-axis coordinate, one sample) is formatted from whole arrays and
+written with writelines, so no file is ever held as one string.
 """
 
 import json
 import math
+from itertools import chain, product
 
 import numpy as np
 
-from .lattice import TorusGeometry, centered
+from .lattice import TorusGeometry
 from .spectral import Kernel
 
 
@@ -86,62 +90,78 @@ def dumps_json(obj) -> str:
     return "".join(parts) + "\n"
 
 
-def write_json(path, obj):
+def _write_chunks(path, chunks):
+    """Write an iterable of line lists, one writelines call per list."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        for chunk in chunks:
+            fh.writelines(chunk)
+
+
+def write_json(path, obj):
+    write_text(path, dumps_json(obj))
 
 
 def write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_chunks(path, [[text]])
 
 
-def centered_site_order(g: TorusGeometry):
-    """Centered coordinates in centered-lex order plus flat grid indices."""
-    S = g.side
-    axes = [centered(np.arange(S), S) for _ in range(g.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-    order = np.lexsort(coords[:, ::-1].T)
-    return coords[order], order
+def _csv_lines(prefixes, block, head=""):
+    """One CSV line per row of the (rows, cols) block: head, the row's
+    prefix, then its values.  Finite blocks take one "%.17g" pass; a block
+    holding a non-finite value spells every value with format_float."""
+    columns = block.T.tolist()
+    if np.isfinite(block).all():
+        spec = "%.17g"
+    else:
+        spec = "%s"
+        columns = [list(map(format_float, col)) for col in columns]
+    fmt = head + "%s" + ",".join([spec] * len(columns)) + "\n"
+    return list(map(fmt.__mod__, zip(prefixes, *columns)))
 
 
-def kernel_csv_text(values: np.ndarray, g: TorusGeometry) -> str:
-    """Kernel table: x_1..x_d centered coords, 0-based r, s, value."""
-    coords, order = centered_site_order(g)
-    flat = values.reshape(g.m, g.m, g.site_count)
-    header = ",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value"
-    lines = [header]
-    for t in range(len(order)):
-        prefix = ",".join(str(int(c)) for c in coords[t])
-        col = flat[:, :, order[t]]
-        for r in range(g.m):
-            for s in range(g.m):
-                lines.append("%s,%d,%d,%s" % (prefix, r, s, format_float(col[r, s])))
-    return "\n".join(lines) + "\n"
+def _kernel_csv_chunks(values, g: TorusGeometry):
+    """Header, then the rows of one first-axis coordinate per chunk."""
+    yield [",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n"]
+    # S is odd, so fftshift puts every site axis in centered order -h..h;
+    # with (r, s) moved last, ravelling gives the file's row order.
+    shifted = np.fft.fftshift(values.reshape(g.kernel_shape()), axes=tuple(range(2, 2 + g.d)))
+    rows = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(g.side, -1, 1)
+    h = (g.side - 1) // 2
+    axis = [str(c) for c in range(-h, h + 1)]
+    suffixes = ["%d,%d," % rs for rs in product(range(g.m), repeat=2)]
+    tail = [",".join(c) + "," + rs for c in product(axis, repeat=g.d - 1) for rs in suffixes]
+    for x1, block in zip(axis, rows):
+        yield _csv_lines(tail, block, x1 + ",")
 
 
 def write_kernel_csv(path, kern_or_values, g: TorusGeometry = None):
+    """Kernel table: x_1..x_d centered coords, 0-based r, s, value."""
     values = kern_or_values
     if isinstance(kern_or_values, Kernel):
         values = kern_or_values.values
         g = kern_or_values.geometry
-    write_text(path, kernel_csv_text(np.asarray(values), g))
+    _write_chunks(path, _kernel_csv_chunks(np.asarray(values), g))
+
+
+def _samples_csv_chunks(batches, g: TorusGeometry):
+    """Header, then the rows of one sample per chunk: sample index, raw
+    site coords 0..S-1 in row-major order, m values."""
+    header = "sample," + ",".join("x_%d" % (a + 1) for a in range(g.d))
+    yield [header + "," + ",".join("v_%d" % r for r in range(g.m)) + "\n"]
+    axis = [str(c) for c in range(g.side)]
+    prefixes = [",".join(c) + "," for c in product(axis, repeat=g.d)]
+    for i, values in enumerate(chain.from_iterable(batches)):
+        yield _csv_lines(prefixes, values.reshape(g.m, -1).T, "%d," % i)
 
 
 def samples_csv_text(sample_values, g: TorusGeometry) -> str:
-    """All samples in one table: sample index, site coords, m values."""
-    header = "sample," + ",".join("x_%d" % (a + 1) for a in range(g.d))
-    header += "," + ",".join("v_%d" % r for r in range(g.m))
-    lines = [header]
-    coords = [np.unravel_index(t, g.site_shape) for t in range(g.site_count)]
-    prefixes = [",".join(str(int(c)) for c in cc) for cc in coords]
-    for i, values in enumerate(sample_values):
-        flat = values.reshape(g.m, g.site_count)
-        for t in range(g.site_count):
-            vals = ",".join(format_float(flat[r, t]) for r in range(g.m))
-            lines.append("%d,%s,%s" % (i, prefixes[t], vals))
-    return "\n".join(lines) + "\n"
+    """All samples in one table, as write_samples_csv writes it."""
+    return "".join(chain.from_iterable(_samples_csv_chunks([sample_values], g)))
+
+
+def write_samples_csv(path, batches, g: TorusGeometry):
+    """Stream samples.csv from an iterable of (count, m, *site) batches."""
+    _write_chunks(path, _samples_csv_chunks(batches, g))
 
 
 def decay_csv_text(report) -> str:

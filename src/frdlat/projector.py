@@ -102,6 +102,15 @@ class StiffnessFactor:
         return np.linalg.solve(self.matrix, B)
 
 
+def check_cube_size(cube: Cube, m: int):
+    """Reject a cube whose dense stiffness K has more than DENSE_LIMIT unknowns."""
+    if cube.interior_count * m > DENSE_LIMIT:
+        raise CubeTooLarge(
+            "cube l=%d has %d unknowns, above the dense limit %d"
+            % (cube.l, cube.interior_count * m, DENSE_LIMIT)
+        )
+
+
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     """Assemble K over the interior sites of the cube.
 
@@ -114,11 +123,7 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     m, d = tensor.shape[0], tensor.shape[1]
     if cube.d != d:
         raise ShapeMismatch("cube dimension %d does not match coefficients %d" % (cube.d, d))
-    if cube.interior_count * m > DENSE_LIMIT:
-        raise CubeTooLarge(
-            "cube l=%d has %d unknowns, above the dense limit %d"
-            % (cube.l, cube.interior_count * m, DENSE_LIMIT)
-        )
+    check_cube_size(cube, m)
     sites = cube.interior
     n_sites = sites.shape[0]
     side = cube.l - 1

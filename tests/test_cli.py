@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -214,6 +215,20 @@ def test_cube_above_dense_limit_exits_numeric(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decompose", "--config", cfg, "--out", out]) == 4
     assert "CubeTooLarge" in capsys.readouterr().err
+
+
+def test_oversized_cube_fails_before_frequency_work(tmp_path, capsys):
+    """d=3, S=243, default schedule (-, -, 4, 11, 31): the l=31 cube has
+    30^3 = 27000 unknowns.  The run must stop before building symbols over
+    the 243^3 frequencies, which took seconds and gigabytes."""
+    cfg = write_cfg(tmp_path, d=3, L=3, N=5)
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 4
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "CubeTooLarge" in err and "l=31" in err
 
 
 def test_unexpected_exception_exits_numeric(tmp_path, capsys, monkeypatch):
