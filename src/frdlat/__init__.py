@@ -66,7 +66,6 @@ from .fields import (
     delta_field,
     dirichlet_form,
     forward_gradient,
-    project_zero_mean,
 )
 from .lattice import Cube, TorusGeometry, cube, rho_inf
 from .projector import assemble_stiffness, oracle_projection, projector_symbol
@@ -76,13 +75,9 @@ from .sampling import (
     build_sampler,
     covariance_deviation,
     dense_reference_samples,
-    empirical_covariance,
-    estimate_agreement,
-    gradient_range_check,
     run_sampling_suite,
     sample_component,
     sample_total,
-    shuffled_control,
 )
 from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_kernel
 from .verification import (

@@ -24,13 +24,13 @@ from .lattice import TorusGeometry
 from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_kernel, spectral_norms
 
 CONVERGENCE_TOL = 1e-9
+FD_STEP = 1e-5
 
 
 @dataclass
 class DerivativeResult:
     path: ComplexEllipticPath
     order: int
-    r: float
     n_nodes: int
     tables: list = field(repr=False)
     green_table: MultiplierTable = field(repr=False)
@@ -50,7 +50,6 @@ def contour_derivatives(
     orders,
     r: float = 0.5,
     n_half: int = 32,
-    tol: float = CONVERGENCE_TOL,
 ) -> dict:
     """Normalized coefficient derivatives of every scale kernel, one node
     sweep shared across the requested orders.
@@ -58,7 +57,7 @@ def contour_derivatives(
     Evaluates the complex decomposition at 2 * n_half equispaced contour
     nodes, accumulating the full-rule and half-rule quadratures for each
     order in one pass.  Raises NotConverged when the two rules disagree
-    beyond tol in relative supremum norm for any order.
+    beyond CONVERGENCE_TOL in relative supremum norm for any order.
     """
     orders = sorted({int(j) for j in orders})
     if not orders:
@@ -99,10 +98,10 @@ def contour_derivatives(
             num = max(num, float(np.max(spectral_norms(Xf - Xh))))
             den = max(den, float(np.max(spectral_norms(Xf))))
         convergence = num / den
-        if convergence > tol:
+        if convergence > CONVERGENCE_TOL:
             raise NotConverged(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
-                % (j, n_half, total, convergence, tol)
+                % (j, n_half, total, convergence, CONVERGENCE_TOL)
             )
         tables = []
         kernels = []
@@ -114,7 +113,6 @@ def contour_derivatives(
         out[j] = DerivativeResult(
             path=path,
             order=j,
-            r=r,
             n_nodes=total,
             tables=tables,
             green_table=green_table,
@@ -132,10 +130,9 @@ def contour_derivative(
     order: int,
     r: float = 0.5,
     n_half: int = 32,
-    tol: float = CONVERGENCE_TOL,
 ) -> DerivativeResult:
     """Single-order convenience wrapper around contour_derivatives."""
-    return contour_derivatives(path, g, sched, [order], r=r, n_half=n_half, tol=tol)[order]
+    return contour_derivatives(path, g, sched, [order], r=r, n_half=n_half)[order]
 
 
 def derivative_sum_residual(result: DerivativeResult) -> float:
@@ -163,20 +160,19 @@ def radius_agreement(res_a: DerivativeResult, res_b: DerivativeResult) -> float:
     return _relative_gap(res_a, res_b.kernels, res_b.green_kernel)
 
 
-def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, step: float = 1e-5):
-    """Central-difference first derivative along the normalized direction.
+def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule):
+    """Central-difference first derivative along the normalized direction,
+    with step FD_STEP.
 
     Returns per-scale kernels plus the Green kernel, directly comparable
     to contour_derivative with order 1.
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError("step %g outside [1e-7, 1e-3]" % step)
     A0 = path.A0
     adot = path.direction
     d, m = A0.d, A0.m
     kernels = {}
     for sign in (+1.0, -1.0):
-        raw = A0.entries + sign * step * adot.reshape(m * d, m * d)
+        raw = A0.entries + sign * FD_STEP * adot.reshape(m * d, m * d)
         Ah = validate_map(raw, d, m)
         res = decompose(Ah, g, sched)
         kernels[sign] = [k.values for k in res.kernels] + [
@@ -184,7 +180,7 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
         ]
     out = []
     for plus, minus in zip(kernels[1.0], kernels[-1.0]):
-        out.append(Kernel(g, (plus - minus) / (2.0 * step)))
+        out.append(Kernel(g, (plus - minus) / (2.0 * FD_STEP)))
     return out[:-1], out[-1]
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import EllipticMap, ComplexEllipticPath, complex_symbol_flat, sqrt_and_invsqrt_flat, symbol_flat
+from .elliptic import (EllipticMap, ComplexEllipticPath, complex_symbol_flat, green_from_body,
+                       sqrt_and_invsqrt_flat, symbol_flat)
 from .errors import EmptyFarRegion, InvalidSchedule
 from .lattice import TorusGeometry, cube, rho_inf_grid
 from .projector import assemble_stiffness, check_cube_size, local_green_flat
@@ -234,7 +235,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     Ahat = symbol_flat(A.tensor, g)
     body = Ahat[1:]
     Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
-    green_table = MultiplierTable(g, _hermitize(np.linalg.inv(body)))
+    green_table = green_from_body(body, g)
 
     symbols = _level_symbols_real(A, g, sched, Asqrt)
     products = renormalized_products(symbols, body.shape[0], m)

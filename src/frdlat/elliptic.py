@@ -52,7 +52,7 @@ def max_asymmetry(raw: np.ndarray):
     return float(diff[idx]), (int(idx[0]), int(idx[1]))
 
 
-def validate_map(raw, d: int, m: int, tol: float = SYMMETRY_TOL) -> EllipticMap:
+def validate_map(raw, d: int, m: int) -> EllipticMap:
     """Symmetrize within tolerance, compute the extreme eigenvalues, or reject."""
     raw = np.asarray(raw, dtype=np.float64)
     n = m * d
@@ -62,10 +62,10 @@ def validate_map(raw, d: int, m: int, tol: float = SYMMETRY_TOL) -> EllipticMap:
     eigs = np.linalg.eigvalsh(sym)
     opnorm = float(np.max(np.abs(eigs)))
     asym, idx = max_asymmetry(raw)
-    if asym > tol * max(opnorm, 1e-300):
+    if asym > SYMMETRY_TOL * max(opnorm, 1e-300):
         raise NotSymmetric(
             "entry (%d, %d) breaks symmetry by %.3e (tolerance %.1e of norm %.3e)"
-            % (idx[0], idx[1], asym, tol, opnorm)
+            % (idx[0], idx[1], asym, SYMMETRY_TOL, opnorm)
         )
     c0 = float(eigs[0])
     if c0 <= 0.0:
@@ -100,7 +100,14 @@ def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
     """Chat(p) = Ahat(p)^-1 for p != 0, Hermitian PD."""
-    body = symbol_flat(A.tensor, g)[1:]
+    return green_from_body(symbol_flat(A.tensor, g)[1:], g)
+
+
+def green_from_body(body: np.ndarray, g: TorusGeometry) -> MultiplierTable:
+    """The Green multiplier from the symbol body Ahat(p), p != 0.
+
+    Raises SingularSymbol when the body's conditioning exceeds COND_LIMIT.
+    """
     eigs = np.linalg.eigvalsh(body)
     lo = float(np.min(eigs))
     hi = float(np.max(eigs))
@@ -119,7 +126,7 @@ def _eigh_checked(M: np.ndarray):
     return np.linalg.eigh(M)
 
 
-def _clamp_psd(w: np.ndarray, context: str = "matrix") -> np.ndarray:
+def _clamp_psd(w: np.ndarray, context: str) -> np.ndarray:
     scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1e-300)
     worst = float(np.min(w / scale))
     if worst < -1e-10:
@@ -127,14 +134,6 @@ def _clamp_psd(w: np.ndarray, context: str = "matrix") -> np.ndarray:
             "%s has eigenvalue %.3e of scale, below the -1e-10 floor" % (context, worst)
         )
     return np.maximum(w, 0.0)
-
-
-def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
-    """The Hermitian PSD square root, with tiny negative eigenvalues clamped."""
-    M = np.asarray(M, dtype=np.complex128)
-    w, U = _eigh_checked(M)
-    w = _clamp_psd(w)
-    return _hermitize((U * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
 
 
 def sqrt_and_invsqrt_flat(flat: np.ndarray):
@@ -153,7 +152,8 @@ def sqrt_and_invsqrt_flat(flat: np.ndarray):
 
 
 def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:
-    """Batched PSD square root with the same clamping policy as the scalar op."""
+    """Batched Hermitian PSD square root; eigenvalues down to -1e-10 of
+    each matrix's scale are clamped to zero, lower ones raise NotPSD."""
     w, U = _eigh_checked(flat)
     w = _clamp_psd(w, context)
     Uh = np.conj(np.swapaxes(U, -1, -2))

@@ -8,9 +8,7 @@ lattice inner product, which fixes the sign convention:
 
 One field type serves the real and complex branches: the scalar mode is
 carried by the dtype, and the sesquilinear form conjugates its second
-argument only in complex mode.  The zero-mean marker is a certificate set
-by normalizing constructors, re-validated on demand rather than enforced,
-because spectral round-trips violate it transiently by round-off.
+argument only in complex mode.
 """
 
 from dataclasses import dataclass
@@ -25,7 +23,6 @@ from .lattice import TorusGeometry
 class Field:
     geometry: TorusGeometry
     values: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -41,13 +38,6 @@ class Field:
     def complex_mode(self) -> bool:
         return np.issubdtype(self.values.dtype, np.complexfloating)
 
-    @property
-    def site_axes(self) -> tuple:
-        return tuple(range(1, 1 + self.geometry.d))
-
-    def copy(self) -> "Field":
-        return Field(self.geometry, self.values.copy(), self.zero_mean)
-
 
 @dataclass
 class GradientField:
@@ -61,24 +51,6 @@ class GradientField:
                 "gradient values %s do not match geometry %s"
                 % (self.values.shape, self.geometry.gradient_shape())
             )
-
-    @property
-    def site_axes(self) -> tuple:
-        return tuple(range(2, 2 + self.geometry.d))
-
-
-def mean_residual(phi: Field) -> float:
-    """Largest per-component |mean| relative to the certification scale."""
-    g = phi.geometry
-    sums = np.abs(phi.values.sum(axis=phi.site_axes))
-    scale = g.site_count * max(np.max(np.abs(phi.values)), 1e-300)
-    return float(np.max(sums) / scale)
-
-
-def project_zero_mean(phi: Field) -> Field:
-    """Subtract the per-component mean; idempotent; certifies the marker."""
-    means = phi.values.mean(axis=phi.site_axes, keepdims=True)
-    return Field(phi.geometry, phi.values - means, zero_mean=True)
 
 
 def forward_gradient(phi: Field) -> GradientField:
@@ -112,9 +84,7 @@ def apply_elliptic(A, phi: Field) -> Field:
             "elliptic map is (d=%d, m=%d) but field is (d=%d, m=%d)"
             % (A.d, A.m, phi.geometry.d, phi.geometry.m)
         )
-    out = backward_divergence(_apply_coefficients(A, forward_gradient(phi)))
-    out.zero_mean = phi.zero_mean
-    return out
+    return backward_divergence(_apply_coefficients(A, forward_gradient(phi)))
 
 
 def dirichlet_form(A, phi: Field, psi: Field):

@@ -7,11 +7,13 @@ identical data produces identical bytes regardless of platform or thread
 count.  Kernel and sample tables are streamed: each chunk of rows (one
 first-axis coordinate, one sample) is formatted from whole arrays and
 written with writelines, so no file is ever held as one string.
+samples.csv is written by a consumer that takes batches of fields as the
+sampler produces them.
 """
 
 import json
 import math
-from itertools import chain, product
+from itertools import count, product
 
 import numpy as np
 
@@ -90,9 +92,14 @@ def dumps_json(obj) -> str:
     return "".join(parts) + "\n"
 
 
+def open_artifact(path):
+    """An artifact file opened for writing: UTF-8 with \\n line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_chunks(path, chunks):
     """Write an iterable of line lists, one writelines call per list."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_artifact(path) as fh:
         for chunk in chunks:
             fh.writelines(chunk)
 
@@ -143,25 +150,21 @@ def write_kernel_csv(path, kern_or_values, g: TorusGeometry = None):
     _write_chunks(path, _kernel_csv_chunks(np.asarray(values), g))
 
 
-def _samples_csv_chunks(batches, g: TorusGeometry):
-    """Header, then the rows of one sample per chunk: sample index, raw
-    site coords 0..S-1 in row-major order, m values."""
+def samples_csv_writer(fh, g: TorusGeometry):
+    """Write the samples.csv header to fh and return a consumer that
+    writes the rows of each (count, m, *site) batch it is given: sample
+    index, raw site coords 0..S-1 in row-major order, m values."""
     header = "sample," + ",".join("x_%d" % (a + 1) for a in range(g.d))
-    yield [header + "," + ",".join("v_%d" % r for r in range(g.m)) + "\n"]
+    fh.write(header + "," + ",".join("v_%d" % r for r in range(g.m)) + "\n")
     axis = [str(c) for c in range(g.side)]
     prefixes = [",".join(c) + "," for c in product(axis, repeat=g.d)]
-    for i, values in enumerate(chain.from_iterable(batches)):
-        yield _csv_lines(prefixes, values.reshape(g.m, -1).T, "%d," % i)
+    index = count()
 
+    def write(batch):
+        for values in batch:
+            fh.writelines(_csv_lines(prefixes, values.reshape(g.m, -1).T, "%d," % next(index)))
 
-def samples_csv_text(sample_values, g: TorusGeometry) -> str:
-    """All samples in one table, as write_samples_csv writes it."""
-    return "".join(chain.from_iterable(_samples_csv_chunks([sample_values], g)))
-
-
-def write_samples_csv(path, batches, g: TorusGeometry):
-    """Stream samples.csv from an iterable of (count, m, *site) batches."""
-    _write_chunks(path, _samples_csv_chunks(batches, g))
+    return write
 
 
 def decay_csv_text(report) -> str:

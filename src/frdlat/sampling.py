@@ -1,4 +1,4 @@
-"""Spectral sampling of the scale fields and empirical covariance checks.
+"""Spectral sampling of the scale fields and their empirical covariances.
 
 Each sample draws complex standard Gaussians on a half-set of nonzero
 frequencies, mirrors them so zeta_hat(-p) = conj zeta_hat(p) exactly,
@@ -7,14 +7,19 @@ transforms.  Streams are keyed by (seed, scale, sample index) through a
 counter-based generator, so any sample can be regenerated in isolation
 and thread scheduling cannot change the draw.
 
-The scale fields are independent and the total field is their sum, so
-run_sampling_suite draws every (scale, sample index) once and feeds the
-per-scale estimators, the total estimator and the gradient range checks
-from that one draw.  Every estimator is reduced in fixed-size batches
-whose partial sums are combined in batch-index order, which makes
-multi-threaded runs bitwise identical to single-threaded ones.
+run_sampling_suite is the one sampling pass.  It draws every (scale,
+sample index) once, in fixed-size batches, and feeds the per-scale
+estimators, the total estimator (the scale fields summed in scale order)
+and the gradient range checks from that draw.  Per-batch sums are
+combined in batch-index order, which makes multi-threaded runs bitwise
+identical to single-threaded ones.  An optional consumer receives each
+batch of total fields in the same order; samples.csv is written that
+way, from the draw the estimates use.  sample_component and sample_total
+regenerate single indices, and dense_reference_samples is an independent
+dense-factorization oracle.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
-from .errors import EmptyFarRegion, FactorizationFailure, ImaginaryResidue, TooLargeForOracle
+from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, centered, rho_inf_grid
 from .spectral import Kernel, _hermitize, spectral_norms
@@ -133,28 +138,14 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
 
 def sample_component(state: SamplerState, k: int, sample_index: int) -> Field:
     """Scale-k sample; k is 1-based up to N+1, reproducible per index."""
-    vals = _component_batch(state, k, sample_index, 1)[0]
-    return Field(state.geometry, vals, zero_mean=True)
-
-
-def _scale_sum(comps: list) -> np.ndarray:
-    """The scale fields summed in scale order."""
-    total = comps[0]
-    for vals in comps[1:]:
-        total = total + vals
-    return total
-
-
-def total_batch(state: SamplerState, start: int, count: int) -> np.ndarray:
-    """Total field values for indices start..start+count-1, shaped
-    (count, m, *site); row i equals sample_total(state, start + i)."""
-    scales = range(1, state.n_scales + 1)
-    return _scale_sum([_component_batch(state, k, start, count) for k in scales])
+    return Field(state.geometry, _component_batch(state, k, sample_index, 1)[0])
 
 
 def sample_total(state: SamplerState, sample_index: int) -> Field:
-    """Sum of independent scale samples sharing the sample index."""
-    return Field(state.geometry, total_batch(state, sample_index, 1)[0], zero_mean=True)
+    """Sum of independent scale samples sharing the sample index, in the
+    suite's arithmetic: the scale fields summed in scale order."""
+    comps = [_component_batch(state, k, sample_index, 1) for k in range(1, state.n_scales + 1)]
+    return Field(state.geometry, sum(comps[1:], comps[0])[0])
 
 
 @dataclass
@@ -163,7 +154,6 @@ class CovarianceEstimate:
     mean: np.ndarray = field(repr=False)
     se: np.ndarray = field(repr=False)
     n: int = 0
-    infinite_width: bool = False
 
 
 def _correlation_batch(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
@@ -176,56 +166,14 @@ def _correlation_batch(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return est.real
 
 
-def _combine(partials, n: int, g: TorusGeometry) -> CovarianceEstimate:
-    total = partials[0][0].copy()
-    totsq = partials[0][1].copy()
-    for s, ss in partials[1:]:
-        total += s
-        totsq += ss
+def _estimate(total: np.ndarray, totsq: np.ndarray, n: int, g: TorusGeometry) -> CovarianceEstimate:
+    """Mean and standard error from per-entry sums over n samples; the
+    standard error is infinite for a single sample."""
     mean = total / n
     if n < 2:
-        se = np.full_like(mean, np.inf)
-        return CovarianceEstimate(g, mean, se, n, infinite_width=True)
+        return CovarianceEstimate(g, mean, np.full_like(mean, np.inf), n)
     var = np.maximum((totsq - n * mean**2) / (n - 1), 0.0)
     return CovarianceEstimate(g, np.ascontiguousarray(mean), np.sqrt(var / n), n)
-
-
-def _batched(values_fn, n: int, threads: int, g: TorusGeometry) -> list:
-    """One CovarianceEstimate per array of values_fn(start, count).
-
-    values_fn returns a list of (count, c, *site) arrays for the samples
-    start..start+count-1; each array's per-batch sums are combined in
-    batch-index order, whatever the thread count.
-    """
-    n_batches = (n + BATCH - 1) // BATCH
-
-    def work(bi):
-        start = bi * BATCH
-        sums = []
-        for vals in values_fn(start, min(BATCH, n - start)):
-            est = _correlation_batch(vals, g)
-            sums.append((est.sum(axis=0), (est * est).sum(axis=0)))
-        return sums
-
-    if threads <= 1:
-        partials = [work(bi) for bi in range(n_batches)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(ex.map(work, range(n_batches)))
-    return [_combine(per_array, n, g) for per_array in zip(*partials)]
-
-
-def empirical_covariance(samples) -> CovarianceEstimate:
-    """Translation-averaged covariance with per-entry standard errors.
-
-    The estimator per sample is (S^-d) sum_x xi(x+z) xi(x)^T; the mean
-    and its standard error are taken across samples.  A single sample
-    yields the degenerate estimate with the infinite-width flag set.
-    """
-    samples = list(samples)
-    g = samples[0].geometry
-    stack = np.stack([f.values for f in samples])
-    return _batched(lambda s, c: [stack[s : s + c]], len(samples), 1, g)[0]
 
 
 def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
@@ -240,11 +188,6 @@ def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
 def covariance_deviation(est: CovarianceEstimate, kernel_values: np.ndarray) -> float:
     """Max per-entry |mean - reference| in standard-error units."""
     return _max_se_ratio(np.abs(est.mean - kernel_values), est.se)
-
-
-def estimate_agreement(a: CovarianceEstimate, b: CovarianceEstimate) -> float:
-    """Max per-entry difference of two estimates in combined-SE units."""
-    return _max_se_ratio(np.abs(a.mean - b.mean), np.sqrt(a.se**2 + b.se**2))
 
 
 @dataclass
@@ -276,30 +219,28 @@ def _far_report(est: CovarianceEstimate, mask: np.ndarray, r: int) -> GradientRa
     )
 
 
-def gradient_range_check(samples, r: int) -> GradientRangeReport:
-    """Empirical gradient-gradient correlation beyond r + 2.
-
-    r is the claimed range of the sampled scale.  Raises EmptyFarRegion
-    when the torus has no site beyond r + 2, making the claim vacuous.
-    """
-    samples = list(samples)
-    g = samples[0].geometry
-    mask = rho_inf_grid(g) > r + 2
-    if not np.any(mask):
-        raise EmptyFarRegion("no site lies beyond range %d + 2" % r)
-    stack = np.stack([f.values for f in samples])
-    est = _batched(lambda s, c: [_gradient_channels(stack[s : s + c], g)], len(samples), 1, g)[0]
-    return _far_report(est, mask, r)
+def _in_order(ex, work, items, depth: int):
+    """work(item) for each item on the executor, yielded in item order,
+    with at most depth calls submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        pending.append(ex.submit(work, item))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
-def run_sampling_suite(state: SamplerState, n: int, threads: int = 1) -> dict:
+def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=None) -> dict:
     """Per-scale and total covariance estimates plus per-scale gradient
     range reports from one draw of each (scale, sample index).
 
     The total is the scale fields summed in scale order.  A gradient
     report is None where the scale's far region is empty, which is
     decided before any draw; only the other scales feed gradient
-    estimators.
+    estimators.  on_total, if given, is called on the calling thread
+    with each batch of total fields, shaped (count, m, *site), in
+    batch-index order; without it no total field outlives its batch.
     """
     g = state.geometry
     scales = range(1, state.n_scales + 1)
@@ -307,13 +248,34 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1) -> dict:
     masks = {k: rho > r + 2 for k, r in enumerate(state.ranges, start=1)}
     checked = [k for k, mask in masks.items() if np.any(mask)]
 
-    def values_fn(start, count):
-        comps = [_component_batch(state, k, start, count) for k in scales]
-        total = _scale_sum(comps)
-        grads = [_gradient_channels(comps[k - 1], g) for k in checked]
-        return comps + [total] + grads
+    def work(start):
+        comps = [_component_batch(state, k, start, min(BATCH, n - start)) for k in scales]
+        total = sum(comps[1:], comps[0])
+        sums = []
+        for vals in comps + [total] + [_gradient_channels(comps[k - 1], g) for k in checked]:
+            est = _correlation_batch(vals, g)
+            sums.append((est.sum(axis=0), (est * est).sum(axis=0)))
+        return sums, total if on_total is not None else None
 
-    ests = _batched(values_fn, n, threads, g)
+    # Batches come back in batch-index order, whatever the thread count, and
+    # their sums are added in that order.  Two batches per worker stay in
+    # flight, so a slow on_total does not let finished batches pile up.
+    # One thread draws on the calling thread.
+    starts = range(0, n, BATCH)
+    threads = max(1, threads)
+    acc = None
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        batches = _in_order(ex, work, starts, 2 * threads) if threads > 1 else map(work, starts)
+        for sums, total in batches:
+            if on_total is not None:
+                on_total(total)
+            if acc is None:
+                acc = sums
+                continue
+            for (s, ss), (bs, bss) in zip(acc, sums):
+                s += bs
+                ss += bss
+    ests = [_estimate(s, ss, n, g) for s, ss in acc]
     suite = {
         "component": dict(zip(scales, ests)),
         "gradient": dict.fromkeys(masks),
@@ -358,18 +320,3 @@ def dense_reference_samples(kern: Kernel, n: int, seed: int):
         out.append(Field(g, np.ascontiguousarray(vals)))
     return out
 
-
-def shuffled_control(samples) -> CovarianceEstimate:
-    """Mismatched-pair control: correlates each sample with its cyclic
-    successor, which must be decorrelated everywhere."""
-    samples = list(samples)
-    g = samples[0].geometry
-    stack = np.stack([f.values for f in samples])
-    other = np.roll(stack, -1, axis=0)
-    site_axes = tuple(range(2, 2 + g.d))
-    hat_a = np.fft.fftn(stack, axes=site_axes)
-    hat_b = np.fft.fftn(other, axes=site_axes)
-    prod = np.einsum("br...,bs...->brs...", hat_a, np.conj(hat_b))
-    est = np.fft.ifftn(prod, axes=tuple(range(3, 3 + g.d))).real / g.site_count
-    partial = [(est.sum(axis=0), (est * est).sum(axis=0))]
-    return _combine(partial, len(samples), g)

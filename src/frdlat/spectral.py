@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ImaginaryResidue, OrderTooHigh, ShapeMismatch
 from .lattice import TorusGeometry
 
-DEFAULT_MAX_ORDER = 4
+MAX_ORDER = 4
 IMAG_TOL = 1e-10
 
 
@@ -62,35 +62,33 @@ def _site_axes(values: np.ndarray, g: TorusGeometry) -> tuple:
     return tuple(range(values.ndim - g.d, values.ndim))
 
 
-def multiplier_to_kernel(M: MultiplierTable, tol: float = IMAG_TOL) -> Kernel:
+def multiplier_to_kernel(M: MultiplierTable) -> Kernel:
     """Inverse transform, canonicalized to zero mean by the zero p = 0 slot.
 
     The reconstruction must be real: the residual imaginary part is
-    recorded on the kernel and rejected beyond tol * max|entry|.
+    recorded on the kernel and rejected beyond IMAG_TOL * max|entry|.
     """
     g = M.geometry
     grid = _grid_table(_embed_body(M.values, g), g)
     vals = np.fft.ifftn(grid, axes=_site_axes(grid, g))
     scale = max(float(np.max(np.abs(vals.real))), 1e-300)
     residue = float(np.max(np.abs(vals.imag)))
-    if residue > tol * scale:
+    if residue > IMAG_TOL * scale:
         raise ImaginaryResidue(
             "imaginary residue %.3e exceeds %.1e of max entry %.3e"
-            % (residue, tol, scale)
+            % (residue, IMAG_TOL, scale)
         )
     return Kernel(g, vals.real.copy(), imag_residue=residue)
 
 
-def kernel_derivative(
-    K: Kernel, alpha, max_order: int = DEFAULT_MAX_ORDER
-) -> Kernel:
+def kernel_derivative(K: Kernel, alpha) -> Kernel:
     """Iterated forward differences prod_i grad_i^alpha_i of the kernel."""
     g = K.geometry
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != g.d or any(a < 0 for a in alpha):
         raise ValueError("alpha must be %d nonnegative integers" % g.d)
-    if sum(alpha) > max_order:
-        raise OrderTooHigh("|alpha| = %d exceeds max order %d" % (sum(alpha), max_order))
+    if sum(alpha) > MAX_ORDER:
+        raise OrderTooHigh("|alpha| = %d exceeds max order %d" % (sum(alpha), MAX_ORDER))
     vals = K.values
     for i, a in enumerate(alpha):
         axis = 2 + i

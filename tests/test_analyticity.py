@@ -76,14 +76,6 @@ def test_first_derivative_matches_finite_differences():
     assert fd_agreement(res, fd_kernels, fd_green) < 1e-6
 
 
-def test_fd_step_bounds():
-    path, g, sched = setup_path()
-    with pytest.raises(ValueError):
-        fd_derivative(path, g, sched, step=1e-8)
-    with pytest.raises(ValueError):
-        fd_derivative(path, g, sched, step=1e-2)
-
-
 def test_radius_independence():
     path, g, sched = setup_path()
     a = contour_derivative(path, g, sched, 1, r=0.5)

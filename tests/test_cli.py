@@ -1,18 +1,20 @@
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 
 import numpy as np
 
 import frdlat
-from frdlat import cli
+from frdlat import cli, sampling
 from frdlat.cli import main
 from frdlat.config import parse_config
 from frdlat.decomposition import build_schedule, decompose
-from frdlat.output import samples_csv_text
+from frdlat.output import samples_csv_writer
 from frdlat.sampling import build_sampler, sample_total
 from frdlat.spectral import Kernel
 
@@ -153,8 +155,9 @@ def test_sample_writes_fields_on_request(tmp_path):
 
 
 def test_samples_csv_matches_per_index_totals(tmp_path):
-    """The batched samples.csv equals the file built from sample_total one
-    index at a time, across a batch boundary on the 9x9 torus."""
+    """samples.csv from the suite's batches equals the file built from
+    sample_total one index at a time, across a batch boundary on the 9x9
+    torus."""
     n = 300
     cfg_path = write_cfg(tmp_path, L=3, N=2, schedule=[3, 5], samples=n, seed=5,
                          write_samples=True)
@@ -164,8 +167,61 @@ def test_samples_csv_matches_per_index_totals(tmp_path):
     g = cfg.geometry()
     res = decompose(cfg.elliptic_map(), g, build_schedule(g, cfg.schedule))
     state = build_sampler(res, cfg.seed)
-    expected = samples_csv_text([sample_total(state, i).values for i in range(n)], g)
-    assert open(os.path.join(out, "samples.csv")).read() == expected
+    expected = io.StringIO()
+    samples_csv_writer(expected, g)([sample_total(state, i).values for i in range(n)])
+    with open(os.path.join(out, "samples.csv")) as fh:
+        assert fh.read() == expected.getvalue()
+
+
+def test_write_samples_draws_each_field_once(tmp_path, monkeypatch):
+    """samples.csv comes from the suite's draw: no (scale, index) is drawn
+    a second time to write it."""
+    drawn = []
+    original = sampling._component_batch
+
+    def counting(state, k, start, count):
+        drawn.extend((k, start + i) for i in range(count))
+        return original(state, k, start, count)
+
+    monkeypatch.setattr(sampling, "_component_batch", counting)
+    n = 300
+    cfg = write_cfg(tmp_path, L=3, N=2, schedule=[3, 5], samples=n, write_samples=True)
+    out = outdir(tmp_path)
+    assert main(["sample", "--config", cfg, "--out", out, "--threads", "1"]) == 0
+    assert os.path.exists(os.path.join(out, "samples.csv"))
+    assert sorted(drawn) == [(k, i) for k in (1, 2, 3) for i in range(n)]
+
+
+def test_threads_are_capped_at_the_core_count(tmp_path, monkeypatch):
+    """--threads far above the core count builds a pool of core-count
+    workers; the fake pool runs the batches serially and starts none."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    cfg = write_cfg(tmp_path, samples=600)
+    a = outdir(tmp_path, "a")
+    b = outdir(tmp_path, "b")
+    assert main(["sample", "--config", cfg, "--out", a, "--threads", "8000"]) == 0
+    assert pools == [3]
+    assert main(["sample", "--config", cfg, "--out", b, "--threads", "1"]) == 0
+    assert pools == [3, 1]
+    assert same_tree(a, b)
 
 
 def test_deriv_report(tmp_path):

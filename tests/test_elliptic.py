@@ -6,7 +6,7 @@ from frdlat.elliptic import (
     EllipticMap,
     complex_symbol_flat,
     green_symbol,
-    hermitian_sqrt,
+    hermitian_sqrt_flat,
     identity_map,
     sqrt_and_invsqrt_flat,
     symbol,
@@ -80,10 +80,14 @@ def test_hermitian_sqrt():
     rng = np.random.default_rng(10)
     B = rng.standard_normal((3, 3))
     M = B @ B.T + 0.1 * np.eye(3)
-    R = hermitian_sqrt(M)
+    R = hermitian_sqrt_flat(M[None].astype(np.complex128))[0]
+    assert np.allclose(R, np.conj(R.T))
     assert np.allclose(R @ R, M)
+    # Round-off below zero is clamped; a clearly negative eigenvalue is not.
+    tiny = hermitian_sqrt_flat(np.diag([1.0, -1e-14])[None].astype(np.complex128))[0]
+    assert np.allclose(tiny, np.diag([1.0, 0.0]))
     with pytest.raises(NotPSD):
-        hermitian_sqrt(np.diag([1.0, -1.0]))
+        hermitian_sqrt_flat(np.diag([1.0, -1.0])[None].astype(np.complex128))
 
 
 def test_sqrt_and_invsqrt_flat():

@@ -11,8 +11,6 @@ from frdlat.fields import (
     dirichlet_form,
     forward_gradient,
     inner,
-    mean_residual,
-    project_zero_mean,
 )
 from frdlat.lattice import TorusGeometry
 
@@ -93,16 +91,6 @@ def test_dirichlet_form_conjugates_complex():
     energy = dirichlet_form(A, phi, phi)
     assert abs(np.imag(energy)) < 1e-12
     assert np.real(energy) >= 0.0
-
-
-def test_zero_mean_projection():
-    vals = np.ones(G3.field_shape())
-    phi = Field(G3, vals)
-    assert mean_residual(phi) == pytest.approx(1.0)
-    proj = project_zero_mean(phi)
-    assert proj.zero_mean
-    assert mean_residual(proj) < 1e-15
-    assert np.max(np.abs(proj.values)) < 1e-15
 
 
 def test_delta_field_components():

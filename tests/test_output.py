@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -8,11 +9,18 @@ from frdlat.output import (
     canonical,
     dumps_json,
     format_float,
-    samples_csv_text,
+    samples_csv_writer,
     write_kernel_csv,
 )
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
+
+
+def samples_csv_text(sample_values, g: TorusGeometry) -> str:
+    """samples.csv as samples_csv_writer writes it, held in memory."""
+    buf = io.StringIO()
+    samples_csv_writer(buf, g)(sample_values)
+    return buf.getvalue()
 
 
 def centered_site_order(g: TorusGeometry):

@@ -1,24 +1,21 @@
+from concurrent.futures import Future
+from itertools import product
+
 import numpy as np
-import pytest
 
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map
-from frdlat.errors import EmptyFarRegion
-from frdlat.fields import Field
-from frdlat.lattice import TorusGeometry, centered
+from frdlat.lattice import TorusGeometry, centered, rho_inf_grid
 from frdlat import sampling
 from frdlat.sampling import (
+    _component_batch,
     _half_set,
     build_sampler,
     covariance_deviation,
     dense_reference_samples,
-    empirical_covariance,
-    estimate_agreement,
-    gradient_range_check,
     run_sampling_suite,
     sample_component,
     sample_total,
-    shuffled_control,
 )
 
 
@@ -104,52 +101,76 @@ def test_total_covariance_matches_green():
     assert covariance_deviation(est, ref) < 5.0
 
 
+def direct_correlations(a, b, g):
+    """Per-sample S^-d sum_x a_r(x+z) b_s(x) for (n, c, *site) stacks,
+    summed shift by shift in real space, shaped (n, c, c, *site)."""
+    n, c = a.shape[:2]
+    axes = tuple(range(2, 2 + g.d))
+    flat_b = b.reshape(n, c, -1)
+    out = np.empty((n, c, c) + g.site_shape)
+    for z in product(range(g.side), repeat=g.d):
+        shifted = np.roll(a, tuple(-v for v in z), axis=axes).reshape(n, c, -1)
+        out[(slice(None),) * 3 + z] = np.einsum("nrx,nsx->nrs", shifted, flat_b) / g.site_count
+    return out
+
+
+def mean_and_se(est):
+    """Per-entry mean over the sample axis and its standard error."""
+    n = est.shape[0]
+    return est.mean(axis=0), est.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+def combined_se_ratio(mean_a, se_a, mean_b, se_b):
+    """Max per-entry |mean_a - mean_b| in combined-SE units."""
+    diff = np.abs(mean_a - mean_b)
+    width = np.sqrt(se_a**2 + se_b**2)
+    return float(np.max(np.where(diff > 0.0, diff / np.maximum(width, 1e-300), 0.0)))
+
+
 def test_empirical_covariance_of_white_noise():
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     rng = np.random.default_rng(5)
-    samples = [Field(g, rng.standard_normal((1, 3, 3))) for _ in range(4000)]
-    est = empirical_covariance(samples)
-    assert est.n == 4000
-    assert not est.infinite_width
-    assert abs(est.mean[0, 0, 0, 0] - 1.0) < 5.0 * est.se[0, 0, 0, 0]
-    off = est.mean[0, 0, 1, 2]
-    assert abs(off) < 5.0 * max(est.se[0, 0, 1, 2], 1e-12)
+    mean, se = mean_and_se(sampling._correlation_batch(rng.standard_normal((4000, 1, 3, 3)), g))
+    assert abs(mean[0, 0, 0, 0] - 1.0) < 5.0 * se[0, 0, 0, 0]
+    assert abs(mean[0, 0, 1, 2]) < 5.0 * max(se[0, 0, 1, 2], 1e-12)
 
 
 def test_single_sample_has_infinite_width():
-    g = TorusGeometry(d=2, m=1, L=3, N=1)
-    est = empirical_covariance([Field(g, np.ones((1, 3, 3)))])
-    assert est.infinite_width
-    assert np.all(np.isinf(est.se))
+    state, _ = make_state(L=5, N=1, override=(3,))
+    suite = run_sampling_suite(state, n=1)
+    for est in list(suite["component"].values()) + [suite["total"]]:
+        assert est.n == 1
+        assert np.all(np.isinf(est.se))
 
 
 def test_dense_reference_agrees_with_spectral_sampler():
     state, res = make_state()
-    spectral = [sample_component(state, 2, i) for i in range(2000)]
-    dense = dense_reference_samples(res.kernel(2), 2000, seed=99)
-    a = empirical_covariance(spectral)
-    b = empirical_covariance(dense)
-    assert estimate_agreement(a, b) < 5.0
+    g = state.geometry
+    spectral = run_sampling_suite(state, n=2000)["component"][2]
+    dense = np.stack([f.values for f in dense_reference_samples(res.kernel(2), 2000, seed=99)])
+    mean, se = mean_and_se(direct_correlations(dense, dense, g))
+    assert combined_se_ratio(spectral.mean, spectral.se, mean, se) < 5.0
 
 
 def test_shuffled_control_is_decorrelated():
+    """Each sample correlated with its cyclic successor: mismatched pairs
+    are independent, so the estimate vanishes within its errors."""
     state, _ = make_state()
-    samples = [sample_component(state, 2, i) for i in range(2000)]
-    est = shuffled_control(samples)
-    width = np.maximum(est.se, 1e-12)
-    assert np.max(np.abs(est.mean) / width) < 5.0
+    vals = _component_batch(state, 2, 0, 2000)
+    mean, se = mean_and_se(direct_correlations(vals, np.roll(vals, -1, axis=0), state.geometry))
+    assert np.max(np.abs(mean) / np.maximum(se, 1e-12)) < 5.0
 
 
 def test_gradient_range_check_far_region():
-    g9 = TorusGeometry(d=2, m=1, L=3, N=2)
-    res9 = decompose(identity_map(2, 1), g9, build_schedule(g9, override=[3, 3]))
-    state9 = build_sampler(res9)
-    samples = [sample_component(state9, 1, i) for i in range(64)]
-    with pytest.raises(EmptyFarRegion):
-        gradient_range_check(samples, 3)
-    report = gradient_range_check(samples, 1)
-    assert report.far_sites > 0
+    """A scale's far region is the sites beyond r + 2; a scale with none
+    reports None instead of a vacuous check."""
+    state = make_ranged_state()
+    suite = run_sampling_suite(state, n=64)
+    assert state.ranges == (3, 11)
+    report = suite["gradient"][1]
+    assert report.far_sites == 25 * 25 - 11 * 11
     assert not report.trivial
+    assert suite["gradient"][2] is None
 
 
 def test_component_gradient_decorrelates_beyond_range():
@@ -190,23 +211,80 @@ def same_estimate(a, b):
     return np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
 
 
-def test_suite_matches_the_list_api_bit_for_bit():
+def gradient_channels(vals, g):
+    """Forward differences of (n, m, *site) values, channel r * d + j."""
+    return np.stack(
+        [np.roll(vals[:, r], -1, axis=1 + j) - vals[:, r] for r in range(g.m) for j in range(g.d)],
+        axis=1,
+    )
+
+
+def test_suite_matches_a_per_index_estimator():
+    """Per-index draws reduced by a real-space shift sum, independent of
+    the suite's FFT correlations and batched reducer."""
     state = make_ranged_state()
-    n = 600
+    g = state.geometry
+    n = 300
     suite = run_sampling_suite(state, n=n)
+
+    def check(est, vals):
+        mean, se = mean_and_se(direct_correlations(vals, vals, g))
+        scale = max(float(np.max(np.abs(mean))), 1e-300)
+        assert est.n == n
+        assert np.allclose(est.mean, mean, rtol=1e-12, atol=1e-13 * scale)
+        assert np.allclose(est.se, se, rtol=1e-10, atol=1e-13 * scale)
+
+    comps = {}
     for k in range(1, state.n_scales + 1):
-        samples = [sample_component(state, k, i) for i in range(n)]
-        assert same_estimate(suite["component"][k], empirical_covariance(samples))
-        if k > len(state.ranges):
+        comps[k] = np.stack([sample_component(state, k, i).values for i in range(n)])
+        check(suite["component"][k], comps[k])
+    check(suite["total"], np.stack([sample_total(state, i).values for i in range(n)]))
+
+    rho = rho_inf_grid(g)
+    for k, r in enumerate(state.ranges, start=1):
+        far = rho > r + 2
+        report = suite["gradient"][k]
+        if not np.any(far):
+            assert report is None
             continue
-        if suite["gradient"][k] is None:
-            with pytest.raises(EmptyFarRegion):
-                gradient_range_check(samples, state.ranges[k - 1])
-        else:
-            assert suite["gradient"][k] == gradient_range_check(samples, state.ranges[k - 1])
+        mean, se = mean_and_se(direct_correlations(*[gradient_channels(comps[k], g)] * 2, g))
+        diff = np.abs(mean[:, :, far])
+        assert report.r == r
+        assert report.far_sites == int(np.count_nonzero(far))
+        assert np.isclose(report.max_abs, np.max(diff), rtol=1e-12, atol=0.0)
+        assert np.isclose(report.max_se_ratio, np.max(diff / se[:, :, far]), rtol=1e-10, atol=0.0)
+        assert not report.trivial
     assert suite["gradient"][1] is not None and suite["gradient"][2] is None
-    totals = [sample_total(state, i) for i in range(n)]
-    assert same_estimate(suite["total"], empirical_covariance(totals))
+
+
+def test_batch_rows_equal_single_draws():
+    """Row i of a batched draw is the single draw of index i, bit for bit."""
+    for state in (make_ranged_state(), build_sampler(decompose(
+            identity_map(2, 2), TorusGeometry(d=2, m=2, L=3, N=1),
+            build_schedule(TorusGeometry(d=2, m=2, L=3, N=1), override=[3])), seed=7)):
+        for k in range(1, state.n_scales + 1):
+            batch = _component_batch(state, k, 0, 300)
+            for i in range(300):
+                assert np.array_equal(batch[i], sample_component(state, k, i).values)
+
+
+def test_in_order_bounds_batches_in_flight():
+    """Results come back in item order with at most depth calls submitted
+    ahead of the consumer, so a slow consumer cannot pile up batches."""
+    submitted = []
+
+    class RecordingPool:
+        def submit(self, fn, item):
+            submitted.append(item)
+            future = Future()
+            future.set_result(fn(item))
+            return future
+
+    seen = []
+    for item in sampling._in_order(RecordingPool(), lambda i: 10 * i, range(9), 3):
+        assert len(submitted) - len(seen) <= 3
+        seen.append(item)
+    assert seen == [10 * i for i in range(9)]
 
 
 def test_threaded_estimates_are_identical():
