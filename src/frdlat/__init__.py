@@ -10,7 +10,6 @@ derivatives by contour quadrature.
 from .analyticity import (
     BoundReport,
     DerivativeResult,
-    contour_derivative,
     contour_derivatives,
     derivative_bound_check,
     derivative_sum_residual,
@@ -63,7 +62,6 @@ from .fields import (
     GradientField,
     apply_elliptic,
     backward_divergence,
-    delta_field,
     dirichlet_form,
     forward_gradient,
 )

@@ -123,18 +123,6 @@ def contour_derivatives(
     return out
 
 
-def contour_derivative(
-    path: ComplexEllipticPath,
-    g: TorusGeometry,
-    sched: CubeSchedule,
-    order: int,
-    r: float = 0.5,
-    n_half: int = 32,
-) -> DerivativeResult:
-    """Single-order convenience wrapper around contour_derivatives."""
-    return contour_derivatives(path, g, sched, [order], r=r, n_half=n_half)[order]
-
-
 def derivative_sum_residual(result: DerivativeResult) -> float:
     """Relative deviation of sum_k D^j C_k from D^j C over p != 0."""
     green = result.green_table.values
@@ -165,7 +153,7 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
     with step FD_STEP.
 
     Returns per-scale kernels plus the Green kernel, directly comparable
-    to contour_derivative with order 1.
+    to contour_derivatives at order 1.
     """
     A0 = path.A0
     adot = path.direction

@@ -104,20 +104,3 @@ def dirichlet_form(A, phi: Field, psi: Field):
     if not (phi.complex_mode or psi.complex_mode):
         return float(value)
     return complex(value)
-
-
-def inner(phi: Field, psi: Field):
-    """Site inner product, conjugating psi in complex mode."""
-    if phi.geometry != psi.geometry:
-        raise ShapeMismatch("fields live on different geometries")
-    if phi.complex_mode or psi.complex_mode:
-        return complex(np.sum(phi.values * np.conj(psi.values)))
-    return float(np.sum(phi.values * psi.values))
-
-
-def delta_field(g: TorusGeometry, site, component: int = 0) -> Field:
-    """Indicator of one (site, component) pair; convenience constructor."""
-    vals = np.zeros(g.field_shape())
-    idx = (component,) + tuple(int(c) % g.side for c in site)
-    vals[idx] = 1.0
-    return Field(g, vals)

@@ -1,10 +1,12 @@
 """Spectral sampling of the scale fields and their empirical covariances.
 
-Each sample draws complex standard Gaussians on a half-set of nonzero
-frequencies, mirrors them so zeta_hat(-p) = conj zeta_hat(p) exactly,
-colors with the Hermitian root of the scale multiplier, and inverse
-transforms.  Streams are keyed by (seed, scale, sample index) through a
-counter-based generator, so any sample can be regenerated in isolation
+Each sample draws real white noise w on the torus, transforms it, colors
+every nonzero frequency with the Hermitian root of the scale multiplier,
+drops p = 0 and inverse transforms.  Since w is real, w_hat(-p) =
+conj w_hat(p) holds by itself and E[w_hat w_hat^H] = S^d I, so the field
+has covariance C_k exactly.  Sample i of scale k is the fixed slice i of
+one counter-based Philox stream keyed by (seed, k): every sample uses
+the same number of words, so any sample can be regenerated in isolation
 and thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
@@ -16,7 +18,7 @@ identical to single-threaded ones.  An optional consumer receives each
 batch of total fields in the same order; samples.csv is written that
 way, from the draw the estimates use.  sample_component and sample_total
 regenerate single indices, and dense_reference_samples is an independent
-dense-factorization oracle.
+dense-factorization oracle with its own stream.
 """
 
 from collections import deque
@@ -29,36 +31,12 @@ from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
-from .lattice import DENSE_LIMIT, TorusGeometry, centered, rho_inf_grid
+from .lattice import DENSE_LIMIT, TorusGeometry, rho_inf_grid
 from .spectral import Kernel, _hermitize, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
 REAL_TOL = 1e-10
-
-
-def _half_set(g: TorusGeometry):
-    """Flat indices of the half-set (first nonzero centered component
-    positive, centered-lex order) and of the mirrored partners."""
-    S = g.side
-    axes = [centered(np.arange(S), S) for _ in range(g.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-    mask = np.zeros(len(coords), dtype=bool)
-    undecided = np.ones(len(coords), dtype=bool)
-    for a in range(g.d):
-        col = coords[:, a]
-        mask |= undecided & (col > 0)
-        undecided &= col == 0
-    order = np.lexsort(coords[:, ::-1].T)
-    pos = order[mask[order]]
-    neg_coords = (-coords[pos]) % S
-    neg = np.ravel_multi_index(tuple(neg_coords.T), g.site_shape)
-    # Odd side: no nonzero frequency is its own mirror, only p = 0 is
-    # self-paired and that slot stays zero.
-    if np.any(pos == neg) or 2 * len(pos) + 1 != g.site_count:
-        raise AssertionError("half-set pairing failed; side must be odd")
-    return pos, neg
 
 
 @dataclass
@@ -67,8 +45,6 @@ class SamplerState:
     seed: int
     roots: list = field(repr=False)
     ranges: tuple = ()
-    pos_idx: np.ndarray = field(default=None, repr=False)
-    neg_idx: np.ndarray = field(default=None, repr=False)
     root_residual: float = 0.0
 
     @property
@@ -77,7 +53,7 @@ class SamplerState:
 
 
 def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
-    """Hermitian multiplier roots plus the frequency pairing tables.
+    """Hermitian multiplier roots, one (S^d - 1, m, m) stack per scale.
 
     Each root is re-squared and compared against its multiplier; a
     relative deviation beyond 1e-10 aborts the build.
@@ -97,38 +73,38 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
             )
         worst = max(worst, rel)
         roots.append(root)
-    pos, neg = _half_set(g)
     return SamplerState(
         geometry=g,
         seed=int(seed),
         roots=roots,
         ranges=result.schedule.ranges,
-        pos_idx=pos,
-        neg_idx=neg,
         root_residual=worst,
     )
 
 
 def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.ndarray:
     """Real sample values of scale k for indices start..start+count-1,
-    shaped (count, m, *site)."""
+    shaped (count, m, *site).
+
+    Sample i reads the 4B words of Philox counter blocks [i B, (i+1) B)
+    under the key (seed, k), B = ceil(m S^d / 4), and turns each word pair
+    into two standard normals by Box-Muller on 53-bit uniforms.  The first
+    m S^d normals, in (component, site) C order, are the white noise.
+    """
     g = state.geometry
-    root = state.roots[k - 1]
-    nH = len(state.pos_idx)
-    raws = np.empty((count, nH, g.m, 2))
-    for i in range(count):
-        seq = np.random.SeedSequence(entropy=state.seed, spawn_key=(k, start + i))
-        rng = np.random.Generator(np.random.Philox(seq))
-        raws[i] = rng.standard_normal((nH, g.m, 2))
-    zeta = (raws[..., 0] + 1j * raws[..., 1]) / np.sqrt(2.0)
-    zhat = np.zeros((count, g.site_count, g.m), dtype=np.complex128)
-    zhat[:, state.pos_idx] = zeta
-    zhat[:, state.neg_idx] = np.conj(zeta)
-    # The roots cover p != 0, rows 1.. of the frequency stack; row 0 stays zero.
-    xhat = np.zeros_like(zhat)
-    xhat[:, 1:] = g.side ** (g.d / 2.0) * np.einsum("prs,bps->bpr", root, zhat[:, 1:])
-    grid = np.moveaxis(xhat.reshape((count,) + g.site_shape + (g.m,)), -1, 1)
-    vals = np.fft.ifftn(grid, axes=tuple(range(2, 2 + g.d)))
+    n = g.m * g.site_count
+    blocks = -(-n // 4)
+    bits = np.random.Philox(key=np.array([state.seed, k], dtype=np.uint64))
+    bits.advance(start * blocks)
+    u = (bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks) >> 11) * 2.0**-53
+    z = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
+    w = z.view(np.float64)[:, :n].reshape((count, g.m) + g.site_shape)
+    site_axes = tuple(range(2, 2 + g.d))
+    what = np.fft.fftn(w, axes=site_axes).reshape(count, g.m, g.site_count)
+    # The roots cover p != 0, flat rows 1..; the p = 0 slot stays zero.
+    xhat = np.zeros_like(what)
+    xhat[:, :, 1:] = np.einsum("prs,bsp->brp", state.roots[k - 1], what[:, :, 1:])
+    vals = np.fft.ifftn(xhat.reshape(w.shape), axes=site_axes)
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     resid = float(np.max(np.abs(vals.imag)))
     if resid > REAL_TOL * scale:

@@ -8,6 +8,7 @@ sharp constants: only the scaling is falsifiable at desk scale.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -153,20 +154,10 @@ def eta(n: int, d: int) -> float:
 
 
 def _all_alphas(d: int, max_order: int):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a)
-
-    for total in range(max_order + 1):
-        start = len(out)
-        rec([], total)
-        out[start:] = [a for a in out[start:] if sum(a) == total]
-    return out
+    """Multi-indices of order <= max_order, by order, lexicographic within."""
+    return sorted(
+        (a for a in product(range(max_order + 1), repeat=d) if sum(a) <= max_order), key=sum
+    )
 
 
 @dataclass

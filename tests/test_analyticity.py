@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frdlat.analyticity import (
-    contour_derivative,
     contour_derivatives,
     derivative_bound_check,
     derivative_sum_residual,
@@ -47,12 +46,12 @@ def test_contour_guard_errors():
 def test_too_few_nodes_fail_the_doubling_gate():
     path, g, sched = setup_path()
     with pytest.raises(NotConverged):
-        contour_derivative(path, g, sched, 1, n_half=2)
+        contour_derivatives(path, g, sched, [1], n_half=2)
 
 
 def test_order_zero_recovers_decomposition():
     path, g, sched = setup_path()
-    res = contour_derivative(path, g, sched, 0)
+    res = contour_derivatives(path, g, sched, [0])[0]
     base = decompose(path.A0, g, sched)
     for k in range(1, sched.N + 2):
         a = res.kernel(k).values
@@ -65,27 +64,27 @@ def test_order_zero_recovers_decomposition():
 def test_shared_sweep_matches_single_order():
     path, g, sched = setup_path()
     both = contour_derivatives(path, g, sched, [0, 1])
-    single = contour_derivative(path, g, sched, 1)
+    single = contour_derivatives(path, g, sched, [1])[1]
     assert np.array_equal(both[1].kernel(1).values, single.kernel(1).values)
 
 
 def test_first_derivative_matches_finite_differences():
     path, g, sched = setup_path(m=2, seed=31)
-    res = contour_derivative(path, g, sched, 1)
+    res = contour_derivatives(path, g, sched, [1])[1]
     fd_kernels, fd_green = fd_derivative(path, g, sched)
     assert fd_agreement(res, fd_kernels, fd_green) < 1e-6
 
 
 def test_radius_independence():
     path, g, sched = setup_path()
-    a = contour_derivative(path, g, sched, 1, r=0.5)
-    b = contour_derivative(path, g, sched, 1, r=0.25)
+    a = contour_derivatives(path, g, sched, [1], r=0.5)[1]
+    b = contour_derivatives(path, g, sched, [1], r=0.25)[1]
     assert radius_agreement(a, b) < 1e-8
 
 
 def test_derivative_telescoping():
     path, g, sched = setup_path()
-    res = contour_derivative(path, g, sched, 1)
+    res = contour_derivatives(path, g, sched, [1])[1]
     assert derivative_sum_residual(res) < 1e-10
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def test_decompose_writes_artifacts(tmp_path):
     assert main(["decompose", "--config", cfg, "--out", out]) == 0
     for name in ("kernel_k1.csv", "kernel_k2.csv", "diagnostics.json"):
         assert os.path.exists(os.path.join(out, name))
-    diag = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+    diag = json.loads(Path(os.path.join(out, "diagnostics.json")).read_text())
     assert diag["sum_residual"] <= 1e-12
     assert diag["schedule"] == [None]
 
@@ -77,7 +78,7 @@ def test_verify_minimal_config(tmp_path):
     cfg = write_cfg(tmp_path)
     out = outdir(tmp_path)
     assert main(["verify", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "verify_report.json")).read())
+    report = json.loads(Path(os.path.join(out, "verify_report.json")).read_text())
     assert all(report["checks"].values())
     assert report["oracle"]["performed"] is True
     assert report["decay"]["performed"] is False
@@ -88,7 +89,7 @@ def test_verify_with_two_live_scales(tmp_path):
     cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5])
     out = outdir(tmp_path)
     assert main(["verify", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "verify_report.json")).read())
+    report = json.loads(Path(os.path.join(out, "verify_report.json")).read_text())
     assert report["decay"]["performed"] is True
     assert report["decay"]["slopes"]["0,0"] < 0.0
     assert os.path.exists(os.path.join(out, "decay.csv"))
@@ -111,7 +112,7 @@ def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, mon
     capsys.readouterr()
     assert main(["verify", "--config", cfg, "--out", out]) == 1
     assert "check failed: green_equation" in capsys.readouterr().err
-    report = json.loads(open(os.path.join(out, "verify_report.json")).read())
+    report = json.loads(Path(os.path.join(out, "verify_report.json")).read_text())
     assert [name for name, ok in report["checks"].items() if not ok] == ["green_equation"]
 
 
@@ -122,7 +123,7 @@ def test_sample_artifacts_and_thread_identity(tmp_path):
     assert main(["sample", "--config", cfg, "--out", a, "--threads", "1"]) == 0
     assert main(["sample", "--config", cfg, "--out", b, "--threads", "4"]) == 0
     assert same_tree(a, b)
-    report = json.loads(open(os.path.join(a, "sample_report.json")).read())
+    report = json.loads(Path(os.path.join(a, "sample_report.json")).read_text())
     assert report["n"] == 400
     assert report["seed"] == 0
     assert report["gradient"]["1"] is None
@@ -141,7 +142,7 @@ def test_sample_seed_and_count_overrides(tmp_path):
     out = outdir(tmp_path)
     args = ["sample", "--config", cfg, "--out", out, "--samples", "64", "--seed", "9"]
     assert main(args) == 0
-    report = json.loads(open(os.path.join(out, "sample_report.json")).read())
+    report = json.loads(Path(os.path.join(out, "sample_report.json")).read_text())
     assert report["n"] == 64
     assert report["seed"] == 9
 
@@ -150,7 +151,7 @@ def test_sample_writes_fields_on_request(tmp_path):
     cfg = write_cfg(tmp_path, samples=8, write_samples=True)
     out = outdir(tmp_path)
     assert main(["sample", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "samples.csv")).read().strip().split("\n")
+    lines = Path(os.path.join(out, "samples.csv")).read_text().strip().split("\n")
     assert len(lines) == 1 + 8 * 9
 
 
@@ -163,7 +164,7 @@ def test_samples_csv_matches_per_index_totals(tmp_path):
                          write_samples=True)
     out = outdir(tmp_path)
     assert main(["sample", "--config", cfg_path, "--out", out, "--threads", "2"]) == 0
-    cfg = parse_config(open(cfg_path).read())
+    cfg = parse_config(Path(cfg_path).read_text())
     g = cfg.geometry()
     res = decompose(cfg.elliptic_map(), g, build_schedule(g, cfg.schedule))
     state = build_sampler(res, cfg.seed)
@@ -228,7 +229,7 @@ def test_deriv_report(tmp_path):
     cfg = write_cfg(tmp_path)
     out = outdir(tmp_path)
     assert main(["deriv", "--config", cfg, "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "deriv_report.json")).read())
+    report = json.loads(Path(os.path.join(out, "deriv_report.json")).read_text())
     assert report["order"] == 1
     assert report["nodes"] == 64
     assert all(report["checks"].values())

@@ -5,11 +5,11 @@ import numpy as np
 
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map
-from frdlat.lattice import TorusGeometry, centered, rho_inf_grid
+from frdlat.lattice import TorusGeometry, rho_inf_grid
 from frdlat import sampling
 from frdlat.sampling import (
+    SamplerState,
     _component_batch,
-    _half_set,
     build_sampler,
     covariance_deviation,
     dense_reference_samples,
@@ -23,27 +23,6 @@ def make_state(L=3, N=1, override=(None,), seed=0):
     g = TorusGeometry(d=2, m=1, L=L, N=N)
     res = decompose(identity_map(2, 1), g, build_schedule(g, override=list(override)))
     return build_sampler(res, seed=seed), res
-
-
-def test_half_set_hand_values():
-    """On the 3x3 torus H = {(0,1), (1,-1), (1,0), (1,1)} in centered
-    lexicographic order."""
-    g = TorusGeometry(d=2, m=1, L=3, N=1)
-    pos, neg = _half_set(g)
-    coords = np.stack(np.unravel_index(pos, g.site_shape), axis=-1)
-    cc = centered(coords, 3)
-    assert cc.tolist() == [[0, 1], [1, -1], [1, 0], [1, 1]]
-    nc = centered(np.stack(np.unravel_index(neg, g.site_shape), axis=-1), 3)
-    assert np.array_equal(nc, -cc)
-
-
-def test_half_set_partitions_nonzero_frequencies():
-    g = TorusGeometry(d=2, m=1, L=5, N=1)
-    pos, neg = _half_set(g)
-    assert len(pos) == len(neg) == (25 - 1) // 2
-    zero_flat = np.ravel_multi_index((0, 0), g.site_shape)
-    all_idx = sorted(pos.tolist() + neg.tolist() + [zero_flat])
-    assert all_idx == list(range(25))
 
 
 def test_samples_are_real_zero_mean_and_reproducible():
@@ -67,6 +46,9 @@ def test_scales_use_distinct_streams():
     a = sample_component(state, 1, 0)
     b = sample_component(state, 2, 0)
     assert not np.allclose(a.values, b.values)
+    # Equal roots isolate the noise: scales at one index draw different noise.
+    white = white_state(state.geometry, n_scales=2)
+    assert not np.allclose(_component_batch(white, 1, 0, 3), _component_batch(white, 2, 0, 3))
 
 
 def test_different_seeds_decorrelate():
@@ -133,6 +115,34 @@ def test_empirical_covariance_of_white_noise():
     mean, se = mean_and_se(sampling._correlation_batch(rng.standard_normal((4000, 1, 3, 3)), g))
     assert abs(mean[0, 0, 0, 0] - 1.0) < 5.0 * se[0, 0, 0, 0]
     assert abs(mean[0, 0, 1, 2]) < 5.0 * max(se[0, 0, 1, 2], 1e-12)
+
+
+def white_state(g, n_scales=1, seed=0):
+    """Sampler whose roots are identity stacks: it draws the white noise
+    with its p = 0 mode removed."""
+    root = np.tile(np.eye(g.m), (g.site_count - 1, 1, 1))
+    return SamplerState(geometry=g, seed=seed, roots=[root] * n_scales)
+
+
+def test_white_noise_moments():
+    """Projected unit white noise on 9x9: mean 0, variance 1 - S^-d,
+    neighbour covariance -S^-d and Gaussian kurtosis, each within 5 SE
+    over per-sample site averages."""
+    g = TorusGeometry(d=2, m=1, L=3, N=2)
+    n = 4000
+    v = _component_batch(white_state(g), 1, 0, n)[:, 0]
+    assert np.max(np.abs(v.sum(axis=(1, 2)))) < 1e-12
+    site_mean, site_se = mean_and_se(v)
+    assert np.all(np.abs(site_mean) < 5.0 * site_se)
+    var = 1.0 - 1.0 / g.site_count
+    for per_sample, expected in (
+        ((v * v).mean(axis=(1, 2)), var),
+        ((v * np.roll(v, 1, axis=1)).mean(axis=(1, 2)), -1.0 / g.site_count),
+        ((v * np.roll(v, 1, axis=2)).mean(axis=(1, 2)), -1.0 / g.site_count),
+        ((v**4).mean(axis=(1, 2)), 3.0 * var**2),
+    ):
+        mean, se = mean_and_se(per_sample)
+        assert abs(mean - expected) < 5.0 * se
 
 
 def test_single_sample_has_infinite_width():
@@ -258,7 +268,8 @@ def test_suite_matches_a_per_index_estimator():
 
 
 def test_batch_rows_equal_single_draws():
-    """Row i of a batched draw is the single draw of index i, bit for bit."""
+    """Row i of a batched draw is the single draw of index i, bit for bit,
+    and an unaligned slice equals the matching rows."""
     for state in (make_ranged_state(), build_sampler(decompose(
             identity_map(2, 2), TorusGeometry(d=2, m=2, L=3, N=1),
             build_schedule(TorusGeometry(d=2, m=2, L=3, N=1), override=[3])), seed=7)):
@@ -266,6 +277,7 @@ def test_batch_rows_equal_single_draws():
             batch = _component_batch(state, k, 0, 300)
             for i in range(300):
                 assert np.array_equal(batch[i], sample_component(state, k, i).values)
+            assert np.array_equal(_component_batch(state, k, 5, 7), batch[5:12])
 
 
 def test_in_order_bounds_batches_in_flight():

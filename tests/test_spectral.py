@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frdlat.errors import ImaginaryResidue, OrderTooHigh, ShapeMismatch
-from frdlat.fields import delta_field
 from frdlat.lattice import TorusGeometry
 from frdlat.spectral import (
     Kernel,
@@ -22,7 +21,9 @@ G5 = TorusGeometry(d=2, m=2, L=5, N=1)
 def test_p_nonzero_indicator_is_the_centered_delta():
     # the indicator of p != 0 transforms back to delta_0 - 1/9
     K = multiplier_to_kernel(MultiplierTable(G3, np.ones((8, 1, 1))))
-    assert np.allclose(K.values[0], delta_field(G3, (0, 0)).values - 1.0 / 9.0)
+    delta = np.zeros((1, 3, 3))
+    delta[0, 0, 0] = 1.0
+    assert np.allclose(K.values[0], delta - 1.0 / 9.0)
 
 
 def test_multiplier_rejects_grid_and_full_layouts():
