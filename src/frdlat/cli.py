@@ -9,6 +9,7 @@ runs and thread counts for a fixed config and seed.
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .analyticity import (
 )
 from .config import parse_config
 from .decomposition import build_schedule, decompose
-from .errors import InsufficientScales, ParseError, TooLargeForOracle, ValidationError
+from .errors import InsufficientScales, ParseError, ValidationError
+from .lattice import oracle_fits
 from .output import (
     decay_csv_text,
     envelope_csv_text,
@@ -88,10 +90,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="K",
-                       help="worker thread bound, capped at the core count (sampling only)")
-        p.add_argument("--seed", type=int, metavar="U64", help="stream seed (overrides config)")
-        p.add_argument("--samples", type=int, metavar="N", help="sample count (overrides config)")
+        if name == "sample":
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="K",
+                           help="worker thread bound, capped at the core count")
+            p.add_argument("--seed", type=int, metavar="U64",
+                           help="stream seed (overrides config)")
+            p.add_argument("--samples", type=int, metavar="N",
+                           help="sample count (overrides config)")
     return parser
 
 
@@ -101,6 +106,11 @@ class CheckSet:
 
     def add(self, name, passed, detail=""):
         self.rows.append((name, bool(passed), detail))
+
+    def within(self, name, value, bound, unit=""):
+        """Add the row `value <= bound` and return value for the report."""
+        self.add(name, value <= bound, "%.3g%s > %.3g%s" % (value, unit, bound, unit))
+        return value
 
     def as_dict(self):
         return {name: passed for name, passed, _ in self.rows}
@@ -119,77 +129,63 @@ def _report_failures(checks: CheckSet) -> int:
     return EXIT_CHECK if failures else EXIT_OK
 
 
-def _decomposition_checks(diag, tols, checks: CheckSet):
-    checks.add(
-        "sum_residual",
-        diag["sum_residual"] <= tols["sum"],
-        "%.3g > %.3g" % (diag["sum_residual"], tols["sum"]),
-    )
-    for k, res in enumerate(diag["range_residual"], start=1):
-        if res is None:
-            checks.add("range_residual_k%d" % k, True, "far region empty")
-        else:
-            checks.add(
-                "range_residual_k%d" % k,
-                res <= tols["range"],
-                "%.3g > %.3g" % (res, tols["range"]),
-            )
-    for k, lo in enumerate(diag["min_psd_eig"], start=1):
-        checks.add(
-            "psd_min_k%d" % k, lo >= -tols["psd"], "%.3g < -%.3g" % (lo, tols["psd"])
-        )
-    checks.add(
-        "imag_residue",
-        diag["imag_residue"] <= tols["imag"],
-        "%.3g > %.3g" % (diag["imag_residue"], tols["imag"]),
-    )
+def _decomposed(cfg):
+    """Geometry, coefficient map, schedule and decomposition of a config."""
+    g = cfg.geometry()
+    A = cfg.elliptic_map()
+    sched = build_schedule(g, cfg.schedule)
+    return g, A, sched, decompose(A, g, sched)
 
 
-def _write_decomposition(result, diag, out_dir):
+def _decompose_step(cfg, out_dir):
+    """Decompose, write kernel_k*.csv and diagnostics.json, and check the
+    diagnostics against the config tolerances."""
+    g, A, _, result = _decomposed(cfg)
+    diag = diagnostics(result)
     for k in range(1, result.n_scales + 1):
         write_kernel_csv(os.path.join(out_dir, "kernel_k%d.csv" % k), result.kernel(k))
     write_json(os.path.join(out_dir, "diagnostics.json"), diag)
 
-
-def run_decompose(cfg, out_dir, threads) -> int:
-    g = cfg.geometry()
-    A = cfg.elliptic_map()
-    sched = build_schedule(g, cfg.schedule)
-    result = decompose(A, g, sched)
-    diag = diagnostics(result)
-    _write_decomposition(result, diag, out_dir)
+    tols = cfg.tolerances
     checks = CheckSet()
-    _decomposition_checks(diag, cfg.tolerances, checks)
-    return _report_failures(checks)
+    checks.within("sum_residual", diag["sum_residual"], tols["sum"])
+    for k, res in enumerate(diag["range_residual"], start=1):
+        if res is None:
+            checks.add("range_residual_k%d" % k, True, "far region empty")
+        else:
+            checks.within("range_residual_k%d" % k, res, tols["range"])
+    for k, lo in enumerate(diag["min_psd_eig"], start=1):
+        checks.add("psd_min_k%d" % k, lo >= -tols["psd"], "%.3g < -%.3g" % (lo, tols["psd"]))
+    checks.within("imag_residue", diag["imag_residue"], tols["imag"])
+    return g, A, result, diag, checks
 
 
-def run_verify(cfg, out_dir, threads) -> int:
-    g = cfg.geometry()
-    A = cfg.elliptic_map()
-    sched = build_schedule(g, cfg.schedule)
-    result = decompose(A, g, sched)
-    diag = diagnostics(result)
-    _write_decomposition(result, diag, out_dir)
-    checks = CheckSet()
-    _decomposition_checks(diag, cfg.tolerances, checks)
+def run_decompose(cfg, out_dir) -> int:
+    return _report_failures(_decompose_step(cfg, out_dir)[-1])
 
+
+def _alpha_keyed(table):
+    return {",".join(str(a) for a in alpha): val for alpha, val in table.items()}
+
+
+def run_verify(cfg, out_dir) -> int:
+    g, A, result, diag, checks = _decompose_step(cfg, out_dir)
     report = {"tolerances": dict(cfg.tolerances), "diagnostics": diag}
-    try:
+    if oracle_fits(g):
         oracle = brute_force_green(A, g)
-    except TooLargeForOracle:
-        report["oracle"] = {"performed": False, "max_abs_diff": None}
-    else:
         spectral = multiplier_to_kernel(result.green_table)
         diff = float(np.max(np.abs(oracle.values - spectral.values)))
-        checks.add("oracle_green", diff <= ORACLE_TOL, "%.3g > %.3g" % (diff, ORACLE_TOL))
-        report["oracle"] = {"performed": True, "max_abs_diff": diff}
+        report["oracle"] = {
+            "performed": True,
+            "max_abs_diff": checks.within("oracle_green", diff, ORACLE_TOL),
+        }
+    else:
+        report["oracle"] = {"performed": False, "max_abs_diff": None}
 
-    green = green_equation_residual(result)
-    checks.add("green_equation", green <= GREEN_TOL, "%.3g > %.3g" % (green, GREEN_TOL))
-    report["green_equation"] = green
-    sym = check_symmetry(result)
-    checks.add("kernel_symmetry", sym <= SYMMETRY_TOL, "%.3g > %.3g" % (sym, SYMMETRY_TOL))
-    report["symmetry"] = sym
+    report["green_equation"] = checks.within(
+        "green_equation", green_equation_residual(result), GREEN_TOL
+    )
+    report["symmetry"] = checks.within("kernel_symmetry", check_symmetry(result), SYMMETRY_TOL)
 
     try:
         decay = decay_table(result)
@@ -201,13 +197,8 @@ def run_verify(cfg, out_dir, threads) -> int:
         checks.add("decay_finite", finite, "non-finite sup norm")
         report["decay"] = {
             "performed": True,
-            "slopes": {
-                ",".join(str(a) for a in alpha): val for alpha, val in decay.slopes.items()
-            },
-            "constants": {
-                ",".join(str(a) for a in alpha): val
-                for alpha, val in decay.fitted_constants.items()
-            },
+            "slopes": _alpha_keyed(decay.slopes),
+            "constants": _alpha_keyed(decay.fitted_constants),
         }
 
     env = envelope_report(result)
@@ -237,10 +228,7 @@ def run_verify(cfg, out_dir, threads) -> int:
 
 
 def run_sample(cfg, out_dir, threads) -> int:
-    g = cfg.geometry()
-    A = cfg.elliptic_map()
-    sched = build_schedule(g, cfg.schedule)
-    result = decompose(A, g, sched)
+    g, _, _, result = _decomposed(cfg)
     state = build_sampler(result, cfg.seed)
     n = cfg.samples
     if cfg.write_samples:
@@ -252,24 +240,18 @@ def run_sample(cfg, out_dir, threads) -> int:
 
     checks = CheckSet()
     report = {"n": n, "seed": cfg.seed, "root_residual": state.root_residual}
-    green_kernel = multiplier_to_kernel(result.green_table)
-
     comp = {}
     for k in range(1, state.n_scales + 1):
         est = suite["component"][k]
         dev = covariance_deviation(est, result.kernel(k).values)
-        checks.add(
-            "covariance_k%d" % k, dev <= SE_LIMIT, "%.3g SE > %.3g SE" % (dev, SE_LIMIT)
-        )
-        comp[str(k)] = dev
+        comp[str(k)] = checks.within("covariance_k%d" % k, dev, SE_LIMIT, " SE")
         write_kernel_csv(os.path.join(out_dir, "covariance_k%d.csv" % k), est.mean, g)
         write_kernel_csv(os.path.join(out_dir, "covariance_k%d_se.csv" % k), est.se, g)
     report["component_deviation"] = comp
 
     total = suite["total"]
-    dev = covariance_deviation(total, green_kernel.values)
-    checks.add("covariance_total", dev <= SE_LIMIT, "%.3g SE > %.3g SE" % (dev, SE_LIMIT))
-    report["total_deviation"] = dev
+    dev = covariance_deviation(total, multiplier_to_kernel(result.green_table).values)
+    report["total_deviation"] = checks.within("covariance_total", dev, SE_LIMIT, " SE")
     write_kernel_csv(os.path.join(out_dir, "covariance_total.csv"), total.mean, g)
     write_kernel_csv(os.path.join(out_dir, "covariance_total_se.csv"), total.se, g)
 
@@ -278,19 +260,9 @@ def run_sample(cfg, out_dir, threads) -> int:
         if rep is None:
             checks.add("gradient_range_k%d" % k, True, "far region empty")
             grad[str(k)] = None
-            continue
-        checks.add(
-            "gradient_range_k%d" % k,
-            rep.max_se_ratio <= SE_LIMIT,
-            "%.3g SE > %.3g SE" % (rep.max_se_ratio, SE_LIMIT),
-        )
-        grad[str(k)] = {
-            "r": rep.r,
-            "far_sites": rep.far_sites,
-            "max_abs": rep.max_abs,
-            "max_se_ratio": rep.max_se_ratio,
-            "trivial": rep.trivial,
-        }
+        else:
+            checks.within("gradient_range_k%d" % k, rep.max_se_ratio, SE_LIMIT, " SE")
+            grad[str(k)] = asdict(rep)
     report["gradient"] = grad
 
     report["checks"] = checks.as_dict()
@@ -298,39 +270,28 @@ def run_sample(cfg, out_dir, threads) -> int:
     return _report_failures(checks)
 
 
-def run_deriv(cfg, out_dir, threads) -> int:
-    g = cfg.geometry()
-    A = cfg.elliptic_map()
-    sched = build_schedule(g, cfg.schedule)
-    result = decompose(A, g, sched)
+def run_deriv(cfg, out_dir) -> int:
+    g, A, sched, result = _decomposed(cfg)
     path = cfg.derivative_path(A)
     order = cfg.derivative["order"]
     r = cfg.derivative["r"]
     n_half = cfg.derivative["nodes"]
 
-    orders = sorted(set(range(0, max(order, 3) + 1)))
+    # Orders 1..3 feed the ratio check and order 1 the FD cross-check.
+    orders = sorted(set(range(1, max(order, 3) + 1)) | {order})
     ders = contour_derivatives(path, g, sched, orders, r=r, n_half=n_half)
     main_res = ders[order]
     alt = contour_derivatives(path, g, sched, [order], r=0.5 * r, n_half=n_half)[order]
     fd_kernels, fd_green = fd_derivative(path, g, sched)
 
     checks = CheckSet()
-    fd_diff = fd_agreement(ders[1], fd_kernels, fd_green)
-    checks.add("fd_agreement", fd_diff <= FD_TOL, "%.3g > %.3g" % (fd_diff, FD_TOL))
-    r_diff = radius_agreement(main_res, alt)
-    checks.add("radius_invariance", r_diff <= RADIUS_TOL, "%.3g > %.3g" % (r_diff, RADIUS_TOL))
-    sum_res = derivative_sum_residual(main_res)
-    checks.add(
-        "derivative_telescoping",
-        sum_res <= DERIV_SUM_TOL,
-        "%.3g > %.3g" % (sum_res, DERIV_SUM_TOL),
+    fd_diff = checks.within("fd_agreement", fd_agreement(ders[1], fd_kernels, fd_green), FD_TOL)
+    r_diff = checks.within("radius_invariance", radius_agreement(main_res, alt), RADIUS_TOL)
+    sum_res = checks.within(
+        "derivative_telescoping", derivative_sum_residual(main_res), DERIV_SUM_TOL
     )
     bound = derivative_bound_check(result, [ders[j] for j in orders if j >= 1])
-    checks.add(
-        "derivative_ratios",
-        bound.max_ratio <= RATIO_LIMIT,
-        "%.3g > %.3g" % (bound.max_ratio, RATIO_LIMIT),
-    )
+    checks.within("derivative_ratios", bound.max_ratio, RATIO_LIMIT)
 
     for k in range(1, result.n_scales + 1):
         write_kernel_csv(os.path.join(out_dir, "deriv_k%d.csv" % k), main_res.kernel(k))
@@ -379,16 +340,21 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("config error: seed must fit in 64 bits", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.seed = args.seed
-    if args.samples is not None:
-        if args.samples < 1:
-            print("config error: samples must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.samples = args.samples
+    extra = ()
+    if args.command == "sample":
+        if args.seed is not None:
+            if not 0 <= args.seed < 2**64:
+                print("config error: seed must fit in 64 bits", file=sys.stderr)
+                return EXIT_CONFIG
+            cfg.seed = args.seed
+        if args.samples is not None:
+            if args.samples < 1:
+                print("config error: samples must be >= 1", file=sys.stderr)
+                return EXIT_CONFIG
+            cfg.samples = args.samples
+        # Each worker is an OS thread and more workers than cores cannot draw
+        # faster, so the pool is capped; outputs do not depend on the count.
+        extra = (min(max(1, args.threads), os.cpu_count() or 1),)
     if args.out is not None:
         cfg.output = args.out
     if cfg.output is None:
@@ -400,12 +366,9 @@ def main(argv=None) -> int:
     if not os.path.isdir(cfg.output):
         print("output directory does not exist: %s" % cfg.output, file=sys.stderr)
         return EXIT_IO
-    # Each worker is an OS thread and more workers than cores cannot draw
-    # faster, so the pool is capped; outputs do not depend on the count.
-    threads = min(max(1, args.threads), os.cpu_count() or 1)
 
     try:
-        return RUNNERS[args.command](cfg, cfg.output, threads)
+        return RUNNERS[args.command](cfg, cfg.output, *extra)
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import (EllipticMap, ComplexEllipticPath, complex_symbol_flat, green_from_body,
-                       sqrt_and_invsqrt_flat, symbol_flat)
+from .elliptic import (EllipticMap, ComplexEllipticPath, green_from_body, sqrt_and_invsqrt_flat,
+                       symbol_flat)
 from .errors import EmptyFarRegion, InvalidSchedule
 from .lattice import TorusGeometry, cube, rho_inf_grid
 from .projector import assemble_stiffness, check_cube_size, local_green_flat
@@ -285,7 +285,7 @@ def complex_decompose(
     _check_schedule_fits(g, sched)
     m = g.m
     tensor = path.tensor_at(z)
-    Ahat = complex_symbol_flat(path, z, g)
+    Ahat = symbol_flat(tensor, g)
     body = Ahat[1:]
     Ainv = np.linalg.inv(body)
     F = body.shape[0]

@@ -217,7 +217,3 @@ class ComplexEllipticPath:
         m, d = self.A0.m, self.A0.d
         ent = self.A0.entries.astype(np.complex128) + complex(z) * self.A1
         return ent.reshape(m, d, m, d)
-
-
-def complex_symbol_flat(path: ComplexEllipticPath, z: complex, g: TorusGeometry) -> np.ndarray:
-    return symbol_flat(path.tensor_at(z), g)

@@ -65,6 +65,11 @@ class TorusGeometry:
         return (self.m, self.m) + self.site_shape
 
 
+def oracle_fits(g: TorusGeometry) -> bool:
+    """Whether the dense whole-torus oracles fit: site_count * m <= DENSE_LIMIT."""
+    return g.site_count * g.m <= DENSE_LIMIT
+
+
 def centered(coords, S: int):
     """Map canonical coordinates to the centered representative mod S."""
     c = np.asarray(coords)

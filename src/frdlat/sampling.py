@@ -31,7 +31,7 @@ from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
-from .lattice import DENSE_LIMIT, TorusGeometry, rho_inf_grid
+from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
 from .spectral import Kernel, _hermitize, spectral_norms
 
 BATCH = 256
@@ -272,7 +272,7 @@ def dense_reference_samples(kern: Kernel, n: int, seed: int):
     """
     g = kern.geometry
     nfull = g.site_count * g.m
-    if nfull > DENSE_LIMIT:
+    if not oracle_fits(g):
         raise TooLargeForOracle("site_count * m = %d exceeds %d" % (nfull, DENSE_LIMIT))
     sites = np.stack(
         np.unravel_index(np.arange(g.site_count), g.site_shape), axis=-1

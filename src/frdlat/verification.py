@@ -16,7 +16,7 @@ from .decomposition import DecompositionResult, far_field_constant, kernel_sup_n
 from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
-from .lattice import DENSE_LIMIT, TorusGeometry, p_norms
+from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
 from .spectral import Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms
 
 
@@ -29,7 +29,7 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
     (delta_0 - S^-d) e_s.
     """
     n = g.site_count * g.m
-    if n > DENSE_LIMIT:
+    if not oracle_fits(g):
         raise TooLargeForOracle("site_count * m = %d exceeds %d" % (n, DENSE_LIMIT))
     S = g.side
     M = np.empty((n, n))

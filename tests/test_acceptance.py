@@ -9,6 +9,7 @@ import filecmp
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def test_criterion_09_sampling(tmp_path):
     names = sorted(os.listdir(outs[0]))
     match, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names, shallow=False)
     identical = sorted(os.listdir(outs[1])) == names and not mismatch and not errors
-    report = json.loads(open(os.path.join(outs[0], "sample_report.json")).read())
+    report = json.loads(Path(outs[0], "sample_report.json").read_text())
     within = all(report["checks"].values())
     devs = list(report["component_deviation"].values()) + [report["total_deviation"]]
     dt = time.perf_counter() - t0

@@ -9,6 +9,7 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import frdlat
 from frdlat import cli, sampling
@@ -225,6 +226,23 @@ def test_threads_are_capped_at_the_core_count(tmp_path, monkeypatch):
     assert same_tree(a, b)
 
 
+def test_sampler_flags_only_on_sample(tmp_path, capsys):
+    """--threads, --seed and --samples belong to sample; elsewhere they are
+    usage errors rather than values that do nothing."""
+    cfg = write_cfg(tmp_path, samples=16)
+    out = outdir(tmp_path)
+    for command in ("decompose", "verify", "deriv"):
+        for flag in ("--threads", "--seed", "--samples"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg, "--out", out, flag, "1"])
+            assert exc.value.code == 2
+    capsys.readouterr()
+    args = ["--threads", "1", "--seed", "3", "--samples", "16"]
+    assert main(["sample", "--config", cfg, "--out", out] + args) == 0
+    report = json.loads(Path(out, "sample_report.json").read_text())
+    assert (report["n"], report["seed"]) == (16, 3)
+
+
 def test_deriv_report(tmp_path):
     cfg = write_cfg(tmp_path)
     out = outdir(tmp_path)
@@ -289,7 +307,7 @@ def test_oversized_cube_fails_before_frequency_work(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_numeric(tmp_path, capsys, monkeypatch):
-    def broken_runner(cfg, out_dir, threads):
+    def broken_runner(cfg, out_dir):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.RUNNERS, "decompose", broken_runner)

@@ -3,8 +3,6 @@ import pytest
 
 from frdlat.elliptic import (
     ComplexEllipticPath,
-    EllipticMap,
-    complex_symbol_flat,
     green_symbol,
     hermitian_sqrt_flat,
     identity_map,
@@ -119,7 +117,7 @@ def test_complex_symbol_reduces_at_zero():
     path = ComplexEllipticPath.from_direction(A, np.eye(2))
     p = (2.0 * np.pi / 3.0, 0.0)
     row = np.flatnonzero(np.all(np.isclose(p_flat(G3), p), axis=1))[0]
-    assert complex_symbol_flat(path, 0.0, G3)[row, 0, 0] == pytest.approx(symbol(A, p)[0, 0])
+    assert symbol_flat(path.tensor_at(0.0), G3)[row, 0, 0] == pytest.approx(symbol(A, p)[0, 0])
     with pytest.raises(OutsideDisc):
         path.tensor_at(1.0)
 
@@ -132,5 +130,5 @@ def test_complex_symbol_invertible_inside_disc():
     direction = np.diag([1.0, -0.5, 0.3, -0.2])
     path = ComplexEllipticPath.from_direction(A, direction)
     for z in (0.9, -0.9, 0.6j, 0.5 - 0.7j):
-        M = complex_symbol_flat(path, z, g)[1:]
+        M = symbol_flat(path.tensor_at(z), g)[1:]
         assert np.max(np.linalg.cond(M)) < 1e9

@@ -5,7 +5,6 @@ from frdlat.elliptic import (
     ComplexEllipticPath,
     identity_map,
     symbol_flat,
-    validate_map,
 )
 from frdlat import projector
 from frdlat.errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
