@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import CubeSchedule, complex_decompose, decompose, kernel_sup_norm
+from .decomposition import CubeSchedule, complex_at, complex_sweep, decompose, kernel_sup_norm
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
@@ -54,10 +54,11 @@ def contour_derivatives(
     """Normalized coefficient derivatives of every scale kernel, one node
     sweep shared across the requested orders.
 
-    Evaluates the complex decomposition at 2 * n_half equispaced contour
-    nodes, accumulating the full-rule and half-rule quadratures for each
-    order in one pass.  Raises NotConverged when the two rules disagree
-    beyond CONVERGENCE_TOL in relative supremum norm for any order.
+    Builds one complex_sweep and evaluates the complex decomposition at
+    2 * n_half equispaced contour nodes from it, accumulating the
+    full-rule and half-rule quadratures for each order in one pass.
+    Raises NotConverged when the two rules disagree beyond
+    CONVERGENCE_TOL in relative supremum norm for any order.
     """
     orders = sorted({int(j) for j in orders})
     if not orders:
@@ -74,10 +75,11 @@ def contour_derivatives(
     total = 2 * n_half
     full = {j: [np.zeros((F, m, m), dtype=np.complex128) for _ in range(n_scales + 1)] for j in orders}
     half = {j: [np.zeros((F, m, m), dtype=np.complex128) for _ in range(n_scales + 1)] for j in orders}
+    sweep = complex_sweep(path, g, sched)
     for t in range(total):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
-        res = complex_decompose(path, z, g, sched)
+        res = complex_at(sweep, z)
         bodies = [tab.values for tab in res.tables] + [res.green_table.values]
         for j in orders:
             w_full = np.exp(-1j * j * theta) / total

@@ -17,8 +17,16 @@ folded in analytically (the inner Ahat^-1 Ahat pairs cancel):
     Chat_{A,k} = P_{k-1} rev_{k-1} Ahat^-1 - P_k rev_k Ahat^-1,
     P_k = Rhat_1 ... Rhat_k,   rev_k = Rhat_k ... Rhat_1.
 
-Agreement of the two branches at real coefficients is a mandatory
-cross-check exercised by the test suite.
+The complex branch serves contour sweeps: complex_sweep builds the
+z-independent part once (the symbol bodies of A0 and A1, so
+Ahat(z) = Ahat0 + z Ahat1, and one stiffness pencil per live level), and
+complex_at evaluates one node from it.  The real branch never uses the
+pencil, so finite differences of decompose stay an independent check of
+the contour derivatives.  Agreement of the two branches at real
+coefficients is a mandatory cross-check exercised by the test suite.
+
+Every (F, m, m) product goes through spectral.stack_matmul, which avoids
+one BLAS call per small matrix.
 
 Skipped levels are explicit: they contribute the identity to every
 product and an identically zero kernel.  Scale N+1 carries the remainder
@@ -32,9 +40,9 @@ import numpy as np
 
 from .elliptic import (EllipticMap, ComplexEllipticPath, green_from_body, sqrt_and_invsqrt_flat,
                        symbol_flat)
-from .errors import EmptyFarRegion, InvalidSchedule
+from .errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from .lattice import TorusGeometry, cube, rho_inf_grid
-from .projector import assemble_stiffness, check_cube_size, local_green_flat
+from .projector import assemble_stiffness, check_cube_size, local_green_flat, stiffness_pencil
 from .spectral import (
     Kernel,
     MultiplierTable,
@@ -42,6 +50,7 @@ from .spectral import (
     flat_table,
     multiplier_to_kernel,
     spectral_norms,
+    stack_matmul,
 )
 
 
@@ -153,7 +162,7 @@ def renormalized_products(level_symbols, F: int, m: int):
         if sym is None:
             products.append(products[-1])
         else:
-            products.append(products[-1] @ sym.Rtilde)
+            products.append(stack_matmul(products[-1], sym.Rtilde))
     return products
 
 
@@ -219,7 +228,7 @@ def _level_symbols_real(A, g, sched, Asqrt):
             continue
         factor = assemble_stiffness(A, cube(l, g))
         Ghat = local_green_flat(factor, g)[1:]
-        Ttilde = _hermitize((Asqrt @ Ghat @ Asqrt) / factor.cube.volume)
+        Ttilde = _hermitize(stack_matmul(stack_matmul(Asqrt, Ghat), Asqrt) / factor.cube.volume)
         symbols.append(ProjectorSymbols(level=j, l=l, Ttilde=Ttilde))
     return symbols
 
@@ -240,7 +249,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     symbols = _level_symbols_real(A, g, sched, Asqrt)
     products = renormalized_products(symbols, body.shape[0], m)
 
-    grams = [_hermitize(Mk @ np.conj(np.swapaxes(Mk, -1, -2))) for Mk in products]
+    grams = [_hermitize(stack_matmul(Mk, np.conj(np.swapaxes(Mk, -1, -2)))) for Mk in products]
     tables = []
     kernels = []
     for k in range(1, sched.N + 2):
@@ -248,7 +257,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
             diff = grams[k - 1] - grams[k]
         else:
             diff = grams[sched.N]
-        table = MultiplierTable(g, _hermitize(Ainvsqrt @ diff @ Ainvsqrt))
+        table = MultiplierTable(g, _hermitize(stack_matmul(stack_matmul(Ainvsqrt, diff), Ainvsqrt)))
         tables.append(table)
         kernels.append(multiplier_to_kernel(table))
 
@@ -274,40 +283,84 @@ class ComplexDecompositionResult:
         return self.tables[k - 1]
 
 
-def complex_decompose(
-    path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
-) -> ComplexDecompositionResult:
+@dataclass
+class ComplexSweep:
+    """The z-independent part of the family A0 + z A1 on one torus.
+
+    Ahat(z) = body0 + z body1 is affine in z, and each live level holds
+    its cube's stiffness pencil (None for a skipped level), so a node of
+    a contour sweep assembles and inverts no stiffness.
+    """
+
+    geometry: TorusGeometry
+    body0: np.ndarray = field(repr=False)
+    body1: np.ndarray = field(repr=False)
+    pencils: list = field(repr=False)
+
+
+def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
+    """Schedule and size checks, the symbol bodies of A0 and A1, and one
+    stiffness pencil per live level.
+
+    A pencil whose Cholesky fails or whose eigenvalues leave [-1/2, 1/2]
+    raises FactorizationFailure naming the level.
+    """
+    _check_schedule_fits(g, sched)
+    m, d = g.m, g.d
+    A1 = path.A1.reshape(m, d, m, d)
+    pencils = []
+    for j, l in enumerate(sched.levels, start=1):
+        if l is None:
+            pencils.append(None)
+            continue
+        try:
+            pencils.append(stiffness_pencil(path.A0, A1, cube(l, g), g))
+        except FactorizationFailure as exc:
+            raise FactorizationFailure("level %d: %s" % (j, exc)) from exc
+    return ComplexSweep(
+        geometry=g,
+        body0=symbol_flat(path.A0.tensor, g)[1:],
+        body1=symbol_flat(A1, g)[1:],
+        pencils=pencils,
+    )
+
+
+def complex_at(sweep: ComplexSweep, z: complex) -> ComplexDecompositionResult:
     """Scale multipliers of the family member A0 + z A1, |z| < 1.
 
     Uses the non-Hermitian product form with duals folded analytically;
     telescoping to the full Green symbol is exact by construction.
     """
-    _check_schedule_fits(g, sched)
-    m = g.m
-    tensor = path.tensor_at(z)
-    Ahat = symbol_flat(tensor, g)
-    body = Ahat[1:]
+    if abs(z) >= 1.0:
+        raise OutsideDisc("|z| = %.6f is not inside the open unit disc" % abs(z))
+    g = sweep.geometry
+    body = sweep.body0 + z * sweep.body1
     Ainv = np.linalg.inv(body)
-    F = body.shape[0]
+    identity = _identity_stack(body.shape[0], g.m)
 
-    P = _identity_stack(F, m)
-    rev = _identity_stack(F, m)
+    P = identity
+    rev = identity
     F_prev = Ainv
     tables = []
-    for j, l in enumerate(sched.levels, start=1):
-        if l is None:
-            Ck = np.zeros((F, m, m), dtype=np.complex128)
+    for pencil in sweep.pencils:
+        if pencil is None:
+            Ck = np.zeros_like(Ainv)
         else:
-            factor = assemble_stiffness(tensor, cube(l, g))
-            Ghat = local_green_flat(factor, g)[1:]
-            That = (Ghat @ body) / factor.cube.volume
-            Rhat = _identity_stack(F, m) - That
-            P = P @ Rhat
-            rev = Rhat @ rev
-            F_cur = P @ rev @ Ainv
+            Ghat = pencil.green_flat(z)[1:]
+            Rhat = identity - stack_matmul(Ghat, body) / pencil.cube.volume
+            P = stack_matmul(P, Rhat)
+            rev = stack_matmul(Rhat, rev)
+            F_cur = stack_matmul(stack_matmul(P, rev), Ainv)
             Ck = F_prev - F_cur
             F_prev = F_cur
         tables.append(MultiplierTable(g, Ck))
     tables.append(MultiplierTable(g, F_prev))
     green = MultiplierTable(g, Ainv)
     return ComplexDecompositionResult(geometry=g, tables=tables, green_table=green)
+
+
+def complex_decompose(
+    path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
+) -> ComplexDecompositionResult:
+    """complex_at for one member of the family: a sweep of one node."""
+    return complex_at(complex_sweep(path, g, sched), z)

@@ -23,6 +23,14 @@ range of every scale kernel comes from.  projector_symbol evaluates the
 same symbol at one frequency by the plane-wave quadratic form
 (f_p e_s)|_Q^dagger K^-1 (f_p e_t)|_Q and serves as the independent
 oracle for local_green_flat.
+
+Along the family A0 + z A1 the stiffness is affine, K(z) = K0 + z K1.
+stiffness_pencil factors K0 = L L^T once and diagonalizes
+L^-1 K1 L^-T = U diag(lam) U^T, so K(z)^-1 = V diag(1/(1 + z lam)) V^T
+with V = L^-T U, and each contour node costs two real products, the
+shared fold and one FFT.  |A1| <= c0/2 gives |lam| <= 1/2, hence
+|1 + z lam| >= 1/2 on the unit disc.  local_green_flat of the assembled
+member is the oracle of the pencil.
 """
 
 from dataclasses import dataclass, field
@@ -111,14 +119,26 @@ def check_cube_size(cube: Cube, m: int):
         )
 
 
+def _cholesky(K: np.ndarray, cube: Cube) -> np.ndarray:
+    """L with K = L L^T, or FactorizationFailure naming the cube side."""
+    try:
+        return np.linalg.cholesky(K)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
+        ) from exc
+
+
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     """Assemble K over the interior sites of the cube.
 
-    A may be an EllipticMap (real branch) or a complex (m, d, m, d)
-    tensor.  Positive definiteness in the real branch is verified by a
-    Cholesky factorization.  K is dense, so a cube with more than
-    DENSE_LIMIT unknowns is rejected before assembly.
+    A may be an EllipticMap (real branch), whose positive definiteness
+    is verified by a Cholesky factorization, or a raw (m, d, m, d)
+    tensor, real or complex, assembled as given: a family member or a
+    pencil direction.  K is dense, so a cube with more than DENSE_LIMIT
+    unknowns is rejected before assembly.
     """
+    checked = isinstance(A, EllipticMap)
     tensor = _coefficient_tensor(A)
     m, d = tensor.shape[0], tensor.shape[1]
     if cube.d != d:
@@ -144,14 +164,37 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
         K4[rows, :, cols, :] += blk
     K = K4.reshape(n_sites * m, n_sites * m)
 
-    if not is_complex:
-        try:
-            np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(
-                "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
-            ) from exc
+    if checked:
+        _cholesky(K, cube)
     return StiffnessFactor(cube=cube, tensor=tensor, matrix=K, n_sites=n_sites, m=m)
+
+
+def _fold_slots(cube: Cube, g: TorusGeometry) -> np.ndarray:
+    """Torus slot of w = z' - z for each pair (z, z') of interior sites,
+    ravelled like the site grid."""
+    sites = cube.interior
+    slot = np.zeros((sites.shape[0], sites.shape[0]), dtype=np.intp)
+    for a in range(g.d):
+        slot = slot * g.side + (sites[None, :, a] - sites[:, None, a]) % g.side
+    return slot.ravel()
+
+
+def _fold(inv_real: np.ndarray, inv_imag, slot: np.ndarray, g: TorusGeometry):
+    """Ghat_Q over every frequency of g from the real and imaginary parts
+    of K^-1 (each n x n; inv_imag is None for a real K): fold into the
+    block kernel g(w), then one unnormalized inverse FFT."""
+    m, F = g.m, g.site_count
+    n_sites = inv_real.shape[0] // m
+    re = inv_real.reshape(n_sites, m, n_sites, m)
+    im = None if inv_imag is None else inv_imag.reshape(n_sites, m, n_sites, m)
+    kernel = np.empty((F, m, m), dtype=np.complex128)
+    for s in range(m):
+        for t in range(m):
+            kernel[:, s, t] = np.bincount(slot, re[:, s, :, t].ravel(), F)
+            if im is not None:
+                kernel[:, s, t] += 1j * np.bincount(slot, im[:, s, :, t].ravel(), F)
+    grid = kernel.reshape(g.site_shape + (m, m))
+    return np.fft.ifftn(grid, axes=tuple(range(g.d)), norm="forward").reshape(F, m, m)
 
 
 def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
@@ -163,23 +206,54 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
     sum_w e^{i<p,w>} g(w).  Every p lies in 2 pi Z^d / S, so folding w
     mod S is exact.  Row order matches lattice.p_flat.
     """
-    m, S, F = factor.m, g.side, g.site_count
-    sites = factor.cube.interior
-    # Torus slot of w = z' - z for each pair (z, z'), ravelled like the site grid.
-    slot = np.zeros((factor.n_sites, factor.n_sites), dtype=np.intp)
-    for a in range(g.d):
-        slot = slot * S + (sites[None, :, a] - sites[:, None, a]) % S
-    slot = slot.ravel()
-    Kinv = np.linalg.inv(factor.matrix).reshape(factor.n_sites, m, factor.n_sites, m)
-    kernel = np.empty((F, m, m), dtype=np.complex128)
-    for s in range(m):
-        for t in range(m):
-            entries = Kinv[:, s, :, t].ravel()
-            kernel[:, s, t] = np.bincount(slot, entries.real, F) + 1j * np.bincount(
-                slot, entries.imag, F
-            )
-    grid = kernel.reshape(g.site_shape + (m, m))
-    return np.fft.ifftn(grid, axes=tuple(range(g.d)), norm="forward").reshape(F, m, m)
+    # The slots' temporaries are freed before K^-1 is allocated.
+    slot = _fold_slots(factor.cube, g)
+    Kinv = np.linalg.inv(factor.matrix)
+    return _fold(Kinv.real, Kinv.imag if np.iscomplexobj(Kinv) else None, slot, g)
+
+
+@dataclass
+class StiffnessPencil:
+    """K(z) = K0 + z K1 of one cube, diagonalized once for a contour sweep.
+
+    With K0 = L L^T and L^-1 K1 L^-T = U diag(lam) U^T, V = L^-T U gives
+    K(z)^-1 = V diag(1 / (1 + z lam)) V^T, so a node costs two real GEMMs,
+    the fold and one FFT instead of an assembly and a complex inverse.
+    """
+
+    cube: Cube
+    geometry: TorusGeometry
+    lam: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
+    slot: np.ndarray = field(repr=False)
+
+    def green_flat(self, z: complex) -> np.ndarray:
+        """Ghat_Q of the family member at z, as local_green_flat returns it."""
+        w = 1.0 / (1.0 + complex(z) * self.lam)
+        V = self.V
+        return _fold((V * w.real) @ V.T, (V * w.imag) @ V.T, self.slot, self.geometry)
+
+
+def stiffness_pencil(A0: EllipticMap, A1: np.ndarray, cube: Cube, g: TorusGeometry):
+    """The pencil of A0 + z A1 on one cube; A1 is a real (m, d, m, d) tensor.
+
+    Assembly is linear in the tensor, so K0 and K1 are assembled once.
+    The Cholesky factor of K0 is the definiteness check and is reused for
+    the reduction.  |A1| <= c0/2 bounds every |lam| by 1/2, which keeps
+    |1 + z lam| >= 1/2 on the unit disc; a larger lam, or a failed
+    Cholesky, raises FactorizationFailure.
+    """
+    K0 = assemble_stiffness(A0.tensor, cube).matrix
+    K1 = assemble_stiffness(A1, cube).matrix
+    Linv = np.linalg.inv(_cholesky(K0, cube))
+    M = Linv @ K1 @ Linv.T
+    lam, U = np.linalg.eigh(0.5 * (M + M.T))
+    top = float(np.max(np.abs(lam)))
+    if top > 0.5 * (1.0 + 1e-12):
+        raise FactorizationFailure(
+            "pencil eigenvalue %.6g exceeds 1/2 for cube l=%d" % (top, cube.l)
+        )
+    return StiffnessPencil(cube=cube, geometry=g, lam=lam, V=Linv.T @ U, slot=_fold_slots(cube, g))
 
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:

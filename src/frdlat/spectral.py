@@ -110,6 +110,22 @@ def _hermitize(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
 
 
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (F, m, m) stacks.
+
+    numpy's stacked matmul makes one BLAS call per m x m matrix, so for
+    m >= 2 the m-term sums are formed entry-wise over the whole stack.
+    For m = 1 it is a @ b, bit for bit.
+    """
+    m = a.shape[-1]
+    if m == 1:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, m):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
 def _embed_body(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
     """Flat (S^d - 1, m, m) rows for p != 0 -> (S^d, m, m) with row 0 zero."""
     out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)

@@ -13,6 +13,7 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
+from frdlat import projector
 
 
 def setup_path(m=1, seed=None):
@@ -96,3 +97,23 @@ def test_derivative_growth_is_bounded():
     assert report.max_ratio < 10.0
     orders = {row.order for row in report.rows}
     assert orders == {0, 1, 2, 3}
+
+
+def test_sweep_assembles_each_cube_once_per_tensor(monkeypatch):
+    """Two live levels, two coefficient tensors: four assemblies per sweep,
+    and no node assembles or inverts a stiffness."""
+    path, g, sched = setup_path(m=2, seed=5)
+    calls = []
+    assemble = projector.assemble_stiffness
+
+    def counted(A, cube):
+        calls.append(cube.l)
+        return assemble(A, cube)
+
+    def no_inverse(factor, g):
+        raise AssertionError("local_green_flat called in a contour sweep")
+
+    monkeypatch.setattr(projector, "assemble_stiffness", counted)
+    monkeypatch.setattr(projector, "local_green_flat", no_inverse)
+    contour_derivatives(path, g, sched, [1, 2], n_half=16)
+    assert sorted(calls) == [3, 3, 5, 5]

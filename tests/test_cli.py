@@ -14,7 +14,7 @@ import pytest
 import frdlat
 from frdlat import cli, sampling
 from frdlat.cli import main
-from frdlat.config import parse_config
+from frdlat.config import RunConfig, parse_config
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.output import samples_csv_writer
 from frdlat.sampling import build_sampler, sample_total
@@ -63,6 +63,33 @@ def test_decompose_is_byte_stable(tmp_path):
     assert main(["decompose", "--config", cfg, "--out", a]) == 0
     assert main(["decompose", "--config", cfg, "--out", b]) == 0
     assert same_tree(a, b)
+
+
+def test_deriv_is_byte_stable(tmp_path):
+    cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5], derivative={"nodes": 16})
+    a = outdir(tmp_path, "a")
+    b = outdir(tmp_path, "b")
+    assert main(["deriv", "--config", cfg, "--out", a]) == 0
+    assert main(["deriv", "--config", cfg, "--out", b]) == 0
+    assert same_tree(a, b)
+
+
+def test_oversized_direction_exits_numeric(tmp_path, monkeypatch, capsys):
+    """A path whose A1 breaks |A1| <= c0/2 fails the stiffness pencil by name."""
+    cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5])
+    derivative_path = RunConfig.derivative_path
+
+    def tripled(self, A):
+        path = derivative_path(self, A)
+        object.__setattr__(path, "A1", 3.0 * path.A1)
+        return path
+
+    monkeypatch.setattr(RunConfig, "derivative_path", tripled)
+    capsys.readouterr()
+    assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "FactorizationFailure: level 1: pencil eigenvalue" in err
+    assert "cube l=3" in err
 
 
 def test_impossible_tolerance_fails_named_check(tmp_path, capsys):

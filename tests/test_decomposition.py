@@ -10,7 +10,7 @@ from frdlat.decomposition import (
     kernel_sup_norm,
 )
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
-from frdlat.errors import EmptyFarRegion, InvalidSchedule
+from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
 from frdlat.verification import diagnostics
 
@@ -148,3 +148,59 @@ def test_complex_branch_telescopes_exactly():
     green = cres.green_table.values
     assert green.shape == (g.site_count - 1, 1, 1)
     assert np.max(np.abs(total - green)) < 1e-12 * np.max(np.abs(green))
+
+
+def random_path(d, m, seed):
+    rng = np.random.default_rng(seed)
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    D = rng.standard_normal((n, n))
+    D = D + D.T
+    return ComplexEllipticPath.from_direction(A, D / np.max(np.abs(np.linalg.eigvalsh(D))))
+
+
+@pytest.mark.parametrize("d, L, levels", [(2, 5, [3, 5]), (3, 3, [3, 5])])
+def test_complex_branch_matches_real_at_real_t_m2(d, L, levels):
+    g = TorusGeometry(d=d, m=2, L=L, N=2)
+    sched = build_schedule(g, override=levels)
+    path = random_path(d, 2, seed=d)
+    for t in (0.0, 0.4, -0.4):
+        res = decompose(validate_map(path.A0.entries + t * path.A1, d, 2), g, sched)
+        cres = complex_decompose(path, t, g, sched)
+        pairs = [(res.table(k), cres.table(k)) for k in range(1, res.n_scales + 1)]
+        pairs.append((res.green_table, cres.green_table))
+        for a, b in pairs:
+            scale = np.max(np.abs(a.values))
+            assert np.max(np.abs(a.values - b.values)) <= 1e-11 * scale
+
+
+def test_complex_decompose_rejects_points_off_the_disc():
+    g = TorusGeometry(d=2, m=1, L=5, N=1)
+    sched = build_schedule(g, override=[3])
+    path = ComplexEllipticPath.from_direction(identity_map(2, 1), np.eye(2))
+    with pytest.raises(OutsideDisc):
+        complex_decompose(path, 1.0, g, sched)
+    with pytest.raises(OutsideDisc):
+        complex_decompose(path, 0.6 + 0.8j, g, sched)
+
+
+def test_oversized_direction_fails_the_pencil():
+    """|A1| <= c0/2 bounds the pencil eigenvalues by 1/2; a tripled A1 breaks it."""
+    g = TorusGeometry(d=2, m=1, L=5, N=2)
+    sched = build_schedule(g, override=[None, 5])
+    path = ComplexEllipticPath.from_direction(identity_map(2, 1), np.eye(2))
+    complex_decompose(path, 0.5, g, sched)
+    object.__setattr__(path, "A1", 3.0 * path.A1)
+    with pytest.raises(FactorizationFailure, match=r"level 2: .*exceeds 1/2 for cube l=5"):
+        complex_decompose(path, 0.1, g, sched)
+
+
+def test_indefinite_base_fails_the_pencil_cholesky():
+    g = TorusGeometry(d=2, m=1, L=5, N=2)
+    sched = build_schedule(g, override=[3, 5])
+    A = identity_map(2, 1)
+    path = ComplexEllipticPath.from_direction(A, np.eye(2))
+    object.__setattr__(A, "entries", -np.eye(2))
+    with pytest.raises(FactorizationFailure, match=r"level 1: stiffness Cholesky failed .* l=3"):
+        complex_decompose(path, 0.1, g, sched)

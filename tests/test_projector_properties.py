@@ -3,7 +3,8 @@
 Random SPD coefficients (real, and complex members of the analytic
 family) on small tori: the FFT of the folded block kernel must agree with
 the per-frequency plane-wave solve, and its inverse transform must vanish
-beyond the cube's range l - 2.
+beyond the cube's range l - 2.  The stiffness pencil of a contour sweep
+must reproduce local_green_flat of the assembled family member.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from frdlat.elliptic import ComplexEllipticPath, symbol_flat, validate_map
 from frdlat.lattice import TorusGeometry, cube, p_flat, rho_inf_grid
-from frdlat.projector import assemble_stiffness, local_green_flat, projector_symbol
+from frdlat.projector import (assemble_stiffness, local_green_flat, projector_symbol,
+                              stiffness_pencil)
 
 # (d, L, N) with small enough tori and cubes to keep each example cheap.
 TORI = [(2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 3, 2), (3, 3, 1), (3, 5, 1)]
@@ -70,3 +72,37 @@ def test_block_kernel_vanishes_beyond_cube_range(case):
     far = rho_inf_grid(g) > reach
     assert np.max(np.abs(kernel[~far])) > 0.0
     assert np.all(np.abs(kernel[far]) <= 1e-13 * np.max(np.abs(kernel)))
+
+
+@st.composite
+def pencil_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.sampled_from([1, 2]))
+    g = TorusGeometry(d=d, m=m, L=5, N=1)
+    l = draw(st.sampled_from([3, 5]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    D = rng.standard_normal((n, n))
+    D = D + D.T
+    D *= draw(st.floats(min_value=0.1, max_value=1.0)) / np.max(np.abs(np.linalg.eigvalsh(D)))
+    path = ComplexEllipticPath.from_direction(A, D)
+    z = draw(st.floats(min_value=0.0, max_value=0.99)) * np.exp(
+        1j * draw(st.floats(min_value=0.0, max_value=2.0 * np.pi))
+    )
+    edge = 0.99 * np.exp(1j * draw(st.floats(min_value=0.0, max_value=2.0 * np.pi)))
+    return g, cube(l, g), path, (0.0, z, np.conj(z), edge)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pencil_cases())
+def test_pencil_matches_assembled_family_member(case):
+    g, Q, path, points = case
+    m, d = g.m, g.d
+    pencil = stiffness_pencil(path.A0, path.A1.reshape(m, d, m, d), Q, g)
+    assert np.max(np.abs(pencil.lam)) <= 0.5 * (1.0 + 1e-12)
+    for z in points:
+        expected = local_green_flat(assemble_stiffness(path.tensor_at(z), Q), g)
+        got = pencil.green_flat(z)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

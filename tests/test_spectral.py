@@ -12,6 +12,7 @@ from frdlat.spectral import (
     multiplier_to_kernel,
     reflect_sites,
     spectral_norms,
+    stack_matmul,
 )
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
@@ -87,3 +88,17 @@ def test_flat_grid_round_trip_and_norms():
     nh = spectral_norms(herm, hermitian=True)
     wanth = np.array([np.linalg.norm(herm[i], ord=2) for i in range(25)])
     assert np.allclose(nh, wanth)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stack_matmul_matches_matmul(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((50, m, m)) + 1j * rng.standard_normal((50, m, m))
+    b = rng.standard_normal((50, m, m)) + 1j * rng.standard_normal((50, m, m))
+    got = stack_matmul(a, b)
+    want = a @ b
+    if m == 1:
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # mixed real and complex factors keep the complex result
+    assert np.max(np.abs(stack_matmul(a.real, b) - a.real @ b)) <= 1e-14 * np.max(np.abs(want))
