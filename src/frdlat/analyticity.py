@@ -21,7 +21,7 @@ from .decomposition import CubeSchedule, complex_at, complex_sweep, decompose, k
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_kernel, spectral_norms
+from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, spectral_norms
 
 CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
@@ -183,7 +183,6 @@ def fd_agreement(res: DerivativeResult, fd_kernels, fd_green) -> float:
 @dataclass
 class BoundRow:
     k: int
-    alpha: tuple
     order: int
     value: float
     ratio: float
@@ -195,33 +194,25 @@ class BoundReport:
     max_ratio: float
 
 
-def derivative_bound_check(base, derivs, alphas=None) -> BoundReport:
+def derivative_bound_check(base, derivs) -> BoundReport:
     """Cauchy-type growth check across derivative orders.
 
-    For each scale and spatial multi-index, value_j is the sup norm of
-    grad^alpha D^j C_k divided by j! (2/c0)^j; analyticity on the unit
-    disc keeps value_j / value_0 bounded.  The stored derivative kernels
-    already carry the (2/c0)^j direction normalization, so both factors
-    are divided out here.
+    For each scale, value_j is the sup norm of D^j C_k divided by
+    j! (2/c0)^j; analyticity on the unit disc keeps value_j / value_0
+    bounded.  The stored derivative kernels already carry the (2/c0)^j
+    direction normalization, so both factors are divided out here.
     """
-    g = base.geometry
-    if alphas is None:
-        alphas = [(0,) * g.d]
-    alphas = [tuple(int(v) for v in a) for a in alphas]
     rows = []
     max_ratio = 0.0
     for k in range(1, base.n_scales + 1):
-        for alpha in alphas:
-            base_kern = kernel_derivative(base.kernel(k), alpha)
-            v0 = kernel_sup_norm(base_kern)
-            rows.append(BoundRow(k=k, alpha=alpha, order=0, value=v0, ratio=1.0))
-            if v0 <= 0.0:
-                continue
-            for res in derivs:
-                dk = kernel_derivative(res.kernel(k), alpha)
-                vj = kernel_sup_norm(dk)
-                vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
-                ratio = vj / v0
-                rows.append(BoundRow(k=k, alpha=alpha, order=res.order, value=vj, ratio=ratio))
-                max_ratio = max(max_ratio, ratio)
+        v0 = kernel_sup_norm(base.kernel(k))
+        rows.append(BoundRow(k=k, order=0, value=v0, ratio=1.0))
+        if v0 <= 0.0:
+            continue
+        for res in derivs:
+            vj = kernel_sup_norm(res.kernel(k))
+            vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
+            ratio = vj / v0
+            rows.append(BoundRow(k=k, order=res.order, value=vj, ratio=ratio))
+            max_ratio = max(max_ratio, ratio)
     return BoundReport(rows=rows, max_ratio=max_ratio)

@@ -22,7 +22,7 @@ from .analyticity import (
     radius_agreement,
 )
 from .config import parse_config
-from .decomposition import build_schedule, decompose
+from .decomposition import decompose
 from .errors import InsufficientScales, ParseError, ValidationError
 from .lattice import oracle_fits
 from .output import (
@@ -129,18 +129,10 @@ def _report_failures(checks: CheckSet) -> int:
     return EXIT_CHECK if failures else EXIT_OK
 
 
-def _decomposed(cfg):
-    """Geometry, coefficient map, schedule and decomposition of a config."""
-    g = cfg.geometry()
-    A = cfg.elliptic_map()
-    sched = build_schedule(g, cfg.schedule)
-    return g, A, sched, decompose(A, g, sched)
-
-
 def _decompose_step(cfg, out_dir):
     """Decompose, write kernel_k*.csv and diagnostics.json, and check the
     diagnostics against the config tolerances."""
-    g, A, _, result = _decomposed(cfg)
+    result = decompose(cfg.A, cfg.geometry, cfg.schedule)
     diag = diagnostics(result)
     for k in range(1, result.n_scales + 1):
         write_kernel_csv(os.path.join(out_dir, "kernel_k%d.csv" % k), result.kernel(k))
@@ -157,7 +149,7 @@ def _decompose_step(cfg, out_dir):
     for k, lo in enumerate(diag["min_psd_eig"], start=1):
         checks.add("psd_min_k%d" % k, lo >= -tols["psd"], "%.3g < -%.3g" % (lo, tols["psd"]))
     checks.within("imag_residue", diag["imag_residue"], tols["imag"])
-    return g, A, result, diag, checks
+    return result, diag, checks
 
 
 def run_decompose(cfg, out_dir) -> int:
@@ -169,10 +161,10 @@ def _alpha_keyed(table):
 
 
 def run_verify(cfg, out_dir) -> int:
-    g, A, result, diag, checks = _decompose_step(cfg, out_dir)
+    result, diag, checks = _decompose_step(cfg, out_dir)
     report = {"tolerances": dict(cfg.tolerances), "diagnostics": diag}
-    if oracle_fits(g):
-        oracle = brute_force_green(A, g)
+    if oracle_fits(cfg.geometry):
+        oracle = brute_force_green(cfg.A, cfg.geometry)
         spectral = multiplier_to_kernel(result.green_table)
         diff = float(np.max(np.abs(oracle.values - spectral.values)))
         report["oracle"] = {
@@ -228,7 +220,8 @@ def run_verify(cfg, out_dir) -> int:
 
 
 def run_sample(cfg, out_dir, threads) -> int:
-    g, _, _, result = _decomposed(cfg)
+    g = cfg.geometry
+    result = decompose(cfg.A, g, cfg.schedule)
     state = build_sampler(result, cfg.seed)
     n = cfg.samples
     if cfg.write_samples:
@@ -271,8 +264,8 @@ def run_sample(cfg, out_dir, threads) -> int:
 
 
 def run_deriv(cfg, out_dir) -> int:
-    g, A, sched, result = _decomposed(cfg)
-    path = cfg.derivative_path(A)
+    g, sched, path = cfg.geometry, cfg.schedule, cfg.path
+    result = decompose(cfg.A, g, sched)
     order = cfg.derivative["order"]
     r = cfg.derivative["r"]
     n_half = cfg.derivative["nodes"]
@@ -335,28 +328,21 @@ def main(argv=None) -> int:
         print("cannot read config: %s" % exc, file=sys.stderr)
         return EXIT_IO
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(
+            text,
+            output=args.out,
+            seed=getattr(args, "seed", None),
+            samples=getattr(args, "samples", None),
+        )
     except (ParseError, ValidationError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
     extra = ()
     if args.command == "sample":
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                print("config error: seed must fit in 64 bits", file=sys.stderr)
-                return EXIT_CONFIG
-            cfg.seed = args.seed
-        if args.samples is not None:
-            if args.samples < 1:
-                print("config error: samples must be >= 1", file=sys.stderr)
-                return EXIT_CONFIG
-            cfg.samples = args.samples
         # Each worker is an OS thread and more workers than cores cannot draw
         # faster, so the pool is capped; outputs do not depend on the count.
         extra = (min(max(1, args.threads), os.cpu_count() or 1),)
-    if args.out is not None:
-        cfg.output = args.out
     if cfg.output is None:
         print(
             "config error: no output directory (set output in config or pass --out)",

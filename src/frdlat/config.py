@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import check_levels
-from .elliptic import ComplexEllipticPath, EllipticMap, check_direction, validate_map
+from .decomposition import CubeSchedule, build_schedule
+from .elliptic import ComplexEllipticPath, EllipticMap, validate_map
 from .errors import InvalidSchedule, NotPositiveDefinite, NotSymmetric, ParseError, ValidationError
 from .lattice import TorusGeometry
 
@@ -33,30 +33,21 @@ DERIV_KEYS = {"direction", "order", "r", "nodes"}
 
 @dataclass
 class RunConfig:
-    d: int
-    m: int
-    L: int
-    N: int
-    A: np.ndarray = field(repr=False)
-    schedule: list = None
+    """A validated run.  Its four inputs are built once, at parse time:
+    `geometry` (the torus), `A` (the coefficient map), `schedule` (the cube
+    side per level) and `path` (the family A + z*direction along which
+    `deriv` differentiates; the direction defaults to the identity)."""
+
+    geometry: TorusGeometry
+    A: EllipticMap = field(repr=False)
+    schedule: CubeSchedule
+    path: ComplexEllipticPath = field(repr=False)
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 0
     samples: int = 2000
     derivative: dict = field(default_factory=lambda: dict(DEFAULT_DERIVATIVE))
     output: str = None
     write_samples: bool = False
-
-    def geometry(self) -> TorusGeometry:
-        return TorusGeometry(d=self.d, m=self.m, L=self.L, N=self.N)
-
-    def elliptic_map(self) -> EllipticMap:
-        return validate_map(self.A, self.d, self.m)
-
-    def derivative_path(self, A: EllipticMap) -> ComplexEllipticPath:
-        direction = self.derivative.get("direction")
-        if direction is None:
-            direction = np.eye(self.m * self.d)
-        return ComplexEllipticPath.from_direction(A, direction)
 
 
 def _need(obj, key, path):
@@ -112,51 +103,81 @@ def _coefficient_array(raw, d, m, path="A", positive_scalar=True):
     return vals.reshape(n, n)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validated RunConfig from a JSON document; unknown keys rejected."""
+def parse_config(text: str, **overrides) -> RunConfig:
+    """Validated RunConfig from a JSON document; unknown keys rejected.
+
+    Each keyword overrides the top-level key of that name before
+    validation, so an override obeys the same rules as the document;
+    None leaves the document's value.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
     for key in doc:
         if key not in TOP_KEYS:
             raise ValidationError("%s: unknown key" % key)
 
-    d = _as_int(_need(doc, "d", ""), "d", low=2)
-    m = _as_int(_need(doc, "m", ""), "m", low=1)
-    L = _as_int(_need(doc, "L", ""), "L", low=3)
-    if L % 2 == 0:
-        raise ValidationError("L: L must be odd")
-    N = _as_int(_need(doc, "N", ""), "N", low=1)
-
-    A = _coefficient_array(_need(doc, "A", ""), d, m)
+    d, m, L, N = (_as_int(_need(doc, key, ""), key) for key in ("d", "m", "L", "N"))
     try:
-        validate_map(A, d, m)
-    except NotSymmetric as exc:
-        raise ValidationError("A: %s" % exc)
-    except NotPositiveDefinite as exc:
-        raise ValidationError("A: %s" % exc)
-
-    cfg = RunConfig(d=d, m=m, L=L, N=N, A=A)
-    try:
-        cfg.geometry()
+        g = TorusGeometry(d=d, m=m, L=L, N=N)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    S = L**N
 
+    raw = _coefficient_array(_need(doc, "A", ""), d, m)
+    try:
+        A = validate_map(raw, d, m)
+    except (NotSymmetric, NotPositiveDefinite) as exc:
+        raise ValidationError("A: %s" % exc)
+
+    levels = None
     if "schedule" in doc:
-        sched = doc["schedule"]
-        if not isinstance(sched, list):
+        levels = doc["schedule"]
+        if not isinstance(levels, list):
             raise ValidationError("schedule: expected an array of %d levels" % N)
-        for j, l in enumerate(sched):
+        for j, l in enumerate(levels):
             if l is not None:
                 _as_int(l, "schedule[%d]" % j)
-        try:
-            cfg.schedule = list(check_levels(sched, N, S))
-        except InvalidSchedule as exc:
-            raise ValidationError("schedule: %s" % exc)
+    try:
+        schedule = build_schedule(g, levels)
+    except InvalidSchedule as exc:
+        raise ValidationError("schedule: %s" % exc)
+
+    deriv = doc.get("derivative", {})
+    if not isinstance(deriv, dict):
+        raise ValidationError("derivative: expected an object")
+    for key in deriv:
+        if key not in DERIV_KEYS:
+            raise ValidationError("derivative.%s: unknown key" % key)
+    direction = _coefficient_array(
+        deriv.get("direction", [1.0]), d, m, path="derivative.direction", positive_scalar=False
+    )
+    try:
+        path = ComplexEllipticPath.from_direction(A, direction)
+    except (NotSymmetric, ValueError) as exc:
+        raise ValidationError("derivative.direction: %s" % exc)
+    merged = dict(DEFAULT_DERIVATIVE)
+    if "order" in deriv:
+        merged["order"] = _as_int(
+            deriv["order"], "derivative.order", low=0, high=MAX_DERIVATIVE_ORDER
+        )
+    if "r" in deriv:
+        r = _as_number(deriv["r"], "derivative.r")
+        if not 0.0 < r < 1.0:
+            raise ValidationError("derivative.r: must lie strictly between 0 and 1")
+        merged["r"] = r
+    if "nodes" in deriv:
+        merged["nodes"] = _as_int(deriv["nodes"], "derivative.nodes", low=4)
+    if merged["nodes"] < merged["order"] + 1:
+        raise ValidationError(
+            "derivative.nodes: %d half-rule nodes cannot resolve order %d; need at least %d"
+            % (merged["nodes"], merged["order"], merged["order"] + 1)
+        )
+
+    cfg = RunConfig(geometry=g, A=A, schedule=schedule, path=path, derivative=merged)
 
     if "tolerances" in doc:
         tols = doc["tolerances"]
@@ -176,41 +197,6 @@ def parse_config(text: str) -> RunConfig:
         cfg.seed = _as_int(doc["seed"], "seed", low=0, high=2**64 - 1)
     if "samples" in doc:
         cfg.samples = _as_int(doc["samples"], "samples", low=1)
-
-    if "derivative" in doc:
-        deriv = doc["derivative"]
-        if not isinstance(deriv, dict):
-            raise ValidationError("derivative: expected an object")
-        for key in deriv:
-            if key not in DERIV_KEYS:
-                raise ValidationError("derivative.%s: unknown key" % key)
-        merged = dict(DEFAULT_DERIVATIVE)
-        if "direction" in deriv:
-            direction = _coefficient_array(
-                deriv["direction"], d, m, path="derivative.direction", positive_scalar=False
-            )
-            try:
-                check_direction(direction, 1.0)
-            except (NotSymmetric, ValueError) as exc:
-                raise ValidationError("derivative.direction: %s" % exc)
-            merged["direction"] = direction
-        if "order" in deriv:
-            merged["order"] = _as_int(
-                deriv["order"], "derivative.order", low=0, high=MAX_DERIVATIVE_ORDER
-            )
-        if "r" in deriv:
-            r = _as_number(deriv["r"], "derivative.r")
-            if not 0.0 < r < 1.0:
-                raise ValidationError("derivative.r: must lie strictly between 0 and 1")
-            merged["r"] = r
-        if "nodes" in deriv:
-            merged["nodes"] = _as_int(deriv["nodes"], "derivative.nodes", low=4)
-        if merged["nodes"] < merged["order"] + 1:
-            raise ValidationError(
-                "derivative.nodes: %d half-rule nodes cannot resolve order %d; need at least %d"
-                % (merged["nodes"], merged["order"], merged["order"] + 1)
-            )
-        cfg.derivative = merged
 
     if "output" in doc:
         if not isinstance(doc["output"], str) or not doc["output"]:

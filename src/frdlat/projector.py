@@ -38,13 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import EllipticMap, symbol_from_tensor
-from .errors import (
-    CubeTooLarge,
-    FactorizationFailure,
-    ShapeMismatch,
-    TooLargeForOracle,
-    ZeroFrequency,
-)
+from .errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, Cube, TorusGeometry
 
@@ -278,10 +272,6 @@ def oracle_projection(A, cube: Cube, phi: Field) -> Field:
     the identity is re-checked and treated as a bug if violated.
     """
     g = phi.geometry
-    if cube.interior_count * g.m > DENSE_LIMIT:
-        raise TooLargeForOracle(
-            "cube unknowns %d exceed the dense limit %d" % (cube.interior_count * g.m, DENSE_LIMIT)
-        )
     if cube.l - 1 >= g.side:
         raise ShapeMismatch("cube does not fit in the torus")
     factor = assemble_stiffness(A, cube)

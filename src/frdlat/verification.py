@@ -183,8 +183,9 @@ class DecayReport:
         raise KeyError((k, alpha))
 
 
-def decay_table(result: DecompositionResult, alphas=None) -> DecayReport:
-    """Sup-norms of kernel differences per scale with envelope shapes.
+def decay_table(result: DecompositionResult) -> DecayReport:
+    """Sup-norms of kernel differences of order <= 2 per scale with
+    envelope shapes.
 
     The envelope shape is L^{-(k-1)(d-2+|a|)} L^{eta(|a|,d)}; the implied
     constant is the measurement divided by the shape.  Slopes are least
@@ -192,9 +193,7 @@ def decay_table(result: DecompositionResult, alphas=None) -> DecayReport:
     N and require at least two such scales.
     """
     g = result.geometry
-    if alphas is None:
-        alphas = _all_alphas(g.d, 2)
-    alphas = [tuple(int(v) for v in a) for a in alphas]
+    alphas = _all_alphas(g.d, 2)
     live = [k for k in range(1, result.schedule.N + 1) if not result.schedule.is_skipped(k)]
     if len(live) < 2:
         raise InsufficientScales(
@@ -257,6 +256,23 @@ def _annulus_index(g: TorusGeometry) -> np.ndarray:
     return np.clip(j, 0, g.N)
 
 
+def _annulus_fit(meas: np.ndarray, ann: np.ndarray, k: int, L: float):
+    """Max of meas on each non-empty annulus j, keyed (k, j), and the least
+    c >= 1 with meas <= c^{k-j} L^{-(k-j)(k-j+1)/2} on the annuli j < k."""
+    maxima = {}
+    for j in range(int(ann.max()) + 1):
+        sel = ann == j
+        if np.any(sel):
+            maxima[(k, j)] = float(np.max(meas[sel]))
+    c = 1.0
+    low = ann < k
+    if np.any(low):
+        kj = k - ann[low]
+        need = (meas[low] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj)
+        c = max(c, float(np.max(need)))
+    return maxima, c
+
+
 def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """Step-envelope fits for the product norms and the one-level bounds.
 
@@ -275,17 +291,9 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     product_max = {}
     c_product = 1.0
     for k, Mk in enumerate(result.products):
-        meas = spectral_norms(Mk)
-        for j in range(g.N + 1):
-            sel = ann == j
-            if not np.any(sel):
-                continue
-            product_max[(k, j)] = float(np.max(meas[sel]))
-        low = ann < k
-        if np.any(low):
-            kj = k - ann[low]
-            need = (meas[low] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj)
-            c_product = max(c_product, float(np.max(need)))
+        maxima, c = _annulus_fit(spectral_norms(Mk), ann, k, L)
+        product_max.update(maxima)
+        c_product = max(c_product, c)
 
     tm_max = {}
     c_tm = 1.0
@@ -294,19 +302,12 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
         if sym is None:
             continue
         meas = spectral_norms(sym.Ttilde @ result.products[k])
-        for j in range(g.N + 1):
-            sel = ann == j
-            if not np.any(sel):
-                continue
-            tm_max[(k, j)] = float(np.max(meas[sel]))
+        maxima, c = _annulus_fit(meas, ann, k, L)
+        tm_max.update(maxima)
+        c_tm = max(c_tm, c)
         high = ann >= k
         if np.any(high):
             need = meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)
-            c_tm = max(c_tm, float(np.max(need)))
-        low = ann < k
-        if np.any(low):
-            kj = k - ann[low]
-            need = (meas[low] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj)
             c_tm = max(c_tm, float(np.max(need)))
 
     c_low = 0.0

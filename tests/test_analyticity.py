@@ -93,7 +93,7 @@ def test_derivative_growth_is_bounded():
     path, g, sched = setup_path()
     base = decompose(path.A0, g, sched)
     derivs = contour_derivatives(path, g, sched, [1, 2, 3])
-    report = derivative_bound_check(base, list(derivs.values()), alphas=[(0, 0), (1, 0)])
+    report = derivative_bound_check(base, list(derivs.values()))
     assert report.max_ratio < 10.0
     orders = {row.order for row in report.rows}
     assert orders == {0, 1, 2, 3}

@@ -14,8 +14,8 @@ import pytest
 import frdlat
 from frdlat import cli, sampling
 from frdlat.cli import main
-from frdlat.config import RunConfig, parse_config
-from frdlat.decomposition import build_schedule, decompose
+from frdlat.config import parse_config
+from frdlat.decomposition import decompose
 from frdlat.output import samples_csv_writer
 from frdlat.sampling import build_sampler, sample_total
 from frdlat.spectral import Kernel
@@ -77,14 +77,13 @@ def test_deriv_is_byte_stable(tmp_path):
 def test_oversized_direction_exits_numeric(tmp_path, monkeypatch, capsys):
     """A path whose A1 breaks |A1| <= c0/2 fails the stiffness pencil by name."""
     cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5])
-    derivative_path = RunConfig.derivative_path
 
-    def tripled(self, A):
-        path = derivative_path(self, A)
-        object.__setattr__(path, "A1", 3.0 * path.A1)
-        return path
+    def tripled(text, **overrides):
+        parsed = parse_config(text, **overrides)
+        object.__setattr__(parsed.path, "A1", 3.0 * parsed.path.A1)
+        return parsed
 
-    monkeypatch.setattr(RunConfig, "derivative_path", tripled)
+    monkeypatch.setattr(cli, "parse_config", tripled)
     capsys.readouterr()
     assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 4
     err = capsys.readouterr().err
@@ -175,6 +174,23 @@ def test_sample_seed_and_count_overrides(tmp_path):
     assert report["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--seed", "-1", "seed"),
+        ("--seed", str(2**64), "seed"),
+        ("--samples", "0", "samples"),
+        ("--out", "", "output"),
+    ],
+)
+def test_rejected_flag_exits_config_naming_its_key(tmp_path, capsys, flag, value, key):
+    """A flag obeys the rule of the config key it overrides."""
+    args = ["sample", "--config", write_cfg(tmp_path), "--out", outdir(tmp_path)]
+    capsys.readouterr()
+    assert main(args + [flag, value]) == 2
+    assert "config error: %s:" % key in capsys.readouterr().err
+
+
 def test_sample_writes_fields_on_request(tmp_path):
     cfg = write_cfg(tmp_path, samples=8, write_samples=True)
     out = outdir(tmp_path)
@@ -193,8 +209,8 @@ def test_samples_csv_matches_per_index_totals(tmp_path):
     out = outdir(tmp_path)
     assert main(["sample", "--config", cfg_path, "--out", out, "--threads", "2"]) == 0
     cfg = parse_config(Path(cfg_path).read_text())
-    g = cfg.geometry()
-    res = decompose(cfg.elliptic_map(), g, build_schedule(g, cfg.schedule))
+    g = cfg.geometry
+    res = decompose(cfg.A, g, cfg.schedule)
     state = build_sampler(res, cfg.seed)
     expected = io.StringIO()
     samples_csv_writer(expected, g)([sample_total(state, i).values for i in range(n)])

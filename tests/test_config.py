@@ -21,13 +21,14 @@ def parse(overrides=None, drop=None):
 
 def test_minimal_config():
     cfg = parse()
-    assert (cfg.d, cfg.m, cfg.L, cfg.N) == (2, 1, 3, 1)
-    assert np.array_equal(cfg.A, np.eye(2))
-    assert cfg.schedule is None
+    g = cfg.geometry
+    assert (g.d, g.m, g.L, g.N) == (2, 1, 3, 1)
+    assert np.array_equal(cfg.A.entries, np.eye(2))
+    assert cfg.schedule.levels == (None,)
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.seed == 0 and cfg.samples == 2000
-    assert cfg.geometry().side == 3
-    assert cfg.elliptic_map().c0 == pytest.approx(1.0)
+    assert g.side == 3
+    assert cfg.A.c0 == pytest.approx(1.0)
 
 
 def test_malformed_json_reports_position():
@@ -55,14 +56,14 @@ def test_even_side_rejected():
 
 def test_scalar_shorthand_scales_identity():
     cfg = parse({"A": [2.5]})
-    assert np.array_equal(cfg.A, 2.5 * np.eye(2))
+    assert np.array_equal(cfg.A.entries, 2.5 * np.eye(2))
     with pytest.raises(ValidationError):
         parse({"A": [-1.0]})
 
 
 def test_nested_and_flat_coefficients():
-    nested = parse({"A": [[2.0, 0.5], [0.5, 2.0]]}).A
-    flat = parse({"A": [2.0, 0.5, 0.5, 2.0]}).A
+    nested = parse({"A": [[2.0, 0.5], [0.5, 2.0]]}).A.entries
+    flat = parse({"A": [2.0, 0.5, 0.5, 2.0]}).A.entries
     assert np.array_equal(nested, flat)
     with pytest.raises(ValidationError):
         parse({"A": [1.0, 2.0, 3.0]})
@@ -81,7 +82,7 @@ def test_indefinite_coefficients_rejected():
 
 def test_schedule_validation():
     cfg = parse({"N": 2, "schedule": [None, 5]})
-    assert cfg.schedule == [None, 5]
+    assert cfg.schedule.levels == (None, 5)
     with pytest.raises(ValidationError):
         parse({"N": 2, "schedule": [3]})
     with pytest.raises(ValidationError):
@@ -116,9 +117,7 @@ def test_derivative_settings():
     )
     assert cfg.derivative["order"] == 2
     assert cfg.derivative["r"] == 0.25
-    assert np.array_equal(cfg.derivative["direction"], 0.5 * np.eye(2))
-    path = cfg.derivative_path(cfg.elliptic_map())
-    assert np.allclose(path.direction, 0.5 * np.eye(2))
+    assert np.array_equal(cfg.path.direction, 0.5 * np.eye(2))
 
 
 def test_derivative_validation():
@@ -138,9 +137,7 @@ def test_derivative_validation():
 
 
 def test_default_derivative_direction_is_identity():
-    cfg = parse()
-    path = cfg.derivative_path(cfg.elliptic_map())
-    assert np.allclose(path.direction, np.eye(2))
+    assert np.allclose(parse().path.direction, np.eye(2))
 
 
 def test_output_and_write_samples():

@@ -148,7 +148,8 @@ def test_indefinite_coefficients_fail_factorization():
 
 
 def test_dense_limit_is_checked_before_assembly(monkeypatch):
-    """65^2 = 4225 unknowns exceed the limit of 4096; 64^2 = 4096 do not."""
+    """65^2 = 4225 unknowns exceed the limit of 4096; 64^2 = 4096 do not.
+    The dense oracle projection is rejected by the same check."""
 
     def assembly_started(tensor):
         raise AssertionError("assembly started")
@@ -156,5 +157,9 @@ def test_dense_limit_is_checked_before_assembly(monkeypatch):
     monkeypatch.setattr(projector, "_offset_blocks", assembly_started)
     with pytest.raises(CubeTooLarge):
         assemble_stiffness(identity_map(2, 1), Cube(l=66, d=2))
+    G81 = TorusGeometry(d=2, m=1, L=9, N=2)
+    phi = Field(G81, np.zeros(G81.field_shape()))
+    with pytest.raises(CubeTooLarge):
+        oracle_projection(identity_map(2, 1), Cube(l=66, d=2), phi)
     with pytest.raises(AssertionError):
         assemble_stiffness(identity_map(2, 1), Cube(l=65, d=2))

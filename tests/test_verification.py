@@ -103,12 +103,6 @@ def test_decay_table_slopes_and_shapes():
     assert all(np.isfinite(v) for v in report.fitted_constants.values())
 
 
-def test_decay_table_custom_alphas():
-    res = small_result(L=5, N=2, override=(3, 5))
-    report = decay_table(res, alphas=[(0, 0), (2, 1)])
-    assert sorted({r.alpha for r in report.rows}) == [(0, 0), (2, 1)]
-
-
 def test_envelope_report_counts_and_bounds():
     res = small_result(L=5, N=2, override=(3, 5))
     rep = envelope_report(res)
