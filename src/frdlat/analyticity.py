@@ -55,10 +55,12 @@ def contour_derivatives(
     sweep shared across the requested orders.
 
     Builds one complex_sweep and evaluates the complex decomposition at
-    2 * n_half equispaced contour nodes from it, accumulating the
-    full-rule and half-rule quadratures for each order in one pass.
-    Raises NotConverged when the two rules disagree beyond
-    CONVERGENCE_TOL in relative supremum norm for any order.
+    2 * n_half equispaced contour nodes from it.  The full-rule and
+    half-rule quadratures accumulate in one pass into two arrays, `full`
+    and `half`, of shape (len(orders), N+2, S^d - 1, m, m): per order,
+    the N+1 scale multipliers and then the Green multiplier.  Raises
+    NotConverged when the two rules disagree beyond CONVERGENCE_TOL in
+    relative supremum norm for any order.
     """
     orders = sorted({int(j) for j in orders})
     if not orders:
@@ -69,57 +71,47 @@ def contour_derivatives(
         raise OutsideDisc("contour radius %g must lie in (0, 1)" % r)
     if n_half < max(2, orders[-1] + 1):
         raise ValueError("need at least max(2, order + 1) half-rule nodes")
-    m = g.m
-    F = g.site_count - 1
-    n_scales = sched.N + 1
     total = 2 * n_half
-    full = {j: [np.zeros((F, m, m), dtype=np.complex128) for _ in range(n_scales + 1)] for j in orders}
-    half = {j: [np.zeros((F, m, m), dtype=np.complex128) for _ in range(n_scales + 1)] for j in orders}
+    shape = (len(orders), sched.N + 2, g.site_count - 1, g.m, g.m)
+    full = np.zeros(shape, dtype=np.complex128)
+    half = np.zeros(shape, dtype=np.complex128)
     sweep = complex_sweep(path, g, sched)
     for t in range(total):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
         res = complex_at(sweep, z)
         bodies = [tab.values for tab in res.tables] + [res.green_table.values]
-        for j in orders:
+        for i, j in enumerate(orders):
             w_full = np.exp(-1j * j * theta) / total
-            for acc, b in zip(full[j], bodies):
-                acc += w_full * b
-            if t % 2 == 0:
-                for acc, b in zip(half[j], bodies):
-                    acc += 2.0 * w_full * b
+            for s, b in enumerate(bodies):
+                full[i, s] += w_full * b
+                if t % 2 == 0:
+                    half[i, s] += 2.0 * w_full * b
 
     out = {}
-    for j in orders:
+    for i, j in enumerate(orders):
         fac = math.factorial(j) / r**j * (2.0 / path.A0.c0) ** j
-        fs = [fac * X for X in full[j]]
-        hs = [fac * X for X in half[j]]
-        num = 0.0
-        den = 1e-300
-        for Xf, Xh in zip(fs, hs):
-            num = max(num, float(np.max(spectral_norms(Xf - Xh))))
-            den = max(den, float(np.max(spectral_norms(Xf))))
+        full[i] *= fac
+        half[i] *= fac
+        # The half rule is not read after the gate, so its rows take the gap.
+        num = float(np.max(spectral_norms(np.subtract(full[i], half[i], out=half[i]))))
+        den = max(1e-300, float(np.max(spectral_norms(full[i]))))
         convergence = num / den
-        if convergence > CONVERGENCE_TOL:
+        if not convergence <= CONVERGENCE_TOL:  # a NaN sum fails the gate too
             raise NotConverged(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
                 % (j, n_half, total, convergence, CONVERGENCE_TOL)
             )
-        tables = []
-        kernels = []
-        for X in fs[:n_scales]:
-            tab = MultiplierTable(g, X)
-            tables.append(tab)
-            kernels.append(multiplier_to_kernel(tab))
-        green_table = MultiplierTable(g, fs[-1])
+        tables = [MultiplierTable(g, X) for X in full[i]]
+        kernels = [multiplier_to_kernel(tab) for tab in tables]
         out[j] = DerivativeResult(
             path=path,
             order=j,
             n_nodes=total,
-            tables=tables,
-            green_table=green_table,
-            kernels=kernels,
-            green_kernel=multiplier_to_kernel(green_table),
+            tables=tables[:-1],
+            green_table=tables[-1],
+            kernels=kernels[:-1],
+            green_kernel=kernels[-1],
             convergence=convergence,
         )
     return out

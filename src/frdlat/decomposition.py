@@ -10,7 +10,10 @@ Mtilde_k = Rtilde_1 ... Rtilde_k give
                           - Mtilde_k Mtilde_k^H] Ahat^{-1/2},
 
 which telescopes exactly to Ahat^{-1} and is positive semidefinite per
-frequency.  The complex branch cannot take Hermitian roots, so it uses
+frequency.  decompose runs one loop over the schedule and keeps the
+recursion in plain lists of (F, m, m) stacks: symbols[j-1] is Ttilde_j,
+or None for a skipped level, and products[k] is Mtilde_k for k = 0..N.
+The complex branch cannot take Hermitian roots, so it uses
 the order-reversed product form with the duals Rhat' = Ahat Rhat Ahat^-1
 folded in analytically (the inner Ahat^-1 Ahat pairs cancel):
 
@@ -135,46 +138,26 @@ def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
     return sched
 
 
-@dataclass
-class ProjectorSymbols:
-    """Per-level symbol tables on the p != 0 rows (flat layout)."""
-
-    level: int
-    l: int
-    Ttilde: np.ndarray = field(repr=False)
-
-    @property
-    def Rtilde(self) -> np.ndarray:
-        """I - Ttilde, derived on each read."""
-        return _identity_stack(*self.Ttilde.shape[:2]) - self.Ttilde
-
-
 def _identity_stack(F: int, m: int) -> np.ndarray:
     out = np.zeros((F, m, m), dtype=np.complex128)
     out[:, np.arange(m), np.arange(m)] = 1.0
     return out
 
 
-def renormalized_products(level_symbols, F: int, m: int):
-    """Mtilde_k = Rtilde_1 ... Rtilde_k for k = 0..N; skips give identity."""
-    products = [_identity_stack(F, m)]
-    for sym in level_symbols:
-        if sym is None:
-            products.append(products[-1])
-        else:
-            products.append(stack_matmul(products[-1], sym.Rtilde))
-    return products
-
-
 @dataclass
 class DecompositionResult:
+    """Scale tables and kernels C_1..C_{N+1}, plus the recursion behind
+    them on the p != 0 rows: symbols[j-1] is the (F, m, m) stack Ttilde_j,
+    or None for a skipped level j, and products[k] is Mtilde_k for
+    k = 0..N (a skipped level repeats the previous product)."""
+
     geometry: TorusGeometry
     A: EllipticMap
     schedule: CubeSchedule
     tables: list
     kernels: list
     green_table: MultiplierTable
-    symbols: list
+    symbols: list = field(repr=False)
     products: list = field(repr=False)
 
     @property
@@ -220,19 +203,6 @@ def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule):
             check_cube_size(cube(l, g), g.m)
 
 
-def _level_symbols_real(A, g, sched, Asqrt):
-    symbols = []
-    for j, l in enumerate(sched.levels, start=1):
-        if l is None:
-            symbols.append(None)
-            continue
-        factor = assemble_stiffness(A, cube(l, g))
-        Ghat = local_green_flat(factor, g)[1:]
-        Ttilde = _hermitize(stack_matmul(stack_matmul(Asqrt, Ghat), Asqrt) / factor.cube.volume)
-        symbols.append(ProjectorSymbols(level=j, l=l, Ttilde=Ttilde))
-    return symbols
-
-
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
     """Build all scale kernels C_1..C_{N+1}.
 
@@ -240,26 +210,38 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     the result telescopes, stays positive and has finite range.
     """
     _check_schedule_fits(g, sched)
-    m = g.m
-    Ahat = symbol_flat(A.tensor, g)
-    body = Ahat[1:]
+    body = symbol_flat(A.tensor, g)[1:]
     Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
-    green_table = green_from_body(body, g)
 
-    symbols = _level_symbols_real(A, g, sched, Asqrt)
-    products = renormalized_products(symbols, body.shape[0], m)
+    identity = _identity_stack(body.shape[0], g.m)
+    symbols = []
+    products = [identity]
+    for l in sched.levels:
+        if l is None:
+            symbols.append(None)
+            products.append(products[-1])
+            continue
+        # The stiffness and Ghat_Q are temporaries: neither outlives its level.
+        Q = cube(l, g)
+        T = stack_matmul(Asqrt, local_green_flat(assemble_stiffness(A, Q), g)[1:])
+        T = _hermitize(stack_matmul(T, Asqrt) / Q.volume)
+        symbols.append(T)
+        products.append(stack_matmul(products[-1], identity - T))
 
-    grams = [_hermitize(stack_matmul(Mk, np.conj(np.swapaxes(Mk, -1, -2)))) for Mk in products]
+    def scale_table(diff):
+        return MultiplierTable(g, _hermitize(stack_matmul(stack_matmul(Ainvsqrt, diff), Ainvsqrt)))
+
+    # Consecutive gram differences give C_1..C_N; the last gram is C_{N+1}.
     tables = []
-    kernels = []
-    for k in range(1, sched.N + 2):
-        if k <= sched.N:
-            diff = grams[k - 1] - grams[k]
-        else:
-            diff = grams[sched.N]
-        table = MultiplierTable(g, _hermitize(stack_matmul(stack_matmul(Ainvsqrt, diff), Ainvsqrt)))
-        tables.append(table)
-        kernels.append(multiplier_to_kernel(table))
+    prev = None
+    for Mk in products:
+        cur = _hermitize(stack_matmul(Mk, np.conj(np.swapaxes(Mk, -1, -2))))
+        if prev is not None:
+            tables.append(scale_table(prev - cur))
+        prev = cur
+    tables.append(scale_table(prev))
+    kernels = [multiplier_to_kernel(table) for table in tables]
+    green_table = green_from_body(body, g)  # last, so no cube solve runs beside it
 
     return DecompositionResult(
         geometry=g,

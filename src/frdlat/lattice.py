@@ -40,8 +40,12 @@ class TorusGeometry:
             raise ValueError("N must be >= 1")
         if self.L < 3 or self.L % 2 == 0:
             raise ValueError("L must be an odd integer >= 3")
-        if self.site_count > MAX_SITES:
-            raise ValueError("site count %d exceeds the cap %d" % (self.site_count, MAX_SITES))
+        count = 1
+        for _ in range(self.N * self.d):  # never forms (L^N)^d for a huge N or d
+            count *= self.L
+            if count > MAX_SITES:
+                raise ValueError("site count L^(N*d) = %d^%d exceeds the cap %d"
+                                 % (self.L, self.N * self.d, MAX_SITES))
 
     @property
     def side(self) -> int:

@@ -171,27 +171,16 @@ def decay_csv_text(report) -> str:
     """Decay table: scale, multi-index, sup norm, envelope shape, constant."""
     d = report.geometry.d
     header = "k," + ",".join("alpha_%d" % (a + 1) for a in range(d))
-    header += ",sup_norm,envelope_shape,constant"
-    lines = [header]
-    for row in report.rows:
-        lines.append(
-            "%d,%s,%s,%s,%s"
-            % (
-                row.k,
-                ",".join(str(int(a)) for a in row.alpha),
-                format_float(row.sup_norm),
-                format_float(row.envelope_shape),
-                format_float(row.constant),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    prefixes = ["%d,%s," % (row.k, ",".join(str(int(a)) for a in row.alpha)) for row in report.rows]
+    block = np.array([[row.sup_norm, row.envelope_shape, row.constant] for row in report.rows])
+    return header + ",sup_norm,envelope_shape,constant\n" + "".join(_csv_lines(prefixes, block))
 
 
 def envelope_csv_text(report) -> str:
     """Envelope table: measurement kind, scale k, annulus j, max norm."""
-    lines = ["kind,k,j,value"]
-    for (k, j) in sorted(report.product_max):
-        lines.append("product,%d,%d,%s" % (k, j, format_float(report.product_max[(k, j)])))
-    for (k, j) in sorted(report.tm_max):
-        lines.append("smoothed,%d,%d,%s" % (k, j, format_float(report.tm_max[(k, j)])))
-    return "\n".join(lines) + "\n"
+    lines = ["kind,k,j,value\n"]
+    for kind, maxima in (("product", report.product_max), ("smoothed", report.tm_max)):
+        keys = sorted(maxima)
+        values = np.array([maxima[key] for key in keys])[:, None]
+        lines += _csv_lines(["%s,%d,%d," % ((kind,) + key) for key in keys], values)
+    return "".join(lines)

@@ -297,11 +297,14 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
 
     tm_max = {}
     c_tm = 1.0
-    for k in range(result.schedule.N):
-        sym = result.symbols[k]
-        if sym is None:
+    c_low = 0.0
+    c_high = 0.0
+    level_t_max = {}
+    level_r_max = {}
+    for k, (l, T) in enumerate(zip(result.schedule.levels, result.symbols)):
+        if T is None:
             continue
-        meas = spectral_norms(sym.Ttilde @ result.products[k])
+        meas = spectral_norms(T @ result.products[k])
         maxima, c = _annulus_fit(meas, ann, k, L)
         tm_max.update(maxima)
         c_tm = max(c_tm, c)
@@ -309,24 +312,14 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
         if np.any(high):
             need = meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)
             c_tm = max(c_tm, float(np.max(need)))
-
-    c_low = 0.0
-    c_high = 0.0
-    level_t_max = {}
-    level_r_max = {}
-    for sym in result.symbols:
-        if sym is None:
-            continue
-        tnorm = spectral_norms(sym.Ttilde, hermitian=True)
-        rnorm = spectral_norms(sym.Rtilde, hermitian=True)
-        level_t_max[sym.level] = float(np.max(tnorm))
-        level_r_max[sym.level] = float(np.max(rnorm))
-        c_low = max(c_low, float(np.max(tnorm / (norms * sym.l) ** 4)))
-        sel = norms * sym.l >= 1.0
+        tnorm = spectral_norms(T, hermitian=True)
+        rnorm = spectral_norms(result.products[0] - T, hermitian=True)  # Mtilde_0 = I
+        level_t_max[k + 1] = float(np.max(tnorm))
+        level_r_max[k + 1] = float(np.max(rnorm))
+        c_low = max(c_low, float(np.max(tnorm / (norms * l) ** 4)))
+        sel = norms * l >= 1.0
         if np.any(sel):
-            c_high = max(
-                c_high, float(np.max(rnorm[sel] * sym.l / (1.0 + 1.0 / norms[sel])))
-            )
+            c_high = max(c_high, float(np.max(rnorm[sel] * l / (1.0 + 1.0 / norms[sel]))))
 
     return EnvelopeReport(
         geometry=g,

@@ -13,7 +13,7 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat import projector
+from frdlat import analyticity, projector
 
 
 def setup_path(m=1, seed=None):
@@ -63,10 +63,31 @@ def test_order_zero_recovers_decomposition():
 
 
 def test_shared_sweep_matches_single_order():
+    """Each order of a shared sweep is bitwise its own single-order sweep."""
+    path, g, sched = setup_path(m=2, seed=31)
+    shared = contour_derivatives(path, g, sched, [0, 1, 3])
+    assert sorted(shared) == [0, 1, 3]
+    for j, res in shared.items():
+        single = contour_derivatives(path, g, sched, [j])[j]
+        assert len(res.kernels) == len(single.kernels) == sched.N + 1
+        for a, b in zip(res.kernels, single.kernels):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(res.green_kernel.values, single.green_kernel.values)
+        assert res.convergence == single.convergence
+
+
+def test_nan_in_a_contour_sum_fails_the_doubling_gate(monkeypatch):
     path, g, sched = setup_path()
-    both = contour_derivatives(path, g, sched, [0, 1])
-    single = contour_derivatives(path, g, sched, [1])[1]
-    assert np.array_equal(both[1].kernel(1).values, single.kernel(1).values)
+    node = analyticity.complex_at
+
+    def poisoned(sweep, z):
+        res = node(sweep, z)
+        res.tables[0].values[0] = np.nan
+        return res
+
+    monkeypatch.setattr(analyticity, "complex_at", poisoned)
+    with pytest.raises(NotConverged):
+        contour_derivatives(path, g, sched, [1])
 
 
 def test_first_derivative_matches_finite_differences():

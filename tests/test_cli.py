@@ -319,6 +319,18 @@ def test_exit_codes(tmp_path, capsys):
     assert "derivative.nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", [{"L": 3, "N": 3000000}, {"d": 20000000, "N": 1}])
+def test_oversized_torus_exits_config_at_once(tmp_path, capsys, sizes):
+    """The site-count cap is checked without forming (L^N)^d."""
+    cfg = write_cfg(tmp_path, **sizes)
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "config error: site count" in capsys.readouterr().err
+
+
 def test_real_cube_above_2048_unknowns_runs(tmp_path):
     """(47 - 1)^2 = 2116 unknowns in the real Cholesky branch."""
     cfg = write_cfg(tmp_path, L=7, N=2, schedule=[3, 47])

@@ -39,6 +39,19 @@ def test_geometry_rejects_bad_parameters():
         TorusGeometry(d=2, m=1, L=3, N=20)
 
 
+@pytest.mark.parametrize("sizes", [dict(d=2, N=3000000), dict(d=20000000, N=1)])
+def test_site_cap_is_checked_without_the_exact_count(sizes):
+    cap = r"site count L\^\(N\*d\) = 3\^\d+ exceeds the cap 16777216"
+    with pytest.raises(ValueError, match=cap):
+        TorusGeometry(m=1, L=3, **sizes)
+
+
+def test_site_cap_boundary():
+    assert TorusGeometry(d=3, m=1, L=3, N=5).site_count == 3 ** 15
+    with pytest.raises(ValueError, match="site count"):
+        TorusGeometry(d=2, m=1, L=3, N=8)
+
+
 def test_centered_representatives():
     got = centered(np.arange(9), 9)
     assert got.tolist() == [0, 1, 2, 3, 4, -4, -3, -2, -1]

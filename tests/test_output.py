@@ -1,5 +1,6 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from frdlat.lattice import TorusGeometry, centered
 from frdlat.output import (
     canonical,
+    decay_csv_text,
     dumps_json,
+    envelope_csv_text,
     format_float,
     samples_csv_writer,
     write_kernel_csv,
@@ -122,6 +125,35 @@ def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N):
     assert text == oracle_kernel_csv_text(values, g)
     written = {line.rsplit(",", 1)[1] for line in text.splitlines()}
     assert {"NaN", "Infinity", "-Infinity", "-0"} | set(map(format_float, special)) <= written
+
+
+@pytest.mark.parametrize("special", [False, True])
+def test_decay_and_envelope_csv_match_per_value_oracle(special):
+    """Byte-identical to formatting one value at a time with format_float,
+    finite tables and tables holding NaN or +-Inf alike."""
+    rng = np.random.default_rng(7)
+    vals = list(rng.standard_normal(12) * 10.0 ** rng.integers(-5, 6, 12))
+    if special:
+        vals[1], vals[5], vals[10] = np.nan, np.inf, -np.inf
+    alphas = [(0, 0), (1, 0), (0, 2), (1, 1)]
+    rows = [SimpleNamespace(k=k, alpha=a, sup_norm=vals[3 * i], envelope_shape=vals[3 * i + 1],
+                            constant=vals[3 * i + 2])
+            for i, (k, a) in enumerate(zip([1, 1, 2, 3], alphas))]
+    decay = SimpleNamespace(geometry=G3, rows=rows)
+    expected = ["k,alpha_1,alpha_2,sup_norm,envelope_shape,constant"]
+    for row in rows:
+        nums = (row.sup_norm, row.envelope_shape, row.constant)
+        expected.append("%d,%d,%d," % ((row.k,) + row.alpha) + ",".join(map(format_float, nums)))
+    assert decay_csv_text(decay) == "\n".join(expected) + "\n"
+
+    env = SimpleNamespace(product_max={(1, 0): vals[0], (0, 0): vals[1], (1, 1): vals[2]},
+                          tm_max={(2, 1): vals[5], (0, 1): vals[4]})
+    expected = ["kind,k,j,value"]
+    for kind, maxima in (("product", env.product_max), ("smoothed", env.tm_max)):
+        for k, j in sorted(maxima):
+            expected.append("%s,%d,%d,%s" % (kind, k, j, format_float(maxima[(k, j)])))
+    assert envelope_csv_text(env) == "\n".join(expected) + "\n"
+    assert envelope_csv_text(SimpleNamespace(product_max={}, tm_max={})) == "kind,k,j,value\n"
 
 
 def test_field_and_samples_csv():
