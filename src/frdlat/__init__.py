@@ -33,7 +33,6 @@ from .elliptic import (
     EllipticMap,
     green_symbol,
     identity_map,
-    symbol,
     validate_map,
 )
 from .errors import (

@@ -35,7 +35,7 @@ from .output import (
     write_text,
 )
 from .sampling import build_sampler, covariance_deviation, run_sampling_suite
-from .spectral import multiplier_to_kernel
+from .spectral import Kernel, multiplier_to_kernel
 from .verification import (
     brute_force_green,
     check_symmetry,
@@ -238,15 +238,15 @@ def run_sample(cfg, out_dir, threads) -> int:
         est = suite["component"][k]
         dev = covariance_deviation(est, result.kernel(k).values)
         comp[str(k)] = checks.within("covariance_k%d" % k, dev, SE_LIMIT, " SE")
-        write_kernel_csv(os.path.join(out_dir, "covariance_k%d.csv" % k), est.mean, g)
-        write_kernel_csv(os.path.join(out_dir, "covariance_k%d_se.csv" % k), est.se, g)
+        write_kernel_csv(os.path.join(out_dir, "covariance_k%d.csv" % k), Kernel(g, est.mean))
+        write_kernel_csv(os.path.join(out_dir, "covariance_k%d_se.csv" % k), Kernel(g, est.se))
     report["component_deviation"] = comp
 
     total = suite["total"]
     dev = covariance_deviation(total, multiplier_to_kernel(result.green_table).values)
     report["total_deviation"] = checks.within("covariance_total", dev, SE_LIMIT, " SE")
-    write_kernel_csv(os.path.join(out_dir, "covariance_total.csv"), total.mean, g)
-    write_kernel_csv(os.path.join(out_dir, "covariance_total_se.csv"), total.se, g)
+    write_kernel_csv(os.path.join(out_dir, "covariance_total.csv"), Kernel(g, total.mean))
+    write_kernel_csv(os.path.join(out_dir, "covariance_total_se.csv"), Kernel(g, total.se))
 
     grad = {}
     for k, rep in suite["gradient"].items():

@@ -196,7 +196,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
     if "seed" in doc:
         cfg.seed = _as_int(doc["seed"], "seed", low=0, high=2**64 - 1)
     if "samples" in doc:
-        cfg.samples = _as_int(doc["samples"], "samples", low=1)
+        cfg.samples = _as_int(doc["samples"], "samples", low=2)
 
     if "output" in doc:
         if not isinstance(doc["output"], str) or not doc["output"]:

@@ -87,11 +87,6 @@ def symbol_from_tensor(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("j,rjsk,k->rs", np.conj(q), tensor, q)
 
 
-def symbol(A: EllipticMap, p) -> np.ndarray:
-    """Ahat(p) as a complex m x m matrix; the zero matrix at p = 0."""
-    return symbol_from_tensor(A.tensor, p)
-
-
 def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
     """Symbols at all frequencies, shape (S^d, m, m); row 0 is p = 0."""
     q = _q_of(p_flat(g))

@@ -110,8 +110,6 @@ class Cube:
 
 def cube(l: int, g: TorusGeometry) -> Cube:
     """Build the scale cube, rejecting sides that do not fit the torus."""
-    if l < 2:
-        raise ValueError("l must be >= 2")
     if l - 1 >= g.side:
         raise CubeTooLarge("cube side %d does not fit in torus of side %d" % (l, g.side))
     return Cube(l=l, d=g.d)

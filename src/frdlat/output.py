@@ -30,39 +30,28 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def canonical(obj):
-    """Plain dict/list/str/number tree from numpy-bearing structures."""
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError("cannot serialize %r" % type(obj))
-
-
 def _emit(obj, level, parts):
+    """Append the JSON text of obj to parts, indented two spaces per level.
+
+    Takes dicts (keys written as str(key), sorted), lists, tuples, numpy
+    arrays (as nested lists), bools, ints, floats, strings and None,
+    numpy scalars included; anything else raises TypeError.
+    """
     pad = "  " * level
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
         parts.append("{\n")
-        keys = sorted(obj)
+        keys = sorted(obj, key=str)
         for i, key in enumerate(keys):
-            parts.append(pad + "  " + json.dumps(key) + ": ")
+            parts.append(pad + "  " + json.dumps(str(key)) + ": ")
             _emit(obj[key], level + 1, parts)
             parts.append(",\n" if i + 1 < len(keys) else "\n")
         parts.append(pad + "}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
             return
@@ -72,13 +61,13 @@ def _emit(obj, level, parts):
             _emit(item, level + 1, parts)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
     elif obj is None:
         parts.append("null")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
@@ -87,8 +76,11 @@ def _emit(obj, level, parts):
 
 
 def dumps_json(obj) -> str:
+    """obj as indented JSON with sorted keys and 17-digit floats, one
+    trailing newline; the same data gives the same bytes whether it is
+    held in numpy or in plain Python types."""
     parts = []
-    _emit(canonical(obj), 0, parts)
+    _emit(obj, 0, parts)
     return "".join(parts) + "\n"
 
 
@@ -141,13 +133,9 @@ def _kernel_csv_chunks(values, g: TorusGeometry):
         yield _csv_lines(tail, block, x1 + ",")
 
 
-def write_kernel_csv(path, kern_or_values, g: TorusGeometry = None):
+def write_kernel_csv(path, kern: Kernel):
     """Kernel table: x_1..x_d centered coords, 0-based r, s, value."""
-    values = kern_or_values
-    if isinstance(kern_or_values, Kernel):
-        values = kern_or_values.values
-        g = kern_or_values.geometry
-    _write_chunks(path, _kernel_csv_chunks(np.asarray(values), g))
+    _write_chunks(path, _kernel_csv_chunks(kern.values, kern.geometry))
 
 
 def samples_csv_writer(fh, g: TorusGeometry):

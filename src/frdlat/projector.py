@@ -56,32 +56,18 @@ def _coefficient_tensor(A) -> np.ndarray:
 
 
 def _offset_blocks(tensor: np.ndarray):
-    """m x m coupling block per site offset w with both ends in Q."""
-    m, d = tensor.shape[0], tensor.shape[1]
-    blocks = {}
-
-    def add(w, blk):
-        w = tuple(int(v) for v in w)
-        if w in blocks:
-            blocks[w] = blocks[w] + blk
-        else:
-            blocks[w] = blk
-
-    diag = np.einsum("rjsj->rs", tensor) + np.einsum("rjsk->rs", tensor)
-    add((0,) * d, diag)
+    """m x m coupling block per site offset w: 0, +-e_c and e_b - e_a (a != b),
+    all distinct, so each entry of K takes exactly one block entry."""
+    d = tensor.shape[1]
+    unit = np.eye(d, dtype=int)
+    blocks = {(0,) * d: np.einsum("rjsj->rs", tensor) + np.einsum("rjsk->rs", tensor)}
     for c in range(d):
-        e_c = np.zeros(d, dtype=int)
-        e_c[c] = 1
-        add(e_c, -np.einsum("rjs->rs", tensor[:, :, :, c]))
-        add(-e_c, -np.einsum("rsk->rs", tensor[:, c, :, :]))
+        blocks[tuple(unit[c])] = -np.einsum("rjs->rs", tensor[:, :, :, c])
+        blocks[tuple(-unit[c])] = -np.einsum("rsk->rs", tensor[:, c, :, :])
     for a in range(d):
         for b in range(d):
-            if a == b:
-                continue
-            w = np.zeros(d, dtype=int)
-            w[b] = 1
-            w[a] = -1
-            add(w, tensor[:, a, :, b])
+            if a != b:
+                blocks[tuple(unit[b] - unit[a])] = tensor[:, a, :, b]
     return blocks
 
 
@@ -92,12 +78,7 @@ class StiffnessFactor:
     cube: Cube
     tensor: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-    n_sites: int
     m: int
-
-    @property
-    def n(self) -> int:
-        return self.n_sites * self.m
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """K^-1 B for B of shape (n, k); complex right-hand sides allowed."""
@@ -131,6 +112,10 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     tensor, real or complex, assembled as given: a family member or a
     pencil direction.  K is dense, so a cube with more than DENSE_LIMIT
     unknowns is rejected before assembly.
+
+    K is filled on the site grid, (side,)*d + (m,) + (side,)*d + (m,) with
+    side = l - 1: one box per offset w, the site pairs (z, z + w) with both
+    ends in Q, then reshaped to (n, n) in the row order of cube.interior.
     """
     checked = isinstance(A, EllipticMap)
     tensor = _coefficient_tensor(A)
@@ -138,29 +123,17 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     if cube.d != d:
         raise ShapeMismatch("cube dimension %d does not match coefficients %d" % (cube.d, d))
     check_cube_size(cube, m)
-    sites = cube.interior
-    n_sites = sites.shape[0]
     side = cube.l - 1
-    index = np.ravel_multi_index((sites - 1).T, dims=(side,) * d)
-    order = np.argsort(index)
-    assert np.array_equal(index[order], np.arange(n_sites))
-
-    is_complex = np.issubdtype(tensor.dtype, np.complexfloating)
-    dtype = np.complex128 if is_complex else np.float64
-    K4 = np.zeros((n_sites, m, n_sites, m), dtype=dtype)
+    grid = (side,) * d + (m,)
+    K = np.zeros(grid + grid, dtype=np.result_type(tensor, np.float64))
     for w, blk in _offset_blocks(tensor).items():
-        shifted = sites + np.asarray(w)
-        ok = np.all((shifted >= 1) & (shifted <= side), axis=1)
-        if not np.any(ok):
-            continue
-        rows = np.arange(n_sites)[ok]
-        cols = np.ravel_multi_index((shifted[ok] - 1).T, dims=(side,) * d)
-        K4[rows, :, cols, :] += blk
-    K = K4.reshape(n_sites * m, n_sites * m)
+        z = np.ix_(*[np.arange(max(0, -wa), side - max(0, wa)) for wa in w])
+        K[z + (slice(None),) + tuple(za + wa for za, wa in zip(z, w)) + (slice(None),)] += blk
+    K = K.reshape(cube.interior_count * m, -1)
 
     if checked:
         _cholesky(K, cube)
-    return StiffnessFactor(cube=cube, tensor=tensor, matrix=K, n_sites=n_sites, m=m)
+    return StiffnessFactor(cube=cube, tensor=tensor, matrix=K, m=m)
 
 
 def _fold_slots(cube: Cube, g: TorusGeometry) -> np.ndarray:
@@ -257,8 +230,8 @@ def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:
         raise ZeroFrequency("projector symbol undefined at p = 0")
     m = factor.m
     phi = np.exp(1j * (factor.cube.interior @ pv))
-    W = np.einsum("z,st->zst", phi, np.eye(m)).reshape(factor.n, m)
-    X = factor.solve(W).reshape(factor.n_sites, m, m)
+    W = np.einsum("z,st->zst", phi, np.eye(m)).reshape(-1, m)
+    X = factor.solve(W).reshape(-1, m, m)
     G = np.einsum("z,zst->st", np.conj(phi), X)
     Ahat = symbol_from_tensor(factor.tensor, pv)
     return (G @ Ahat) / factor.cube.volume
@@ -280,7 +253,7 @@ def oracle_projection(A, cube: Cube, phi: Field) -> Field:
     site_sel = tuple(sites.T)
     # rhs[(z, s)] = (phi, delta_z e_s)_+ = (A-applied phi) at (s, z).
     rhs = np.stack([rhs_field.values[s][site_sel] for s in range(g.m)], axis=1)
-    v = factor.solve(rhs.reshape(factor.n, 1)).reshape(factor.n_sites, g.m)
+    v = factor.solve(rhs.reshape(-1, 1)).reshape(-1, g.m)
     out_vals = np.zeros(g.field_shape(), dtype=v.dtype)
     for s in range(g.m):
         out_vals[(s,) + site_sel] = v[:, s]

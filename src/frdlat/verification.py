@@ -230,7 +230,6 @@ def decay_table(result: DecompositionResult) -> DecayReport:
 
 @dataclass
 class EnvelopeReport:
-    geometry: TorusGeometry
     annulus_counts: list
     product_max: dict
     tm_max: dict
@@ -322,7 +321,6 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
             c_high = max(c_high, float(np.max(rnorm[sel] * l / (1.0 + 1.0 / norms[sel]))))
 
     return EnvelopeReport(
-        geometry=g,
         annulus_counts=counts,
         product_max=product_max,
         tm_max=tm_max,

@@ -180,6 +180,7 @@ def test_sample_seed_and_count_overrides(tmp_path):
         ("--seed", "-1", "seed"),
         ("--seed", str(2**64), "seed"),
         ("--samples", "0", "samples"),
+        ("--samples", "1", "samples"),
         ("--out", "", "output"),
     ],
 )

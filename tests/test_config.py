@@ -109,6 +109,10 @@ def test_seed_and_samples_bounds():
         parse({"seed": -1})
     with pytest.raises(ValidationError):
         parse({"samples": 0})
+    # One sample has an infinite standard error, which no deviation exceeds.
+    with pytest.raises(ValidationError, match="samples: 1 is below the minimum 2"):
+        parse({"samples": 1})
+    assert parse({"samples": 2}).samples == 2
 
 
 def test_derivative_settings():

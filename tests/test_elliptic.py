@@ -7,8 +7,8 @@ from frdlat.elliptic import (
     hermitian_sqrt_flat,
     identity_map,
     sqrt_and_invsqrt_flat,
-    symbol,
     symbol_flat,
+    symbol_from_tensor,
     validate_map,
 )
 from frdlat.errors import NotPSD, NotPositiveDefinite, NotSymmetric, OutsideDisc
@@ -39,10 +39,10 @@ def test_validate_map_rejects_indefinite():
 
 def test_symbol_hand_value():
     A = identity_map(2, 1)
-    val = symbol(A, (2.0 * np.pi / 3.0, 0.0))
+    val = symbol_from_tensor(A.tensor, (2.0 * np.pi / 3.0, 0.0))
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(3.0)
-    assert symbol(A, (0.0, 0.0))[0, 0] == pytest.approx(0.0)
+    assert symbol_from_tensor(A.tensor, (0.0, 0.0))[0, 0] == pytest.approx(0.0)
 
 
 def test_symbol_bounds():
@@ -117,7 +117,8 @@ def test_complex_symbol_reduces_at_zero():
     path = ComplexEllipticPath.from_direction(A, np.eye(2))
     p = (2.0 * np.pi / 3.0, 0.0)
     row = np.flatnonzero(np.all(np.isclose(p_flat(G3), p), axis=1))[0]
-    assert symbol_flat(path.tensor_at(0.0), G3)[row, 0, 0] == pytest.approx(symbol(A, p)[0, 0])
+    expected = symbol_from_tensor(A.tensor, p)[0, 0]
+    assert symbol_flat(path.tensor_at(0.0), G3)[row, 0, 0] == pytest.approx(expected)
     with pytest.raises(OutsideDisc):
         path.tensor_at(1.0)
 

@@ -7,7 +7,6 @@ import pytest
 
 from frdlat.lattice import TorusGeometry, centered
 from frdlat.output import (
-    canonical,
     decay_csv_text,
     dumps_json,
     envelope_csv_text,
@@ -15,6 +14,7 @@ from frdlat.output import (
     samples_csv_writer,
     write_kernel_csv,
 )
+from frdlat.spectral import Kernel
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
 
@@ -54,7 +54,7 @@ def oracle_kernel_csv_text(values: np.ndarray, g: TorusGeometry) -> str:
 
 def kernel_csv_file(tmp_path, values, g):
     path = tmp_path / "kernel.csv"
-    write_kernel_csv(str(path), values, g)
+    write_kernel_csv(str(path), Kernel(g, values))
     return path.read_bytes().decode("utf-8")
 
 
@@ -75,8 +75,11 @@ def test_dumps_json_sorted_and_parseable():
 
 
 def test_canonical_strips_numpy_types():
-    out = canonical({"v": np.arange(3), "f": np.bool_(True)})
-    assert out == {"v": [0, 1, 2], "f": True}
+    numpy_doc = {"v": np.arange(3), "f": np.bool_(True), "t": (np.float64(0.5), np.int64(2))}
+    plain_doc = {"v": [0, 1, 2], "f": True, "t": [0.5, 2]}
+    assert dumps_json(numpy_doc) == dumps_json(plain_doc)
+    out = json.loads(dumps_json(numpy_doc))
+    assert out == plain_doc
     assert type(out["v"][0]) is int
 
 

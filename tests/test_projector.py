@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from frdlat.elliptic import (
     ComplexEllipticPath,
     identity_map,
     symbol_flat,
+    validate_map,
 )
 from frdlat import projector
 from frdlat.errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
-from frdlat.fields import Field, apply_elliptic
+from frdlat.fields import Field, apply_elliptic, dirichlet_form
 from frdlat.lattice import Cube, TorusGeometry, cube, p_flat
 from frdlat.projector import (
     assemble_stiffness,
@@ -23,7 +26,6 @@ G5 = TorusGeometry(d=2, m=1, L=5, N=1)
 def test_single_interior_site_stiffness():
     """For l=2, d=2, A=I the interior is one site and K = [[4]]."""
     factor = assemble_stiffness(identity_map(2, 1), cube(2, G5))
-    assert factor.n_sites == 1
     assert factor.matrix.shape == (1, 1)
     assert factor.matrix[0, 0] == pytest.approx(4.0)
 
@@ -48,6 +50,49 @@ def test_l3_stiffness_matrix():
     )
     factor = assemble_stiffness(identity_map(2, 1), cube(3, G5))
     assert np.allclose(factor.matrix, expected)
+
+
+@pytest.mark.parametrize(
+    "d, m, l, complex_member",
+    [
+        (2, 1, 2, False),
+        (2, 1, 5, False),
+        (2, 2, 3, False),
+        (2, 2, 4, True),
+        (3, 1, 4, False),
+        (3, 2, 2, False),
+        (3, 2, 3, False),
+    ],
+)
+def test_stiffness_entries_match_dirichlet_form(d, m, l, complex_member):
+    """K[(z,s),(z',t)] = <A grad delta_{z'} e_t, grad delta_z e_s> for every
+    entry, with the delta fields on a torus of side >= l + 1 so that no
+    pair couples across the wrap.  A complex member needs complex delta
+    fields: dirichlet_form keeps only the real part on real ones."""
+    rng = np.random.default_rng([d, m, l])
+    n = m * d
+    B = rng.standard_normal((n, n))
+    coef = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    dtype = np.float64
+    if complex_member:
+        D = rng.standard_normal((n, n))
+        D = D + D.T
+        D /= np.max(np.abs(np.linalg.eigvalsh(D)))
+        tensor = ComplexEllipticPath.from_direction(coef, D).tensor_at(0.3 + 0.4j)
+        coef = SimpleNamespace(d=d, m=m, tensor=tensor)
+        dtype = np.complex128
+    g = TorusGeometry(d=d, m=m, L=5 if l <= 4 else 7, N=1)
+    Q = cube(l, g)
+    K = assemble_stiffness(coef.tensor, Q).matrix
+    deltas = []
+    for z in Q.interior:
+        for s in range(m):
+            values = np.zeros(g.field_shape(), dtype=dtype)
+            values[(s,) + tuple(z)] = 1.0
+            deltas.append(Field(g, values))
+    oracle = np.array([[dirichlet_form(coef, col, row) for col in deltas] for row in deltas])
+    assert K.shape == oracle.shape
+    assert np.max(np.abs(K - oracle)) <= 1e-13 * np.max(np.abs(K))
 
 
 def test_local_green_matches_per_frequency_symbol():
