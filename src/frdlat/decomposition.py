@@ -193,14 +193,15 @@ def far_field_constant(K: Kernel, r: int):
     return C, residual
 
 
-def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule):
+def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
     """Fail before any frequency work: the schedule matches the torus and
-    every live cube is small enough to factor densely."""
+    every live cube fits the size rule of its route, dense or layered
+    (projector.check_cube_size)."""
     if sched.S != g.side:
         raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
     for l in sched.levels:
         if l is not None:
-            check_cube_size(cube(l, g), g.m)
+            check_cube_size(cube(l, g), g.m, dense)
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
@@ -209,7 +210,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     The construction only; verification.diagnostics measures how well
     the result telescopes, stays positive and has finite range.
     """
-    _check_schedule_fits(g, sched)
+    _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
     Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
 
@@ -287,7 +288,7 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
     A pencil whose Cholesky fails or whose eigenvalues leave [-1/2, 1/2]
     raises FactorizationFailure naming the level.
     """
-    _check_schedule_fits(g, sched)
+    _check_schedule_fits(g, sched, dense=True)
     m, d = g.m, g.d
     A1 = path.A1.reshape(m, d, m, d)
     pencils = []

@@ -14,8 +14,9 @@ class ShapeMismatch(FrdError):
 
 
 class CubeTooLarge(FrdError):
-    """Requested cube does not fit inside the torus, or has more unknowns
-    than the dense stiffness matrix allows."""
+    """Requested cube does not fit inside the torus, or is above the size
+    limit of its route: DENSE_LIMIT unknowns for the dense stiffness K, or
+    DENSE_LIMIT^2 words for the layer blocks of decompose."""
 
 
 class ImaginaryResidue(FrdError):

@@ -19,7 +19,13 @@ transform of one real-space m x m block kernel:
     Ghat_Q(p) = sum_w e^{i<p,w>} g(w),   g(w) = sum_z K^-1[z, z+w].
 
 g vanishes for |w|_inf > l-2 by construction, which is where the finite
-range of every scale kernel comes from.  projector_symbol evaluates the
+range of every scale kernel comes from.  K is never dense on the main
+path: it is block tridiagonal along the cube's first axis, so
+assemble_stiffness keeps its layer blocks D and E, and local_green_flat
+gets the layer-distance sums of K^-1 from b x b Schur recursions, with
+b = (l-1)^(d-1) m (check_cube_size bounds their size).  The dense K is
+built on request (StiffnessFactor.matrix) for the pencil and the oracles,
+up to DENSE_LIMIT unknowns.  projector_symbol evaluates the
 same symbol at one frequency by the plane-wave quadratic form
 (f_p e_s)|_Q^dagger K^-1 (f_p e_t)|_Q and serves as the independent
 oracle for local_green_flat.
@@ -73,24 +79,67 @@ def _offset_blocks(tensor: np.ndarray):
 
 @dataclass
 class StiffnessFactor:
-    """Local energy matrix over the cube interior."""
+    """Local energy matrix K over the cube interior, kept by layers.
+
+    Along the cube's first axis K is block tridiagonal: every layer of
+    b = (l-1)^(d-1) m unknowns has the diagonal block D, and each pair of
+    neighbouring layers couples through E = K[layer i, layer i+1], with
+    K[layer i+1, layer i] = E^T because K is symmetric.  The one-layer
+    cube, l = 2, never uses E.  sweep holds the left Schur recursion of
+    _left_sweep when the definiteness check computed it, else None.
+    """
 
     cube: Cube
     tensor: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
     m: int
+    D: np.ndarray = field(repr=False)
+    E: np.ndarray = field(repr=False)
+    sweep: tuple = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense K, built from D and E on each access; CubeTooLarge
+        above DENSE_LIMIT unknowns."""
+        check_cube_size(self.cube, self.m, dense=True)
+        layers, b = self.cube.l - 1, self.D.shape[0]
+        K = np.zeros((layers, b, layers, b), dtype=self.D.dtype)
+        i = np.arange(layers)
+        K[i, :, i, :] = self.D
+        K[i[:-1], :, i[1:], :] = self.E
+        K[i[1:], :, i[:-1], :] = self.E.T
+        return K.reshape(layers * b, layers * b)
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """K^-1 B for B of shape (n, k); complex right-hand sides allowed."""
-        return np.linalg.solve(self.matrix, B)
+        """K^-1 B for B of shape (n, k) by a dense solve; complex
+        right-hand sides allowed, and solved in real arithmetic when K is
+        real."""
+        K = self.matrix
+        if np.iscomplexobj(K) or not np.iscomplexobj(B):
+            return np.linalg.solve(K, B)
+        X = np.linalg.solve(K, np.concatenate([B.real, B.imag], axis=1))
+        return X[:, : B.shape[1]] + 1j * X[:, B.shape[1]:]
 
 
-def check_cube_size(cube: Cube, m: int):
-    """Reject a cube whose dense stiffness K has more than DENSE_LIMIT unknowns."""
-    if cube.interior_count * m > DENSE_LIMIT:
+def check_cube_size(cube: Cube, m: int, dense: bool):
+    """Reject a cube too large for its route, before anything is assembled.
+
+    The dense route (the stiffness pencil and the oracles) forms K, so it
+    allows n = (l-1)^d m <= DENSE_LIMIT unknowns.  The layered route
+    (assemble_stiffness and local_green_flat) holds stacks of l - 1 blocks
+    of b x b, b = n / (l-1), and allows (l-1) b^2 <= DENSE_LIMIT^2 words:
+    the size of one dense matrix at the limit.
+    """
+    layers = cube.l - 1
+    n = cube.interior_count * m
+    if dense and n > DENSE_LIMIT:
         raise CubeTooLarge(
-            "cube l=%d has %d unknowns, above the dense limit %d"
-            % (cube.l, cube.interior_count * m, DENSE_LIMIT)
+            "cube l=%d has %d unknowns, above the dense limit %d" % (cube.l, n, DENSE_LIMIT)
+        )
+    words = layers * (n // layers) ** 2
+    if words > DENSE_LIMIT ** 2:
+        raise CubeTooLarge(
+            "cube l=%d has %d layers of %d unknowns: %d words, above the layered limit %d"
+            % (cube.l, layers, n // layers, words, DENSE_LIMIT ** 2)
         )
 
 
@@ -104,56 +153,81 @@ def _cholesky(K: np.ndarray, cube: Cube) -> np.ndarray:
         ) from exc
 
 
+def _left_sweep(D: np.ndarray, E: np.ndarray, layers: int, invert):
+    """The left Schur complements A_1 = D, A_i = D - E^T A_{i-1}^-1 E of
+    the layered K, returned as the stacks A_i^-1, shape (layers, b, b),
+    and W_i = -A_i^-1 E, shape (layers - 1, b, b).  invert(A_i) returns
+    A_i^-1 and may raise."""
+    Ainv = np.empty((layers,) + D.shape, dtype=np.result_type(D, E))
+    W = np.empty((layers - 1,) + D.shape, dtype=Ainv.dtype)
+    A = D
+    for i in range(layers):
+        Ainv[i] = invert(A)
+        if i + 1 < layers:
+            W[i] = -(Ainv[i] @ E)
+            A = D + E.T @ W[i]
+    return Ainv, W
+
+
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
-    """Assemble K over the interior sites of the cube.
+    """Assemble the layer blocks D and E of K over the cube interior.
 
-    A may be an EllipticMap (real branch), whose positive definiteness
-    is verified by a Cholesky factorization, or a raw (m, d, m, d)
-    tensor, real or complex, assembled as given: a family member or a
-    pencil direction.  K is dense, so a cube with more than DENSE_LIMIT
-    unknowns is rejected before assembly.
+    A may be an EllipticMap (real branch), whose positive definiteness is
+    verified: K is SPD if and only if every left Schur complement A_i is,
+    so each A_i is Cholesky factored, a failure raises
+    FactorizationFailure naming the cube side, and the recursion is kept
+    for local_green_flat.  A raw (m, d, m, d) tensor, real or complex (a
+    family member or a pencil direction), is assembled as given.  A cube
+    above the layered size limit is rejected before assembly.
 
-    K is filled on the site grid, (side,)*d + (m,) + (side,)*d + (m,) with
-    side = l - 1: one box per offset w, the site pairs (z, z + w) with both
-    ends in Q, then reshaped to (n, n) in the row order of cube.interior.
+    D and E come from K on a two-layer box, the site grid
+    (2,) + (l-1,)*(d-1) + (m,) twice: one box scatter per offset w adds
+    its block at the site pairs (z, z + w) with both ends in the box, and
+    the grid is reshaped to (2b, 2b) in the row order of cube.interior.
     """
     checked = isinstance(A, EllipticMap)
     tensor = _coefficient_tensor(A)
     m, d = tensor.shape[0], tensor.shape[1]
     if cube.d != d:
         raise ShapeMismatch("cube dimension %d does not match coefficients %d" % (cube.d, d))
-    check_cube_size(cube, m)
-    side = cube.l - 1
-    grid = (side,) * d + (m,)
-    K = np.zeros(grid + grid, dtype=np.result_type(tensor, np.float64))
+    check_cube_size(cube, m, dense=False)
+    layers = cube.l - 1
+    box = (2,) + (layers,) * (d - 1)
+    K = np.zeros(box + (m,) + box + (m,), dtype=np.result_type(tensor, np.float64))
     for w, blk in _offset_blocks(tensor).items():
-        z = np.ix_(*[np.arange(max(0, -wa), side - max(0, wa)) for wa in w])
+        z = np.ix_(*[np.arange(max(0, -wa), side - max(0, wa)) for wa, side in zip(w, box)])
         K[z + (slice(None),) + tuple(za + wa for za, wa in zip(z, w)) + (slice(None),)] += blk
-    K = K.reshape(cube.interior_count * m, -1)
-
+    b = layers ** (d - 1) * m
+    K = K.reshape(2 * b, 2 * b)
+    factor = StiffnessFactor(cube=cube, tensor=tensor, m=m, D=K[:b, :b].copy(), E=K[:b, b:].copy())
     if checked:
-        _cholesky(K, cube)
-    return StiffnessFactor(cube=cube, tensor=tensor, matrix=K, m=m)
+        def spd_inverse(Ai):
+            Linv = np.linalg.inv(_cholesky(Ai, cube))
+            return Linv.T @ Linv
+
+        factor.sweep = _left_sweep(factor.D, factor.E, layers, spd_inverse)
+    return factor
 
 
-def _fold_slots(cube: Cube, g: TorusGeometry) -> np.ndarray:
-    """Torus slot of w = z' - z for each pair (z, z') of interior sites,
-    ravelled like the site grid."""
-    sites = cube.interior
+def _fold_slots(sites: np.ndarray, S: int) -> np.ndarray:
+    """Torus slot of w = z' - z mod S for each pair (z, z') of sites, an
+    (n_sites, n_sites) array; the slot ravels the site grid of the axes
+    sites covers."""
     slot = np.zeros((sites.shape[0], sites.shape[0]), dtype=np.intp)
-    for a in range(g.d):
-        slot = slot * g.side + (sites[None, :, a] - sites[:, None, a]) % g.side
-    return slot.ravel()
+    for a in range(sites.shape[1]):
+        slot = slot * S + (sites[None, :, a] - sites[:, None, a]) % S
+    return slot
 
 
 def _fold(inv_real: np.ndarray, inv_imag, slot: np.ndarray, g: TorusGeometry):
     """Ghat_Q over every frequency of g from the real and imaginary parts
-    of K^-1 (each n x n; inv_imag is None for a real K): fold into the
-    block kernel g(w), then one unnormalized inverse FFT."""
+    of blocks of K^-1 (each with rows over (site, s) and columns over
+    (site', t); inv_imag is None for a real K): fold each entry into the
+    block kernel g(w) at its ravelled slot, then one unnormalized inverse
+    FFT."""
     m, F = g.m, g.site_count
-    n_sites = inv_real.shape[0] // m
-    re = inv_real.reshape(n_sites, m, n_sites, m)
-    im = None if inv_imag is None else inv_imag.reshape(n_sites, m, n_sites, m)
+    re = inv_real.reshape(inv_real.shape[0] // m, m, -1, m)
+    im = None if inv_imag is None else inv_imag.reshape(re.shape)
     kernel = np.empty((F, m, m), dtype=np.complex128)
     for s in range(m):
         for t in range(m):
@@ -168,15 +242,45 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
     """Ghat_Q(p) for every frequency of g, shape (S^d, m, m).
 
     Ghat_Q(p)_{st} = sum_{z,z'} e^{i<p,z'-z>} K^-1[(z,s),(z',t)], so each
-    entry of K^-1 is added into the torus slot w = z' - z mod S of the
-    block kernel g(w), and one unnormalized inverse FFT evaluates
+    entry of K^-1 belongs in the torus slot w = z' - z mod S of the block
+    kernel g(w), and one unnormalized inverse FFT evaluates
     sum_w e^{i<p,w>} g(w).  Every p lies in 2 pi Z^d / S, so folding w
     mod S is exact.  Row order matches lattice.p_flat.
+
+    K^-1 is never formed.  With the left Schur recursion (A_i^-1, W_i) of
+    _left_sweep (kept by the definiteness check, else formed here by LU),
+    the layer blocks G_ij of K^-1 follow from
+
+        G_nn = A_n^-1,   G_ii = A_i^-1 + W_i G_{i+1,i+1} W_i^T,
+        G_{i,i+delta} = W_i G_{i+1,i+delta},
+
+    one batched product per delta.  Only their sums over i are needed:
+    Sigma_delta = sum_i G_{i,i+delta} and Sigma_{-delta} = Sigma_delta^T
+    (transposes, not conjugates, so a complex symmetric K works too).
+    A pair of sites in layers i and i + delta has w = (delta, u' - u), so
+    Sigma_delta folds over the in-layer site pairs (u, u').
     """
-    # The slots' temporaries are freed before K^-1 is allocated.
-    slot = _fold_slots(factor.cube, g)
-    Kinv = np.linalg.inv(factor.matrix)
-    return _fold(Kinv.real, Kinv.imag if np.iscomplexobj(Kinv) else None, slot, g)
+    layers, b = factor.cube.l - 1, factor.D.shape[0]
+    if factor.sweep is None:
+        Ainv, W = _left_sweep(factor.D, factor.E, layers, np.linalg.inv)
+    else:
+        Ainv, W = factor.sweep
+    G = np.empty_like(Ainv)
+    G[-1] = Ainv[-1]
+    for i in range(layers - 2, -1, -1):
+        G[i] = Ainv[i] + W[i] @ G[i + 1] @ W[i].T
+    # sums[layers - 1 + delta] is Sigma_delta, for |delta| <= layers - 1.
+    sums = np.empty((2 * layers - 1, b, b), dtype=G.dtype)
+    sums[layers - 1] = G.sum(axis=0)
+    for delta in range(1, layers):
+        G = W[: layers - delta] @ G[1:]
+        sums[layers - 1 + delta] = G.sum(axis=0)
+        sums[layers - 1 - delta] = sums[layers - 1 + delta].T
+    S = g.side
+    in_layer = _fold_slots(Cube(l=factor.cube.l, d=g.d - 1).interior, S).ravel()
+    slot = ((np.arange(1 - layers, layers) % S)[:, None] * S ** (g.d - 1) + in_layer).ravel()
+    sums = sums.reshape(-1, b)
+    return _fold(sums.real, sums.imag if np.iscomplexobj(sums) else None, slot, g)
 
 
 @dataclass
@@ -220,7 +324,8 @@ def stiffness_pencil(A0: EllipticMap, A1: np.ndarray, cube: Cube, g: TorusGeomet
         raise FactorizationFailure(
             "pencil eigenvalue %.6g exceeds 1/2 for cube l=%d" % (top, cube.l)
         )
-    return StiffnessPencil(cube=cube, geometry=g, lam=lam, V=Linv.T @ U, slot=_fold_slots(cube, g))
+    return StiffnessPencil(cube=cube, geometry=g, lam=lam, V=Linv.T @ U,
+                           slot=_fold_slots(cube.interior, g.side).ravel())
 
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:

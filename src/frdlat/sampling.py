@@ -153,11 +153,11 @@ def _estimate(total: np.ndarray, totsq: np.ndarray, n: int, g: TorusGeometry) ->
 
 
 def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
-    """Max per-entry diff / se; infinite where se is zero but diff is not."""
-    ratio = np.zeros_like(diff)
-    live = se > 0.0
+    """Max per-entry diff / se; infinite where se is infinite (a single
+    sample tests nothing) or where se is zero but diff is not."""
+    ratio = np.where(np.isinf(se) | (diff > 0.0), np.inf, 0.0)
+    live = (se > 0.0) & np.isfinite(se)
     ratio[live] = diff[live] / se[live]
-    ratio[~live & (diff > 0.0)] = np.inf
     return float(np.max(ratio))
 
 

@@ -340,12 +340,19 @@ def test_real_cube_above_2048_unknowns_runs(tmp_path):
 
 
 def test_cube_above_dense_limit_exits_numeric(tmp_path, capsys):
-    """(66 - 1)^2 = 4225 unknowns exceed the dense limit of 4096."""
+    """decompose takes cubes past the dense limit of 4096 unknowns: l=66
+    has 4225.  Its layered blocks may hold (l-1)^3 <= 4096^2 words at
+    d=2 m=1, so l=258 is rejected, before any frequency work."""
     cfg = write_cfg(tmp_path, L=9, N=2, schedule=[3, 66])
-    out = outdir(tmp_path)
+    assert main(["decompose", "--config", cfg, "--out", outdir(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, L=3, N=6, schedule=[None] * 5 + [258])
+    out = outdir(tmp_path, "too_large")
     capsys.readouterr()
+    t0 = time.perf_counter()
     assert main(["decompose", "--config", cfg, "--out", out]) == 4
-    assert "CubeTooLarge" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "CubeTooLarge" in err and "l=258" in err
 
 
 def test_oversized_cube_fails_before_frequency_work(tmp_path, capsys):

@@ -193,18 +193,24 @@ def test_indefinite_coefficients_fail_factorization():
 
 
 def test_dense_limit_is_checked_before_assembly(monkeypatch):
-    """65^2 = 4225 unknowns exceed the limit of 4096; 64^2 = 4096 do not.
-    The dense oracle projection is rejected by the same check."""
+    """The layered blocks may hold (l-1) b^2 <= DENSE_LIMIT^2 = 4096^2
+    words, b = (l-1)^(d-1) m: d=2 m=1 reaches assembly up to l=257
+    (256^3 words) and d=3 m=1 up to l=28 (27 * 729^2); one side more is
+    rejected before assembly.  The dense oracle projection still needs
+    n = (l-1)^d m <= 4096, so l=66 (4225 unknowns) is rejected when it
+    builds the dense K."""
 
     def assembly_started(tensor):
         raise AssertionError("assembly started")
 
     monkeypatch.setattr(projector, "_offset_blocks", assembly_started)
-    with pytest.raises(CubeTooLarge):
-        assemble_stiffness(identity_map(2, 1), Cube(l=66, d=2))
+    for d, fits in ((2, 257), (3, 28)):
+        with pytest.raises(AssertionError):
+            assemble_stiffness(identity_map(d, 1), Cube(l=fits, d=d))
+        with pytest.raises(CubeTooLarge, match="l=%d" % (fits + 1)):
+            assemble_stiffness(identity_map(d, 1), Cube(l=fits + 1, d=d))
+    monkeypatch.undo()
     G81 = TorusGeometry(d=2, m=1, L=9, N=2)
     phi = Field(G81, np.zeros(G81.field_shape()))
-    with pytest.raises(CubeTooLarge):
+    with pytest.raises(CubeTooLarge, match="dense limit"):
         oracle_projection(identity_map(2, 1), Cube(l=66, d=2), phi)
-    with pytest.raises(AssertionError):
-        assemble_stiffness(identity_map(2, 1), Cube(l=65, d=2))

@@ -106,3 +106,25 @@ def test_pencil_matches_assembled_family_member(case):
         expected = local_green_flat(assemble_stiffness(path.tensor_at(z), Q), g)
         got = pencil.green_flat(z)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_deep_layer_recursion_matches_plane_wave_solve():
+    """l=41 on S=81: 40 layers and n=1600 unknowns, far deeper than the
+    property tori reach, for a real SPD A and a complex family member."""
+    g = TorusGeometry(d=2, m=1, L=9, N=2)
+    rng = np.random.default_rng(41)
+    B = rng.standard_normal((2, 2))
+    A = validate_map(B.T @ B / 2 + 0.5 * np.eye(2), 2, 1)
+    D = rng.standard_normal((2, 2))
+    D = D + D.T
+    D /= np.max(np.abs(np.linalg.eigvalsh(D)))
+    Q = cube(41, g)
+    ps = p_flat(g)
+    for coefficients in (A, ComplexEllipticPath.from_direction(A, D).tensor_at(0.3 + 0.4j)):
+        factor = assemble_stiffness(coefficients, Q)
+        green = local_green_flat(factor, g)
+        sym = symbol_flat(factor.tensor, g)
+        for row in (1, 3000):
+            expected = projector_symbol(factor, ps[row])
+            got = green[row] @ sym[row] / Q.volume
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

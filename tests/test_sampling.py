@@ -153,6 +153,15 @@ def test_single_sample_has_infinite_width():
         assert np.all(np.isinf(est.se))
 
 
+def test_single_sample_deviation_is_infinite():
+    """An infinite standard error must not read as zero deviations: a
+    one-sample estimate passes no covariance limit."""
+    state, res = make_state(L=5, N=1, override=(3,))
+    est = run_sampling_suite(state, n=1)["component"][1]
+    assert covariance_deviation(est, res.kernel(1).values) == np.inf
+    assert covariance_deviation(est, est.mean) == np.inf
+
+
 def test_dense_reference_agrees_with_spectral_sampler():
     state, res = make_state()
     g = state.geometry
