@@ -50,17 +50,19 @@ def contour_derivatives(
     orders,
     r: float = 0.5,
     n_half: int = 32,
+    sweep=None,
 ) -> dict:
     """Normalized coefficient derivatives of every scale kernel, one node
     sweep shared across the requested orders.
 
-    Builds one complex_sweep and evaluates the complex decomposition at
-    2 * n_half equispaced contour nodes from it.  The full-rule and
-    half-rule quadratures accumulate in one pass into two arrays, `full`
-    and `half`, of shape (len(orders), N+2, S^d - 1, m, m): per order,
-    the N+1 scale multipliers and then the Green multiplier.  Raises
-    NotConverged when the two rules disagree beyond CONVERGENCE_TOL in
-    relative supremum norm for any order.
+    Evaluates the complex decomposition at 2 * n_half equispaced contour
+    nodes from one complex_sweep(path, g, sched): the given sweep, so that
+    calls at several radii share one, or else one built here.  The
+    full-rule and half-rule quadratures accumulate in one pass into two
+    arrays, `full` and `half`, of shape (len(orders), N+2, S^d - 1, m, m):
+    per order, the N+1 scale multipliers and then the Green multiplier.
+    Raises NotConverged when the two rules disagree beyond
+    CONVERGENCE_TOL in relative supremum norm for any order.
     """
     orders = sorted({int(j) for j in orders})
     if not orders:
@@ -75,7 +77,8 @@ def contour_derivatives(
     shape = (len(orders), sched.N + 2, g.site_count - 1, g.m, g.m)
     full = np.zeros(shape, dtype=np.complex128)
     half = np.zeros(shape, dtype=np.complex128)
-    sweep = complex_sweep(path, g, sched)
+    if sweep is None:
+        sweep = complex_sweep(path, g, sched)
     for t in range(total):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))

@@ -22,7 +22,7 @@ from .analyticity import (
     radius_agreement,
 )
 from .config import parse_config
-from .decomposition import decompose
+from .decomposition import complex_sweep, decompose
 from .errors import InsufficientScales, ParseError, ValidationError
 from .lattice import oracle_fits
 from .output import (
@@ -270,11 +270,14 @@ def run_deriv(cfg, out_dir) -> int:
     r = cfg.derivative["r"]
     n_half = cfg.derivative["nodes"]
 
-    # Orders 1..3 feed the ratio check and order 1 the FD cross-check.
+    # Orders 1..3 feed the ratio check and order 1 the FD cross-check; both
+    # radii read their nodes from one sweep.
     orders = sorted(set(range(1, max(order, 3) + 1)) | {order})
-    ders = contour_derivatives(path, g, sched, orders, r=r, n_half=n_half)
+    sweep = complex_sweep(path, g, sched)
+    ders = contour_derivatives(path, g, sched, orders, r=r, n_half=n_half, sweep=sweep)
     main_res = ders[order]
-    alt = contour_derivatives(path, g, sched, [order], r=0.5 * r, n_half=n_half)[order]
+    alt = contour_derivatives(path, g, sched, [order], r=0.5 * r, n_half=n_half,
+                              sweep=sweep)[order]
     fd_kernels, fd_green = fd_derivative(path, g, sched)
 
     checks = CheckSet()

@@ -20,7 +20,9 @@ class CubeTooLarge(FrdError):
 
 
 class ImaginaryResidue(FrdError):
-    """Kernel reconstruction left a larger imaginary part than allowed."""
+    """Kernel reconstruction left a larger imaginary part than allowed, or a
+    sampler root breaks root(-p) = conj root(p), without which its fields
+    would not be real."""
 
 
 class OrderTooHigh(FrdError):

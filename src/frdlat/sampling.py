@@ -1,24 +1,31 @@
 """Spectral sampling of the scale fields and their empirical covariances.
 
-Each sample draws real white noise w on the torus, transforms it, colors
-every nonzero frequency with the Hermitian root of the scale multiplier,
-drops p = 0 and inverse transforms.  Since w is real, w_hat(-p) =
-conj w_hat(p) holds by itself and E[w_hat w_hat^H] = S^d I, so the field
-has covariance C_k exactly.  Sample i of scale k is the fixed slice i of
-one counter-based Philox stream keyed by (seed, k): every sample uses
-the same number of words, so any sample can be regenerated in isolation
-and thread scheduling cannot change the draw.
+Each sample draws real white noise w on the torus and takes its half
+spectrum w_hat = rfftn(w): the frequencies whose last index runs over
+0..S//2, which determine the rest through w_hat(-p) = conj w_hat(p).
+Every nonzero frequency is colored with the Hermitian root of the scale
+multiplier and p = 0 is dropped.  E[w_hat w_hat^H] = S^d I, so the
+field irfftn(x_hat) has covariance C_k exactly, provided the roots obey
+root(-p) = conj root(p): irfftn reads the colored half spectrum as the
+half of a Hermitian one.  build_sampler checks that symmetry once per
+scale (ImaginaryResidue otherwise), so every field is real by
+construction.  Sample i of scale k is the fixed slice i of one
+counter-based Philox stream keyed by (seed, k): every sample uses the
+same number of words, so any sample can be regenerated in isolation and
+thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
-sample index) once, in fixed-size batches, and feeds the per-scale
-estimators, the total estimator (the scale fields summed in scale order)
-and the gradient range checks from that draw.  Per-batch sums are
-combined in batch-index order, which makes multi-threaded runs bitwise
-identical to single-threaded ones.  An optional consumer receives each
-batch of total fields in the same order; samples.csv is written that
-way, from the draw the estimates use.  sample_component and sample_total
-regenerate single indices, and dense_reference_samples is an independent
-dense-factorization oracle with its own stream.
+sample index) once, in fixed-size batches, and keeps each field as its
+colored half spectrum from the draw to its correlation: the total is
+the sum of the scale spectra in scale order, a gradient channel is the
+spectrum times e^{i p_j} - 1, and a correlation is one irfftn of
+x_hat_r conj(x_hat_s).  Only the total fields handed to the optional
+consumer are inverse transformed to sites; samples.csv is written that
+way, from the draw the estimates use.  Per-batch sums are combined in
+batch-index order, which makes multi-threaded runs bitwise identical to
+single-threaded ones.  sample_component and sample_total regenerate
+single indices in the suite's arithmetic, and dense_reference_samples is
+an independent dense-factorization oracle with its own stream.
 """
 
 from collections import deque
@@ -32,7 +39,7 @@ from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
-from .spectral import Kernel, _hermitize, spectral_norms
+from .spectral import Kernel, _embed_body, _hermitize, negated_rows, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
@@ -41,11 +48,21 @@ REAL_TOL = 1e-10
 
 @dataclass
 class SamplerState:
+    """Per-scale roots as (S^d - 1, m, m) stacks over p != 0; half_roots
+    holds the same rows gathered onto the rfftn half grid, flattened,
+    with a zero row at p = 0."""
+
     geometry: TorusGeometry
     seed: int
     roots: list = field(repr=False)
     ranges: tuple = ()
     root_residual: float = 0.0
+    half_roots: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        g = self.geometry
+        half = np.arange(g.site_count).reshape(g.site_shape)[..., : g.side // 2 + 1]
+        self.half_roots = [_embed_body(root, g)[half.ravel()] for root in self.roots]
 
     @property
     def n_scales(self) -> int:
@@ -56,9 +73,13 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     """Hermitian multiplier roots, one (S^d - 1, m, m) stack per scale.
 
     Each root is re-squared and compared against its multiplier; a
-    relative deviation beyond 1e-10 aborts the build.
+    relative deviation beyond ROOT_TOL raises FactorizationFailure.  The
+    sampler colors only the half spectrum, so each root must also satisfy
+    root(-p) = conj root(p); a deviation beyond REAL_TOL of the root's
+    norm raises ImaginaryResidue.
     """
     g = result.geometry
+    neg = negated_rows(g)
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
@@ -70,6 +91,14 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
         if rel > ROOT_TOL:
             raise FactorizationFailure(
                 "scale %d root residual %.3g exceeds %.3g" % (idx, rel, ROOT_TOL)
+            )
+        full = _embed_body(root, g)
+        gap = float(np.max(spectral_norms(full[neg] - np.conj(full))))
+        norm = float(np.max(spectral_norms(root, hermitian=True)))
+        if gap > REAL_TOL * norm:
+            raise ImaginaryResidue(
+                "scale %d root breaks root(-p) = conj root(p) by %.3g of its norm %.3g"
+                % (idx, gap, norm)
             )
         worst = max(worst, rel)
         roots.append(root)
@@ -83,13 +112,14 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
 
 
 def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.ndarray:
-    """Real sample values of scale k for indices start..start+count-1,
-    shaped (count, m, *site).
+    """Colored half spectra of scale k for indices start..start+count-1,
+    shaped (count, m, *site_shape[:-1], S//2 + 1); the p = 0 slot is zero.
 
     Sample i reads the 4B words of Philox counter blocks [i B, (i+1) B)
     under the key (seed, k), B = ceil(m S^d / 4), and turns each word pair
     into two standard normals by Box-Muller on 53-bit uniforms.  The first
-    m S^d normals, in (component, site) C order, are the white noise.
+    m S^d normals, in (component, site) C order, are the white noise w,
+    and the result is root_k(p) rfftn(w)(p) on the half grid.
     """
     g = state.geometry
     n = g.m * g.site_count
@@ -99,29 +129,28 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
     u = (bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks) >> 11) * 2.0**-53
     z = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
     w = z.view(np.float64)[:, :n].reshape((count, g.m) + g.site_shape)
-    site_axes = tuple(range(2, 2 + g.d))
-    what = np.fft.fftn(w, axes=site_axes).reshape(count, g.m, g.site_count)
-    # The roots cover p != 0, flat rows 1..; the p = 0 slot stays zero.
-    xhat = np.zeros_like(what)
-    xhat[:, :, 1:] = np.einsum("prs,bsp->brp", state.roots[k - 1], what[:, :, 1:])
-    vals = np.fft.ifftn(xhat.reshape(w.shape), axes=site_axes)
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > REAL_TOL * scale:
-        raise ImaginaryResidue("sampled field has imaginary part %.3g" % resid)
-    return np.ascontiguousarray(vals.real)
+    what = np.fft.rfftn(w, axes=tuple(range(-g.d, 0)))
+    xhat = np.einsum("prs,bsp->brp", state.half_roots[k - 1], what.reshape(count, g.m, -1))
+    return xhat.reshape(what.shape)
+
+
+def _to_sites(hat: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """Real values on the sites from half spectra over the last d axes."""
+    return np.fft.irfftn(hat, s=g.site_shape, axes=tuple(range(-g.d, 0)))
 
 
 def sample_component(state: SamplerState, k: int, sample_index: int) -> Field:
     """Scale-k sample; k is 1-based up to N+1, reproducible per index."""
-    return Field(state.geometry, _component_batch(state, k, sample_index, 1)[0])
+    hat = _component_batch(state, k, sample_index, 1)
+    return Field(state.geometry, _to_sites(hat, state.geometry)[0])
 
 
 def sample_total(state: SamplerState, sample_index: int) -> Field:
     """Sum of independent scale samples sharing the sample index, in the
-    suite's arithmetic: the scale fields summed in scale order."""
+    suite's arithmetic: the scale spectra summed in scale order, then
+    inverse transformed."""
     comps = [_component_batch(state, k, sample_index, 1) for k in range(1, state.n_scales + 1)]
-    return Field(state.geometry, sum(comps[1:], comps[0])[0])
+    return Field(state.geometry, _to_sites(sum(comps[1:], comps[0]), state.geometry)[0])
 
 
 @dataclass
@@ -132,14 +161,11 @@ class CovarianceEstimate:
     n: int = 0
 
 
-def _correlation_batch(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Translation-averaged covariance estimate per sample, shaped
-    (batch, c, c, *site) for channel count c = vals.shape[1]."""
-    site_axes = tuple(range(2, 2 + g.d))
-    hat = np.fft.fftn(vals, axes=site_axes)
-    prod = np.einsum("br...,bs...->brs...", hat, np.conj(hat))
-    est = np.fft.ifftn(prod, axes=tuple(range(3, 3 + g.d))) / g.site_count
-    return est.real
+def _correlation_batch(hat: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """Translation-averaged covariance estimate per sample from half
+    spectra hat (batch, c, *half) of real fields, shaped (batch, c, c, *site):
+    S^-d sum_x f_r(x + z) f_s(x) as the irfftn of hat_r conj(hat_s)."""
+    return _to_sites(hat[:, :, None] * np.conj(hat[:, None]), g) / g.site_count
 
 
 def _estimate(total: np.ndarray, totsq: np.ndarray, n: int, g: TorusGeometry) -> CovarianceEstimate:
@@ -175,12 +201,15 @@ class GradientRangeReport:
     trivial: bool
 
 
-def _gradient_channels(vals: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Forward differences of (batch, m, *site) values as (batch, m*d, *site)."""
-    out = np.empty((vals.shape[0], g.m * g.d) + g.site_shape, dtype=vals.dtype)
+def _gradient_channels(hat: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """Forward differences of (batch, m, *half) half spectra as
+    (batch, m*d, *half): channel r*d + j is (e^{2 pi i n_j / S} - 1) hat_r,
+    with n_j the frequency index along site axis j."""
+    out = np.empty((hat.shape[0], g.m * g.d) + hat.shape[2:], dtype=hat.dtype)
     for j in range(g.d):
-        axis = 2 + j
-        out[:, j :: g.d] = np.roll(vals, -1, axis=axis) - vals
+        n = hat.shape[2 + j]
+        phase = np.exp(2j * np.pi * np.arange(n) / g.side) - 1.0
+        out[:, j :: g.d] = phase.reshape((n,) + (1,) * (g.d - 1 - j)) * hat
     return out
 
 
@@ -216,8 +245,11 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     decided before any draw; only the other scales feed gradient
     estimators.  on_total, if given, is called on the calling thread
     with each batch of total fields, shaped (count, m, *site), in
-    batch-index order; without it no total field outlives its batch.
+    batch-index order; without it no field is transformed back to sites.
+    Raises ValueError for n < 1 before any draw.
     """
+    if n < 1:
+        raise ValueError("sample count must be at least 1, got %d" % n)
     g = state.geometry
     scales = range(1, state.n_scales + 1)
     rho = rho_inf_grid(g)
@@ -228,10 +260,10 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
         comps = [_component_batch(state, k, start, min(BATCH, n - start)) for k in scales]
         total = sum(comps[1:], comps[0])
         sums = []
-        for vals in comps + [total] + [_gradient_channels(comps[k - 1], g) for k in checked]:
-            est = _correlation_batch(vals, g)
+        for hat in comps + [total] + [_gradient_channels(comps[k - 1], g) for k in checked]:
+            est = _correlation_batch(hat, g)
             sums.append((est.sum(axis=0), (est * est).sum(axis=0)))
-        return sums, total if on_total is not None else None
+        return sums, _to_sites(total, g) if on_total is not None else None
 
     # Batches come back in batch-index order, whatever the thread count, and
     # their sums are added in that order.  Two batches per worker stay in

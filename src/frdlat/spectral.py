@@ -105,6 +105,11 @@ def reflect_sites(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return out
 
 
+def negated_rows(g: TorusGeometry) -> np.ndarray:
+    """Flat row of -p for every flat row p, in lattice.p_flat order."""
+    return reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()
+
+
 def _hermitize(X: np.ndarray) -> np.ndarray:
     """Hermitian part of each trailing m x m matrix."""
     return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))

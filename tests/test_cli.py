@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import frdlat
-from frdlat import cli, sampling
+from frdlat import cli, decomposition, sampling
 from frdlat.cli import main
 from frdlat.config import parse_config
 from frdlat.decomposition import decompose
@@ -72,6 +72,21 @@ def test_deriv_is_byte_stable(tmp_path):
     assert main(["deriv", "--config", cfg, "--out", a]) == 0
     assert main(["deriv", "--config", cfg, "--out", b]) == 0
     assert same_tree(a, b)
+
+
+def test_deriv_shares_one_sweep_between_radii(tmp_path, monkeypatch):
+    """Both contour radii read one sweep: one stiffness pencil per live level."""
+    built = []
+    pencil = decomposition.stiffness_pencil
+
+    def counted(A0, A1, cube, g):
+        built.append(cube.l)
+        return pencil(A0, A1, cube, g)
+
+    monkeypatch.setattr(decomposition, "stiffness_pencil", counted)
+    cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5], derivative={"nodes": 16})
+    assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 0
+    assert sorted(built) == [3, 5]
 
 
 def test_oversized_direction_exits_numeric(tmp_path, monkeypatch, capsys):

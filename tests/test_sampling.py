@@ -2,12 +2,15 @@ from concurrent.futures import Future
 from itertools import product
 
 import numpy as np
+import pytest
 
 from frdlat.decomposition import build_schedule, decompose
-from frdlat.elliptic import identity_map
+from frdlat.elliptic import identity_map, validate_map
+from frdlat.errors import ImaginaryResidue
 from frdlat.lattice import TorusGeometry, rho_inf_grid
 from frdlat import sampling
 from frdlat.sampling import (
+    BATCH,
     SamplerState,
     _component_batch,
     build_sampler,
@@ -112,7 +115,8 @@ def combined_se_ratio(mean_a, se_a, mean_b, se_b):
 def test_empirical_covariance_of_white_noise():
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     rng = np.random.default_rng(5)
-    mean, se = mean_and_se(sampling._correlation_batch(rng.standard_normal((4000, 1, 3, 3)), g))
+    hat = np.fft.rfftn(rng.standard_normal((4000, 1, 3, 3)), axes=(2, 3))
+    mean, se = mean_and_se(sampling._correlation_batch(hat, g))
     assert abs(mean[0, 0, 0, 0] - 1.0) < 5.0 * se[0, 0, 0, 0]
     assert abs(mean[0, 0, 1, 2]) < 5.0 * max(se[0, 0, 1, 2], 1e-12)
 
@@ -130,7 +134,7 @@ def test_white_noise_moments():
     over per-sample site averages."""
     g = TorusGeometry(d=2, m=1, L=3, N=2)
     n = 4000
-    v = _component_batch(white_state(g), 1, 0, n)[:, 0]
+    v = sampling._to_sites(_component_batch(white_state(g), 1, 0, n), g)[:, 0]
     assert np.max(np.abs(v.sum(axis=(1, 2)))) < 1e-12
     site_mean, site_se = mean_and_se(v)
     assert np.all(np.abs(site_mean) < 5.0 * site_se)
@@ -151,6 +155,31 @@ def test_single_sample_has_infinite_width():
     for est in list(suite["component"].values()) + [suite["total"]]:
         assert est.n == 1
         assert np.all(np.isinf(est.se))
+
+
+def test_zero_samples_are_rejected_before_any_draw(monkeypatch):
+    state, _ = make_state()
+
+    def no_draw(*args):
+        raise AssertionError("drew a field for zero samples")
+
+    monkeypatch.setattr(sampling, "_component_batch", no_draw)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_sampling_suite(state, n)
+
+
+def test_root_without_conjugate_symmetry_is_rejected():
+    """One multiplier row p scaled by 1.5 but not its row -p: the root
+    still re-squares to its table, but irfftn would read conj root(p) at
+    -p, so build_sampler rejects it and names the scale."""
+    g = TorusGeometry(d=2, m=1, L=3, N=2)
+    res = decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
+    build_sampler(res)
+    body = res.table(2).values
+    body[int(np.argmax(np.abs(body[:, 0, 0])))] *= 1.5
+    with pytest.raises(ImaginaryResidue, match="scale 2 "):
+        build_sampler(res)
 
 
 def test_single_sample_deviation_is_infinite():
@@ -175,7 +204,7 @@ def test_shuffled_control_is_decorrelated():
     """Each sample correlated with its cyclic successor: mismatched pairs
     are independent, so the estimate vanishes within its errors."""
     state, _ = make_state()
-    vals = _component_batch(state, 2, 0, 2000)
+    vals = sampling._to_sites(_component_batch(state, 2, 0, 2000), state.geometry)
     mean, se = mean_and_se(direct_correlations(vals, np.roll(vals, -1, axis=0), state.geometry))
     assert np.max(np.abs(mean) / np.maximum(se, 1e-12)) < 5.0
 
@@ -276,16 +305,60 @@ def test_suite_matches_a_per_index_estimator():
     assert suite["gradient"][1] is not None and suite["gradient"][2] is None
 
 
+def make_d3m2_state(N=2):
+    """d=3, m=2 on a (3^N)^3 torus with a coupled A: every root is a 2 x 2
+    matrix and the half grid is 3-D (9 x 9 x 5 at N=2)."""
+    A = np.diag([2.0] * 6) + np.diag([0.5] * 5, 1) + np.diag([0.5] * 5, -1)
+    A[0, 5] = A[5, 0] = 0.3
+    g = TorusGeometry(d=3, m=2, L=3, N=N)
+    sched = build_schedule(g, override=[3, 5][:N])
+    return build_sampler(decompose(validate_map(A, 3, 2), g, sched), seed=3)
+
+
+def test_d3m2_suite_matches_a_per_index_estimator():
+    """The suite against per-index draws reduced by the real-space shift
+    sum, across a batch boundary, at d=3 and m=2 on the 3^3 torus."""
+    state = make_d3m2_state(N=1)
+    g = state.geometry
+    n = BATCH + 44
+    suite = run_sampling_suite(state, n=n)
+    comps = [np.stack([sample_component(state, k, i).values for i in range(n)])
+             for k in range(1, state.n_scales + 1)]
+    totals = np.stack([sample_total(state, i).values for i in range(n)])
+    for est, vals in zip(list(suite["component"].values()) + [suite["total"]], comps + [totals]):
+        mean, se = mean_and_se(direct_correlations(vals, vals, g))
+        assert est.n == n
+        assert np.allclose(est.mean, mean, rtol=1e-12, atol=1e-13 * np.max(np.abs(mean)))
+        assert np.allclose(est.se, se, rtol=1e-10, atol=1e-13 * np.max(np.abs(mean)))
+    assert set(suite["gradient"].values()) == {None}
+
+
+def test_d3m2_gradient_correlations_match_real_space():
+    """Gradient channels formed on the half spectrum correlate like the
+    real-space forward differences of the same fields."""
+    state = make_d3m2_state()
+    g = state.geometry
+    hat = _component_batch(state, 1, 0, 40)
+    est = sampling._correlation_batch(sampling._gradient_channels(hat, g), g)
+    grads = gradient_channels(sampling._to_sites(hat, g), g)
+    ref = direct_correlations(grads, grads, g)
+    assert np.allclose(est, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_batch_rows_equal_single_draws():
     """Row i of a batched draw is the single draw of index i, bit for bit,
-    and an unaligned slice equals the matching rows."""
+    as a spectrum and as a field, and an unaligned slice equals the
+    matching rows."""
     for state in (make_ranged_state(), build_sampler(decompose(
             identity_map(2, 2), TorusGeometry(d=2, m=2, L=3, N=1),
-            build_schedule(TorusGeometry(d=2, m=2, L=3, N=1), override=[3])), seed=7)):
+            build_schedule(TorusGeometry(d=2, m=2, L=3, N=1), override=[3])), seed=7),
+            make_d3m2_state()):
         for k in range(1, state.n_scales + 1):
             batch = _component_batch(state, k, 0, 300)
+            fields = sampling._to_sites(batch, state.geometry)
             for i in range(300):
-                assert np.array_equal(batch[i], sample_component(state, k, i).values)
+                assert np.array_equal(batch[i], _component_batch(state, k, i, 1)[0])
+                assert np.array_equal(fields[i], sample_component(state, k, i).values)
             assert np.array_equal(_component_batch(state, k, 5, 7), batch[5:12])
 
 
