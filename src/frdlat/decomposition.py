@@ -37,13 +37,15 @@ and makes no finite-range claim.
 """
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elliptic import (EllipticMap, ComplexEllipticPath, green_from_body, sqrt_and_invsqrt_flat,
                        symbol_flat)
-from .errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
+from .errors import (CubeTooLarge, EmptyFarRegion, FactorizationFailure, InvalidSchedule,
+                     OutsideDisc)
 from .lattice import TorusGeometry, cube, rho_inf_grid
 from .projector import assemble_stiffness, check_cube_size, local_green_flat, stiffness_pencil
 from .spectral import (
@@ -193,22 +195,33 @@ def far_field_constant(K: Kernel, r: int):
     return C, residual
 
 
+@contextmanager
+def _at_level(j: int):
+    """Prefix a cube error raised inside with "level j: ", keeping its type."""
+    try:
+        yield
+    except (CubeTooLarge, FactorizationFailure) as exc:
+        raise type(exc)("level %d: %s" % (j, exc)) from exc
+
+
 def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
     """Fail before any frequency work: the schedule matches the torus and
     every live cube fits the size rule of its route, dense or layered
     (projector.check_cube_size)."""
     if sched.S != g.side:
         raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
-    for l in sched.levels:
+    for j, l in enumerate(sched.levels, start=1):
         if l is not None:
-            check_cube_size(cube(l, g), g.m, dense)
+            with _at_level(j):
+                check_cube_size(cube(l, g), g.m, dense)
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
     """Build all scale kernels C_1..C_{N+1}.
 
     The construction only; verification.diagnostics measures how well
-    the result telescopes, stays positive and has finite range.
+    the result telescopes, stays positive and has finite range.  A cube
+    error (CubeTooLarge, FactorizationFailure) names its level.
     """
     _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
@@ -217,14 +230,15 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     identity = _identity_stack(body.shape[0], g.m)
     symbols = []
     products = [identity]
-    for l in sched.levels:
+    for j, l in enumerate(sched.levels, start=1):
         if l is None:
             symbols.append(None)
             products.append(products[-1])
             continue
         # The stiffness and Ghat_Q are temporaries: neither outlives its level.
         Q = cube(l, g)
-        T = stack_matmul(Asqrt, local_green_flat(assemble_stiffness(A, Q), g)[1:])
+        with _at_level(j):
+            T = stack_matmul(Asqrt, local_green_flat(assemble_stiffness(A, Q), g)[1:])
         T = _hermitize(stack_matmul(T, Asqrt) / Q.volume)
         symbols.append(T)
         products.append(stack_matmul(products[-1], identity - T))
@@ -296,10 +310,8 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
         if l is None:
             pencils.append(None)
             continue
-        try:
+        with _at_level(j):
             pencils.append(stiffness_pencil(path.A0, A1, cube(l, g), g))
-        except FactorizationFailure as exc:
-            raise FactorizationFailure("level %d: %s" % (j, exc)) from exc
     return ComplexSweep(
         geometry=g,
         body0=symbol_flat(path.A0.tensor, g)[1:],

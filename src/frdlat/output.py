@@ -5,15 +5,20 @@ Infinity, -Infinity if not finite), JSON keys are emitted sorted with
 fixed separators, and row orders are fixed functions of the geometry, so
 identical data produces identical bytes regardless of platform or thread
 count.  Kernel and sample tables are streamed: each chunk of rows (one
-first-axis coordinate, one sample) is formatted from whole arrays and
-written with writelines, so no file is ever held as one string.
-samples.csv is written by a consumer that takes batches of fields as the
-sampler produces them.
+first-axis coordinate, one sample) is formatted from whole arrays into
+one string, so no file is ever held as one string.  Every CSV writer
+spells its values through _spell, one "%.17g" pass per chunk (format_float
+per value if the chunk holds a non-finite value).  A finite-range kernel
+repeats a few far-field values at most sites, so a kernel file first
+spells each float64 bit pattern that occurs more than once in it, once,
+and its chunks spell only the rest; the bytes are the same as spelling
+every value with format_float.  samples.csv is written by a consumer that
+takes batches of fields as the sampler produces them.
 """
 
 import json
 import math
-from itertools import count, product
+from itertools import chain, count, product, repeat
 
 import numpy as np
 
@@ -90,10 +95,9 @@ def open_artifact(path):
 
 
 def _write_chunks(path, chunks):
-    """Write an iterable of line lists, one writelines call per list."""
+    """Write an iterable of strings, one write per string."""
     with open_artifact(path) as fh:
-        for chunk in chunks:
-            fh.writelines(chunk)
+        fh.writelines(chunks)
 
 
 def write_json(path, obj):
@@ -101,36 +105,71 @@ def write_json(path, obj):
 
 
 def write_text(path, text):
-    _write_chunks(path, [[text]])
+    _write_chunks(path, [text])
 
 
-def _csv_lines(prefixes, block, head=""):
-    """One CSV line per row of the (rows, cols) block: head, the row's
-    prefix, then its values.  Finite blocks take one "%.17g" pass; a block
-    holding a non-finite value spells every value with format_float."""
-    columns = block.T.tolist()
-    if np.isfinite(block).all():
-        spec = "%.17g"
-    else:
-        spec = "%s"
-        columns = [list(map(format_float, col)) for col in columns]
-    fmt = head + "%s" + ",".join([spec] * len(columns)) + "\n"
-    return list(map(fmt.__mod__, zip(prefixes, *columns)))
+def _spell(values) -> list:
+    """The format_float spelling of each value, in C order: one "%.17g"
+    pass, or format_float per value when any value is not finite."""
+    values = np.ravel(values)
+    nums = values.tolist()
+    if np.isfinite(values).all():
+        return ("%.17g\n" * len(nums) % tuple(nums)).splitlines()
+    return list(map(format_float, nums))
+
+
+def _file_speller(file_values):
+    """A _spell for the chunks of one file's values.
+
+    Each float64 bit pattern that occurs more than once in file_values is
+    spelled once, here; a chunk looks its values up by bit pattern (which
+    keeps 0.0 apart from -0.0) and spells only the rest.  The repeats are
+    the only spellings held, and they go with the returned function.
+    """
+    patterns, counts = np.unique(np.ravel(file_values).view(np.uint64), return_counts=True)
+    patterns = patterns[counts > 1]
+    if not patterns.size:
+        return _spell
+    spelled = np.array(_spell(patterns.view(np.float64)), dtype=object)
+
+    def spell(values):
+        values = np.ravel(values)
+        keys = values.view(np.uint64)
+        slot = np.minimum(np.searchsorted(patterns, keys), patterns.size - 1)
+        out = spelled[slot]
+        miss = patterns[slot] != keys
+        if miss.any():
+            out[miss] = _spell(values[miss])
+        return out.tolist()
+
+    return spell
+
+
+def _csv_lines(prefixes, spellings, head="") -> str:
+    """CSV text, one line per prefix: head, the prefix, then that row's
+    values.  spellings holds the values of a (rows, cols) block in C
+    order, so each row takes the next len(spellings) // len(prefixes)."""
+    cols = len(spellings) // len(prefixes) if prefixes else 0
+    fields = [repeat(head), prefixes]
+    for j in range(cols):
+        fields += [spellings[j::cols], repeat("," if j + 1 < cols else "\n")]
+    return "".join(chain.from_iterable(zip(*fields)))
 
 
 def _kernel_csv_chunks(values, g: TorusGeometry):
     """Header, then the rows of one first-axis coordinate per chunk."""
-    yield [",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n"]
+    yield ",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n"
+    spell = _file_speller(values)
     # S is odd, so fftshift puts every site axis in centered order -h..h;
     # with (r, s) moved last, ravelling gives the file's row order.
     shifted = np.fft.fftshift(values.reshape(g.kernel_shape()), axes=tuple(range(2, 2 + g.d)))
-    rows = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(g.side, -1, 1)
+    rows = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(g.side, -1)
     h = (g.side - 1) // 2
     axis = [str(c) for c in range(-h, h + 1)]
     suffixes = ["%d,%d," % rs for rs in product(range(g.m), repeat=2)]
     tail = [",".join(c) + "," + rs for c in product(axis, repeat=g.d - 1) for rs in suffixes]
     for x1, block in zip(axis, rows):
-        yield _csv_lines(tail, block, x1 + ",")
+        yield _csv_lines(tail, spell(block), x1 + ",")
 
 
 def write_kernel_csv(path, kern: Kernel):
@@ -150,7 +189,7 @@ def samples_csv_writer(fh, g: TorusGeometry):
 
     def write(batch):
         for values in batch:
-            fh.writelines(_csv_lines(prefixes, values.reshape(g.m, -1).T, "%d," % next(index)))
+            fh.write(_csv_lines(prefixes, _spell(values.reshape(g.m, -1).T), "%d," % next(index)))
 
     return write
 
@@ -161,14 +200,14 @@ def decay_csv_text(report) -> str:
     header = "k," + ",".join("alpha_%d" % (a + 1) for a in range(d))
     prefixes = ["%d,%s," % (row.k, ",".join(str(int(a)) for a in row.alpha)) for row in report.rows]
     block = np.array([[row.sup_norm, row.envelope_shape, row.constant] for row in report.rows])
-    return header + ",sup_norm,envelope_shape,constant\n" + "".join(_csv_lines(prefixes, block))
+    return header + ",sup_norm,envelope_shape,constant\n" + _csv_lines(prefixes, _spell(block))
 
 
 def envelope_csv_text(report) -> str:
     """Envelope table: measurement kind, scale k, annulus j, max norm."""
-    lines = ["kind,k,j,value\n"]
+    text = "kind,k,j,value\n"
     for kind, maxima in (("product", report.product_max), ("smoothed", report.tm_max)):
         keys = sorted(maxima)
-        values = np.array([maxima[key] for key in keys])[:, None]
-        lines += _csv_lines(["%s,%d,%d," % ((kind,) + key) for key in keys], values)
-    return "".join(lines)
+        spellings = _spell(np.array([maxima[key] for key in keys]))
+        text += _csv_lines(["%s,%d,%d," % ((kind,) + key) for key in keys], spellings)
+    return text

@@ -367,7 +367,7 @@ def test_cube_above_dense_limit_exits_numeric(tmp_path, capsys):
     assert main(["decompose", "--config", cfg, "--out", out]) == 4
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert "CubeTooLarge" in err and "l=258" in err
+    assert "CubeTooLarge" in err and "level 6:" in err and "l=258" in err
 
 
 def test_oversized_cube_fails_before_frequency_work(tmp_path, capsys):
@@ -381,7 +381,7 @@ def test_oversized_cube_fails_before_frequency_work(tmp_path, capsys):
     assert main(["decompose", "--config", cfg, "--out", out]) == 4
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
-    assert "CubeTooLarge" in err and "l=31" in err
+    assert "CubeTooLarge" in err and "level 5:" in err and "l=31" in err
 
 
 def test_unexpected_exception_exits_numeric(tmp_path, capsys, monkeypatch):

@@ -196,6 +196,24 @@ def test_oversized_direction_fails_the_pencil():
         complex_decompose(path, 0.1, g, sched)
 
 
+def test_layered_failure_names_its_level(monkeypatch):
+    """A cube error from the layered route of decompose names its level,
+    as complex_sweep's pencil errors do."""
+    import frdlat.decomposition as decomposition
+
+    real = decomposition.local_green_flat
+
+    def fail_at_cube_5(factor, g):
+        if factor.cube.l == 5:
+            raise FactorizationFailure("planted failure for cube l=5")
+        return real(factor, g)
+
+    monkeypatch.setattr(decomposition, "local_green_flat", fail_at_cube_5)
+    g = TorusGeometry(d=2, m=1, L=5, N=2)
+    with pytest.raises(FactorizationFailure, match=r"^level 2: planted failure for cube l=5$"):
+        decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
+
+
 def test_indefinite_base_fails_the_pencil_cholesky():
     g = TorusGeometry(d=2, m=1, L=5, N=2)
     sched = build_schedule(g, override=[3, 5])

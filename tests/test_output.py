@@ -111,23 +111,63 @@ def test_matrix_kernel_csv_rows(tmp_path):
     assert "0,0,1,0,1" in lines
 
 
-@pytest.mark.parametrize(
-    "d,m,L,N", [(2, 1, 3, 2), (2, 2, 3, 1), (3, 2, 3, 1), (2, 1, 7, 1)]
-)
-def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N):
-    """Byte-identical to the per-value writer, non-finite and extreme
-    values included: the first-axis block holding NaN and +-Inf takes the
-    format_float spelling, the others the one-pass "%.17g"."""
-    g = TorusGeometry(d=d, m=m, L=L, N=N)
-    rng = np.random.default_rng([d, m, L])
+def kernel_with_repeats(g: TorusGeometry, variant: int) -> np.ndarray:
+    """d=2 m=2 kernel values whose bit patterns repeat: a constant far
+    field across every first-axis chunk, 0.0 and -0.0, NaNs of two
+    payloads, +-Inf twice each, and a value repeated within one chunk
+    only.  Variant 1 changes the constants, moves every entry one site
+    along both axes and swaps the signs of the zeros."""
+    rng = np.random.default_rng([5, variant])
+    values = np.full(g.kernel_shape(), (1.0 + variant) / 3.0)
+    values[:, :, :2, :2] = rng.standard_normal((2, 2, 2, 2))
+    payload_nan = float(np.uint64(0x7FF8000000000001).view(np.float64))
+    # A list, not a dict: 0.0 and -0.0 are equal keys.
+    planted = [(0.0, [(0, 0, 0, 1), (1, 1, 3, 2)]), (-0.0, [(0, 1, 2, 4), (1, 0, 4, 0)]),
+               (np.nan, [(0, 0, 2, 2), (1, 0, 2, 3)]), (payload_nan, [(1, 1, 0, 3), (0, 1, 4, 2)]),
+               (np.inf, [(0, 1, 0, 0), (1, 0, 3, 3)]), (-np.inf, [(0, 0, 4, 4), (1, 1, 2, 0)]),
+               (0.7 - variant, [(0, 0, 1, 0), (0, 1, 1, 3)])]
+    for value, sites in planted:
+        for site in sites:
+            values[site] = value
+    values = np.roll(values, variant, axis=(2, 3))
+    if variant:
+        values[values == 0.0] *= -1.0
+    return values
+
+
+def random_kernel_values(g: TorusGeometry) -> np.ndarray:
+    """Values over many magnitudes, with NaN, +-Inf, -0.0 and extremes."""
+    rng = np.random.default_rng([g.d, g.m, g.L])
     values = rng.standard_normal(g.kernel_shape()) * 10.0 ** rng.integers(-5, 6, g.kernel_shape())
     special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300]
     values.flat[:3] = special[:3]
     values.flat[-3:] = special[3:]
-    text = kernel_csv_file(tmp_path, values, g)
-    assert text == oracle_kernel_csv_text(values, g)
-    written = {line.rsplit(",", 1)[1] for line in text.splitlines()}
-    assert {"NaN", "Infinity", "-Infinity", "-0"} | set(map(format_float, special)) <= written
+    return values
+
+
+@pytest.mark.parametrize(
+    "d,m,L,N,repeats",
+    [(2, 1, 3, 2, False), (2, 2, 3, 1, False), (3, 2, 3, 1, False), (2, 1, 7, 1, False),
+     (2, 2, 5, 1, True)],
+    ids=["2-1-3-2", "2-2-3-1", "3-2-3-1", "2-1-7-1", "2-2-5-1-repeats"],
+)
+def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, repeats):
+    """Byte-identical to the per-value writer, non-finite and extreme
+    values included.  Random values mostly take the one-pass "%.17g";
+    the kernels with repeats take the per-file cache of repeated bit
+    patterns, and two of them are written back to back, so a spelling
+    that outlived its file would show in the second."""
+    g = TorusGeometry(d=d, m=m, L=L, N=N)
+    if repeats:
+        kernels = [kernel_with_repeats(g, 0), kernel_with_repeats(g, 1)]
+        spelled = {"NaN", "Infinity", "-Infinity", "0", "-0"}
+    else:
+        kernels = [random_kernel_values(g)]
+        spelled = {"NaN", "Infinity", "-Infinity", "-0", format_float(1e-300), format_float(1e300)}
+    for values in kernels:
+        text = kernel_csv_file(tmp_path, values, g)
+        assert text == oracle_kernel_csv_text(values, g)
+        assert spelled <= {line.rsplit(",", 1)[1] for line in text.splitlines()}
 
 
 @pytest.mark.parametrize("special", [False, True])
@@ -171,6 +211,11 @@ def test_field_and_samples_csv():
     assert slines[9] == "0,2,2,8"
     assert slines[10] == "1,0,0,1"
     assert len(slines) == 1 + 18
+
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.1, np.nan, -0.0, 1e300])
+    slines = samples_csv_text([special.reshape(1, 3, 3)], G3).split("\n")
+    expected = ["0,%d,%d,%s" % (i // 3, i % 3, format_float(v)) for i, v in enumerate(special)]
+    assert slines[1:] == expected + [""]
 
 
 def test_samples_csv_spells_non_finite_values():
