@@ -7,9 +7,11 @@ trapezoid rule, which converges geometrically in the node count; the
 doubling gate compares the 2M-node rule against its M-node subset.
 
 Derivatives are reported in the normalized direction Adot = A1/(c0/2):
-with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  Node sets are
-closed under conjugation and the family is real at conjugate pairs, so
-the accumulated tables are multipliers of real kernels to round-off.
+with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  A0 and A1 are
+real, so C(conj z)(-p) = conj C(z)(p) for every scale and the Green
+table: the lower half of the contour is read off the upper half, and the
+accumulated tables are exactly conjugate-symmetric by construction,
+multipliers of real kernels.
 """
 
 import math
@@ -21,7 +23,7 @@ from .decomposition import CubeSchedule, complex_at, complex_sweep, decompose, k
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, spectral_norms
+from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, negated_rows, spectral_norms
 
 CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
@@ -55,14 +57,19 @@ def contour_derivatives(
     """Normalized coefficient derivatives of every scale kernel, one node
     sweep shared across the requested orders.
 
-    Evaluates the complex decomposition at 2 * n_half equispaced contour
+    The full rule has 2 * n_half equispaced contour nodes z_t, and the
+    half rule the even t.  Nodes t and 2 * n_half - t are conjugate, so the
+    complex decomposition is evaluated only at t = 0..n_half, n_half + 1
     nodes from one complex_sweep(path, g, sched): the given sweep, so that
-    calls at several radii share one, or else one built here.  The
-    full-rule and half-rule quadratures accumulate in one pass into two
-    arrays, `full` and `half`, of shape (len(orders), N+2, S^d - 1, m, m):
-    per order, the N+1 scale multipliers and then the Green multiplier.
-    Raises NotConverged when the two rules disagree beyond
-    CONVERGENCE_TOL in relative supremum norm for any order.
+    calls at several radii share one, or else one built here.  Both rules
+    accumulate in one pass into two arrays, `full` and `half`, of shape
+    (len(orders), N+2, S^d - 1, m, m): per order, the N+1 scale
+    multipliers and then the Green multiplier.  The real nodes t = 0 and
+    t = n_half take half their weight, and each sum P then becomes
+    P(p) + conj P(-p), the sum over the whole circle.  For odd n_half the
+    node z = -r belongs to the full rule only.  Raises NotConverged when
+    the two rules disagree beyond CONVERGENCE_TOL in relative supremum
+    norm for any order.
     """
     orders = sorted({int(j) for j in orders})
     if not orders:
@@ -79,23 +86,26 @@ def contour_derivatives(
     half = np.zeros(shape, dtype=np.complex128)
     if sweep is None:
         sweep = complex_sweep(path, g, sched)
-    for t in range(total):
+    for t in range(n_half + 1):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
         res = complex_at(sweep, z)
         bodies = [tab.values for tab in res.tables] + [res.green_table.values]
+        share = 0.5 if t in (0, n_half) else 1.0
         for i, j in enumerate(orders):
-            w_full = np.exp(-1j * j * theta) / total
+            w_full = share * np.exp(-1j * j * theta) / total
             for s, b in enumerate(bodies):
                 full[i, s] += w_full * b
                 if t % 2 == 0:
                     half[i, s] += 2.0 * w_full * b
 
+    neg = negated_rows(g)[1:] - 1
     out = {}
     for i, j in enumerate(orders):
         fac = math.factorial(j) / r**j * (2.0 / path.A0.c0) ** j
-        full[i] *= fac
-        half[i] *= fac
+        for acc in (full[i], half[i]):
+            acc += np.conj(acc[:, neg])
+            acc *= fac
         # The half rule is not read after the gate, so its rows take the gap.
         num = float(np.max(spectral_norms(np.subtract(full[i], half[i], out=half[i]))))
         den = max(1e-300, float(np.max(spectral_norms(full[i]))))

@@ -153,9 +153,36 @@ def _grid_table(flat: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 
 def spectral_norms(flat: np.ndarray, hermitian: bool = False) -> np.ndarray:
-    """Operator 2-norm per frequency of a flat (F, m, m) stack."""
-    if flat.shape[-1] == 1:
+    """Operator 2-norm per frequency of a flat (F, m, m) stack.
+
+    m = 1 is |entry|.  numpy's svd and eigvalsh make one LAPACK call per
+    matrix, so m = 2 is in closed form over the whole stack: with squared
+    column norms a_i = |c_i|^2 and b = <c_0, c_1>, the norm is
+    sqrt((a_0 + a_1)/2 + hypot((a_0 - a_1)/2, |b|)).  With hermitian=True
+    it is |(a + c)/2| + hypot((a - c)/2, |b|) for the diagonal a, c and the
+    lower entry b, the triangle eigvalsh reads.  Every term is
+    nonnegative, so nothing cancels.  Larger m goes through svd, or
+    eigvalsh when hermitian, on the finite matrices only: LAPACK rejects a
+    stack holding a NaN.  For every m a matrix with a NaN entry in the
+    part read has a NaN norm, so the doubling gate fails on it.
+    """
+    m = flat.shape[-1]
+    if m == 1:
         return np.abs(flat[..., 0, 0])
+    if m == 2:
+        if hermitian:
+            a = flat[..., 0, 0].real
+            c = flat[..., 1, 1].real
+            return np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), np.abs(flat[..., 1, 0]))
+        sq = np.square(np.abs(flat))
+        a0 = sq[..., 0, 0] + sq[..., 1, 0]
+        a1 = sq[..., 0, 1] + sq[..., 1, 1]
+        b = np.conj(flat[..., 0, 0]) * flat[..., 0, 1] + np.conj(flat[..., 1, 0]) * flat[..., 1, 1]
+        return np.sqrt(0.5 * (a0 + a1) + np.hypot(0.5 * (a0 - a1), np.abs(b)))
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    out = np.full(flat.shape[:-2], np.nan)
     if hermitian:
-        return np.max(np.abs(np.linalg.eigvalsh(flat)), axis=-1)
-    return np.linalg.svd(flat, compute_uv=False)[..., 0]
+        out[finite] = np.max(np.abs(np.linalg.eigvalsh(flat[finite])), axis=-1)
+    else:
+        out[finite] = np.linalg.svd(flat[finite], compute_uv=False)[..., 0]
+    return out

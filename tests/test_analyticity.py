@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,27 +11,57 @@ from frdlat.analyticity import (
     fd_derivative,
     radius_agreement,
 )
-from frdlat.decomposition import build_schedule, decompose
+from frdlat.decomposition import build_schedule, complex_at, complex_sweep, decompose
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
+from frdlat.spectral import negated_rows
 from frdlat import analyticity, projector
 
 
-def setup_path(m=1, seed=None):
-    g = TorusGeometry(d=2, m=m, L=5, N=2)
+def setup_path(m=1, seed=None, d=2):
+    g = TorusGeometry(d=d, m=m, L=5 if d == 2 else 3, N=2)
     sched = build_schedule(g, override=[3, 5])
+    n = d * m
     if seed is None:
-        A = identity_map(2, m)
-        direction = np.eye(2 * m)
+        A = identity_map(d, m)
+        direction = np.eye(n)
     else:
         rng = np.random.default_rng(seed)
-        B = rng.standard_normal((2 * m, 2 * m))
-        A = validate_map(B.T @ B + 0.3 * np.eye(2 * m), 2, m)
-        D = rng.standard_normal((2 * m, 2 * m))
+        B = rng.standard_normal((n, n))
+        A = validate_map(B.T @ B + 0.3 * np.eye(n), d, m)
+        D = rng.standard_normal((n, n))
         D = 0.5 * (D + D.T)
         direction = D / np.max(np.abs(np.linalg.eigvalsh(D)))
     return ComplexEllipticPath.from_direction(A, direction), g, sched
+
+
+def oracle_kernel(body, g):
+    """Real part of the inverse DFT of a p != 0 stack, zero at p = 0,
+    without multiplier_to_kernel's imaginary-residue check."""
+    grid = np.zeros((g.site_count, g.m, g.m), dtype=np.complex128)
+    grid[1:] = body
+    grid = np.moveaxis(grid.reshape(g.site_shape + (g.m, g.m)), (-2, -1), (0, 1))
+    return np.fft.ifftn(grid, axes=tuple(range(2, 2 + g.d))).real
+
+
+def full_circle_oracle(path, g, sched, orders, r, n_half):
+    """Trapezoid sums over all 2 * n_half nodes of the circle, lower half
+    included: per order, the N+1 scale kernels and then the Green kernel."""
+    sweep = complex_sweep(path, g, sched)
+    total = 2 * n_half
+    sums = {j: 0.0 for j in orders}
+    for t in range(total):
+        theta = np.pi * t / n_half
+        res = complex_at(sweep, r * np.exp(1j * theta))
+        stack = np.array([tab.values for tab in res.tables] + [res.green_table.values])
+        for j in orders:
+            sums[j] += np.exp(-1j * j * theta) / total * stack
+    out = {}
+    for j in orders:
+        fac = math.factorial(j) / r**j * (2.0 / path.A0.c0) ** j
+        out[j] = [oracle_kernel(fac * X, g) for X in sums[j]]
+    return out
 
 
 def test_contour_guard_errors():
@@ -74,6 +106,47 @@ def test_shared_sweep_matches_single_order():
             assert np.array_equal(a.values, b.values)
         assert np.array_equal(res.green_kernel.values, single.green_kernel.values)
         assert res.convergence == single.convergence
+
+
+@pytest.mark.parametrize("n_half", [16, 17])
+@pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_half_sweep_matches_full_circle_oracle(monkeypatch, d, m, n_half):
+    """n_half + 1 node evaluations give the kernels of the 2 * n_half node
+    sum; n_half = 17 leaves z = -r out of the half rule, whose gate must
+    still pass."""
+    path, g, sched = setup_path(m=m, seed=31, d=d)
+    calls = []
+    node = analyticity.complex_at
+
+    def counted(sweep, z):
+        calls.append(z)
+        return node(sweep, z)
+
+    monkeypatch.setattr(analyticity, "complex_at", counted)
+    got = contour_derivatives(path, g, sched, [0, 1, 3], r=0.5, n_half=n_half)
+    assert len(calls) == n_half + 1
+    want = full_circle_oracle(path, g, sched, [0, 1, 3], 0.5, n_half)
+    # A Cauchy sum's round-off is absolute, about eps * fac_j times the size
+    # of C on the circle, so order 3's smallest kernels sit near that floor.
+    size = max(np.max(np.abs(b)) for b in want[0])
+    for j, res in got.items():
+        assert res.n_nodes == 2 * n_half
+        floor = 1e-14 * math.factorial(j) / 0.5**j * (2.0 / path.A0.c0) ** j * size
+        for a, b in zip(res.kernels + [res.green_kernel], want[j]):
+            assert np.max(np.abs(a.values - b)) <= 1e-11 * np.max(np.abs(b)) + floor
+
+
+def test_derivative_tables_are_exactly_conjugate_symmetric():
+    """values(-p) == conj values(p) bitwise on every scale and Green table,
+    so the kernels' imaginary residue is the inverse FFT's round-off alone.
+    A full-circle sum leaves 1e-10 of the order-3 kernels' max here."""
+    path, g, sched = setup_path(m=2, seed=31, d=3)
+    neg = negated_rows(g)[1:] - 1
+    for res in contour_derivatives(path, g, sched, [0, 1, 3], n_half=16).values():
+        for tab in res.tables + [res.green_table]:
+            assert np.array_equal(tab.values[neg], np.conj(tab.values))
+        for k in res.kernels + [res.green_kernel]:
+            assert k.imag_residue <= 1e-14 * np.max(np.abs(k.values))
 
 
 def test_nan_in_a_contour_sum_fails_the_doubling_gate(monkeypatch):

@@ -83,11 +83,74 @@ def test_flat_grid_round_trip_and_norms():
     assert np.allclose(_grid_table(flat, G5), vals)
     norms = spectral_norms(flat)
     want = np.array([np.linalg.norm(flat[i], ord=2) for i in range(25)])
-    assert np.allclose(norms, want)
+    np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0)
     herm = flat + np.conj(np.swapaxes(flat, -1, -2))
     nh = spectral_norms(herm, hermitian=True)
     wanth = np.array([np.linalg.norm(herm[i], ord=2) for i in range(25)])
-    assert np.allclose(nh, wanth)
+    np.testing.assert_allclose(nh, wanth, rtol=1e-14, atol=0)
+
+
+def two_by_two_stack(case):
+    """(F, 2, 2) stacks whose norms are hard for a closed form."""
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scales = 10.0 ** np.linspace(-150.0, 150.0, 31)[:, None, None]
+    if case == "zero":
+        return np.zeros((3, 2, 2), dtype=np.complex128)
+    if case == "rank_one":
+        return cplx(20, 2, 1) @ cplx(20, 1, 2)
+    if case == "scaled_unitary":
+        return cplx(20, 1, 1) * np.linalg.qr(cplx(20, 2, 2))[0]
+    if case == "real":
+        return rng.standard_normal((20, 2, 2))
+    if case == "tiny_to_huge":
+        return scales * cplx(31, 2, 2)
+    if case == "hermitian_tiny_to_huge":
+        x = cplx(31, 2, 2)
+        return scales * (x + np.conj(np.swapaxes(x, -1, -2)))
+    if case == "hermitian_rank_one":
+        u = cplx(20, 2, 1)
+        return rng.standard_normal((20, 1, 1)) * (u @ np.conj(np.swapaxes(u, -1, -2)))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zero", "rank_one", "scaled_unitary", "real", "tiny_to_huge",
+     "hermitian_tiny_to_huge", "hermitian_rank_one"],
+)
+def test_two_by_two_norms_match_lapack(case):
+    flat = two_by_two_stack(case)
+    want = np.array([np.linalg.norm(x, ord=2) for x in flat])
+    np.testing.assert_allclose(spectral_norms(flat), want, rtol=1e-14, atol=0)
+    if case.startswith("hermitian") or case == "zero":
+        np.testing.assert_allclose(spectral_norms(flat, hermitian=True), want, rtol=1e-14, atol=0)
+
+
+def test_two_by_two_hermitian_norm_reads_the_lower_triangle():
+    indefinite = np.array([[[1.0, 0.0], [0.0, -3.0]]])
+    assert spectral_norms(indefinite, hermitian=True)[0] == 3.0
+    assert spectral_norms(indefinite)[0] == 3.0
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2))
+    x[:, 0, 0] = x[:, 0, 0].real
+    x[:, 1, 1] = x[:, 1, 1].real
+    want = np.max(np.abs(np.linalg.eigvalsh(x)), axis=-1)
+    np.testing.assert_allclose(spectral_norms(x, hermitian=True), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_nan_matrix_has_nan_norm(m, hermitian):
+    """The contour's doubling gate relies on a NaN sum giving a NaN norm."""
+    flat = np.tile(np.eye(m, dtype=np.complex128), (3, 1, 1))
+    flat[1, m - 1, 0] = np.nan
+    norms = spectral_norms(flat, hermitian=hermitian)
+    assert np.isnan(norms[1])
+    assert np.array_equal(norms[[0, 2]], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
