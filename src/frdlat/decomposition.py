@@ -17,16 +17,20 @@ The complex branch cannot take Hermitian roots, so it uses
 the order-reversed product form with the duals Rhat' = Ahat Rhat Ahat^-1
 folded in analytically (the inner Ahat^-1 Ahat pairs cancel):
 
-    Chat_{A,k} = P_{k-1} rev_{k-1} Ahat^-1 - P_k rev_k Ahat^-1,
-    P_k = Rhat_1 ... Rhat_k,   rev_k = Rhat_k ... Rhat_1.
+    Chat_{A,k} = F_{k-1} - F_k,   F_k = P_k Q_k,   F_0 = Ahat^-1,
+    P_k = Rhat_1 ... Rhat_k,   Q_k = Rhat_k Q_{k-1},   Q_0 = Ahat^-1.
 
 The complex branch serves contour sweeps: complex_sweep builds the
 z-independent part once (the symbol bodies of A0 and A1, so
 Ahat(z) = Ahat0 + z Ahat1, and one stiffness pencil per live level), and
-complex_at evaluates one node from it.  The real branch never uses the
-pencil, so finite differences of decompose stay an independent check of
-the contour derivatives.  Agreement of the two branches at real
-coefficients is a mandatory cross-check exercised by the test suite.
+complex_at evaluates one node from it.  Ahat(z)(-p) = Ahat(z)(p)^T and
+Ghat(z)(-p) = Ghat(z)(p)^T, so every table has C(-p) = C(p)^T:
+complex_at works on one row of each pair p, -p, inverts Ahat(z) there by
+spectral.stack_inv, and fills the other rows by transposition.  The
+real branch never uses the pencil, so finite differences of decompose
+stay an independent check of the contour derivatives.  Agreement of the
+two branches at real coefficients is a mandatory cross-check exercised
+by the test suite.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
 one BLAS call per small matrix.
@@ -54,7 +58,9 @@ from .spectral import (
     _hermitize,
     flat_table,
     multiplier_to_kernel,
+    negated_rows,
     spectral_norms,
+    stack_inv,
     stack_matmul,
 )
 
@@ -286,18 +292,22 @@ class ComplexSweep:
 
     Ahat(z) = body0 + z body1 is affine in z, and each live level holds
     its cube's stiffness pencil (None for a skipped level), so a node of
-    a contour sweep assembles and inverts no stiffness.
+    a contour sweep assembles and inverts no stiffness.  rows are the
+    p != 0 rows r that precede their -p row partner[r]: the bodies hold
+    those rows only, and complex_at evaluates only them.
     """
 
     geometry: TorusGeometry
+    rows: np.ndarray = field(repr=False)
+    partner: np.ndarray = field(repr=False)
     body0: np.ndarray = field(repr=False)
     body1: np.ndarray = field(repr=False)
     pencils: list = field(repr=False)
 
 
 def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
-    """Schedule and size checks, the symbol bodies of A0 and A1, and one
-    stiffness pencil per live level.
+    """Schedule and size checks, the symbol bodies of A0 and A1 on the
+    half rows, and one stiffness pencil per live level.
 
     A pencil whose Cholesky fails or whose eigenvalues leave [-1/2, 1/2]
     raises FactorizationFailure naming the level.
@@ -312,10 +322,14 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
             continue
         with _at_level(j):
             pencils.append(stiffness_pencil(path.A0, A1, cube(l, g), g))
+    neg = negated_rows(g)[1:] - 1
+    rows = np.flatnonzero(np.arange(neg.shape[0]) < neg)
     return ComplexSweep(
         geometry=g,
-        body0=symbol_flat(path.A0.tensor, g)[1:],
-        body1=symbol_flat(A1, g)[1:],
+        rows=rows,
+        partner=neg[rows],
+        body0=symbol_flat(path.A0.tensor, g)[1:][rows],
+        body1=symbol_flat(A1, g)[1:][rows],
         pencils=pencils,
     )
 
@@ -323,35 +337,41 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
 def complex_at(sweep: ComplexSweep, z: complex) -> ComplexDecompositionResult:
     """Scale multipliers of the family member A0 + z A1, |z| < 1.
 
-    Uses the non-Hermitian product form with duals folded analytically;
-    telescoping to the full Green symbol is exact by construction.
+    The product form with the duals folded analytically: with
+    R_j = I - Ghat_j Ahat / v_j, P_k = R_1 ... R_k and Q_k = R_k Q_{k-1},
+    Q_0 = Ahat^-1, the products F_k = P_k Q_k give C_k = F_{k-1} - F_k and
+    C_{N+1} = F_N, which telescope to Ahat^-1 by construction.  Ahat(-p)
+    = Ahat(p)^T and Ghat_j(-p) = Ghat_j(p)^T, so C(-p) = C(p)^T: only the
+    sweep's half rows are evaluated, and every table, the Green table
+    too, takes the transposes at the partner rows.
     """
     if abs(z) >= 1.0:
         raise OutsideDisc("|z| = %.6f is not inside the open unit disc" % abs(z))
     g = sweep.geometry
+    rows = sweep.rows + 1  # flat rows of green_flat, p = 0 included
     body = sweep.body0 + z * sweep.body1
-    Ainv = np.linalg.inv(body)
     identity = _identity_stack(body.shape[0], g.m)
-
-    P = identity
-    rev = identity
-    F_prev = Ainv
-    tables = []
-    for pencil in sweep.pencils:
+    # Half rows of the N+1 scale tables and then the Green table.
+    half = np.zeros((len(sweep.pencils) + 2,) + body.shape, dtype=np.complex128)
+    Ainv = stack_inv(body)
+    half[-1] = Ainv
+    P = None
+    Q = F_prev = Ainv
+    for k, pencil in enumerate(sweep.pencils):
         if pencil is None:
-            Ck = np.zeros_like(Ainv)
-        else:
-            Ghat = pencil.green_flat(z)[1:]
-            Rhat = identity - stack_matmul(Ghat, body) / pencil.cube.volume
-            P = stack_matmul(P, Rhat)
-            rev = stack_matmul(Rhat, rev)
-            F_cur = stack_matmul(stack_matmul(P, rev), Ainv)
-            Ck = F_prev - F_cur
-            F_prev = F_cur
-        tables.append(MultiplierTable(g, Ck))
-    tables.append(MultiplierTable(g, F_prev))
-    green = MultiplierTable(g, Ainv)
-    return ComplexDecompositionResult(geometry=g, tables=tables, green_table=green)
+            continue
+        R = identity - stack_matmul(pencil.green_flat(z)[rows], body) / pencil.cube.volume
+        P = R if P is None else stack_matmul(P, R)
+        Q = stack_matmul(R, Q)
+        F_cur = stack_matmul(P, Q)
+        np.subtract(F_prev, F_cur, out=half[k])
+        F_prev = F_cur
+    half[-2] = F_prev
+    out = np.empty(half.shape[:1] + (g.site_count - 1, g.m, g.m), dtype=np.complex128)
+    out[:, sweep.rows] = half
+    out[:, sweep.partner] = np.swapaxes(half, -1, -2)
+    tables = [MultiplierTable(g, X) for X in out]
+    return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])
 
 
 def complex_decompose(

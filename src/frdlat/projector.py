@@ -32,11 +32,22 @@ oracle for local_green_flat.
 
 Along the family A0 + z A1 the stiffness is affine, K(z) = K0 + z K1.
 stiffness_pencil factors K0 = L L^T once and diagonalizes
-L^-1 K1 L^-T = U diag(lam) U^T, so K(z)^-1 = V diag(1/(1 + z lam)) V^T
-with V = L^-T U, and each contour node costs two real products, the
-shared fold and one FFT.  |A1| <= c0/2 gives |lam| <= 1/2, hence
-|1 + z lam| >= 1/2 on the unit disc.  local_green_flat of the assembled
-member is the oracle of the pencil.
+L^-1 K1 L^-T = U diag(lam) U^T, so K(z)^-1 = sum_i v_i v_i^T / (1 + z lam_i)
+with v_i the columns of V = L^-T U.  |A1| <= c0/2 gives |lam| <= 1/2, so
+|z lam| < 1/2 on the unit disc and the block kernel is a power series
+g_z = sum_j z^j g_j whose terms fall by 2^-j.  The pencil keeps the first
+J = JET_ORDER = 64 terms, which leaves a tail below 2 * 2^-64 of the
+kernel.  Every offset lies in a circular window of side P = min(S, 2l - 3)
+per axis, and g_j(-u) = g_j(u)^T, so the jets are kept on half the window:
+J m^2 (P^d + 1)/2 words and an S x P matrix, where V and the fold slots
+of a dense K(z)^-1 would take n^2 + n^2/m^2 words (n = (l-1)^d m).  Each g_j is
+a sum of eigenvector autocorrelations, built by rfftn one cube layer of
+eigenvectors at a time.  A contour node then costs one length-J product,
+a scatter onto the window and d products with the S x P matrix
+e^{i p u} of one axis, which sum over the window one axis at a time; on
+every size measured that was several times cheaper than an FFT of the
+torus.  local_green_flat of the assembled member is the oracle of the
+pencil.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +58,10 @@ from .elliptic import EllipticMap, symbol_from_tensor
 from .errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, Cube, TorusGeometry
+
+# Taylor jets a stiffness pencil keeps: with |z lam| < 1/2 the dropped
+# tail is below 2 * 2^-JET_ORDER of the kernel.
+JET_ORDER = 64
 
 
 def _coefficient_tensor(A) -> np.ndarray:
@@ -285,24 +300,106 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
 
 @dataclass
 class StiffnessPencil:
-    """K(z) = K0 + z K1 of one cube, diagonalized once for a contour sweep.
+    """K(z) = K0 + z K1 of one cube, reduced once for a contour sweep to
+    the Taylor jets of its folded block kernel.
 
-    With K0 = L L^T and L^-1 K1 L^-T = U diag(lam) U^T, V = L^-T U gives
-    K(z)^-1 = V diag(1 / (1 + z lam)) V^T, so a node costs two real GEMMs,
-    the fold and one FFT instead of an assembly and a complex inverse.
+    With K0 = L L^T, L^-1 K1 L^-T = U diag(lam) U^T and V = L^-T U,
+    K(z)^-1 = sum_i v_i v_i^T / (1 + z lam_i), so the block kernel is
+
+        g_z(u) = sum_j z^j g_j(u),   g_j(u) = sum_i (-lam_i)^j a_i(u),
+
+    where a_i(u)_{st} = sum_x v_i(x, s) v_i(x + u, t) is the
+    autocorrelation of eigenvector i.  Every offset u lies in the
+    circular window of side P = min(S, 2l - 3) per axis, and
+    g_j(-u) = g_j(u)^T, so jets holds g_0..g_{J-1} on the half window:
+    row j is g_j at the window sites keep (u = 0 and one of each pair
+    u, -u), each an m x m block.  mirror holds the window site of -u for
+    each kept u, and dft the (S, P) matrix e^{i p_n u} of one axis.
+    |lam| <= 1/2 and |z| < 1 bound the dropped tail by
+    sum_{j>=J} 2^-j = 2 * 2^-J of sum_i |a_i|.
     """
 
     cube: Cube
     geometry: TorusGeometry
     lam: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    slot: np.ndarray = field(repr=False)
+    jets: np.ndarray = field(repr=False)
+    keep: np.ndarray = field(repr=False)
+    mirror: np.ndarray = field(repr=False)
+    dft: np.ndarray = field(repr=False)
 
     def green_flat(self, z: complex) -> np.ndarray:
-        """Ghat_Q of the family member at z, as local_green_flat returns it."""
-        w = 1.0 / (1.0 + complex(z) * self.lam)
-        V = self.V
-        return _fold((V * w.real) @ V.T, (V * w.imag) @ V.T, self.slot, self.geometry)
+        """Ghat_Q of the family member at z, as local_green_flat returns it:
+        one length-J product gives g_z on the half window, the transposes
+        fill the other half, and the sum over the window runs one axis at a
+        time, each a product with dft."""
+        g = self.geometry
+        m, P = g.m, self.dft.shape[1]
+        zj = np.power(complex(z), np.arange(self.jets.shape[0]))
+        half = (zj.real @ self.jets + 1j * (zj.imag @ self.jets)).reshape(-1, m, m)
+        X = np.empty((P ** g.d, m, m), dtype=np.complex128)
+        X[self.keep] = half
+        X[self.mirror] = np.swapaxes(half, 1, 2)
+        for _ in range(g.d):
+            # The leading axis, a window axis, becomes the last, a frequency axis.
+            X = X.reshape(P, -1).T @ self.dft.T
+        return X.reshape(m, m, g.site_count).transpose(2, 0, 1)
+
+
+def _window(cube: Cube, S: int):
+    """The circular window, of side P = min(S, 2l - 3) per axis, of the
+    offsets u of two sites of the cube: the window sites kept (u = 0 and
+    the first of each pair u, -u, in C order), the window site of -u for
+    each, and the (S, P) matrix e^{2 pi i n u_w / S} from the offsets u_w
+    of one axis to the torus frequencies n.  Both ends lie in an interval
+    of l - 1 sites, so |u_a| <= l - 2: P = 2l - 3 holds each offset once,
+    and P = S folds them mod S as the torus does."""
+    P = min(S, 2 * cube.l - 3)
+    shape = (P,) * cube.d
+    w = np.arange(P)
+    offset = np.where(w <= cube.l - 2, w, w - P)
+    sites = np.unravel_index(np.arange(P ** cube.d), shape)
+    neg = np.ravel_multi_index(tuple((P - a) % P for a in sites), shape)
+    keep = np.flatnonzero(np.arange(P ** cube.d) <= neg)
+    dft = np.exp(2j * np.pi * (np.outer(np.arange(S), offset) % S) / S)
+    return keep, neg[keep], dft
+
+
+def _autocorrelation_jets(V: np.ndarray, lam: np.ndarray, cube: Cube, m: int,
+                          keep: np.ndarray, P: int):
+    """g_j(u) = sum_i (-lam_i)^j a_i(u) for j < JET_ORDER at the window
+    sites keep of the window of side P, shape (JET_ORDER, len(keep) m^2).
+
+    a_i is the irfftn of conj(vhat_s) vhat_t, where vhat is the rfftn of
+    eigenvector i zero padded to P per axis (its sites 1..l-1 shift to
+    0..l-2, which leaves offsets alone).  The eigenvectors go in blocks of
+    b = n / (l-1), one cube layer, and the jets take each block's a_i in
+    chunks of at most b rows, so no temporary outgrows one block.
+    """
+    d, side = cube.d, cube.l - 1
+    n = V.shape[0]
+    b = n // side
+    powers = np.power(-lam, np.arange(JET_ORDER)[:, None])
+    jets = np.zeros((JET_ORDER, keep.shape[0] * m * m))
+    for start in range(0, n, b):
+        fields = V[:, start:start + b].T.reshape((b,) + (side,) * d + (m,))
+        spec = np.fft.rfftn(fields, s=(P,) * d, axes=range(1, d + 1))
+        a = np.fft.irfftn(np.conj(spec[..., :, None]) * spec[..., None, :], s=(P,) * d,
+                          axes=range(1, d + 1)).reshape(b, -1, m, m)
+        a = a[:, keep].reshape(b, -1)
+        for j in range(0, JET_ORDER, b):
+            jets[j:j + b] += powers[j:j + b, start:start + b] @ a
+    return jets
+
+
+def _pencil_modes(A0: EllipticMap, A1: np.ndarray, cube: Cube):
+    """lam and the columns of V = L^-T U, with K0 = L L^T and
+    L^-1 K1 L^-T = U diag(lam) U^T; the dense K0 and K1 end here."""
+    K0 = assemble_stiffness(A0.tensor, cube).matrix
+    K1 = assemble_stiffness(A1, cube).matrix
+    Linv = np.linalg.inv(_cholesky(K0, cube))
+    M = Linv @ K1 @ Linv.T
+    lam, U = np.linalg.eigh(0.5 * (M + M.T))
+    return lam, Linv.T @ U
 
 
 def stiffness_pencil(A0: EllipticMap, A1: np.ndarray, cube: Cube, g: TorusGeometry):
@@ -311,21 +408,19 @@ def stiffness_pencil(A0: EllipticMap, A1: np.ndarray, cube: Cube, g: TorusGeomet
     Assembly is linear in the tensor, so K0 and K1 are assembled once.
     The Cholesky factor of K0 is the definiteness check and is reused for
     the reduction.  |A1| <= c0/2 bounds every |lam| by 1/2, which keeps
-    |1 + z lam| >= 1/2 on the unit disc; a larger lam, or a failed
-    Cholesky, raises FactorizationFailure.
+    |z lam| < 1/2 on the unit disc; a larger lam, or a failed Cholesky,
+    raises FactorizationFailure.  The dense matrices are temporaries: the
+    pencil keeps lam and the jets.
     """
-    K0 = assemble_stiffness(A0.tensor, cube).matrix
-    K1 = assemble_stiffness(A1, cube).matrix
-    Linv = np.linalg.inv(_cholesky(K0, cube))
-    M = Linv @ K1 @ Linv.T
-    lam, U = np.linalg.eigh(0.5 * (M + M.T))
+    lam, V = _pencil_modes(A0, A1, cube)
     top = float(np.max(np.abs(lam)))
     if top > 0.5 * (1.0 + 1e-12):
         raise FactorizationFailure(
             "pencil eigenvalue %.6g exceeds 1/2 for cube l=%d" % (top, cube.l)
         )
-    return StiffnessPencil(cube=cube, geometry=g, lam=lam, V=Linv.T @ U,
-                           slot=_fold_slots(cube.interior, g.side).ravel())
+    keep, mirror, dft = _window(cube, g.side)
+    return StiffnessPencil(cube=cube, geometry=g, lam=lam, keep=keep, mirror=mirror, dft=dft,
+                           jets=_autocorrelation_jets(V, lam, cube, g.m, keep, dft.shape[1]))
 
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:

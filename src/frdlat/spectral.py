@@ -131,6 +131,41 @@ def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def stack_inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of each m x m matrix of an (F, m, m) stack.
+
+    numpy's inv makes one LAPACK call per matrix, so m = 1 is 1/x and
+    m = 2 is the adjugate over the determinant, over the whole stack.
+    Larger m goes through inv, on the finite matrices only.  A matrix
+    holding a NaN, or with a zero determinant (singular, for m >= 3), has
+    a non-finite inverse and raises nothing, so the doubling gate fails
+    on it.
+    """
+    m = a.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 1:
+            return 1.0 / a
+        if m == 2:
+            rdet = 1.0 / (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
+            out = np.empty_like(a)
+            out[:, 0, 0] = a[:, 1, 1] * rdet
+            out[:, 0, 1] = -a[:, 0, 1] * rdet
+            out[:, 1, 0] = -a[:, 1, 0] * rdet
+            out[:, 1, 1] = a[:, 0, 0] * rdet
+            return out
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    out = np.full(a.shape, np.nan, dtype=np.result_type(a, np.float64))
+    try:
+        out[finite] = np.linalg.inv(a[finite])
+    except np.linalg.LinAlgError:  # a singular matrix: invert one at a time
+        for i in np.flatnonzero(finite):
+            try:
+                out[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
+    return out
+
+
 def _embed_body(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
     """Flat (S^d - 1, m, m) rows for p != 0 -> (S^d, m, m) with row 0 zero."""
     out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)

@@ -4,7 +4,9 @@ import pytest
 from frdlat.decomposition import (
     CubeSchedule,
     build_schedule,
+    complex_at,
     complex_decompose,
+    complex_sweep,
     decompose,
     far_field_constant,
     kernel_sup_norm,
@@ -12,6 +14,7 @@ from frdlat.decomposition import (
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
+from frdlat.spectral import negated_rows
 from frdlat.verification import diagnostics
 
 
@@ -222,3 +225,20 @@ def test_indefinite_base_fails_the_pencil_cholesky():
     object.__setattr__(A, "entries", -np.eye(2))
     with pytest.raises(FactorizationFailure, match=r"level 1: stiffness Cholesky failed .* l=3"):
         complex_decompose(path, 0.1, g, sched)
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_complex_tables_are_exactly_transpose_symmetric(d, m):
+    """Ahat(z)(-p) = Ahat(z)(p)^T and Ghat(z)(-p) = Ghat(z)(p)^T, so every
+    complex_at table and the Green table satisfy C(-p) = C(p)^T bit for
+    bit, at random z in the disc and with a skipped level."""
+    g = TorusGeometry(d=d, m=m, L=3, N=3)
+    sched = build_schedule(g, override=[3, None, 5])
+    sweep = complex_sweep(random_path(d, m, seed=10 * d + m), g, sched)
+    neg = negated_rows(g)[1:] - 1
+    rng = np.random.default_rng(d + m)
+    for z in np.sqrt(rng.uniform(0, 0.99, 3)) * np.exp(2j * np.pi * rng.uniform(size=3)):
+        res = complex_at(sweep, z)
+        assert not np.any(res.table(2).values)
+        for X in [t.values for t in res.tables] + [res.green_table.values]:
+            assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))

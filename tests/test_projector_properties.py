@@ -4,10 +4,12 @@ Random SPD coefficients (real, and complex members of the analytic
 family) on small tori: the FFT of the folded block kernel must agree with
 the per-frequency plane-wave solve, and its inverse transform must vanish
 beyond the cube's range l - 2.  The stiffness pencil of a contour sweep
-must reproduce local_green_flat of the assembled family member.
+must reproduce local_green_flat of the assembled family member, up to
+the edge of the disc.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +106,32 @@ def test_pencil_matches_assembled_family_member(case):
     assert np.max(np.abs(pencil.lam)) <= 0.5 * (1.0 + 1e-12)
     for z in points:
         expected = local_green_flat(assemble_stiffness(path.tensor_at(z), Q), g)
+        got = pencil.green_flat(z)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("d, m, l", [(2, 1, 3), (2, 2, 5), (3, 2, 5)])
+def test_pencil_at_the_edge_of_the_disc(d, m, l):
+    """A direction scaled to max|lam| = 1/2 and |z| = 0.999: |z lam| =
+    0.4995, the worst case the truncated jets cover (the property test
+    stops at |z| = 0.99).  S = 5, so l = 3 has a window P = 3 < S and
+    l = 5 has P = S."""
+    g = TorusGeometry(d=d, m=m, L=5, N=1)
+    Q = cube(l, g)
+    rng = np.random.default_rng(7 * d + m)
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A0 = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    D = rng.standard_normal((n, n))
+    D = D + D.T
+    D /= np.max(np.abs(np.linalg.eigvalsh(D)))
+    A1 = ComplexEllipticPath.from_direction(A0, D).A1.reshape(m, d, m, d)
+    A1 *= 0.5 / np.max(np.abs(stiffness_pencil(A0, A1, Q, g).lam))
+    pencil = stiffness_pencil(A0, A1, Q, g)
+    assert np.max(np.abs(pencil.lam)) == pytest.approx(0.5, rel=1e-13)
+    for theta in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+        z = 0.999 * np.exp(1j * theta)
+        expected = local_green_flat(assemble_stiffness(A0.tensor + z * A1, Q), g)
         got = pencil.green_flat(z)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 

@@ -12,6 +12,7 @@ from frdlat.spectral import (
     multiplier_to_kernel,
     reflect_sites,
     spectral_norms,
+    stack_inv,
     stack_matmul,
 )
 
@@ -165,3 +166,33 @@ def test_stack_matmul_matches_matmul(m):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # mixed real and complex factors keep the complex result
     assert np.max(np.abs(stack_matmul(a.real, b) - a.real @ b)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stack_inv_matches_lapack(m):
+    """Within 1e-13 of each inverse's size times its condition number, on
+    random complex matrices, some scaled by 1e-100..1e100 and some nearly
+    singular."""
+    rng = np.random.default_rng(20 + m)
+    a = rng.standard_normal((300, m, m)) + 1j * rng.standard_normal((300, m, m))
+    a[:100] *= 10.0 ** rng.uniform(-100, 100, size=(100, 1, 1))
+    if m > 1:
+        a[100:150, :, 0] = a[100:150, :, 1] * (1 + 1e-9 * rng.standard_normal((50, m)))
+    want = np.linalg.inv(a)
+    err = np.max(np.abs(stack_inv(a) - want), axis=(-2, -1))
+    assert np.all(err <= 1e-13 * np.linalg.cond(a) * np.max(np.abs(want), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stack_inv_flags_nan_and_singular_matrices(m):
+    """A matrix holding a NaN, or with a zero determinant, has a non-finite
+    inverse and raises nothing (no LinAlgError, no RuntimeWarning), so the
+    contour's doubling gate still fails on it."""
+    a = np.tile(np.eye(m, dtype=np.complex128), (4, 1, 1))
+    a[1, m - 1, 0] = np.nan
+    a[2] = 1.0 if m > 1 else 0.0
+    with np.errstate(all="raise"):
+        out = stack_inv(a)
+    assert not np.isfinite(out[1]).all()
+    assert not np.isfinite(out[2]).all()
+    assert np.array_equal(out[[0, 3]], a[[0, 3]])
