@@ -1,36 +1,36 @@
-"""Cube schedules, renormalized products, and the multiscale kernels.
+"""Cube schedules, the scale product formula, and the multiscale kernels.
 
 Scale k of the decomposition is built from the averaged-projection
-symbols of the cubes l_1, ..., l_k.  In the real branch everything is
-conjugated by Ahat^{1/2}: with Ttilde = Ahat^{1/2} That Ahat^{-1/2}
-Hermitian and Rtilde = I - Ttilde a contraction, the products
-Mtilde_k = Rtilde_1 ... Rtilde_k give
+symbols of the cubes l_1, ..., l_k.  With v_j = l_j^d and Ghat_j the
+local Green symbol of cube j, let X_j = Ghat_j Ahat / v_j and
+R_j = I - X_j, P_k = R_1 ... R_k, Q_0 = Ahat^-1 and Q_k = R_k Q_{k-1}.
+The products F_k = P_k Q_k telescope from F_0 = Ahat^-1, and
+F_{k-1} - F_k = P_{k-1} (I - R_k^2) Q_{k-1} = P_{k-1} X_k (I + R_k) Q_{k-1},
+so every scale table is one product with no cancelling difference:
 
-    Chat_k = Ahat^{-1/2} [Mtilde_{k-1} Mtilde_{k-1}^H
-                          - Mtilde_k Mtilde_k^H] Ahat^{-1/2},
+    Chat_k = P_{k-1} X_k (Q_{k-1} + Q_k),   k <= N,
+    Chat_{N+1} = P_N Q_N.
 
-which telescopes exactly to Ahat^{-1} and is positive semidefinite per
-frequency.  decompose runs one loop over the schedule and keeps the
-recursion in plain lists of (F, m, m) stacks: symbols[j-1] is Ttilde_j,
-or None for a skipped level, and products[k] is Mtilde_k for k = 0..N.
-The complex branch cannot take Hermitian roots, so it uses
-the order-reversed product form with the duals Rhat' = Ahat Rhat Ahat^-1
-folded in analytically (the inner Ahat^-1 Ahat pairs cancel):
+For real A, X_j is similar to Ahat^{1/2} Ghat_j Ahat^{1/2} / v_j,
+Hermitian with spectrum in [0, 1], and Q_k = Ahat^-1 P_k^H, so
+Chat_k = P_{k-1} (2 Ghat_k / v_k - Ghat_k Ahat Ghat_k / v_k^2) P_{k-1}^H is
+positive semidefinite per frequency.  _scale_tables evaluates the
+formula for both branches, which differ only in the cube route and in
+Ahat^-1:
 
-    Chat_{A,k} = F_{k-1} - F_k,   F_k = P_k Q_k,   F_0 = Ahat^-1,
-    P_k = Rhat_1 ... Rhat_k,   Q_k = Rhat_k Q_{k-1},   Q_0 = Ahat^-1.
+- decompose (real A) solves each cube by the layered Schur route
+  (projector.local_green_flat), takes Ahat^-1 from
+  elliptic.green_from_body (np.linalg.inv) and hermitizes every table;
+- complex_at (one node z of the family A0 + z A1) takes Ghat_j(z) from
+  the stiffness pencils that complex_sweep builds once, with the symbol
+  bodies (Ahat(z) = Ahat0 + z Ahat1), and inverts Ahat(z) by
+  spectral.stack_inv.
 
-The complex branch serves contour sweeps: complex_sweep builds the
-z-independent part once (the symbol bodies of A0 and A1, so
-Ahat(z) = Ahat0 + z Ahat1, and one stiffness pencil per live level), and
-complex_at evaluates one node from it.  Ahat(z)(-p) = Ahat(z)(p)^T and
-Ghat(z)(-p) = Ghat(z)(p)^T, so every table has C(-p) = C(p)^T:
-complex_at works on one row of each pair p, -p, inverts Ahat(z) there by
-spectral.stack_inv, and fills the other rows by transposition.  The
-real branch never uses the pencil, so finite differences of decompose
-stay an independent check of the contour derivatives.  Agreement of the
-two branches at real coefficients is a mandatory cross-check exercised
-by the test suite.
+That difference keeps the agreement of the branches at real z, and the
+finite differences of decompose against the contour derivatives,
+independent checks.  Ahat(z)(-p) = Ahat(z)(p)^T and
+Ghat(z)(-p) = Ghat(z)(p)^T, so complex_at works on one row of each pair
+p, -p and fills the other rows by transposition.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
 one BLAS call per small matrix.
@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import (EllipticMap, ComplexEllipticPath, green_from_body, sqrt_and_invsqrt_flat,
-                       symbol_flat)
+from .elliptic import EllipticMap, ComplexEllipticPath, green_from_body, symbol_flat
 from .errors import (CubeTooLarge, EmptyFarRegion, FactorizationFailure, InvalidSchedule,
                      OutsideDisc)
 from .lattice import TorusGeometry, cube, rho_inf_grid
@@ -154,10 +153,11 @@ def _identity_stack(F: int, m: int) -> np.ndarray:
 
 @dataclass
 class DecompositionResult:
-    """Scale tables and kernels C_1..C_{N+1}, plus the recursion behind
-    them on the p != 0 rows: symbols[j-1] is the (F, m, m) stack Ttilde_j,
-    or None for a skipped level j, and products[k] is Mtilde_k for
-    k = 0..N (a skipped level repeats the previous product)."""
+    """Scale tables and kernels C_1..C_{N+1}, plus the factors of the
+    product formula on the p != 0 rows: symbols[j-1] is the (F, m, m)
+    stack X_j = Ghat_j Ahat / v_j, or None for a skipped level j, and
+    products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a skipped
+    level repeats the previous product)."""
 
     geometry: TorusGeometry
     A: EllipticMap
@@ -222,6 +222,32 @@ def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
                 check_cube_size(cube(l, g), g.m, dense)
 
 
+def _scale_tables(X: list, Ainv: np.ndarray):
+    """The N+1 scale stacks of the product formula, and the products.
+
+    X[j-1] is the (F, m, m) stack X_j, or None for a skipped level, and
+    Ainv is Ahat^-1 on the same rows.  Returns the tables
+    C_k = P_{k-1} X_k (Q_{k-1} + Q_k) for k = 1..N (zero at a skipped
+    level) and C_{N+1} = P_N Q_N, and the products P_0 = I, ..., P_N.
+    P_{k-1} X_k serves both C_k and P_k = P_{k-1} - P_{k-1} X_k.
+    """
+    identity = _identity_stack(Ainv.shape[0], Ainv.shape[-1])
+    P, Q = identity, Ainv
+    tables = []
+    products = [P]
+    for Xk in X:
+        if Xk is None:
+            tables.append(np.zeros_like(Ainv))
+        else:
+            PX = Xk if P is identity else stack_matmul(P, Xk)  # no product while P = I
+            Q_next = Q - stack_matmul(Xk, Q)
+            tables.append(stack_matmul(PX, Q + Q_next))
+            P, Q = P - PX, Q_next
+        products.append(P)
+    tables.append(stack_matmul(P, Q))
+    return tables, products
+
+
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
     """Build all scale kernels C_1..C_{N+1}.
 
@@ -231,45 +257,25 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     """
     _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
-    Asqrt, Ainvsqrt = sqrt_and_invsqrt_flat(body)
-
-    identity = _identity_stack(body.shape[0], g.m)
     symbols = []
-    products = [identity]
     for j, l in enumerate(sched.levels, start=1):
         if l is None:
             symbols.append(None)
-            products.append(products[-1])
             continue
         # The stiffness and Ghat_Q are temporaries: neither outlives its level.
         Q = cube(l, g)
         with _at_level(j):
-            T = stack_matmul(Asqrt, local_green_flat(assemble_stiffness(A, Q), g)[1:])
-        T = _hermitize(stack_matmul(T, Asqrt) / Q.volume)
-        symbols.append(T)
-        products.append(stack_matmul(products[-1], identity - T))
-
-    def scale_table(diff):
-        return MultiplierTable(g, _hermitize(stack_matmul(stack_matmul(Ainvsqrt, diff), Ainvsqrt)))
-
-    # Consecutive gram differences give C_1..C_N; the last gram is C_{N+1}.
-    tables = []
-    prev = None
-    for Mk in products:
-        cur = _hermitize(stack_matmul(Mk, np.conj(np.swapaxes(Mk, -1, -2))))
-        if prev is not None:
-            tables.append(scale_table(prev - cur))
-        prev = cur
-    tables.append(scale_table(prev))
-    kernels = [multiplier_to_kernel(table) for table in tables]
-    green_table = green_from_body(body, g)  # last, so no cube solve runs beside it
-
+            G = local_green_flat(assemble_stiffness(A, Q), g)[1:]
+        symbols.append(stack_matmul(G, body) / Q.volume)
+    green_table = green_from_body(body, g)  # after the cubes, so no cube solve runs beside it
+    tables, products = _scale_tables(symbols, green_table.values)
+    tables = [MultiplierTable(g, _hermitize(C)) for C in tables]
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
-        kernels=kernels,
+        kernels=[multiplier_to_kernel(table) for table in tables],
         green_table=green_table,
         symbols=symbols,
         products=products,
@@ -337,40 +343,27 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
 def complex_at(sweep: ComplexSweep, z: complex) -> ComplexDecompositionResult:
     """Scale multipliers of the family member A0 + z A1, |z| < 1.
 
-    The product form with the duals folded analytically: with
-    R_j = I - Ghat_j Ahat / v_j, P_k = R_1 ... R_k and Q_k = R_k Q_{k-1},
-    Q_0 = Ahat^-1, the products F_k = P_k Q_k give C_k = F_{k-1} - F_k and
-    C_{N+1} = F_N, which telescope to Ahat^-1 by construction.  Ahat(-p)
-    = Ahat(p)^T and Ghat_j(-p) = Ghat_j(p)^T, so C(-p) = C(p)^T: only the
-    sweep's half rows are evaluated, and every table, the Green table
-    too, takes the transposes at the partner rows.
+    The product formula (_scale_tables) on the sweep's half rows, with
+    X_j = Ghat_j(z) Ahat(z) / v_j from the pencils and Q_0 = Ahat(z)^-1
+    from stack_inv.  Ahat(-p) = Ahat(p)^T and Ghat_j(-p) = Ghat_j(p)^T, so
+    C(-p) = C(p)^T: every table, the Green table too, takes the
+    transposes at the partner rows.
     """
     if abs(z) >= 1.0:
         raise OutsideDisc("|z| = %.6f is not inside the open unit disc" % abs(z))
     g = sweep.geometry
     rows = sweep.rows + 1  # flat rows of green_flat, p = 0 included
     body = sweep.body0 + z * sweep.body1
-    identity = _identity_stack(body.shape[0], g.m)
-    # Half rows of the N+1 scale tables and then the Green table.
-    half = np.zeros((len(sweep.pencils) + 2,) + body.shape, dtype=np.complex128)
+    X = [None if pencil is None
+         else stack_matmul(pencil.green_flat(z)[rows], body) / pencil.cube.volume
+         for pencil in sweep.pencils]
     Ainv = stack_inv(body)
-    half[-1] = Ainv
-    P = None
-    Q = F_prev = Ainv
-    for k, pencil in enumerate(sweep.pencils):
-        if pencil is None:
-            continue
-        R = identity - stack_matmul(pencil.green_flat(z)[rows], body) / pencil.cube.volume
-        P = R if P is None else stack_matmul(P, R)
-        Q = stack_matmul(R, Q)
-        F_cur = stack_matmul(P, Q)
-        np.subtract(F_prev, F_cur, out=half[k])
-        F_prev = F_cur
-    half[-2] = F_prev
+    tables, _ = _scale_tables(X, Ainv)
+    half = np.stack(tables + [Ainv])
     out = np.empty(half.shape[:1] + (g.site_count - 1, g.m, g.m), dtype=np.complex128)
     out[:, sweep.rows] = half
     out[:, sweep.partner] = np.swapaxes(half, -1, -2)
-    tables = [MultiplierTable(g, X) for X in out]
+    tables = [MultiplierTable(g, C) for C in out]
     return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])
 
 

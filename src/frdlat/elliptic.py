@@ -113,46 +113,20 @@ def green_from_body(body: np.ndarray, g: TorusGeometry) -> MultiplierTable:
     return MultiplierTable(g, _hermitize(np.linalg.inv(body)))
 
 
-def _eigh_checked(M: np.ndarray):
-    herm_defect = np.max(np.abs(M - np.conj(np.swapaxes(M, -1, -2))))
-    scale = max(float(np.max(np.abs(M))), 1e-300)
-    if herm_defect > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(M)
-
-
-def _clamp_psd(w: np.ndarray, context: str) -> np.ndarray:
-    scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1e-300)
-    worst = float(np.min(w / scale))
-    if worst < -1e-10:
-        raise NotPSD(
-            "%s has eigenvalue %.3e of scale, below the -1e-10 floor" % (context, worst)
-        )
-    return np.maximum(w, 0.0)
-
-
-def sqrt_and_invsqrt_flat(flat: np.ndarray):
-    """Batched Hermitian square root and inverse root of an (F, m, m) stack.
-
-    Every slice must be Hermitian positive definite (the p = 0 slot is
-    excluded by callers before batching).
-    """
-    w, U = _eigh_checked(flat)
-    if np.min(w) <= 0.0:
-        raise NotPSD("stack has a non-positive eigenvalue %.3e" % float(np.min(w)))
-    Uh = np.conj(np.swapaxes(U, -1, -2))
-    root = (U * np.sqrt(w)[..., None, :]) @ Uh
-    invroot = (U * (1.0 / np.sqrt(w))[..., None, :]) @ Uh
-    return root, invroot
-
-
 def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:
     """Batched Hermitian PSD square root; eigenvalues down to -1e-10 of
-    each matrix's scale are clamped to zero, lower ones raise NotPSD."""
-    w, U = _eigh_checked(flat)
-    w = _clamp_psd(w, context)
+    each matrix's scale are clamped to zero, lower ones raise NotPSD.
+    A stack that is not Hermitian within 1e-12 of its largest entry
+    raises ValueError."""
+    herm_defect = np.max(np.abs(flat - np.conj(np.swapaxes(flat, -1, -2))))
+    if herm_defect > 1e-12 * max(float(np.max(np.abs(flat))), 1e-300):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, U = np.linalg.eigh(flat)
+    worst = float(np.min(w / np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1e-300)))
+    if worst < -1e-10:
+        raise NotPSD("%s has eigenvalue %.3e of scale, below the -1e-10 floor" % (context, worst))
     Uh = np.conj(np.swapaxes(U, -1, -2))
-    return (U * np.sqrt(w)[..., None, :]) @ Uh
+    return (U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ Uh
 
 
 def check_direction(raw: np.ndarray, bound: float, scale: float = 0.0) -> np.ndarray:

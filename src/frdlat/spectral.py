@@ -118,13 +118,11 @@ def _hermitize(X: np.ndarray) -> np.ndarray:
 def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for (F, m, m) stacks.
 
-    numpy's stacked matmul makes one BLAS call per m x m matrix, so for
-    m >= 2 the m-term sums are formed entry-wise over the whole stack.
-    For m = 1 it is a @ b, bit for bit.
+    numpy's stacked matmul makes one BLAS call per m x m matrix, so the
+    m-term sums are formed entry-wise over the whole stack; for m = 1
+    that is the product a * b.
     """
     m = a.shape[-1]
-    if m == 1:
-        return a @ b
     out = a[..., :, :1] * b[..., :1, :]
     for k in range(1, m):
         out += a[..., :, k : k + 1] * b[..., k : k + 1, :]

@@ -13,11 +13,12 @@ from itertools import product
 import numpy as np
 
 from .decomposition import DecompositionResult, far_field_constant, kernel_sup_norm
-from .elliptic import EllipticMap
+from .elliptic import EllipticMap, symbol_flat
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
-from .spectral import Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms
+from .spectral import (Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms,
+                       stack_inv, stack_matmul)
 
 
 def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
@@ -275,6 +276,12 @@ def _annulus_fit(meas: np.ndarray, ann: np.ndarray, k: int, L: float):
 def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """Step-envelope fits for the product norms and the one-level bounds.
 
+    The bounds are stated for the Ahat^{1/2}-conjugates Ttilde_j =
+    Ahat^{1/2} X_j Ahat^{-1/2} (Hermitian), Rtilde_j = I - Ttilde_j and
+    Mtilde_k = Ahat^{1/2} P_k Ahat^{-1/2}.  With the Cholesky factor
+    Ahat = L L^H, Ahat^{1/2} L^{-H} is unitary, so the similarity
+    Y -> L^H Y L^{-H} gives the same operator norms without a root.
+
     Fits the minimal admissible constants: c_product for the product
     envelope (1 on annuli j >= k, c^{k-j} L^{-(k-j)(k-j+1)/2} below),
     c_tm for the smoothed-product envelope (c L^8 L^{4(k-j)} on j >= k,
@@ -286,11 +293,16 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     ann = _annulus_index(g)
     norms = p_norms(g)[1:]
     counts = [int(np.count_nonzero(ann == j)) for j in range(g.N + 1)]
+    Lh = np.conj(np.swapaxes(np.linalg.cholesky(symbol_flat(result.A.tensor, g)[1:]), -1, -2))
+    Lh_inv = stack_inv(Lh)
+
+    def similar(Y):
+        return stack_matmul(stack_matmul(Lh, Y), Lh_inv)
 
     product_max = {}
     c_product = 1.0
-    for k, Mk in enumerate(result.products):
-        maxima, c = _annulus_fit(spectral_norms(Mk), ann, k, L)
+    for k, Pk in enumerate(result.products):
+        maxima, c = _annulus_fit(spectral_norms(similar(Pk)), ann, k, L)
         product_max.update(maxima)
         c_product = max(c_product, c)
 
@@ -300,10 +312,10 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     c_high = 0.0
     level_t_max = {}
     level_r_max = {}
-    for k, (l, T) in enumerate(zip(result.schedule.levels, result.symbols)):
-        if T is None:
+    for k, (l, X) in enumerate(zip(result.schedule.levels, result.symbols)):
+        if X is None:
             continue
-        meas = spectral_norms(T @ result.products[k])
+        meas = spectral_norms(similar(stack_matmul(X, result.products[k])))
         maxima, c = _annulus_fit(meas, ann, k, L)
         tm_max.update(maxima)
         c_tm = max(c_tm, c)
@@ -311,8 +323,9 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
         if np.any(high):
             need = meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)
             c_tm = max(c_tm, float(np.max(need)))
+        T = _hermitize(similar(X))
         tnorm = spectral_norms(T, hermitian=True)
-        rnorm = spectral_norms(result.products[0] - T, hermitian=True)  # Mtilde_0 = I
+        rnorm = spectral_norms(result.products[0] - T, hermitian=True)  # P_0 = I
         level_t_max[k + 1] = float(np.max(tnorm))
         level_r_max[k + 1] = float(np.max(rnorm))
         c_low = max(c_low, float(np.max(tnorm / (norms * l) ** 4)))

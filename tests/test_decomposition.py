@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from frdlat.decomposition import (
     far_field_constant,
     kernel_sup_norm,
 )
-from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
+from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
 from frdlat.spectral import negated_rows
@@ -242,3 +244,50 @@ def test_complex_tables_are_exactly_transpose_symmetric(d, m):
         assert not np.any(res.table(2).values)
         for X in [t.values for t in res.tables] + [res.green_table.values]:
             assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))
+
+
+def _exact(x):
+    return Fraction(float(x.real)), Fraction(float(x.imag))
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+@pytest.mark.parametrize("levels", [None, [3, 5, 9]])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scale_tables_match_exact_arithmetic(levels, seed):
+    """Every scale table lies within 1e-15 of its max from the exact
+    tables of the same float64 inputs: the X_j that decompose stores and
+    the symbol Ahat, with Ahat^-1 and the telescoping differences
+    F_{k-1} - F_k, F_k = P_k Q_k, formed in rational arithmetic (m = 1, so
+    every factor is one complex number per frequency)."""
+    g = TorusGeometry(d=2, m=1, L=3, N=3)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((2, 2))
+    A = validate_map(B.T @ B / 2 + 0.5 * np.eye(2), 2, 1)
+    res = decompose(A, g, build_schedule(g, override=levels))
+    body = symbol_flat(A.tensor, g)[1:, 0, 0]
+    X = [None if Xj is None else Xj[:, 0, 0] for Xj in res.symbols]
+    exact = np.empty((res.n_scales, body.shape[0]), dtype=object)
+    for f, a in enumerate(body):
+        re, im = _exact(a)
+        norm = re * re + im * im
+        P, Q = (Fraction(1), Fraction(0)), (re / norm, -im / norm)
+        F = Q
+        for k, Xj in enumerate(X):
+            if Xj is not None:
+                x = _exact(Xj[f])
+                R = (1 - x[0], -x[1])
+                P, Q = _cmul(P, R), _cmul(R, Q)
+            F_prev, F = F, _cmul(P, Q)
+            exact[k, f] = (F_prev[0] - F[0], F_prev[1] - F[1])
+        exact[-1, f] = F
+    for k in range(1, res.n_scales + 1):
+        got = res.table(k).values[:, 0, 0]
+        # decompose returns each table's Hermitian part: for m = 1 the real part.
+        want = [re for re, _ in exact[k - 1]]
+        scale = max(abs(w) for w in want)
+        err = max(abs(Fraction(float(x.real)) - w) + abs(Fraction(float(x.imag)))
+                  for x, w in zip(got, want))
+        assert err <= Fraction(1, 10**15) * scale

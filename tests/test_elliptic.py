@@ -6,7 +6,6 @@ from frdlat.elliptic import (
     green_symbol,
     hermitian_sqrt_flat,
     identity_map,
-    sqrt_and_invsqrt_flat,
     symbol_flat,
     symbol_from_tensor,
     validate_map,
@@ -86,17 +85,6 @@ def test_hermitian_sqrt():
     assert np.allclose(tiny, np.diag([1.0, 0.0]))
     with pytest.raises(NotPSD):
         hermitian_sqrt_flat(np.diag([1.0, -1.0])[None].astype(np.complex128))
-
-
-def test_sqrt_and_invsqrt_flat():
-    rng = np.random.default_rng(11)
-    stack = np.empty((4, 2, 2), dtype=np.complex128)
-    for i in range(4):
-        B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        stack[i] = B @ np.conj(B.T) + 0.2 * np.eye(2)
-    root, invroot = sqrt_and_invsqrt_flat(stack)
-    assert np.allclose(root @ root, stack)
-    assert np.allclose(root @ invroot, np.broadcast_to(np.eye(2), (4, 2, 2)))
 
 
 def test_complex_path_construction():

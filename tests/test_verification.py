@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from frdlat.decomposition import build_schedule, decompose
-from frdlat.elliptic import identity_map, validate_map
+from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry
 from frdlat.spectral import multiplier_to_kernel
 from frdlat.verification import (
+    _annulus_index,
     brute_force_green,
     check_finite_range,
     check_psd,
@@ -113,3 +114,39 @@ def test_envelope_report_counts_and_bounds():
     for c in (rep.c_product, rep.c_tm, rep.c_low, rep.c_high):
         assert np.isfinite(c) and c >= 0.0
     assert all(v <= 1.0 + 1e-12 for v in rep.product_max.values())
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_envelope_norms_match_independent_roots(d, m):
+    """envelope_report measures the Ahat^{1/2}-conjugates through a Cholesky
+    similarity; the same norms with Ahat^{+-1/2} from eigh, per frequency,
+    for random SPD A and a skipped level."""
+    g = TorusGeometry(d=d, m=m, L=3, N=3)
+    rng = np.random.default_rng(10 * d + m)
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    res = decompose(A, g, build_schedule(g, override=[3, None, 5]))
+    rep = envelope_report(res)
+
+    w, U = np.linalg.eigh(symbol_flat(A.tensor, g)[1:])
+    Uh = np.conj(np.swapaxes(U, -1, -2))
+    root = (U * np.sqrt(w)[:, None, :]) @ Uh
+    invroot = (U / np.sqrt(w)[:, None, :]) @ Uh
+
+    def norms(Y):
+        return np.linalg.norm(root @ Y @ invroot, ord=2, axis=(-2, -1))
+
+    ann = _annulus_index(g)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * want
+
+    for (k, j), got in rep.product_max.items():
+        close(got, np.max(norms(res.products[k])[ann == j]))
+    for (k, j), got in rep.tm_max.items():
+        close(got, np.max(norms(res.symbols[k] @ res.products[k])[ann == j]))
+    assert sorted(rep.level_t_max) == sorted(rep.level_r_max) == [1, 3]
+    for k in (1, 3):
+        close(rep.level_t_max[k], np.max(norms(res.symbols[k - 1])))
+        close(rep.level_r_max[k], np.max(norms(np.eye(m) - res.symbols[k - 1])))
