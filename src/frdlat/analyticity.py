@@ -8,10 +8,10 @@ doubling gate compares the 2M-node rule against its M-node subset.
 
 Derivatives are reported in the normalized direction Adot = A1/(c0/2):
 with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  A0 and A1 are
-real, so C(conj z)(-p) = conj C(z)(p) for every scale and the Green
-table: the lower half of the contour is read off the upper half, and the
-accumulated tables are exactly conjugate-symmetric by construction,
-multipliers of real kernels.
+real and symmetric, so C(conj z)(p) = conj C(z)(p)^T for every scale and
+the Green table: the lower half of the contour is read off the upper half
+on the pair rows, and the unfolded tables are exactly conjugate-symmetric
+by construction, multipliers of real kernels.
 """
 
 import math
@@ -23,7 +23,7 @@ from .decomposition import CubeSchedule, complex_at, complex_sweep, decompose, k
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, negated_rows, spectral_norms
+from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, spectral_norms, unfold_pairs
 
 CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
@@ -63,13 +63,13 @@ def contour_derivatives(
     nodes from one complex_sweep(path, g, sched): the given sweep, so that
     calls at several radii share one, or else one built here.  Both rules
     accumulate in one pass into two arrays, `full` and `half`, of shape
-    (len(orders), N+2, S^d - 1, m, m): per order, the N+1 scale
+    (len(orders), N+2, H, m, m) on the pair rows: per order, the N+1 scale
     multipliers and then the Green multiplier.  The real nodes t = 0 and
-    t = n_half take half their weight, and each sum P then becomes
-    P(p) + conj P(-p), the sum over the whole circle.  For odd n_half the
-    node z = -r belongs to the full rule only.  Raises NotConverged when
-    the two rules disagree beyond CONVERGENCE_TOL in relative supremum
-    norm for any order.
+    t = n_half take half their weight, and each sum P then becomes P + P^H,
+    the sum over the whole circle, unfolded once before the gate.  For odd
+    n_half the node z = -r belongs to the full rule only.  Raises
+    NotConverged when the two rules disagree beyond CONVERGENCE_TOL in
+    relative supremum norm for any order.
 
     Round-off floor: the order-j sums scale each node's round-off by
     fac_j = j! (2/c0)^j / r^j, so an order-j kernel is known only to about
@@ -88,41 +88,35 @@ def contour_derivatives(
     if n_half < max(2, orders[-1] + 1):
         raise ValueError("need at least max(2, order + 1) half-rule nodes")
     total = 2 * n_half
-    shape = (len(orders), sched.N + 2, g.site_count - 1, g.m, g.m)
-    full = np.zeros(shape, dtype=np.complex128)
-    half = np.zeros(shape, dtype=np.complex128)
     if sweep is None:
         sweep = complex_sweep(path, g, sched)
+    full, half = np.zeros((2, len(orders), sched.N + 2) + sweep.body0.shape, dtype=np.complex128)
     for t in range(n_half + 1):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
-        res = complex_at(sweep, z)
-        bodies = [tab.values for tab in res.tables] + [res.green_table.values]
+        stack = complex_at(sweep, z)
         share = 0.5 if t in (0, n_half) else 1.0
         for i, j in enumerate(orders):
             w_full = share * np.exp(-1j * j * theta) / total
-            for s, b in enumerate(bodies):
-                full[i, s] += w_full * b
-                if t % 2 == 0:
-                    half[i, s] += 2.0 * w_full * b
+            full[i] += w_full * stack
+            if t % 2 == 0:
+                half[i] += 2.0 * w_full * stack
 
-    neg = negated_rows(g)[1:] - 1
     out = {}
     for i, j in enumerate(orders):
         fac = math.factorial(j) / r**j * (2.0 / path.A0.c0) ** j
-        for acc in (full[i], half[i]):
-            acc += np.conj(acc[:, neg])
-            acc *= fac
+        full_i, half_i = (unfold_pairs((P + np.conj(np.swapaxes(P, -1, -2))) * fac, g)
+                          for P in (full[i], half[i]))
         # The half rule is not read after the gate, so its rows take the gap.
-        num = float(np.max(spectral_norms(np.subtract(full[i], half[i], out=half[i]))))
-        den = max(1e-300, float(np.max(spectral_norms(full[i]))))
+        num = float(np.max(spectral_norms(np.subtract(full_i, half_i, out=half_i))))
+        den = max(1e-300, float(np.max(spectral_norms(full_i))))
         convergence = num / den
         if not convergence <= CONVERGENCE_TOL:  # a NaN sum fails the gate too
             raise NotConverged(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
                 % (j, n_half, total, convergence, CONVERGENCE_TOL)
             )
-        tables = [MultiplierTable(g, X) for X in full[i]]
+        tables = [MultiplierTable(g, X) for X in full_i]
         kernels = [multiplier_to_kernel(tab) for tab in tables]
         out[j] = DerivativeResult(
             path=path,

@@ -337,6 +337,8 @@ def main(argv=None) -> int:
             seed=getattr(args, "seed", None),
             samples=getattr(args, "samples", None),
         )
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError("--threads: %d is below the minimum 1" % args.threads)
     except (ParseError, ValidationError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -345,7 +347,7 @@ def main(argv=None) -> int:
     if args.command == "sample":
         # Each worker is an OS thread and more workers than cores cannot draw
         # faster, so the pool is capped; outputs do not depend on the count.
-        extra = (min(max(1, args.threads), os.cpu_count() or 1),)
+        extra = (min(args.threads, os.cpu_count() or 1),)
     if cfg.output is None:
         print(
             "config error: no output directory (set output in config or pass --out)",

@@ -28,9 +28,9 @@ Ahat^-1:
 
 That difference keeps the agreement of the branches at real z, and the
 finite differences of decompose against the contour derivatives,
-independent checks.  Ahat(z)(-p) = Ahat(z)(p)^T and
-Ghat(z)(-p) = Ghat(z)(p)^T, so complex_at works on one row of each pair
-p, -p and fills the other rows by transposition.
+independent checks.  A and A1 are symmetric, so C(-p) = C(p)^T: both
+branches work on the H = (S^d - 1)/2 pair rows (spectral.pair_rows) and
+unfold by transposition, so decompose's tables are exactly Hermitian.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
 one BLAS call per small matrix.
@@ -57,10 +57,11 @@ from .spectral import (
     _hermitize,
     flat_table,
     multiplier_to_kernel,
-    negated_rows,
+    pair_rows,
     spectral_norms,
     stack_inv,
     stack_matmul,
+    unfold_pairs,
 )
 
 
@@ -154,10 +155,10 @@ def _identity_stack(F: int, m: int) -> np.ndarray:
 @dataclass
 class DecompositionResult:
     """Scale tables and kernels C_1..C_{N+1}, plus the factors of the
-    product formula on the p != 0 rows: symbols[j-1] is the (F, m, m)
-    stack X_j = Ghat_j Ahat / v_j, or None for a skipped level j, and
-    products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a skipped
-    level repeats the previous product)."""
+    product formula on the H pair rows (spectral.pair_rows): symbols[j-1]
+    is the (H, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
+    level j, and products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a
+    skipped level repeats the previous product)."""
 
     geometry: TorusGeometry
     A: EllipticMap
@@ -256,7 +257,8 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     error (CubeTooLarge, FactorizationFailure) names its level.
     """
     _check_schedule_fits(g, sched, dense=False)
-    body = symbol_flat(A.tensor, g)[1:]
+    rows, _ = pair_rows(g)
+    body = symbol_flat(A.tensor, g)[1:][rows]
     symbols = []
     for j, l in enumerate(sched.levels, start=1):
         if l is None:
@@ -265,18 +267,18 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         # The stiffness and Ghat_Q are temporaries: neither outlives its level.
         Q = cube(l, g)
         with _at_level(j):
-            G = local_green_flat(assemble_stiffness(A, Q), g)[1:]
+            G = local_green_flat(assemble_stiffness(A, Q), g)[1:][rows]
         symbols.append(stack_matmul(G, body) / Q.volume)
-    green_table = green_from_body(body, g)  # after the cubes, so no cube solve runs beside it
-    tables, products = _scale_tables(symbols, green_table.values)
-    tables = [MultiplierTable(g, _hermitize(C)) for C in tables]
+    green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
+    tables, products = _scale_tables(symbols, green)
+    tables = [MultiplierTable(g, unfold_pairs(_hermitize(C), g)) for C in tables]
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
         kernels=[multiplier_to_kernel(table) for table in tables],
-        green_table=green_table,
+        green_table=MultiplierTable(g, unfold_pairs(green, g)),
         symbols=symbols,
         products=products,
     )
@@ -298,14 +300,12 @@ class ComplexSweep:
 
     Ahat(z) = body0 + z body1 is affine in z, and each live level holds
     its cube's stiffness pencil (None for a skipped level), so a node of
-    a contour sweep assembles and inverts no stiffness.  rows are the
-    p != 0 rows r that precede their -p row partner[r]: the bodies hold
-    those rows only, and complex_at evaluates only them.
+    a contour sweep assembles and inverts no stiffness.  The bodies hold
+    the pair rows (spectral.pair_rows) only, and complex_at evaluates them.
     """
 
     geometry: TorusGeometry
     rows: np.ndarray = field(repr=False)
-    partner: np.ndarray = field(repr=False)
     body0: np.ndarray = field(repr=False)
     body1: np.ndarray = field(repr=False)
     pencils: list = field(repr=False)
@@ -313,7 +313,7 @@ class ComplexSweep:
 
 def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
     """Schedule and size checks, the symbol bodies of A0 and A1 on the
-    half rows, and one stiffness pencil per live level.
+    pair rows, and one stiffness pencil per live level.
 
     A pencil whose Cholesky fails or whose eigenvalues leave [-1/2, 1/2]
     raises FactorizationFailure naming the level.
@@ -328,30 +328,27 @@ def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
             continue
         with _at_level(j):
             pencils.append(stiffness_pencil(path.A0, A1, cube(l, g), g))
-    neg = negated_rows(g)[1:] - 1
-    rows = np.flatnonzero(np.arange(neg.shape[0]) < neg)
+    rows, _ = pair_rows(g)
     return ComplexSweep(
         geometry=g,
         rows=rows,
-        partner=neg[rows],
         body0=symbol_flat(path.A0.tensor, g)[1:][rows],
         body1=symbol_flat(A1, g)[1:][rows],
         pencils=pencils,
     )
 
 
-def complex_at(sweep: ComplexSweep, z: complex) -> ComplexDecompositionResult:
-    """Scale multipliers of the family member A0 + z A1, |z| < 1.
+def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
+    """Scale multipliers of the family member A0 + z A1, |z| < 1, as one
+    (N+2, H, m, m) stack on the sweep's pair rows: the N+1 scale tables
+    and then the Green table.
 
-    The product formula (_scale_tables) on the sweep's half rows, with
-    X_j = Ghat_j(z) Ahat(z) / v_j from the pencils and Q_0 = Ahat(z)^-1
-    from stack_inv.  Ahat(-p) = Ahat(p)^T and Ghat_j(-p) = Ghat_j(p)^T, so
-    C(-p) = C(p)^T: every table, the Green table too, takes the
-    transposes at the partner rows.
+    The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
+    from the pencils and Q_0 = Ahat(z)^-1 from stack_inv.  Every table has
+    C(-p) = C(p)^T, so spectral.unfold_pairs gives the full stacks.
     """
     if abs(z) >= 1.0:
         raise OutsideDisc("|z| = %.6f is not inside the open unit disc" % abs(z))
-    g = sweep.geometry
     rows = sweep.rows + 1  # flat rows of green_flat, p = 0 included
     body = sweep.body0 + z * sweep.body1
     X = [None if pencil is None
@@ -359,16 +356,14 @@ def complex_at(sweep: ComplexSweep, z: complex) -> ComplexDecompositionResult:
          for pencil in sweep.pencils]
     Ainv = stack_inv(body)
     tables, _ = _scale_tables(X, Ainv)
-    half = np.stack(tables + [Ainv])
-    out = np.empty(half.shape[:1] + (g.site_count - 1, g.m, g.m), dtype=np.complex128)
-    out[:, sweep.rows] = half
-    out[:, sweep.partner] = np.swapaxes(half, -1, -2)
-    tables = [MultiplierTable(g, C) for C in out]
-    return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])
+    return np.stack(tables + [Ainv])
 
 
 def complex_decompose(
     path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
 ) -> ComplexDecompositionResult:
-    """complex_at for one member of the family: a sweep of one node."""
-    return complex_at(complex_sweep(path, g, sched), z)
+    """complex_at for one member of the family: a sweep of one node, with
+    its tables unfolded to every p != 0 row."""
+    stack = unfold_pairs(complex_at(complex_sweep(path, g, sched), z), g)
+    tables = [MultiplierTable(g, C) for C in stack]
+    return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])

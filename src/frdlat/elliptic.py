@@ -95,11 +95,11 @@ def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
     """Chat(p) = Ahat(p)^-1 for p != 0, Hermitian PD."""
-    return green_from_body(symbol_flat(A.tensor, g)[1:], g)
+    return MultiplierTable(g, green_from_body(symbol_flat(A.tensor, g)[1:]))
 
 
-def green_from_body(body: np.ndarray, g: TorusGeometry) -> MultiplierTable:
-    """The Green multiplier from the symbol body Ahat(p), p != 0.
+def green_from_body(body: np.ndarray) -> np.ndarray:
+    """The Hermitian part of Ahat^-1 on the rows of a symbol body Ahat(p).
 
     Raises SingularSymbol when the body's conditioning exceeds COND_LIMIT.
     """
@@ -110,7 +110,7 @@ def green_from_body(body: np.ndarray, g: TorusGeometry) -> MultiplierTable:
         raise SingularSymbol(
             "symbol family conditioning %.3e exceeds %.1e" % (hi / max(lo, 1e-300), COND_LIMIT)
         )
-    return MultiplierTable(g, _hermitize(np.linalg.inv(body)))
+    return _hermitize(np.linalg.inv(body))
 
 
 def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:

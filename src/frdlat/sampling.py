@@ -39,7 +39,7 @@ from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
-from .spectral import Kernel, _embed_body, _hermitize, negated_rows, spectral_norms
+from .spectral import Kernel, _embed_body, _hermitize, pair_rows, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
@@ -48,8 +48,8 @@ REAL_TOL = 1e-10
 
 @dataclass
 class SamplerState:
-    """Per-scale roots as (S^d - 1, m, m) stacks over p != 0; half_roots
-    holds the same rows gathered onto the rfftn half grid, flattened,
+    """Per-scale multiplier roots on the rfftn half grid: (n, m, m) stacks
+    over its n = S^(d-1) (S//2 + 1) frequencies, flattened in C order,
     with a zero row at p = 0."""
 
     geometry: TorusGeometry
@@ -57,12 +57,6 @@ class SamplerState:
     roots: list = field(repr=False)
     ranges: tuple = ()
     root_residual: float = 0.0
-    half_roots: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        g = self.geometry
-        half = np.arange(g.site_count).reshape(g.site_shape)[..., : g.side // 2 + 1]
-        self.half_roots = [_embed_body(root, g)[half.ravel()] for root in self.roots]
 
     @property
     def n_scales(self) -> int:
@@ -70,16 +64,17 @@ class SamplerState:
 
 
 def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
-    """Hermitian multiplier roots, one (S^d - 1, m, m) stack per scale.
+    """Hermitian multiplier roots, one half-grid stack per scale.
 
-    Each root is re-squared and compared against its multiplier; a
-    relative deviation beyond ROOT_TOL raises FactorizationFailure.  The
-    sampler colors only the half spectrum, so each root must also satisfy
-    root(-p) = conj root(p); a deviation beyond REAL_TOL of the root's
-    norm raises ImaginaryResidue.
+    Each root, taken on every p != 0 row, is re-squared and compared
+    against its multiplier; a relative deviation beyond ROOT_TOL raises
+    FactorizationFailure.  The sampler colors only the half spectrum, so
+    each root must also satisfy root(-p) = conj root(p) on every pair; a
+    deviation beyond REAL_TOL of the root's norm raises ImaginaryResidue.
     """
     g = result.geometry
-    neg = negated_rows(g)
+    rows, partner = pair_rows(g)
+    half = np.arange(g.site_count).reshape(g.site_shape)[..., : g.side // 2 + 1].ravel()
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
@@ -92,8 +87,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
             raise FactorizationFailure(
                 "scale %d root residual %.3g exceeds %.3g" % (idx, rel, ROOT_TOL)
             )
-        full = _embed_body(root, g)
-        gap = float(np.max(spectral_norms(full[neg] - np.conj(full))))
+        gap = float(np.max(spectral_norms(root[partner] - np.conj(root[rows]))))
         norm = float(np.max(spectral_norms(root, hermitian=True)))
         if gap > REAL_TOL * norm:
             raise ImaginaryResidue(
@@ -101,7 +95,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
                 % (idx, gap, norm)
             )
         worst = max(worst, rel)
-        roots.append(root)
+        roots.append(_embed_body(root, g)[half])
     return SamplerState(
         geometry=g,
         seed=int(seed),
@@ -130,7 +124,7 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
     z = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
     w = z.view(np.float64)[:, :n].reshape((count, g.m) + g.site_shape)
     what = np.fft.rfftn(w, axes=tuple(range(-g.d, 0)))
-    xhat = np.einsum("prs,bsp->brp", state.half_roots[k - 1], what.reshape(count, g.m, -1))
+    xhat = np.einsum("prs,bsp->brp", state.roots[k - 1], what.reshape(count, g.m, -1))
     return xhat.reshape(what.shape)
 
 
@@ -246,7 +240,7 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     estimators.  on_total, if given, is called on the calling thread
     with each batch of total fields, shaped (count, m, *site), in
     batch-index order; without it no field is transformed back to sites.
-    Raises ValueError for n < 1 before any draw.
+    Raises ValueError for n < 1 or threads < 1 before any draw.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1, got %d" % n)
@@ -270,7 +264,6 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     # flight, so a slow on_total does not let finished batches pile up.
     # One thread draws on the calling thread.
     starts = range(0, n, BATCH)
-    threads = max(1, threads)
     acc = None
     with ThreadPoolExecutor(max_workers=threads) as ex:
         batches = _in_order(ex, work, starts, 2 * threads) if threads > 1 else map(work, starts)

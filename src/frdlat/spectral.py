@@ -105,9 +105,22 @@ def reflect_sites(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     return out
 
 
-def negated_rows(g: TorusGeometry) -> np.ndarray:
-    """Flat row of -p for every flat row p, in lattice.p_flat order."""
-    return reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()
+def pair_rows(g: TorusGeometry):
+    """The rows of the p != 0 stack that come before the row of -p, and the
+    -p row of each.  S is odd, so the two cover every row exactly once."""
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
+    rows = np.flatnonzero(np.arange(neg.shape[0]) < neg)
+    return rows, neg[rows]
+
+
+def unfold_pairs(half: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """(..., H, m, m) pair-row stacks -> (..., S^d - 1, m, m), row -p the
+    transpose of row p: the multiplier of a kernel with C(-x) = C(x)^T."""
+    rows, partner = pair_rows(g)
+    out = np.empty(half.shape[:-3] + (g.site_count - 1,) + half.shape[-2:], dtype=half.dtype)
+    out[..., rows, :, :] = half
+    out[..., partner, :, :] = np.swapaxes(half, -1, -2)
+    return out
 
 
 def _hermitize(X: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from .elliptic import EllipticMap, symbol_flat
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
-from .spectral import (Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms,
-                       stack_inv, stack_matmul)
+from .spectral import (Kernel, _hermitize, kernel_derivative, pair_rows, reflect_sites,
+                       spectral_norms, stack_inv, stack_matmul)
 
 
 def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
@@ -281,6 +281,7 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     Mtilde_k = Ahat^{1/2} P_k Ahat^{-1/2}.  With the Cholesky factor
     Ahat = L L^H, Ahat^{1/2} L^{-H} is unitary, so the similarity
     Y -> L^H Y L^{-H} gives the same operator norms without a root.
+    A norm at -p equals the one at p, so the fits read only the pair rows.
 
     Fits the minimal admissible constants: c_product for the product
     envelope (1 on annuli j >= k, c^{k-j} L^{-(k-j)(k-j+1)/2} below),
@@ -290,10 +291,12 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """
     g = result.geometry
     L = float(g.L)
+    rows, _ = pair_rows(g)
     ann = _annulus_index(g)
-    norms = p_norms(g)[1:]
     counts = [int(np.count_nonzero(ann == j)) for j in range(g.N + 1)]
-    Lh = np.conj(np.swapaxes(np.linalg.cholesky(symbol_flat(result.A.tensor, g)[1:]), -1, -2))
+    ann, norms = ann[rows], p_norms(g)[1:][rows]
+    body = symbol_flat(result.A.tensor, g)[1:][rows]
+    Lh = np.conj(np.swapaxes(np.linalg.cholesky(body), -1, -2))
     Lh_inv = stack_inv(Lh)
 
     def similar(Y):

@@ -15,7 +15,7 @@ from frdlat.decomposition import build_schedule, complex_at, complex_sweep, deco
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import negated_rows
+from frdlat.spectral import reflect_sites, unfold_pairs
 from frdlat import analyticity, projector
 
 
@@ -53,8 +53,7 @@ def full_circle_oracle(path, g, sched, orders, r, n_half):
     sums = {j: 0.0 for j in orders}
     for t in range(total):
         theta = np.pi * t / n_half
-        res = complex_at(sweep, r * np.exp(1j * theta))
-        stack = np.array([tab.values for tab in res.tables] + [res.green_table.values])
+        stack = unfold_pairs(complex_at(sweep, r * np.exp(1j * theta)), g)
         for j in orders:
             sums[j] += np.exp(-1j * j * theta) / total * stack
     out = {}
@@ -141,7 +140,7 @@ def test_derivative_tables_are_exactly_conjugate_symmetric():
     so the kernels' imaginary residue is the inverse FFT's round-off alone.
     A full-circle sum leaves 1e-10 of the order-3 kernels' max here."""
     path, g, sched = setup_path(m=2, seed=31, d=3)
-    neg = negated_rows(g)[1:] - 1
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     for res in contour_derivatives(path, g, sched, [0, 1, 3], n_half=16).values():
         for tab in res.tables + [res.green_table]:
             assert np.array_equal(tab.values[neg], np.conj(tab.values))
@@ -154,9 +153,9 @@ def test_nan_in_a_contour_sum_fails_the_doubling_gate(monkeypatch):
     node = analyticity.complex_at
 
     def poisoned(sweep, z):
-        res = node(sweep, z)
-        res.tables[0].values[0] = np.nan
-        return res
+        stack = node(sweep, z)
+        stack[0, 0] = np.nan
+        return stack
 
     monkeypatch.setattr(analyticity, "complex_at", poisoned)
     with pytest.raises(NotConverged):

@@ -207,6 +207,20 @@ def test_rejected_flag_exits_config_naming_its_key(tmp_path, capsys, flag, value
     assert "config error: %s:" % key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_exit_config_before_any_draw(tmp_path, capsys, monkeypatch, value):
+    """--threads has no config key; a count below 1 is a config error, not
+    a silent one-thread run."""
+    def no_draw(*args):
+        raise AssertionError("drew with --threads %s" % value)
+
+    monkeypatch.setattr(sampling, "_component_batch", no_draw)
+    args = ["sample", "--config", write_cfg(tmp_path), "--out", outdir(tmp_path)]
+    capsys.readouterr()
+    assert main(args + ["--threads", value]) == 2
+    assert "config error: --threads: %s is below the minimum 1" % value in capsys.readouterr().err
+
+
 def test_sample_writes_fields_on_request(tmp_path):
     cfg = write_cfg(tmp_path, samples=8, write_samples=True)
     out = outdir(tmp_path)

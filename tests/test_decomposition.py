@@ -16,7 +16,7 @@ from frdlat.decomposition import (
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import negated_rows
+from frdlat.spectral import pair_rows, reflect_sites, unfold_pairs
 from frdlat.verification import diagnostics
 
 
@@ -232,18 +232,37 @@ def test_indefinite_base_fails_the_pencil_cholesky():
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_complex_tables_are_exactly_transpose_symmetric(d, m):
     """Ahat(z)(-p) = Ahat(z)(p)^T and Ghat(z)(-p) = Ghat(z)(p)^T, so every
-    complex_at table and the Green table satisfy C(-p) = C(p)^T bit for
-    bit, at random z in the disc and with a skipped level."""
+    complex_at table and the Green table, unfolded from the pair rows,
+    satisfy C(-p) = C(p)^T bit for bit, at random z in the disc and with
+    a skipped level."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     sched = build_schedule(g, override=[3, None, 5])
     sweep = complex_sweep(random_path(d, m, seed=10 * d + m), g, sched)
-    neg = negated_rows(g)[1:] - 1
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     rng = np.random.default_rng(d + m)
     for z in np.sqrt(rng.uniform(0, 0.99, 3)) * np.exp(2j * np.pi * rng.uniform(size=3)):
-        res = complex_at(sweep, z)
-        assert not np.any(res.table(2).values)
-        for X in [t.values for t in res.tables] + [res.green_table.values]:
+        stack = complex_at(sweep, z)
+        assert stack.shape == (sched.N + 2, (g.site_count - 1) // 2, m, m)
+        assert not np.any(stack[1])
+        for X in unfold_pairs(stack, g):
             assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 2)])
+def test_real_tables_are_exactly_transpose_and_conjugate_symmetric(d, m):
+    """decompose evaluates the pair rows and unfolds them, so every scale
+    table and the Green table satisfy C(-p) = C(p)^T = conj C(p) bit for
+    bit, for random SPD A and a skipped level."""
+    g = TorusGeometry(d=d, m=m, L=3, N=3)
+    rng = np.random.default_rng(7 * d + m)
+    n = m * d
+    B = rng.standard_normal((n, n))
+    A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
+    res = decompose(A, g, build_schedule(g, override=[3, None, 5]))
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
+    for X in [t.values for t in res.tables] + [res.green_table.values]:
+        assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))
+        assert np.array_equal(X[neg], np.conj(X))
 
 
 def _exact(x):
@@ -267,7 +286,8 @@ def test_scale_tables_match_exact_arithmetic(levels, seed):
     B = rng.standard_normal((2, 2))
     A = validate_map(B.T @ B / 2 + 0.5 * np.eye(2), 2, 1)
     res = decompose(A, g, build_schedule(g, override=levels))
-    body = symbol_flat(A.tensor, g)[1:, 0, 0]
+    rows, _ = pair_rows(g)  # X_j is stored on these rows; the other table rows are transposes
+    body = symbol_flat(A.tensor, g)[1:][rows, 0, 0]
     X = [None if Xj is None else Xj[:, 0, 0] for Xj in res.symbols]
     exact = np.empty((res.n_scales, body.shape[0]), dtype=object)
     for f, a in enumerate(body):
@@ -284,7 +304,7 @@ def test_scale_tables_match_exact_arithmetic(levels, seed):
             exact[k, f] = (F_prev[0] - F[0], F_prev[1] - F[1])
         exact[-1, f] = F
     for k in range(1, res.n_scales + 1):
-        got = res.table(k).values[:, 0, 0]
+        got = res.table(k).values[rows, 0, 0]
         # decompose returns each table's Hermitian part: for m = 1 the real part.
         want = [re for re, _ in exact[k - 1]]
         scale = max(abs(w) for w in want)

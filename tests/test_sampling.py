@@ -122,9 +122,10 @@ def test_empirical_covariance_of_white_noise():
 
 
 def white_state(g, n_scales=1, seed=0):
-    """Sampler whose roots are identity stacks: it draws the white noise
-    with its p = 0 mode removed."""
-    root = np.tile(np.eye(g.m), (g.site_count - 1, 1, 1))
+    """Sampler whose roots are identity stacks on the rfftn half grid, zero
+    at p = 0: it draws the white noise with its p = 0 mode removed."""
+    root = np.tile(np.eye(g.m), (g.site_count // g.side * (g.side // 2 + 1), 1, 1))
+    root[0] = 0.0
     return SamplerState(geometry=g, seed=seed, roots=[root] * n_scales)
 
 

@@ -10,10 +10,12 @@ from frdlat.spectral import (
     flat_table,
     kernel_derivative,
     multiplier_to_kernel,
+    pair_rows,
     reflect_sites,
     spectral_norms,
     stack_inv,
     stack_matmul,
+    unfold_pairs,
 )
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
@@ -74,6 +76,26 @@ def test_reflect_sites():
     ref = reflect_sites(vals, G3)
     assert ref[0, 0, 2, 1] == 7.0
     assert np.sum(np.abs(ref)) == 7.0
+
+
+@pytest.mark.parametrize("d, L", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_pair_rows_partition_the_nonzero_frequencies(d, L):
+    """Every p != 0 row is a pair row or the -p row of exactly one, with
+    -p as reflect_sites places it, and unfold_pairs writes the transposes
+    there."""
+    g = TorusGeometry(d=d, m=2, L=L, N=1)
+    rows, partner = pair_rows(g)
+    F = g.site_count - 1
+    assert rows.shape == partner.shape == (F // 2,)
+    assert np.array_equal(np.sort(np.concatenate([rows, partner])), np.arange(F))
+    assert np.all(rows < partner)
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
+    assert np.array_equal(neg[rows], partner) and np.array_equal(neg[partner], rows)
+    half = np.random.default_rng(d + L).standard_normal((3, F // 2, 2, 2)) + 0j
+    full = unfold_pairs(half, g)
+    assert full.shape == (3, F, 2, 2)
+    assert np.array_equal(full[:, rows], half)
+    assert np.array_equal(full[:, partner], np.swapaxes(half, -1, -2))
 
 
 def test_flat_grid_round_trip_and_norms():

@@ -5,7 +5,7 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import multiplier_to_kernel
+from frdlat.spectral import multiplier_to_kernel, pair_rows
 from frdlat.verification import (
     _annulus_index,
     brute_force_green,
@@ -109,6 +109,7 @@ def test_envelope_report_counts_and_bounds():
     rep = envelope_report(res)
     g = res.geometry
     assert sum(rep.annulus_counts) == g.side**g.d - 1
+    assert rep.annulus_counts == np.bincount(_annulus_index(g), minlength=g.N + 1).tolist()
     assert len(rep.annulus_counts) == g.N + 1
     assert rep.contraction_max <= 1.0 + 1e-12
     for c in (rep.c_product, rep.c_tm, rep.c_low, rep.c_high):
@@ -131,13 +132,14 @@ def test_envelope_norms_match_independent_roots(d, m):
 
     w, U = np.linalg.eigh(symbol_flat(A.tensor, g)[1:])
     Uh = np.conj(np.swapaxes(U, -1, -2))
-    root = (U * np.sqrt(w)[:, None, :]) @ Uh
-    invroot = (U / np.sqrt(w)[:, None, :]) @ Uh
+    rows, _ = pair_rows(g)  # the rows of the stored symbols and products
+    root = ((U * np.sqrt(w)[:, None, :]) @ Uh)[rows]
+    invroot = ((U / np.sqrt(w)[:, None, :]) @ Uh)[rows]
 
     def norms(Y):
         return np.linalg.norm(root @ Y @ invroot, ord=2, axis=(-2, -1))
 
-    ann = _annulus_index(g)
+    ann = _annulus_index(g)[rows]
 
     def close(got, want):
         assert abs(got - want) <= 1e-12 * want
