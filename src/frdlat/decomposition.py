@@ -158,7 +158,8 @@ class DecompositionResult:
     product formula on the H pair rows (spectral.pair_rows): symbols[j-1]
     is the (H, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
     level j, and products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a
-    skipped level repeats the previous product)."""
+    skipped level repeats the previous product).  body is the symbol
+    Ahat on the same rows."""
 
     geometry: TorusGeometry
     A: EllipticMap
@@ -168,6 +169,7 @@ class DecompositionResult:
     green_table: MultiplierTable
     symbols: list = field(repr=False)
     products: list = field(repr=False)
+    body: np.ndarray = field(repr=False)
 
     @property
     def n_scales(self) -> int:
@@ -281,6 +283,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         green_table=MultiplierTable(g, unfold_pairs(green, g)),
         symbols=symbols,
         products=products,
+        body=body,
     )
 
 

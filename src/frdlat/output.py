@@ -7,13 +7,14 @@ identical data produces identical bytes regardless of platform or thread
 count.  Kernel and sample tables are streamed: each chunk of rows (one
 first-axis coordinate, one sample) is formatted from whole arrays into
 one string, so no file is ever held as one string.  Every CSV writer
-spells its values through _spell, one "%.17g" pass per chunk (format_float
-per value if the chunk holds a non-finite value).  A finite-range kernel
-repeats a few far-field values at most sites, so a kernel file first
-spells each float64 bit pattern that occurs more than once in it, once,
-and its chunks spell only the rest; the bytes are the same as spelling
-every value with format_float.  samples.csv is written by a consumer that
-takes batches of fields as the sampler produces them.
+spells its values through _spell, one "%.17g" pass per slice (format_float
+per value if the slice holds a non-finite value).  A finite-range kernel
+repeats a few far-field values at most sites, so a kernel file spells
+each distinct float64 bit pattern once, into a table of 24-byte ASCII
+entries, and writes each chunk as one % pass of a line template over its
+values' entries; the bytes are the same as spelling every value with
+format_float.  samples.csv is written by a consumer that takes batches of
+fields as the sampler produces them.
 """
 
 import json
@@ -89,15 +90,10 @@ def dumps_json(obj) -> str:
     return "".join(parts) + "\n"
 
 
-def open_artifact(path):
-    """An artifact file opened for writing: UTF-8 with \\n line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _write_chunks(path, chunks):
-    """Write an iterable of strings, one write per string."""
-    with open_artifact(path) as fh:
-        fh.writelines(chunks)
+def open_artifact(path, binary=False):
+    """An artifact file opened for writing: UTF-8 text with \\n line ends,
+    or bytes, which the writer keeps ASCII with \\n line ends."""
+    return open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n")
 
 
 def write_json(path, obj):
@@ -105,7 +101,8 @@ def write_json(path, obj):
 
 
 def write_text(path, text):
-    _write_chunks(path, [text])
+    with open_artifact(path) as fh:
+        fh.write(text)
 
 
 def _spell(values) -> list:
@@ -116,33 +113,6 @@ def _spell(values) -> list:
     if np.isfinite(values).all():
         return ("%.17g\n" * len(nums) % tuple(nums)).splitlines()
     return list(map(format_float, nums))
-
-
-def _file_speller(file_values):
-    """A _spell for the chunks of one file's values.
-
-    Each float64 bit pattern that occurs more than once in file_values is
-    spelled once, here; a chunk looks its values up by bit pattern (which
-    keeps 0.0 apart from -0.0) and spells only the rest.  The repeats are
-    the only spellings held, and they go with the returned function.
-    """
-    patterns, counts = np.unique(np.ravel(file_values).view(np.uint64), return_counts=True)
-    patterns = patterns[counts > 1]
-    if not patterns.size:
-        return _spell
-    spelled = np.array(_spell(patterns.view(np.float64)), dtype=object)
-
-    def spell(values):
-        values = np.ravel(values)
-        keys = values.view(np.uint64)
-        slot = np.minimum(np.searchsorted(patterns, keys), patterns.size - 1)
-        out = spelled[slot]
-        miss = patterns[slot] != keys
-        if miss.any():
-            out[miss] = _spell(values[miss])
-        return out.tolist()
-
-    return spell
 
 
 def _csv_lines(prefixes, spellings, head="") -> str:
@@ -157,24 +127,38 @@ def _csv_lines(prefixes, spellings, head="") -> str:
 
 
 def _kernel_csv_chunks(values, g: TorusGeometry):
-    """Header, then the rows of one first-axis coordinate per chunk."""
-    yield ",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n"
-    spell = _file_speller(values)
+    """The header, then the rows of one first-axis coordinate per chunk,
+    as ASCII bytes.
+
+    Each distinct float64 bit pattern of the file (which keeps 0.0 apart
+    from -0.0) is spelled once, in slices of one chunk's length, into a
+    table of 24-byte entries: no "%.17g" spelling is longer.  A chunk is
+    then one % pass of its line template over its values' entries.
+    """
+    yield (",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n").encode()
     # S is odd, so fftshift puts every site axis in centered order -h..h;
     # with (r, s) moved last, ravelling gives the file's row order.
     shifted = np.fft.fftshift(values.reshape(g.kernel_shape()), axes=tuple(range(2, 2 + g.d)))
     rows = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(g.side, -1)
+    patterns, slots = np.unique(rows.view(np.uint64), return_inverse=True)
+    width = rows.shape[1]
+    spelled = np.empty(patterns.size, dtype="S24")
+    for i in range(0, patterns.size, width):
+        spelled[i : i + width] = _spell(patterns[i : i + width].view(np.float64))
     h = (g.side - 1) // 2
     axis = [str(c) for c in range(-h, h + 1)]
     suffixes = ["%d,%d," % rs for rs in product(range(g.m), repeat=2)]
-    tail = [",".join(c) + "," + rs for c in product(axis, repeat=g.d - 1) for rs in suffixes]
-    for x1, block in zip(axis, rows):
-        yield _csv_lines(tail, spell(block), x1 + ",")
+    # "@" stands for the chunk's x_1.
+    lines = "".join("@," + ",".join(c) + "," + rs + "%s\n"
+                    for c in product(axis, repeat=g.d - 1) for rs in suffixes).encode()
+    for x1, row in zip(axis, slots.reshape(rows.shape)):
+        yield lines.replace(b"@", x1.encode()) % tuple(spelled[row].tolist())
 
 
 def write_kernel_csv(path, kern: Kernel):
     """Kernel table: x_1..x_d centered coords, 0-based r, s, value."""
-    _write_chunks(path, _kernel_csv_chunks(kern.values, kern.geometry))
+    with open_artifact(path, binary=True) as fh:
+        fh.writelines(_kernel_csv_chunks(kern.values, kern.geometry))
 
 
 def samples_csv_writer(fh, g: TorusGeometry):

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .decomposition import DecompositionResult, far_field_constant, kernel_sup_norm
-from .elliptic import EllipticMap, symbol_flat
+from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
@@ -62,7 +62,9 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
 def check_sum(result: DecompositionResult) -> float:
     """Max over p != 0 of the relative telescoping deviation."""
     green = result.green_table.values
-    total = np.sum([t.values for t in result.tables], axis=0)
+    total = result.tables[0].values.copy()  # a running sum: no stack of all tables
+    for t in result.tables[1:]:
+        total += t.values
     denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
     return float(np.max(spectral_norms(total - green) / denom))
 
@@ -87,7 +89,9 @@ def check_psd(result: DecompositionResult):
     """Per-scale min eigenvalue over frequencies, normalized per frequency."""
     out = []
     for t in result.tables:
-        eigs = np.linalg.eigvalsh(_hermitize(t.values))
+        # LAPACK's eigenvalue of a 1 x 1 matrix is the real part of its entry.
+        eigs = (t.values[:, 0].real if t.values.shape[-1] == 1
+                else np.linalg.eigvalsh(_hermitize(t.values)))
         norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
         out.append(float(np.min(eigs[:, 0] / norms)))
     return out
@@ -273,6 +277,12 @@ def _annulus_fit(meas: np.ndarray, ann: np.ndarray, k: int, L: float):
     return maxima, c
 
 
+def _cholesky(body: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky of an (F, m, m) stack; at m = 1 LAPACK's factor
+    is the root of the real part, taken here without a call per row."""
+    return np.sqrt(body.real).astype(complex) if body.shape[-1] == 1 else np.linalg.cholesky(body)
+
+
 def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """Step-envelope fits for the product norms and the one-level bounds.
 
@@ -295,8 +305,7 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     ann = _annulus_index(g)
     counts = [int(np.count_nonzero(ann == j)) for j in range(g.N + 1)]
     ann, norms = ann[rows], p_norms(g)[1:][rows]
-    body = symbol_flat(result.A.tensor, g)[1:][rows]
-    Lh = np.conj(np.swapaxes(np.linalg.cholesky(body), -1, -2))
+    Lh = np.conj(np.swapaxes(_cholesky(result.body), -1, -2))
     Lh_inv = stack_inv(Lh)
 
     def similar(Y):

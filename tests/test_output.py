@@ -135,35 +135,57 @@ def kernel_with_repeats(g: TorusGeometry, variant: int) -> np.ndarray:
     return values
 
 
+# The longest "%.17g" spellings: 24 characters each.
+WIDEST = [-5e-324, -2.2250738585072014e-308, -1.7976931348623157e308]
+
+
 def random_kernel_values(g: TorusGeometry) -> np.ndarray:
-    """Values over many magnitudes, with NaN, +-Inf, -0.0 and extremes."""
+    """Values over many magnitudes, with NaN, +-Inf, -0.0, extremes and
+    the widest spellings."""
     rng = np.random.default_rng([g.d, g.m, g.L])
     values = rng.standard_normal(g.kernel_shape()) * 10.0 ** rng.integers(-5, 6, g.kernel_shape())
     special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300]
     values.flat[:3] = special[:3]
+    values.flat[3:6] = WIDEST
     values.flat[-3:] = special[3:]
     return values
 
 
+def pooled_kernel_values(g: TorusGeometry) -> np.ndarray:
+    """Values drawn from a pool of more distinct values than one chunk
+    (one first-axis coordinate) holds, so each pool value recurs across
+    chunks and the spelling runs over more than one slice."""
+    chunk = g.side ** (g.d - 1) * g.m**2
+    rng = np.random.default_rng([g.d, g.m, g.L, 1])
+    pool = np.concatenate([rng.standard_normal(2 * chunk + 1), WIDEST, [-0.0, 0.0]])
+    return pool[rng.integers(0, pool.size, g.kernel_shape())]
+
+
 @pytest.mark.parametrize(
-    "d,m,L,N,repeats",
-    [(2, 1, 3, 2, False), (2, 2, 3, 1, False), (3, 2, 3, 1, False), (2, 1, 7, 1, False),
-     (2, 2, 5, 1, True)],
-    ids=["2-1-3-2", "2-2-3-1", "3-2-3-1", "2-1-7-1", "2-2-5-1-repeats"],
+    "d,m,L,N,kind",
+    [(2, 1, 3, 2, "random"), (2, 2, 3, 1, "random"), (3, 2, 3, 1, "random"),
+     (2, 1, 7, 1, "random"), (2, 2, 5, 1, "repeats"), (2, 2, 5, 1, "pooled")],
+    ids=["2-1-3-2", "2-2-3-1", "3-2-3-1", "2-1-7-1", "2-2-5-1-repeats", "2-2-5-1-pooled"],
 )
-def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, repeats):
-    """Byte-identical to the per-value writer, non-finite and extreme
-    values included.  Random values mostly take the one-pass "%.17g";
-    the kernels with repeats take the per-file cache of repeated bit
-    patterns, and two of them are written back to back, so a spelling
-    that outlived its file would show in the second."""
+def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, kind):
+    """Byte-identical to the per-value writer, non-finite, extreme and
+    widest values included.  Random values are mostly distinct; the
+    kernels with repeats share bit patterns, and two of them are written
+    back to back, so a spelling that outlived its file would show in the
+    second; the pooled kernel holds more distinct values than a chunk,
+    each repeated across chunks."""
     g = TorusGeometry(d=d, m=m, L=L, N=N)
-    if repeats:
+    widest = set(map(format_float, WIDEST))
+    if kind == "repeats":
         kernels = [kernel_with_repeats(g, 0), kernel_with_repeats(g, 1)]
         spelled = {"NaN", "Infinity", "-Infinity", "0", "-0"}
+    elif kind == "pooled":
+        kernels = [pooled_kernel_values(g)]
+        spelled = widest | {"0", "-0"}
     else:
         kernels = [random_kernel_values(g)]
-        spelled = {"NaN", "Infinity", "-Infinity", "-0", format_float(1e-300), format_float(1e300)}
+        spelled = widest | {"NaN", "Infinity", "-Infinity", "-0", format_float(1e-300),
+                            format_float(1e300)}
     for values in kernels:
         text = kernel_csv_file(tmp_path, values, g)
         assert text == oracle_kernel_csv_text(values, g)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import multiplier_to_kernel, pair_rows
+from frdlat.spectral import _hermitize, multiplier_to_kernel, pair_rows, spectral_norms
 from frdlat.verification import (
     _annulus_index,
+    _cholesky,
     brute_force_green,
     check_finite_range,
     check_psd,
@@ -133,6 +136,7 @@ def test_envelope_norms_match_independent_roots(d, m):
     w, U = np.linalg.eigh(symbol_flat(A.tensor, g)[1:])
     Uh = np.conj(np.swapaxes(U, -1, -2))
     rows, _ = pair_rows(g)  # the rows of the stored symbols and products
+    assert np.array_equal(res.body, symbol_flat(A.tensor, g)[1:][rows])
     root = ((U * np.sqrt(w)[:, None, :]) @ Uh)[rows]
     invroot = ((U / np.sqrt(w)[:, None, :]) @ Uh)[rows]
 
@@ -152,3 +156,63 @@ def test_envelope_norms_match_independent_roots(d, m):
     for k in (1, 3):
         close(rep.level_t_max[k], np.max(norms(res.symbols[k - 1])))
         close(rep.level_r_max[k], np.max(norms(np.eye(m) - res.symbols[k - 1])))
+
+
+def bits(x) -> np.ndarray:
+    """The IEEE bit patterns of a float or complex array (signed zeros apart)."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_check_psd_m1_is_lapack_bitwise():
+    """At m = 1 check_psd reads the real part; eigvalsh of the Hermitian
+    part gives the same bits on m = 1 tables over many magnitudes: a zero
+    table (a skipped level), then tables with -0.0, negative and
+    imaginary parts."""
+    rng = np.random.default_rng(3)
+    F = 400
+    tables = [np.zeros((F, 1, 1), dtype=np.complex128)]
+    for _ in range(3):
+        scale = 10.0 ** rng.integers(-300, 300, (F, 1, 1))
+        t = (rng.standard_normal((F, 1, 1)) + 1j * rng.standard_normal((F, 1, 1))) * scale
+        t[:5] = -0.0
+        t[5:8] = complex(-0.0, 1.0)
+        tables.append(t)
+    got = check_psd(SimpleNamespace(tables=[SimpleNamespace(values=t) for t in tables]))
+    want = []
+    for t in tables:
+        eigs = np.linalg.eigvalsh(_hermitize(t))
+        norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
+        want.append(float(np.min(eigs[:, 0] / norms)))
+    assert np.array_equal(bits(np.array(got)), bits(np.array(want)))
+    assert got[0] == 0.0 and min(got[1:]) == -1.0
+
+
+def test_cholesky_m1_is_lapack_bitwise():
+    """At m = 1 the envelope's Cholesky factor is the root of the real
+    part, bit for bit what np.linalg.cholesky returns, over many
+    magnitudes and with imaginary parts that LAPACK does not read."""
+    rng = np.random.default_rng(4)
+    F = 400
+    body = np.abs(rng.standard_normal((F, 1, 1))) * 10.0 ** rng.integers(-300, 300, (F, 1, 1))
+    body = body + 1j * rng.standard_normal((F, 1, 1))
+    body[:3, 0, 0] = [5e-324, 1.0, 1.7976931348623157e308]
+    assert np.array_equal(bits(_cholesky(body)), bits(np.linalg.cholesky(body)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_check_sum_running_sum_matches_stacked_sum(m):
+    """check_sum adds the tables one after another in table order; the
+    result is bitwise that of summing the stacked tables, on a real
+    decomposition and on tables over many magnitudes, where the order of
+    the additions shows in the last bits."""
+    res = small_result(L=5, N=2, override=(3, None), m=m, seed=22)
+    rng = np.random.default_rng(m)
+    shape = res.green_table.values.shape
+    tables = [SimpleNamespace(values=rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+                              + 1j * rng.standard_normal(shape)) for _ in range(6)]
+    for case in (res, SimpleNamespace(green_table=res.green_table, tables=tables)):
+        green = case.green_table.values
+        total = np.sum([t.values for t in case.tables], axis=0)
+        denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
+        want = float(np.max(spectral_norms(total - green) / denom))
+        assert np.array_equal(bits(np.array(check_sum(case))), bits(np.array(want)))
