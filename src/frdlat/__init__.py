@@ -4,7 +4,7 @@ Splits the Green function of a periodic discrete elliptic operator into
 positive semidefinite scale kernels with strict spatial ranges, verifies
 the construction against dense oracles and envelope bounds, samples the
 corresponding Gaussian scale fields, and evaluates coefficient
-derivatives by contour quadrature.
+derivatives from exact Taylor jets, with a contour quadrature oracle.
 """
 
 from .analyticity import (
@@ -15,6 +15,7 @@ from .analyticity import (
     derivative_sum_residual,
     fd_agreement,
     fd_derivative,
+    jet_derivatives,
     radius_agreement,
 )
 from .config import RunConfig, parse_config

@@ -1,17 +1,24 @@
-"""Coefficient derivatives of the scale kernels via Cauchy integrals.
+"""Coefficient derivatives of the scale kernels: exact Taylor jets, and
+a Cauchy contour as their oracle.
 
 The family A0 + z A1 with ||A1|| <= c0/2 stays uniformly elliptic on the
-unit disc, so every scale multiplier is analytic in z there.  The j-th
-derivative at z = 0 is read off a circle of radius r < 1 with the
-trapezoid rule, which converges geometrically in the node count; the
-doubling gate compares the 2M-node rule against its M-node subset.
+unit disc, so every scale multiplier is analytic in z there.  A(z) is
+affine, so every factor of the product formula has an exact Taylor series
+at z = 0 (decomposition.taylor_jets), and jet_derivatives reads
+D^j C_k(0) = j! [z^j] C_k off it with no quadrature: the path of `frdlat
+deriv`.  contour_derivatives reads the same derivatives off a circle of
+radius r < 1 with the trapezoid rule, which converges geometrically in
+the node count, behind a doubling gate that compares the 2M-node rule
+against its M-node subset.  Its nodes solve each member's stiffness
+(decomposition.complex_at) and share no series code with the jets, so it
+is their independent oracle on small tori.
 
 Derivatives are reported in the normalized direction Adot = A1/(c0/2):
 with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  A0 and A1 are
-real and symmetric, so C(conj z)(p) = conj C(z)(p)^T for every scale and
-the Green table: the lower half of the contour is read off the upper half
-on the pair rows, and the unfolded tables are exactly conjugate-symmetric
-by construction, multipliers of real kernels.
+real and symmetric, so every derivative table is Hermitian with
+C(-p) = C(p)^T: the jets are hermitized and the contour folds its lower
+half circle onto the upper one, so the unfolded tables of both are
+exactly conjugate-symmetric, multipliers of real kernels.
 """
 
 import math
@@ -19,11 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import CubeSchedule, complex_at, complex_sweep, decompose, kernel_sup_norm
+from .decomposition import (CubeSchedule, complex_at, complex_sweep, decompose, kernel_sup_norm,
+                            taylor_jets)
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import Kernel, MultiplierTable, multiplier_to_kernel, spectral_norms, unfold_pairs
+from .spectral import (Kernel, MultiplierTable, _hermitize, multiplier_to_kernel, spectral_norms,
+                       unfold_pairs)
 
 CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
@@ -31,18 +40,43 @@ FD_STEP = 1e-5
 
 @dataclass
 class DerivativeResult:
+    """Normalized order-j derivative tables and kernels of every scale and
+    of the Green kernel.  n_nodes and convergence are the contour's node
+    count and doubling gap; jets leave them 0."""
+
     path: ComplexEllipticPath
     order: int
-    n_nodes: int
     tables: list = field(repr=False)
     green_table: MultiplierTable = field(repr=False)
     kernels: list = field(repr=False)
     green_kernel: Kernel = field(repr=False)
+    n_nodes: int = 0
     convergence: float = 0.0
 
     def kernel(self, k: int) -> Kernel:
         """Scale index k is 1-based, up to N+1."""
         return self.kernels[k - 1]
+
+
+def _derivative_result(path, order, stack, g, **quadrature) -> DerivativeResult:
+    """A DerivativeResult from an unfolded (N+2, S^d - 1, m, m) stack: the
+    N+1 scale tables and then the Green table."""
+    tables = [MultiplierTable(g, X) for X in stack]
+    kernels = [multiplier_to_kernel(tab) for tab in tables]
+    return DerivativeResult(path=path, order=order, tables=tables[:-1], green_table=tables[-1],
+                            kernels=kernels[:-1], green_kernel=kernels[-1], **quadrature)
+
+
+def jet_derivatives(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
+                    max_order: int) -> dict:
+    """Normalized derivatives of orders 0..max_order of every scale kernel
+    and of the Green kernel, from one taylor_jets series with
+    max_order + 1 terms: D^j C_k(0) = j! (2/c0)^j [z^j] C_k.  Each table
+    is hermitized on the pair rows before unfolding, as in decompose."""
+    jets = taylor_jets(path, g, sched, max_order + 1)
+    return {j: _derivative_result(path, j, unfold_pairs(_hermitize(
+                jets[:, :, j] * (math.factorial(j) * (2.0 / path.A0.c0) ** j)), g), g)
+            for j in range(max_order + 1)}
 
 
 def contour_derivatives(
@@ -52,16 +86,15 @@ def contour_derivatives(
     orders,
     r: float = 0.5,
     n_half: int = 32,
-    sweep=None,
 ) -> dict:
     """Normalized coefficient derivatives of every scale kernel, one node
-    sweep shared across the requested orders.
+    sweep shared across the requested orders: the oracle of
+    jet_derivatives, for tori whose cubes fit the dense limit.
 
     The full rule has 2 * n_half equispaced contour nodes z_t, and the
     half rule the even t.  Nodes t and 2 * n_half - t are conjugate, so the
     complex decomposition is evaluated only at t = 0..n_half, n_half + 1
-    nodes from one complex_sweep(path, g, sched): the given sweep, so that
-    calls at several radii share one, or else one built here.  Both rules
+    nodes from one complex_sweep(path, g, sched).  Both rules
     accumulate in one pass into two arrays, `full` and `half`, of shape
     (len(orders), N+2, H, m, m) on the pair rows: per order, the N+1 scale
     multipliers and then the Green multiplier.  The real nodes t = 0 and
@@ -88,8 +121,7 @@ def contour_derivatives(
     if n_half < max(2, orders[-1] + 1):
         raise ValueError("need at least max(2, order + 1) half-rule nodes")
     total = 2 * n_half
-    if sweep is None:
-        sweep = complex_sweep(path, g, sched)
+    sweep = complex_sweep(path, g, sched)
     full, half = np.zeros((2, len(orders), sched.N + 2) + sweep.body0.shape, dtype=np.complex128)
     for t in range(n_half + 1):
         theta = np.pi * t / n_half
@@ -116,18 +148,7 @@ def contour_derivatives(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
                 % (j, n_half, total, convergence, CONVERGENCE_TOL)
             )
-        tables = [MultiplierTable(g, X) for X in full_i]
-        kernels = [multiplier_to_kernel(tab) for tab in tables]
-        out[j] = DerivativeResult(
-            path=path,
-            order=j,
-            n_nodes=total,
-            tables=tables[:-1],
-            green_table=tables[-1],
-            kernels=kernels[:-1],
-            green_kernel=kernels[-1],
-            convergence=convergence,
-        )
+        out[j] = _derivative_result(path, j, full_i, g, n_nodes=total, convergence=convergence)
     return out
 
 
@@ -161,7 +182,7 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
     with step FD_STEP.
 
     Returns per-scale kernels plus the Green kernel, directly comparable
-    to contour_derivatives at order 1.
+    to jet_derivatives at order 1.
     """
     A0 = path.A0
     adot = path.direction
@@ -181,9 +202,15 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
 
 
 def fd_agreement(res: DerivativeResult, fd_kernels, fd_green) -> float:
-    """Relative sup-norm gap between contour and finite-difference
-    first derivatives, max over scales and the Green kernel."""
+    """Relative sup-norm gap between first derivatives and their finite
+    differences, max over scales and the Green kernel."""
     return _relative_gap(res, fd_kernels, fd_green)
+
+
+def origin_agreement(res: DerivativeResult, base) -> float:
+    """Relative sup-norm gap between order-0 derivatives and the kernels
+    of decompose, max over scales and the Green kernel."""
+    return _relative_gap(res, base.kernels, multiplier_to_kernel(base.green_table))
 
 
 @dataclass

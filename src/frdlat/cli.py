@@ -14,15 +14,15 @@ from dataclasses import asdict
 import numpy as np
 
 from .analyticity import (
-    contour_derivatives,
     derivative_bound_check,
     derivative_sum_residual,
     fd_agreement,
     fd_derivative,
-    radius_agreement,
+    jet_derivatives,
+    origin_agreement,
 )
 from .config import parse_config
-from .decomposition import complex_sweep, decompose
+from .decomposition import decompose
 from .errors import InsufficientScales, ParseError, ValidationError
 from .lattice import oracle_fits
 from .output import (
@@ -56,7 +56,7 @@ GREEN_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 CONTRACTION_TOL = 1.0 + 1e-12
 FD_TOL = 1e-5
-RADIUS_TOL = 1e-8
+ORIGIN_TOL = 1e-11
 DERIV_SUM_TOL = 1e-10
 RATIO_LIMIT = 10.0
 SE_LIMIT = 5.0
@@ -67,7 +67,7 @@ exit codes:
   1  run completed but at least one check failed (named on stderr)
   2  usage or configuration error
   3  I/O error (unreadable config, missing output directory)
-  4  numerical or domain error (schedule, factorization, quadrature), or
+  4  numerical or domain error (schedule, factorization, direction), or
      any other unexpected error; the exception type is named on stderr
 """
 
@@ -84,7 +84,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("decompose", "build scale kernels and diagnostics"),
         ("verify", "decompose plus oracle, Green-equation, decay, envelope checks"),
         ("sample", "draw scale fields and test empirical covariances"),
-        ("deriv", "contour coefficient derivatives with convergence checks"),
+        ("deriv", "coefficient derivatives from exact Taylor jets, with cross-checks"),
     ):
         p = sub.add_parser(name, help=help_text, epilog=EPILOG,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -267,26 +267,22 @@ def run_deriv(cfg, out_dir) -> int:
     g, sched, path = cfg.geometry, cfg.schedule, cfg.path
     result = decompose(cfg.A, g, sched)
     order = cfg.derivative["order"]
-    r = cfg.derivative["r"]
-    n_half = cfg.derivative["nodes"]
 
-    # Orders 1..3 feed the ratio check and order 1 the FD cross-check; both
-    # radii read their nodes from one sweep.
-    orders = sorted(set(range(1, max(order, 3) + 1)) | {order})
-    sweep = complex_sweep(path, g, sched)
-    ders = contour_derivatives(path, g, sched, orders, r=r, n_half=n_half, sweep=sweep)
+    # Order 0 is checked against decompose, order 1 against finite
+    # differences, and orders 1..3 feed the ratio check: one series holds
+    # them all.
+    top = max(order, 3)
+    ders = jet_derivatives(path, g, sched, top)
     main_res = ders[order]
-    alt = contour_derivatives(path, g, sched, [order], r=0.5 * r, n_half=n_half,
-                              sweep=sweep)[order]
     fd_kernels, fd_green = fd_derivative(path, g, sched)
 
     checks = CheckSet()
+    origin = checks.within("jet_origin", origin_agreement(ders[0], result), ORIGIN_TOL)
     fd_diff = checks.within("fd_agreement", fd_agreement(ders[1], fd_kernels, fd_green), FD_TOL)
-    r_diff = checks.within("radius_invariance", radius_agreement(main_res, alt), RADIUS_TOL)
     sum_res = checks.within(
         "derivative_telescoping", derivative_sum_residual(main_res), DERIV_SUM_TOL
     )
-    bound = derivative_bound_check(result, [ders[j] for j in orders if j >= 1])
+    bound = derivative_bound_check(result, [ders[j] for j in range(1, top + 1)])
     checks.within("derivative_ratios", bound.max_ratio, RATIO_LIMIT)
 
     for k in range(1, result.n_scales + 1):
@@ -295,11 +291,8 @@ def run_deriv(cfg, out_dir) -> int:
 
     report = {
         "order": order,
-        "r": r,
-        "nodes": main_res.n_nodes,
-        "convergence": main_res.convergence,
+        "jet_origin": origin,
         "fd_diff": fd_diff,
-        "radius_diff": r_diff,
         "sum_residual": sum_res,
         "max_ratio": bound.max_ratio,
         "ratios": [

@@ -15,22 +15,26 @@ For real A, X_j is similar to Ahat^{1/2} Ghat_j Ahat^{1/2} / v_j,
 Hermitian with spectrum in [0, 1], and Q_k = Ahat^-1 P_k^H, so
 Chat_k = P_{k-1} (2 Ghat_k / v_k - Ghat_k Ahat Ghat_k / v_k^2) P_{k-1}^H is
 positive semidefinite per frequency.  _scale_tables evaluates the
-formula for both branches, which differ only in the cube route and in
-Ahat^-1:
+formula for three callers, which differ in the cube route, in Ahat^-1
+and in the arithmetic:
 
-- decompose (real A) solves each cube by the layered Schur route
-  (projector.local_green_flat), takes Ahat^-1 from
+- decompose (real A) solves each cube by the layered Schur route with
+  its Cholesky check (projector.local_green_flat), takes Ahat^-1 from
   elliptic.green_from_body (np.linalg.inv) and hermitizes every table;
-- complex_at (one node z of the family A0 + z A1) takes Ghat_j(z) from
-  the stiffness pencils that complex_sweep builds once, with the symbol
-  bodies (Ahat(z) = Ahat0 + z Ahat1), and inverts Ahat(z) by
-  spectral.stack_inv.
+- taylor_jets (the family A0 + z A1 at z = 0) runs in truncated power
+  series: Ghat_j(z) from projector.local_green_jets, Ahat(z) = Ahat0 +
+  z Ahat1 and Ahat(z)^-1 = sum_n z^n Ahat0^-1 (-Ahat1 Ahat0^-1)^n with
+  Ahat0^-1 from spectral.stack_inv, and Cauchy products throughout;
+- complex_at (one node z of the family, the contour oracle) assembles
+  the member's stiffness and solves it by local_green_flat's LU route,
+  and inverts Ahat(z) by spectral.stack_inv.
 
-That difference keeps the agreement of the branches at real z, and the
-finite differences of decompose against the contour derivatives,
-independent checks.  A and A1 are symmetric, so C(-p) = C(p)^T: both
-branches work on the H = (S^d - 1)/2 pair rows (spectral.pair_rows) and
-unfold by transposition, so decompose's tables are exactly Hermitian.
+That difference keeps the agreement of decompose with the order-0 jets,
+of the jets with the contour, and of the finite differences of decompose
+with the order-1 jets, independent checks.  A and A1 are symmetric, so
+C(-p) = C(p)^T: every branch works on the H = (S^d - 1)/2 pair rows
+(spectral.pair_rows) and unfolds by transposition, so decompose's tables
+are exactly Hermitian.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
 one BLAS call per small matrix.
@@ -50,7 +54,7 @@ from .elliptic import EllipticMap, ComplexEllipticPath, green_from_body, symbol_
 from .errors import (CubeTooLarge, EmptyFarRegion, FactorizationFailure, InvalidSchedule,
                      OutsideDisc)
 from .lattice import TorusGeometry, cube, rho_inf_grid
-from .projector import assemble_stiffness, check_cube_size, local_green_flat, stiffness_pencil
+from .projector import assemble_stiffness, check_cube_size, local_green_flat, local_green_jets
 from .spectral import (
     Kernel,
     MultiplierTable,
@@ -58,6 +62,7 @@ from .spectral import (
     flat_table,
     multiplier_to_kernel,
     pair_rows,
+    series_mul,
     spectral_norms,
     stack_inv,
     stack_matmul,
@@ -225,16 +230,19 @@ def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
                 check_cube_size(cube(l, g), g.m, dense)
 
 
-def _scale_tables(X: list, Ainv: np.ndarray):
+def _scale_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul):
     """The N+1 scale stacks of the product formula, and the products.
 
     X[j-1] is the (F, m, m) stack X_j, or None for a skipped level, and
     Ainv is Ahat^-1 on the same rows.  Returns the tables
     C_k = P_{k-1} X_k (Q_{k-1} + Q_k) for k = 1..N (zero at a skipped
     level) and C_{N+1} = P_N Q_N, and the products P_0 = I, ..., P_N.
-    P_{k-1} X_k serves both C_k and P_k = P_{k-1} - P_{k-1} X_k.
+    P_{k-1} X_k serves both C_k and P_k = P_{k-1} - P_{k-1} X_k.  mul is
+    the product and identity its unit (the identity stack by default), so
+    the same formula runs on power series of stacks.
     """
-    identity = _identity_stack(Ainv.shape[0], Ainv.shape[-1])
+    if identity is None:
+        identity = _identity_stack(Ainv.shape[0], Ainv.shape[-1])
     P, Q = identity, Ainv
     tables = []
     products = [P]
@@ -242,12 +250,12 @@ def _scale_tables(X: list, Ainv: np.ndarray):
         if Xk is None:
             tables.append(np.zeros_like(Ainv))
         else:
-            PX = Xk if P is identity else stack_matmul(P, Xk)  # no product while P = I
-            Q_next = Q - stack_matmul(Xk, Q)
-            tables.append(stack_matmul(PX, Q + Q_next))
+            PX = Xk if P is identity else mul(P, Xk)  # no product while P = I
+            Q_next = Q - mul(Xk, Q)
+            tables.append(mul(PX, Q + Q_next))
             P, Q = P - PX, Q_next
         products.append(P)
-    tables.append(stack_matmul(P, Q))
+    tables.append(mul(P, Q))
     return tables, products
 
 
@@ -297,48 +305,89 @@ class ComplexDecompositionResult:
         return self.tables[k - 1]
 
 
+def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, dense: bool):
+    """The checks of the family A0 + z A1, and the pair rows with the
+    symbol bodies Ahat0 and Ahat1 on them.  Every live cube must fit its
+    route (_check_schedule_fits), and |A1| <= c0/2, which keeps every
+    member elliptic on the unit disc, is re-checked on the current entries
+    of A0 and A1: OutsideDisc if either changed after the path was built."""
+    _check_schedule_fits(g, sched, dense)
+    c0 = float(np.linalg.eigvalsh(path.A0.entries)[0])
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(path.A1))))
+    if not norm <= 0.5 * c0 * (1.0 + 1e-12):
+        raise OutsideDisc(
+            "direction norm %.6g exceeds c0/2 = %.6g: the family is not elliptic on the unit disc"
+            % (norm, 0.5 * c0)
+        )
+    rows, _ = pair_rows(g)
+    A1 = path.A1.reshape(g.m, g.d, g.m, g.d)
+    return rows, symbol_flat(path.A0.tensor, g)[1:][rows], symbol_flat(A1, g)[1:][rows]
+
+
+def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
+                J: int) -> np.ndarray:
+    """The Taylor coefficients [z^n] at z = 0, n < J, of the scale tables
+    and the Green table of the family A0 + z A1, as one (N+2, H, J, m, m)
+    stack on the pair rows: the N+1 scale tables and then the Green table.
+
+    Every factor of the product formula has an exact series, so
+    _scale_tables runs on series of stacks (spectral.series_mul): Ghat_j
+    from local_green_jets on K0 and K1, assembled once per live level;
+    X_j = Ghat_j (Ahat0 + z Ahat1) / v_j; and Ahat(z)^-1, whose terms are
+    Ahat0^-1 (-Ahat1 Ahat0^-1)^n.  The cubes take the layered size rule of
+    decompose.  A cube error names its level; a direction above c0/2
+    raises OutsideDisc.
+    """
+    rows, body0, body1 = _family(path, g, sched, dense=False)
+    body = np.stack([body0, body1], axis=1)[:, :J]
+
+    def mul(a, b):
+        return series_mul(a, b, stack_matmul)
+
+    X = []
+    for j, l in enumerate(sched.levels, start=1):
+        if l is None:
+            X.append(None)
+            continue
+        Q = cube(l, g)
+        with _at_level(j):
+            G = local_green_jets(assemble_stiffness(path.A0.tensor, Q),
+                                 assemble_stiffness(path.A1.reshape(g.m, g.d, g.m, g.d), Q), g,
+                                 J)[1:][rows]
+        X.append(mul(G, body) / Q.volume)
+    Ainv = np.empty((rows.shape[0], J, g.m, g.m), dtype=np.complex128)
+    Ainv[:, 0] = stack_inv(body0)
+    for n in range(1, J):
+        Ainv[:, n] = -stack_matmul(Ainv[:, n - 1], stack_matmul(body1, Ainv[:, 0]))
+    identity = np.zeros_like(Ainv)
+    identity[:, 0] = _identity_stack(rows.shape[0], g.m)
+    tables, _ = _scale_tables(X, Ainv, identity, mul)
+    return np.stack(tables + [Ainv])
+
+
 @dataclass
 class ComplexSweep:
-    """The z-independent part of the family A0 + z A1 on one torus.
-
-    Ahat(z) = body0 + z body1 is affine in z, and each live level holds
-    its cube's stiffness pencil (None for a skipped level), so a node of
-    a contour sweep assembles and inverts no stiffness.  The bodies hold
-    the pair rows (spectral.pair_rows) only, and complex_at evaluates them.
-    """
+    """The z-independent part of the family A0 + z A1 on one torus, for
+    the contour oracle: Ahat(z) = body0 + z body1 on the pair rows
+    (spectral.pair_rows), and the cube of each live level (None for a
+    skipped level).  complex_at evaluates them at one node."""
 
     geometry: TorusGeometry
+    path: ComplexEllipticPath
     rows: np.ndarray = field(repr=False)
     body0: np.ndarray = field(repr=False)
     body1: np.ndarray = field(repr=False)
-    pencils: list = field(repr=False)
+    cubes: list = field(repr=False)
 
 
 def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
-    """Schedule and size checks, the symbol bodies of A0 and A1 on the
-    pair rows, and one stiffness pencil per live level.
-
-    A pencil whose Cholesky fails or whose eigenvalues leave [-1/2, 1/2]
-    raises FactorizationFailure naming the level.
-    """
-    _check_schedule_fits(g, sched, dense=True)
-    m, d = g.m, g.d
-    A1 = path.A1.reshape(m, d, m, d)
-    pencils = []
-    for j, l in enumerate(sched.levels, start=1):
-        if l is None:
-            pencils.append(None)
-            continue
-        with _at_level(j):
-            pencils.append(stiffness_pencil(path.A0, A1, cube(l, g), g))
-    rows, _ = pair_rows(g)
-    return ComplexSweep(
-        geometry=g,
-        rows=rows,
-        body0=symbol_flat(path.A0.tensor, g)[1:][rows],
-        body1=symbol_flat(A1, g)[1:][rows],
-        pencils=pencils,
-    )
+    """Schedule and size checks and the symbol bodies of A0 and A1 on the
+    pair rows.  An oracle: every live cube must fit the dense limit of
+    the other cube oracles (CubeTooLarge naming the level), and a
+    direction above c0/2 raises OutsideDisc."""
+    rows, body0, body1 = _family(path, g, sched, dense=True)
+    return ComplexSweep(geometry=g, path=path, rows=rows, body0=body0, body1=body1,
+                        cubes=[None if l is None else cube(l, g) for l in sched.levels])
 
 
 def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
@@ -347,16 +396,18 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
     and then the Green table.
 
     The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
-    from the pencils and Q_0 = Ahat(z)^-1 from stack_inv.  Every table has
-    C(-p) = C(p)^T, so spectral.unfold_pairs gives the full stacks.
+    from local_green_flat of the member's assembled stiffness (its LU
+    route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.  Every
+    table has C(-p) = C(p)^T, so spectral.unfold_pairs gives the full
+    stacks.
     """
-    if abs(z) >= 1.0:
-        raise OutsideDisc("|z| = %.6f is not inside the open unit disc" % abs(z))
-    rows = sweep.rows + 1  # flat rows of green_flat, p = 0 included
+    tensor = sweep.path.tensor_at(z)  # OutsideDisc for |z| >= 1
+    rows = sweep.rows + 1  # flat rows of local_green_flat, p = 0 included
     body = sweep.body0 + z * sweep.body1
-    X = [None if pencil is None
-         else stack_matmul(pencil.green_flat(z)[rows], body) / pencil.cube.volume
-         for pencil in sweep.pencils]
+    X = [None if Q is None
+         else stack_matmul(local_green_flat(assemble_stiffness(tensor, Q), sweep.geometry)[rows],
+                           body) / Q.volume
+         for Q in sweep.cubes]
     Ainv = stack_inv(body)
     tables, _ = _scale_tables(X, Ainv)
     return np.stack(tables + [Ainv])

@@ -102,15 +102,19 @@ def green_from_body(body: np.ndarray) -> np.ndarray:
     """The Hermitian part of Ahat^-1 on the rows of a symbol body Ahat(p).
 
     Raises SingularSymbol when the body's conditioning exceeds COND_LIMIT.
+    numpy's eigvalsh and inv make one LAPACK call per matrix, so m = 1
+    reads the eigenvalue off the real part and inverts by 1/x, which give
+    LAPACK's bits after the Hermitian part is taken.
     """
-    eigs = np.linalg.eigvalsh(body)
+    scalar = body.shape[-1] == 1
+    eigs = body.real if scalar else np.linalg.eigvalsh(body)
     lo = float(np.min(eigs))
     hi = float(np.max(eigs))
     if lo <= 0.0 or hi / lo > COND_LIMIT:
         raise SingularSymbol(
             "symbol family conditioning %.3e exceeds %.1e" % (hi / max(lo, 1e-300), COND_LIMIT)
         )
-    return _hermitize(np.linalg.inv(body))
+    return _hermitize(1.0 / body if scalar else np.linalg.inv(body))
 
 
 def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:

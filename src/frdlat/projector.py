@@ -24,30 +24,17 @@ path: it is block tridiagonal along the cube's first axis, so
 assemble_stiffness keeps its layer blocks D and E, and local_green_flat
 gets the layer-distance sums of K^-1 from b x b Schur recursions, with
 b = (l-1)^(d-1) m (check_cube_size bounds their size).  The dense K is
-built on request (StiffnessFactor.matrix) for the pencil and the oracles,
-up to DENSE_LIMIT unknowns.  projector_symbol evaluates the
-same symbol at one frequency by the plane-wave quadratic form
+built on request (StiffnessFactor.matrix) for the oracles only, up to
+DENSE_LIMIT unknowns.  projector_symbol evaluates the same symbol at one
+frequency by the plane-wave quadratic form
 (f_p e_s)|_Q^dagger K^-1 (f_p e_t)|_Q and serves as the independent
 oracle for local_green_flat.
 
-Along the family A0 + z A1 the stiffness is affine, K(z) = K0 + z K1.
-stiffness_pencil factors K0 = L L^T once and diagonalizes
-L^-1 K1 L^-T = U diag(lam) U^T, so K(z)^-1 = sum_i v_i v_i^T / (1 + z lam_i)
-with v_i the columns of V = L^-T U.  |A1| <= c0/2 gives |lam| <= 1/2, so
-|z lam| < 1/2 on the unit disc and the block kernel is a power series
-g_z = sum_j z^j g_j whose terms fall by 2^-j.  The pencil keeps the first
-J = JET_ORDER = 64 terms, which leaves a tail below 2 * 2^-64 of the
-kernel.  Every offset lies in a circular window of side P = min(S, 2l - 3)
-per axis, and g_j(-u) = g_j(u)^T, so the jets are kept on half the window:
-J m^2 (P^d + 1)/2 words and an S x P matrix, where V and the fold slots
-of a dense K(z)^-1 would take n^2 + n^2/m^2 words (n = (l-1)^d m).  Each g_j is
-a sum of eigenvector autocorrelations, built by rfftn one cube layer of
-eigenvectors at a time.  A contour node then costs one length-J product,
-a scatter onto the window and d products with the S x P matrix
-e^{i p u} of one axis, which sum over the window one axis at a time; on
-every size measured that was several times cheaper than an FFT of the
-torus.  local_green_flat of the assembled member is the oracle of the
-pencil.
+Along the family A0 + z A1 the stiffness is affine, K(z) = K0 + z K1,
+and keeps the layer structure of K0.  local_green_jets runs the same
+Schur recursion in truncated power-series arithmetic on the b x b blocks
+(spectral.series_mul), so it returns the first J Taylor coefficients of
+Ghat_Q(z) at z = 0, exactly up to round-off: no quadrature, no dense K.
 """
 
 from dataclasses import dataclass, field
@@ -58,10 +45,7 @@ from .elliptic import EllipticMap, symbol_from_tensor
 from .errors import CubeTooLarge, FactorizationFailure, ShapeMismatch, ZeroFrequency
 from .fields import Field, apply_elliptic
 from .lattice import DENSE_LIMIT, Cube, TorusGeometry
-
-# Taylor jets a stiffness pencil keeps: with |z lam| < 1/2 the dropped
-# tail is below 2 * 2^-JET_ORDER of the kernel.
-JET_ORDER = 64
+from .spectral import series_mul
 
 
 def _coefficient_tensor(A) -> np.ndarray:
@@ -138,9 +122,10 @@ class StiffnessFactor:
 def check_cube_size(cube: Cube, m: int, dense: bool):
     """Reject a cube too large for its route, before anything is assembled.
 
-    The dense route (the stiffness pencil and the oracles) forms K, so it
-    allows n = (l-1)^d m <= DENSE_LIMIT unknowns.  The layered route
-    (assemble_stiffness and local_green_flat) holds stacks of l - 1 blocks
+    The dense route (the projector oracles) forms K, so it allows
+    n = (l-1)^d m <= DENSE_LIMIT unknowns; the contour oracle keeps that
+    limit too.  The layered route (assemble_stiffness, local_green_flat
+    and local_green_jets) holds stacks of l - 1 blocks
     of b x b, b = n / (l-1), and allows (l-1) b^2 <= DENSE_LIMIT^2 words:
     the size of one dense matrix at the limit.
     """
@@ -158,30 +143,49 @@ def check_cube_size(cube: Cube, m: int, dense: bool):
         )
 
 
-def _cholesky(K: np.ndarray, cube: Cube) -> np.ndarray:
-    """L with K = L L^T, or FactorizationFailure naming the cube side."""
-    try:
-        return np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)
-        ) from exc
-
-
-def _left_sweep(D: np.ndarray, E: np.ndarray, layers: int, invert):
+def _left_sweep(D: np.ndarray, E: np.ndarray, layers: int, invert, mul=np.matmul):
     """The left Schur complements A_1 = D, A_i = D - E^T A_{i-1}^-1 E of
-    the layered K, returned as the stacks A_i^-1, shape (layers, b, b),
-    and W_i = -A_i^-1 E, shape (layers - 1, b, b).  invert(A_i) returns
-    A_i^-1 and may raise."""
+    the layered K, returned as the stacks A_i^-1, shape (layers,) + D.shape,
+    and W_i = -A_i^-1 E, shape (layers - 1,) + D.shape.  invert(A_i)
+    returns A_i^-1 and may raise; mul is the product, so the same sweep
+    runs on power series of blocks (series_mul)."""
     Ainv = np.empty((layers,) + D.shape, dtype=np.result_type(D, E))
     W = np.empty((layers - 1,) + D.shape, dtype=Ainv.dtype)
+    Et = np.swapaxes(E, -1, -2)
     A = D
     for i in range(layers):
         Ainv[i] = invert(A)
         if i + 1 < layers:
-            W[i] = -(Ainv[i] @ E)
-            A = D + E.T @ W[i]
+            W[i] = -mul(Ainv[i], E)
+            A = D + mul(Et, W[i])
     return Ainv, W
+
+
+def _layer_sums(Ainv: np.ndarray, W: np.ndarray, mul=np.matmul) -> np.ndarray:
+    """The sums Sigma_delta = sum_i G_{i,i+delta} of the layer blocks of
+    K^-1 for |delta| <= layers - 1, stacked so that row layers - 1 + delta
+    is Sigma_delta, from the recursion (A_i^-1, W_i) of _left_sweep (see
+    local_green_flat); mul as in _left_sweep."""
+    layers = Ainv.shape[0]
+    G = np.empty_like(Ainv)
+    G[-1] = Ainv[-1]
+    for i in range(layers - 2, -1, -1):
+        G[i] = Ainv[i] + mul(mul(W[i], G[i + 1]), np.swapaxes(W[i], -1, -2))
+    sums = np.empty((2 * layers - 1,) + Ainv.shape[1:], dtype=G.dtype)
+    sums[layers - 1] = G.sum(axis=0)
+    for delta in range(1, layers):
+        G = mul(W[: layers - delta], G[1:])
+        sums[layers - 1 + delta] = G.sum(axis=0)
+        sums[layers - 1 - delta] = np.swapaxes(sums[layers - 1 + delta], -1, -2)
+    return sums
+
+
+def _layer_slots(cube: Cube, g: TorusGeometry) -> np.ndarray:
+    """Torus slot of each entry of the stacked Sigma_delta of _layer_sums:
+    a pair of sites in layers i and i + delta has w = (delta, u' - u)."""
+    layers, S = cube.l - 1, g.side
+    in_layer = _fold_slots(Cube(l=cube.l, d=g.d - 1).interior, S).ravel()
+    return ((np.arange(1 - layers, layers) % S)[:, None] * S ** (g.d - 1) + in_layer).ravel()
 
 
 def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
@@ -192,7 +196,7 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     so each A_i is Cholesky factored, a failure raises
     FactorizationFailure naming the cube side, and the recursion is kept
     for local_green_flat.  A raw (m, d, m, d) tensor, real or complex (a
-    family member or a pencil direction), is assembled as given.  A cube
+    family member A0 + z A1, or A0 or A1 alone), is assembled as given.  A cube
     above the layered size limit is rejected before assembly.
 
     D and E come from K on a two-layer box, the site grid
@@ -217,7 +221,11 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     factor = StiffnessFactor(cube=cube, tensor=tensor, m=m, D=K[:b, :b].copy(), E=K[:b, b:].copy())
     if checked:
         def spd_inverse(Ai):
-            Linv = np.linalg.inv(_cholesky(Ai, cube))
+            try:
+                Linv = np.linalg.inv(np.linalg.cholesky(Ai))
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationFailure(
+                    "stiffness Cholesky failed for cube l=%d: %s" % (cube.l, exc)) from exc
             return Linv.T @ Linv
 
         factor.sweep = _left_sweep(factor.D, factor.E, layers, spd_inverse)
@@ -264,7 +272,7 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
 
     K^-1 is never formed.  With the left Schur recursion (A_i^-1, W_i) of
     _left_sweep (kept by the definiteness check, else formed here by LU),
-    the layer blocks G_ij of K^-1 follow from
+    _layer_sums gets the layer blocks G_ij of K^-1 from
 
         G_nn = A_n^-1,   G_ii = A_i^-1 + W_i G_{i+1,i+1} W_i^T,
         G_{i,i+delta} = W_i G_{i+1,i+delta},
@@ -280,147 +288,41 @@ def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
         Ainv, W = _left_sweep(factor.D, factor.E, layers, np.linalg.inv)
     else:
         Ainv, W = factor.sweep
-    G = np.empty_like(Ainv)
-    G[-1] = Ainv[-1]
-    for i in range(layers - 2, -1, -1):
-        G[i] = Ainv[i] + W[i] @ G[i + 1] @ W[i].T
-    # sums[layers - 1 + delta] is Sigma_delta, for |delta| <= layers - 1.
-    sums = np.empty((2 * layers - 1, b, b), dtype=G.dtype)
-    sums[layers - 1] = G.sum(axis=0)
-    for delta in range(1, layers):
-        G = W[: layers - delta] @ G[1:]
-        sums[layers - 1 + delta] = G.sum(axis=0)
-        sums[layers - 1 - delta] = sums[layers - 1 + delta].T
-    S = g.side
-    in_layer = _fold_slots(Cube(l=factor.cube.l, d=g.d - 1).interior, S).ravel()
-    slot = ((np.arange(1 - layers, layers) % S)[:, None] * S ** (g.d - 1) + in_layer).ravel()
-    sums = sums.reshape(-1, b)
+    sums = _layer_sums(Ainv, W).reshape(-1, b)
+    slot = _layer_slots(factor.cube, g)
     return _fold(sums.real, sums.imag if np.iscomplexobj(sums) else None, slot, g)
 
 
-@dataclass
-class StiffnessPencil:
-    """K(z) = K0 + z K1 of one cube, reduced once for a contour sweep to
-    the Taylor jets of its folded block kernel.
+def _series_inv(A: np.ndarray) -> np.ndarray:
+    """The inverse of a truncated power series of blocks, shape (J, b, b):
+    B_0 = A_0^-1 by LU, B_n = -B_0 sum_{i=1..n} A_i B_{n-i}."""
+    B = np.empty_like(A)
+    B[0] = np.linalg.inv(A[0])
+    for n in range(1, A.shape[0]):
+        B[n] = -(B[0] @ (A[1:n + 1] @ B[n - 1::-1]).sum(axis=0))
+    return B
 
-    With K0 = L L^T, L^-1 K1 L^-T = U diag(lam) U^T and V = L^-T U,
-    K(z)^-1 = sum_i v_i v_i^T / (1 + z lam_i), so the block kernel is
 
-        g_z(u) = sum_j z^j g_j(u),   g_j(u) = sum_i (-lam_i)^j a_i(u),
+def local_green_jets(factor0: StiffnessFactor, factor1: StiffnessFactor, g: TorusGeometry,
+                     J: int) -> np.ndarray:
+    """The Taylor coefficients [z^n] Ghat_Q(z), n < J, at z = 0 of the
+    family K(z) = K0 + z K1 of one cube, shape (S^d, J, m, m) with rows as
+    in local_green_flat.
 
-    where a_i(u)_{st} = sum_x v_i(x, s) v_i(x + u, t) is the
-    autocorrelation of eigenvector i.  Every offset u lies in the
-    circular window of side P = min(S, 2l - 3) per axis, and
-    g_j(-u) = g_j(u)^T, so jets holds g_0..g_{J-1} on the half window:
-    row j is g_j at the window sites keep (u = 0 and one of each pair
-    u, -u), each an m x m block.  mirror holds the window site of -u for
-    each kept u, and dft the (S, P) matrix e^{i p_n u} of one axis.
-    |lam| <= 1/2 and |z| < 1 bound the dropped tail by
-    sum_{j>=J} 2^-j = 2 * 2^-J of sum_i |a_i|.
+    D(z) = D0 + z D1 and E(z) = E0 + z E1, so _left_sweep and _layer_sums
+    run unchanged on power series of b x b blocks truncated after J terms:
+    a product is a Cauchy product (series_mul) and an inverse is
+    _series_inv.  K0 and K1 are real, so every term is real, and each
+    order's Sigma_delta is folded on its own.
     """
-
-    cube: Cube
-    geometry: TorusGeometry
-    lam: np.ndarray = field(repr=False)
-    jets: np.ndarray = field(repr=False)
-    keep: np.ndarray = field(repr=False)
-    mirror: np.ndarray = field(repr=False)
-    dft: np.ndarray = field(repr=False)
-
-    def green_flat(self, z: complex) -> np.ndarray:
-        """Ghat_Q of the family member at z, as local_green_flat returns it:
-        one length-J product gives g_z on the half window, the transposes
-        fill the other half, and the sum over the window runs one axis at a
-        time, each a product with dft."""
-        g = self.geometry
-        m, P = g.m, self.dft.shape[1]
-        zj = np.power(complex(z), np.arange(self.jets.shape[0]))
-        half = (zj.real @ self.jets + 1j * (zj.imag @ self.jets)).reshape(-1, m, m)
-        X = np.empty((P ** g.d, m, m), dtype=np.complex128)
-        X[self.keep] = half
-        X[self.mirror] = np.swapaxes(half, 1, 2)
-        for _ in range(g.d):
-            # The leading axis, a window axis, becomes the last, a frequency axis.
-            X = X.reshape(P, -1).T @ self.dft.T
-        return X.reshape(m, m, g.site_count).transpose(2, 0, 1)
-
-
-def _window(cube: Cube, S: int):
-    """The circular window, of side P = min(S, 2l - 3) per axis, of the
-    offsets u of two sites of the cube: the window sites kept (u = 0 and
-    the first of each pair u, -u, in C order), the window site of -u for
-    each, and the (S, P) matrix e^{2 pi i n u_w / S} from the offsets u_w
-    of one axis to the torus frequencies n.  Both ends lie in an interval
-    of l - 1 sites, so |u_a| <= l - 2: P = 2l - 3 holds each offset once,
-    and P = S folds them mod S as the torus does."""
-    P = min(S, 2 * cube.l - 3)
-    shape = (P,) * cube.d
-    w = np.arange(P)
-    offset = np.where(w <= cube.l - 2, w, w - P)
-    sites = np.unravel_index(np.arange(P ** cube.d), shape)
-    neg = np.ravel_multi_index(tuple((P - a) % P for a in sites), shape)
-    keep = np.flatnonzero(np.arange(P ** cube.d) <= neg)
-    dft = np.exp(2j * np.pi * (np.outer(np.arange(S), offset) % S) / S)
-    return keep, neg[keep], dft
-
-
-def _autocorrelation_jets(V: np.ndarray, lam: np.ndarray, cube: Cube, m: int,
-                          keep: np.ndarray, P: int):
-    """g_j(u) = sum_i (-lam_i)^j a_i(u) for j < JET_ORDER at the window
-    sites keep of the window of side P, shape (JET_ORDER, len(keep) m^2).
-
-    a_i is the irfftn of conj(vhat_s) vhat_t, where vhat is the rfftn of
-    eigenvector i zero padded to P per axis (its sites 1..l-1 shift to
-    0..l-2, which leaves offsets alone).  The eigenvectors go in blocks of
-    b = n / (l-1), one cube layer, and the jets take each block's a_i in
-    chunks of at most b rows, so no temporary outgrows one block.
-    """
-    d, side = cube.d, cube.l - 1
-    n = V.shape[0]
-    b = n // side
-    powers = np.power(-lam, np.arange(JET_ORDER)[:, None])
-    jets = np.zeros((JET_ORDER, keep.shape[0] * m * m))
-    for start in range(0, n, b):
-        fields = V[:, start:start + b].T.reshape((b,) + (side,) * d + (m,))
-        spec = np.fft.rfftn(fields, s=(P,) * d, axes=range(1, d + 1))
-        a = np.fft.irfftn(np.conj(spec[..., :, None]) * spec[..., None, :], s=(P,) * d,
-                          axes=range(1, d + 1)).reshape(b, -1, m, m)
-        a = a[:, keep].reshape(b, -1)
-        for j in range(0, JET_ORDER, b):
-            jets[j:j + b] += powers[j:j + b, start:start + b] @ a
-    return jets
-
-
-def _pencil_modes(A0: EllipticMap, A1: np.ndarray, cube: Cube):
-    """lam and the columns of V = L^-T U, with K0 = L L^T and
-    L^-1 K1 L^-T = U diag(lam) U^T; the dense K0 and K1 end here."""
-    K0 = assemble_stiffness(A0.tensor, cube).matrix
-    K1 = assemble_stiffness(A1, cube).matrix
-    Linv = np.linalg.inv(_cholesky(K0, cube))
-    M = Linv @ K1 @ Linv.T
-    lam, U = np.linalg.eigh(0.5 * (M + M.T))
-    return lam, Linv.T @ U
-
-
-def stiffness_pencil(A0: EllipticMap, A1: np.ndarray, cube: Cube, g: TorusGeometry):
-    """The pencil of A0 + z A1 on one cube; A1 is a real (m, d, m, d) tensor.
-
-    Assembly is linear in the tensor, so K0 and K1 are assembled once.
-    The Cholesky factor of K0 is the definiteness check and is reused for
-    the reduction.  |A1| <= c0/2 bounds every |lam| by 1/2, which keeps
-    |z lam| < 1/2 on the unit disc; a larger lam, or a failed Cholesky,
-    raises FactorizationFailure.  The dense matrices are temporaries: the
-    pencil keeps lam and the jets.
-    """
-    lam, V = _pencil_modes(A0, A1, cube)
-    top = float(np.max(np.abs(lam)))
-    if top > 0.5 * (1.0 + 1e-12):
-        raise FactorizationFailure(
-            "pencil eigenvalue %.6g exceeds 1/2 for cube l=%d" % (top, cube.l)
-        )
-    keep, mirror, dft = _window(cube, g.side)
-    return StiffnessPencil(cube=cube, geometry=g, lam=lam, keep=keep, mirror=mirror, dft=dft,
-                           jets=_autocorrelation_jets(V, lam, cube, g.m, keep, dft.shape[1]))
+    layers, b = factor0.cube.l - 1, factor0.D.shape[0]
+    D = np.zeros((max(J, 2), b, b))
+    D[0], D[1] = factor0.D, factor1.D
+    D, E = D[:J], np.stack([factor0.E, factor1.E])[:J]
+    Ainv, W = _left_sweep(D, E, layers, _series_inv, series_mul)
+    sums = _layer_sums(Ainv, W, series_mul)
+    slot = _layer_slots(factor0.cube, g)
+    return np.stack([_fold(sums[:, n].reshape(-1, b), None, slot, g) for n in range(J)], axis=1)
 
 
 def projector_symbol(factor: StiffnessFactor, p) -> np.ndarray:

@@ -142,6 +142,23 @@ def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def series_mul(a: np.ndarray, b: np.ndarray, mul=np.matmul) -> np.ndarray:
+    """The Cauchy product c_n = sum_{i<=n} mul(a_i, b_{n-i}) of two
+    truncated power series whose terms run along axis -3, kept to the
+    longer one's length J.  The shorter factor's terms drive the loop, so
+    a factor with two terms (an affine family) costs two products."""
+    J = max(a.shape[-3], b.shape[-3])
+    if a.shape[-3] < b.shape[-3]:
+        out = mul(a[..., :1, :, :], b)
+        for i in range(1, a.shape[-3]):
+            out[..., i:, :, :] += mul(a[..., i:i + 1, :, :], b[..., :J - i, :, :])
+    else:
+        out = mul(a, b[..., :1, :, :])
+        for i in range(1, b.shape[-3]):
+            out[..., i:, :, :] += mul(a[..., :J - i, :, :], b[..., i:i + 1, :, :])
+    return out
+
+
 def stack_inv(a: np.ndarray) -> np.ndarray:
     """The inverse of each m x m matrix of an (F, m, m) stack.
 

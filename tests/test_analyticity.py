@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,14 +10,17 @@ from frdlat.analyticity import (
     derivative_sum_residual,
     fd_agreement,
     fd_derivative,
+    jet_derivatives,
+    origin_agreement,
     radius_agreement,
 )
+from frdlat.config import parse_config
 from frdlat.decomposition import build_schedule, complex_at, complex_sweep, decompose
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
 from frdlat.spectral import reflect_sites, unfold_pairs
-from frdlat import analyticity, projector
+from frdlat import analyticity, decomposition
 
 
 def setup_path(m=1, seed=None, d=2):
@@ -193,20 +197,95 @@ def test_derivative_growth_is_bounded():
 
 
 def test_sweep_assembles_each_cube_once_per_tensor(monkeypatch):
-    """Two live levels, two coefficient tensors: four assemblies per sweep,
-    and no node assembles or inverts a stiffness."""
+    """Two live levels, two coefficient tensors: the jets make four
+    assemblies in all, whatever the order, and solve no member's
+    stiffness."""
     path, g, sched = setup_path(m=2, seed=5)
     calls = []
-    assemble = projector.assemble_stiffness
+    assemble = decomposition.assemble_stiffness
 
     def counted(A, cube):
         calls.append(cube.l)
         return assemble(A, cube)
 
-    def no_inverse(factor, g):
-        raise AssertionError("local_green_flat called in a contour sweep")
+    def no_member(factor, g):
+        raise AssertionError("local_green_flat called by the jets")
 
-    monkeypatch.setattr(projector, "assemble_stiffness", counted)
-    monkeypatch.setattr(projector, "local_green_flat", no_inverse)
-    contour_derivatives(path, g, sched, [1, 2], n_half=16)
+    monkeypatch.setattr(decomposition, "assemble_stiffness", counted)
+    monkeypatch.setattr(decomposition, "local_green_flat", no_member)
+    jet_derivatives(path, g, sched, 4)
     assert sorted(calls) == [3, 3, 5, 5]
+
+
+def test_jets_telescope_and_match_the_real_branch():
+    """Order 0 is decompose, order 1 its finite differences, every order
+    telescopes to the Green derivative and the growth ratios stay small."""
+    path, g, sched = setup_path(m=2, seed=31)
+    base = decompose(path.A0, g, sched)
+    jets = jet_derivatives(path, g, sched, 3)
+    assert sorted(jets) == [0, 1, 2, 3]
+    assert origin_agreement(jets[0], base) <= 1e-11
+    assert fd_agreement(jets[1], *fd_derivative(path, g, sched)) < 1e-6
+    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
+    for res in jets.values():
+        assert derivative_sum_residual(res) < 1e-10
+        assert (res.n_nodes, res.convergence) == (0, 0.0)
+        for tab in res.tables + [res.green_table]:
+            assert np.array_equal(tab.values[neg], np.conj(tab.values))
+    assert derivative_bound_check(base, [jets[1], jets[2], jets[3]]).max_ratio < 10.0
+
+
+D3M2_CI = {
+    "d": 3, "m": 2, "L": 3, "N": 2,
+    "A": [[2.0, 0.5, 0.0, 0.0, 0.0, 0.3],
+          [0.5, 2.0, 0.5, 0.0, 0.0, 0.0],
+          [0.0, 0.5, 2.0, 0.5, 0.0, 0.0],
+          [0.0, 0.0, 0.5, 2.0, 0.5, 0.0],
+          [0.0, 0.0, 0.0, 0.5, 2.0, 0.5],
+          [0.3, 0.0, 0.0, 0.0, 0.5, 2.0]],
+    "schedule": [3, 5],
+}
+
+
+def workload_config(seed):
+    """The config of the deriv-d3m2 benchmark workload for a seed: d=3 m=2
+    S=9, A = B^T B / 6 + 0.5 I and a unit direction from one generator."""
+    rng = np.random.default_rng([seed, 0x66726C])
+    B = rng.standard_normal((6, 6))
+    A = B.T @ B / 6 + 0.5 * np.eye(6)
+    D = rng.standard_normal((6, 6))
+    D = 0.5 * (D + D.T)
+    return {"d": 3, "m": 2, "L": 3, "N": 2, "A": (0.5 * (A + A.T)).tolist(),
+            "schedule": [3, 5], "derivative": {"direction": (D / np.max(np.abs(
+                np.linalg.eigvalsh(D)))).tolist()}}
+
+
+ORACLE_CASES = {
+    "d3m2-seed1": (workload_config(1), 0.8, 48),
+    "d3m2-seed2": (workload_config(2), 0.8, 48),
+    # CI's d=3 m=2 smoke config at an odd node count: z = -r is in the full
+    # rule only.
+    "ci-d3m2-odd": (D3M2_CI, 0.5, 17),
+    "d2m1-skipped": ({"d": 2, "m": 1, "L": 3, "N": 3, "A": [[1.5, 0.3], [0.3, 0.8]],
+                      "schedule": [3, None, 5],
+                      "derivative": {"direction": [[0.2, 0.7], [0.7, -0.4]]}}, 0.8, 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_jets_match_contour_oracle(case):
+    """Every order-j table of the jets within 1e-13, 1e-12 and 1e-11 of
+    its own max of the contour's, for j = 1, 2, 3.  The contour's round-off
+    floor is eps j! (2/c0)^j / r^j of the largest table on the circle, so
+    small order-3 tables need the larger radius: at r = 0.5 the d3m2 seed-2
+    gap reaches 1.3e-11 on C_1, at r = 0.8 it is 3.6e-12."""
+    doc, r, n_half = ORACLE_CASES[case]
+    cfg = parse_config(json.dumps(doc))
+    g, sched, path = cfg.geometry, cfg.schedule, cfg.path
+    jets = jet_derivatives(path, g, sched, 3)
+    contour = contour_derivatives(path, g, sched, [1, 2, 3], r=r, n_half=n_half)
+    for j, tol in ((1, 1e-13), (2, 1e-12), (3, 1e-11)):
+        got, want = jets[j], contour[j]
+        for a, b in zip(got.tables + [got.green_table], want.tables + [want.green_table]):
+            scale = np.max(np.abs(b.values))
+            assert np.max(np.abs(a.values - b.values)) <= tol * scale

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import frdlat
-from frdlat import cli, decomposition, sampling
+from frdlat import analyticity, cli, decomposition, sampling
+from frdlat.analyticity import contour_derivatives
 from frdlat.cli import main
 from frdlat.config import parse_config
 from frdlat.decomposition import decompose
+from frdlat.elliptic import EllipticMap
+from frdlat.errors import NotConverged
 from frdlat.output import samples_csv_writer
 from frdlat.sampling import build_sampler, sample_total
 from frdlat.spectral import Kernel
@@ -74,23 +77,33 @@ def test_deriv_is_byte_stable(tmp_path):
     assert same_tree(a, b)
 
 
-def test_deriv_shares_one_sweep_between_radii(tmp_path, monkeypatch):
-    """Both contour radii read one sweep: one stiffness pencil per live level."""
+def test_deriv_makes_no_contour_call(tmp_path, monkeypatch):
+    """deriv reads every order off one series: no contour node, and K0 and
+    K1 assembled once per live level (decompose and the finite differences
+    assemble from EllipticMaps, the jets from raw tensors)."""
     built = []
-    pencil = decomposition.stiffness_pencil
+    assemble = decomposition.assemble_stiffness
 
-    def counted(A0, A1, cube, g):
-        built.append(cube.l)
-        return pencil(A0, A1, cube, g)
+    def counted(A, cube):
+        if not isinstance(A, EllipticMap):
+            built.append(cube.l)
+        return assemble(A, cube)
 
-    monkeypatch.setattr(decomposition, "stiffness_pencil", counted)
+    def no_contour(*args, **kwargs):
+        raise AssertionError("contour call in deriv")
+
+    monkeypatch.setattr(decomposition, "assemble_stiffness", counted)
+    monkeypatch.setattr(analyticity, "contour_derivatives", no_contour)
+    monkeypatch.setattr(analyticity, "complex_sweep", no_contour)
+    monkeypatch.setattr(decomposition, "complex_at", no_contour)
     cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5], derivative={"nodes": 16})
     assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 0
-    assert sorted(built) == [3, 5]
+    assert sorted(built) == [3, 3, 5, 5]
 
 
 def test_oversized_direction_exits_numeric(tmp_path, monkeypatch, capsys):
-    """A path whose A1 breaks |A1| <= c0/2 fails the stiffness pencil by name."""
+    """A path whose A1 breaks |A1| <= c0/2 fails the jets' family check by
+    name."""
     cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5])
 
     def tripled(text, **overrides):
@@ -102,8 +115,8 @@ def test_oversized_direction_exits_numeric(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 4
     err = capsys.readouterr().err
-    assert "FactorizationFailure: level 1: pencil eigenvalue" in err
-    assert "cube l=3" in err
+    assert "OutsideDisc: direction norm" in err
+    assert "exceeds c0/2" in err
 
 
 def test_impossible_tolerance_fails_named_check(tmp_path, capsys):
@@ -322,7 +335,10 @@ def test_deriv_report(tmp_path):
     assert main(["deriv", "--config", cfg, "--out", out]) == 0
     report = json.loads(Path(os.path.join(out, "deriv_report.json")).read_text())
     assert report["order"] == 1
-    assert report["nodes"] == 64
+    assert sorted(report["checks"]) == [
+        "derivative_ratios", "derivative_telescoping", "fd_agreement", "jet_origin"]
+    assert report["jet_origin"] <= 1e-11
+    assert not {"r", "nodes", "convergence", "radius_diff"} & set(report)
     assert all(report["checks"].values())
     assert os.path.exists(os.path.join(out, "deriv_k1.csv"))
     assert os.path.exists(os.path.join(out, "deriv_green.csv"))
@@ -341,8 +357,14 @@ def test_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "missing")]) == 3
     assert main(["decompose", "--config", cfg]) == 2
+    # Only the contour oracle reads nodes: four are too few for its gate.
     shallow = write_cfg(tmp_path, name="nodes.json", derivative={"nodes": 4})
-    assert main(["deriv", "--config", shallow, "--out", out]) == 4
+    assert main(["deriv", "--config", shallow, "--out", out]) == 0
+    with open(shallow, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    with pytest.raises(NotConverged):
+        contour_derivatives(cfg.path, cfg.geometry, cfg.schedule, [1, 2, 3],
+                            r=cfg.derivative["r"], n_half=cfg.derivative["nodes"])
     too_few = write_cfg(tmp_path, name="order.json", derivative={"order": 6, "nodes": 4})
     capsys.readouterr()
     assert main(["deriv", "--config", too_few, "--out", out]) == 2

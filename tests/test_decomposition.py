@@ -12,6 +12,7 @@ from frdlat.decomposition import (
     decompose,
     far_field_constant,
     kernel_sup_norm,
+    taylor_jets,
 )
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
@@ -191,19 +192,24 @@ def test_complex_decompose_rejects_points_off_the_disc():
 
 
 def test_oversized_direction_fails_the_pencil():
-    """|A1| <= c0/2 bounds the pencil eigenvalues by 1/2; a tripled A1 breaks it."""
+    """|A1| <= c0/2 keeps every member of the stiffness pencil K0 + z K1
+    definite on the unit disc; a tripled A1 breaks it, and the jets and the
+    contour oracle both re-check it by name."""
     g = TorusGeometry(d=2, m=1, L=5, N=2)
     sched = build_schedule(g, override=[None, 5])
     path = ComplexEllipticPath.from_direction(identity_map(2, 1), np.eye(2))
     complex_decompose(path, 0.5, g, sched)
+    taylor_jets(path, g, sched, 2)
     object.__setattr__(path, "A1", 3.0 * path.A1)
-    with pytest.raises(FactorizationFailure, match=r"level 2: .*exceeds 1/2 for cube l=5"):
-        complex_decompose(path, 0.1, g, sched)
+    for run in (lambda: complex_decompose(path, 0.1, g, sched),
+                lambda: taylor_jets(path, g, sched, 2)):
+        with pytest.raises(OutsideDisc, match=r"direction norm 1\.5 exceeds c0/2 = 0\.5"):
+            run()
 
 
 def test_layered_failure_names_its_level(monkeypatch):
     """A cube error from the layered route of decompose names its level,
-    as complex_sweep's pencil errors do."""
+    as the cube errors of taylor_jets do."""
     import frdlat.decomposition as decomposition
 
     real = decomposition.local_green_flat
@@ -219,14 +225,18 @@ def test_layered_failure_names_its_level(monkeypatch):
         decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
 
 
-def test_indefinite_base_fails_the_pencil_cholesky():
+def test_indefinite_base_fails_the_family_check():
+    """An A0 made indefinite after the path was built: the family check
+    reads the current entries, so the jets and the oracle refuse it."""
     g = TorusGeometry(d=2, m=1, L=5, N=2)
     sched = build_schedule(g, override=[3, 5])
     A = identity_map(2, 1)
     path = ComplexEllipticPath.from_direction(A, np.eye(2))
     object.__setattr__(A, "entries", -np.eye(2))
-    with pytest.raises(FactorizationFailure, match=r"level 1: stiffness Cholesky failed .* l=3"):
-        complex_decompose(path, 0.1, g, sched)
+    for run in (lambda: complex_decompose(path, 0.1, g, sched),
+                lambda: taylor_jets(path, g, sched, 2)):
+        with pytest.raises(OutsideDisc, match=r"c0/2 = -0\.5"):
+            run()
 
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])

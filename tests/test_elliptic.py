@@ -3,6 +3,7 @@ import pytest
 
 from frdlat.elliptic import (
     ComplexEllipticPath,
+    green_from_body,
     green_symbol,
     hermitian_sqrt_flat,
     identity_map,
@@ -12,6 +13,7 @@ from frdlat.elliptic import (
 )
 from frdlat.errors import NotPSD, NotPositiveDefinite, NotSymmetric, OutsideDisc
 from frdlat.lattice import TorusGeometry, p_flat, p_norms
+from frdlat.spectral import _hermitize
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
 
@@ -71,6 +73,23 @@ def test_green_symbol_inverts_body():
     sym = symbol_flat(A.tensor, g)[1:]
     assert green.shape == sym.shape == (g.site_count - 1, 1, 1)
     assert np.allclose(green * sym, 1.0)
+
+
+@pytest.mark.parametrize("d, N", [(2, 5), (3, 3)])
+def test_green_from_body_m1_is_lapack_bitwise(d, N):
+    """At m = 1 green_from_body reads the eigenvalue off the real part and
+    inverts by 1/x.  On symbol bodies, whose imaginary parts are round-off
+    (below 1e-12 of the real part up to cond(A) = 1e10), eigvalsh gives the
+    same eigenvalue bits and inv the same bits of the Hermitian part."""
+    g = TorusGeometry(d=d, m=1, L=3, N=N)
+    rng = np.random.default_rng(d)
+    for cond in (1.0, 1e2, 1e6, 1e10):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A = validate_map(Q @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ Q.T, d, 1)
+        body = symbol_flat(A.tensor, g)[1:]
+        assert np.array_equal(np.linalg.eigvalsh(body)[:, 0], body[:, 0, 0].real)
+        got = green_from_body(body)
+        assert np.array_equal(got.view(np.uint64), _hermitize(np.linalg.inv(body)).view(np.uint64))
 
 
 def test_hermitian_sqrt():

@@ -3,9 +3,8 @@
 Random SPD coefficients (real, and complex members of the analytic
 family) on small tori: the FFT of the folded block kernel must agree with
 the per-frequency plane-wave solve, and its inverse transform must vanish
-beyond the cube's range l - 2.  The stiffness pencil of a contour sweep
-must reproduce local_green_flat of the assembled family member, up to
-the edge of the disc.
+beyond the cube's range l - 2.  The Taylor jets of K0 + z K1 must sum to
+local_green_flat of the assembled family member near z = 0.
 """
 
 import numpy as np
@@ -15,8 +14,8 @@ from hypothesis import strategies as st
 
 from frdlat.elliptic import ComplexEllipticPath, symbol_flat, validate_map
 from frdlat.lattice import TorusGeometry, cube, p_flat, rho_inf_grid
-from frdlat.projector import (assemble_stiffness, local_green_flat, projector_symbol,
-                              stiffness_pencil)
+from frdlat.projector import (assemble_stiffness, local_green_flat, local_green_jets,
+                              projector_symbol)
 
 # (d, L, N) with small enough tori and cubes to keep each example cheap.
 TORI = [(2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 3, 2), (3, 3, 1), (3, 5, 1)]
@@ -77,7 +76,7 @@ def test_block_kernel_vanishes_beyond_cube_range(case):
 
 
 @st.composite
-def pencil_cases(draw):
+def jet_cases(draw):
     d = draw(st.sampled_from([2, 3]))
     m = draw(st.sampled_from([1, 2]))
     g = TorusGeometry(d=d, m=m, L=5, N=1)
@@ -88,51 +87,28 @@ def pencil_cases(draw):
     A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
     D = rng.standard_normal((n, n))
     D = D + D.T
-    D *= draw(st.floats(min_value=0.1, max_value=1.0)) / np.max(np.abs(np.linalg.eigvalsh(D)))
+    D /= np.max(np.abs(np.linalg.eigvalsh(D)))
     path = ComplexEllipticPath.from_direction(A, D)
-    z = draw(st.floats(min_value=0.0, max_value=0.99)) * np.exp(
+    z = draw(st.floats(min_value=0.0, max_value=0.1)) * np.exp(
         1j * draw(st.floats(min_value=0.0, max_value=2.0 * np.pi))
     )
-    edge = 0.99 * np.exp(1j * draw(st.floats(min_value=0.0, max_value=2.0 * np.pi)))
-    return g, cube(l, g), path, (0.0, z, np.conj(z), edge)
+    return g, cube(l, g), path, z
 
 
 @settings(max_examples=30, deadline=None)
-@given(pencil_cases())
-def test_pencil_matches_assembled_family_member(case):
-    g, Q, path, points = case
+@given(jet_cases())
+def test_jets_sum_to_assembled_family_member(case):
+    """|A1| <= c0/2 keeps the spectrum of K0^-1 K1 in [-1/2, 1/2], so at
+    |z| <= 0.1 the terms of the series fall by 0.05 or faster and twelve of
+    them leave a tail below 1e-15 of the symbol; order 0 is K0 alone."""
+    g, Q, path, z = case
     m, d = g.m, g.d
-    pencil = stiffness_pencil(path.A0, path.A1.reshape(m, d, m, d), Q, g)
-    assert np.max(np.abs(pencil.lam)) <= 0.5 * (1.0 + 1e-12)
-    for z in points:
-        expected = local_green_flat(assemble_stiffness(path.tensor_at(z), Q), g)
-        got = pencil.green_flat(z)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("d, m, l", [(2, 1, 3), (2, 2, 5), (3, 2, 5)])
-def test_pencil_at_the_edge_of_the_disc(d, m, l):
-    """A direction scaled to max|lam| = 1/2 and |z| = 0.999: |z lam| =
-    0.4995, the worst case the truncated jets cover (the property test
-    stops at |z| = 0.99).  S = 5, so l = 3 has a window P = 3 < S and
-    l = 5 has P = S."""
-    g = TorusGeometry(d=d, m=m, L=5, N=1)
-    Q = cube(l, g)
-    rng = np.random.default_rng(7 * d + m)
-    n = m * d
-    B = rng.standard_normal((n, n))
-    A0 = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
-    D = rng.standard_normal((n, n))
-    D = D + D.T
-    D /= np.max(np.abs(np.linalg.eigvalsh(D)))
-    A1 = ComplexEllipticPath.from_direction(A0, D).A1.reshape(m, d, m, d)
-    A1 *= 0.5 / np.max(np.abs(stiffness_pencil(A0, A1, Q, g).lam))
-    pencil = stiffness_pencil(A0, A1, Q, g)
-    assert np.max(np.abs(pencil.lam)) == pytest.approx(0.5, rel=1e-13)
-    for theta in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
-        z = 0.999 * np.exp(1j * theta)
-        expected = local_green_flat(assemble_stiffness(A0.tensor + z * A1, Q), g)
-        got = pencil.green_flat(z)
+    jets = local_green_jets(assemble_stiffness(path.A0.tensor, Q),
+                            assemble_stiffness(path.A1.reshape(m, d, m, d), Q), g, 12)
+    assert jets.shape == (g.site_count, 12, m, m)
+    for point in (0.0, z):
+        expected = local_green_flat(assemble_stiffness(path.tensor_at(point), Q), g)
+        got = np.einsum("n,fnst->fst", point ** np.arange(12), jets)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
