@@ -17,8 +17,8 @@ Derivatives are reported in the normalized direction Adot = A1/(c0/2):
 with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  A0 and A1 are
 real and symmetric, so every derivative table is Hermitian with
 C(-p) = C(p)^T: the jets are hermitized and the contour folds its lower
-half circle onto the upper one, so the unfolded tables of both are
-exactly conjugate-symmetric, multipliers of real kernels.
+half circle onto the upper one, so the pair-row tables of both are
+exactly Hermitian, multipliers of real kernels.
 """
 
 import math
@@ -31,8 +31,7 @@ from .decomposition import (CubeSchedule, complex_at, complex_sweep, decompose, 
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
-from .spectral import (Kernel, MultiplierTable, _hermitize, multiplier_to_kernel, spectral_norms,
-                       unfold_pairs)
+from .spectral import Kernel, MultiplierTable, _hermitize, multiplier_to_kernel, spectral_norms
 
 CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
@@ -59,8 +58,8 @@ class DerivativeResult:
 
 
 def _derivative_result(path, order, stack, g, **quadrature) -> DerivativeResult:
-    """A DerivativeResult from an unfolded (N+2, S^d - 1, m, m) stack: the
-    N+1 scale tables and then the Green table."""
+    """A DerivativeResult from an (N+2, H, m, m) stack on the pair rows:
+    the N+1 scale tables and then the Green table."""
     tables = [MultiplierTable(g, X) for X in stack]
     kernels = [multiplier_to_kernel(tab) for tab in tables]
     return DerivativeResult(path=path, order=order, tables=tables[:-1], green_table=tables[-1],
@@ -72,10 +71,10 @@ def jet_derivatives(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSche
     """Normalized derivatives of orders 0..max_order of every scale kernel
     and of the Green kernel, from one taylor_jets series with
     max_order + 1 terms: D^j C_k(0) = j! (2/c0)^j [z^j] C_k.  Each table
-    is hermitized on the pair rows before unfolding, as in decompose."""
+    is hermitized, as in decompose."""
     jets = taylor_jets(path, g, sched, max_order + 1)
-    return {j: _derivative_result(path, j, unfold_pairs(_hermitize(
-                jets[:, :, j] * (math.factorial(j) * (2.0 / path.A0.c0) ** j)), g), g)
+    return {j: _derivative_result(path, j, _hermitize(
+                jets[:, :, j] * (math.factorial(j) * (2.0 / path.A0.c0) ** j)), g)
             for j in range(max_order + 1)}
 
 
@@ -99,10 +98,10 @@ def contour_derivatives(
     (len(orders), N+2, H, m, m) on the pair rows: per order, the N+1 scale
     multipliers and then the Green multiplier.  The real nodes t = 0 and
     t = n_half take half their weight, and each sum P then becomes P + P^H,
-    the sum over the whole circle, unfolded once before the gate.  For odd
-    n_half the node z = -r belongs to the full rule only.  Raises
-    NotConverged when the two rules disagree beyond CONVERGENCE_TOL in
-    relative supremum norm for any order.
+    the sum over the whole circle.  For odd n_half the node z = -r
+    belongs to the full rule only.  Raises NotConverged when the two rules
+    disagree beyond CONVERGENCE_TOL in relative supremum norm for any
+    order.
 
     Round-off floor: the order-j sums scale each node's round-off by
     fac_j = j! (2/c0)^j / r^j, so an order-j kernel is known only to about
@@ -137,8 +136,7 @@ def contour_derivatives(
     out = {}
     for i, j in enumerate(orders):
         fac = math.factorial(j) / r**j * (2.0 / path.A0.c0) ** j
-        full_i, half_i = (unfold_pairs((P + np.conj(np.swapaxes(P, -1, -2))) * fac, g)
-                          for P in (full[i], half[i]))
+        full_i, half_i = ((P + np.conj(np.swapaxes(P, -1, -2))) * fac for P in (full[i], half[i]))
         # The half rule is not read after the gate, so its rows take the gap.
         num = float(np.max(spectral_norms(np.subtract(full_i, half_i, out=half_i))))
         den = max(1e-300, float(np.max(spectral_norms(full_i))))
@@ -153,7 +151,7 @@ def contour_derivatives(
 
 
 def derivative_sum_residual(result: DerivativeResult) -> float:
-    """Relative deviation of sum_k D^j C_k from D^j C over p != 0."""
+    """Relative deviation of sum_k D^j C_k from D^j C over the pair rows."""
     green = result.green_table.values
     total = np.sum([t.values for t in result.tables], axis=0)
     den = max(float(np.max(spectral_norms(green))), 1e-300)

@@ -171,11 +171,6 @@ def parse_config(text: str, **overrides) -> RunConfig:
         merged["r"] = r
     if "nodes" in deriv:
         merged["nodes"] = _as_int(deriv["nodes"], "derivative.nodes", low=4)
-    if merged["nodes"] < merged["order"] + 1:
-        raise ValidationError(
-            "derivative.nodes: %d half-rule nodes cannot resolve order %d; need at least %d"
-            % (merged["nodes"], merged["order"], merged["order"] + 1)
-        )
 
     cfg = RunConfig(geometry=g, A=A, schedule=schedule, path=path, derivative=merged)
 

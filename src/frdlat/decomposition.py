@@ -33,7 +33,7 @@ That difference keeps the agreement of decompose with the order-0 jets,
 of the jets with the contour, and of the finite differences of decompose
 with the order-1 jets, independent checks.  A and A1 are symmetric, so
 C(-p) = C(p)^T: every branch works on the H = (S^d - 1)/2 pair rows
-(spectral.pair_rows) and unfolds by transposition, so decompose's tables
+(spectral.pair_rows), the layout of every table, and decompose's tables
 are exactly Hermitian.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
@@ -66,7 +66,6 @@ from .spectral import (
     spectral_norms,
     stack_inv,
     stack_matmul,
-    unfold_pairs,
 )
 
 
@@ -281,14 +280,14 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         symbols.append(stack_matmul(G, body) / Q.volume)
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
     tables, products = _scale_tables(symbols, green)
-    tables = [MultiplierTable(g, unfold_pairs(_hermitize(C), g)) for C in tables]
+    tables = [MultiplierTable(g, _hermitize(C)) for C in tables]
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
         kernels=[multiplier_to_kernel(table) for table in tables],
-        green_table=MultiplierTable(g, unfold_pairs(green, g)),
+        green_table=MultiplierTable(g, green),
         symbols=symbols,
         products=products,
         body=body,
@@ -397,9 +396,7 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
 
     The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
     from local_green_flat of the member's assembled stiffness (its LU
-    route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.  Every
-    table has C(-p) = C(p)^T, so spectral.unfold_pairs gives the full
-    stacks.
+    route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.
     """
     tensor = sweep.path.tensor_at(z)  # OutsideDisc for |z| >= 1
     rows = sweep.rows + 1  # flat rows of local_green_flat, p = 0 included
@@ -416,8 +413,6 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
 def complex_decompose(
     path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
 ) -> ComplexDecompositionResult:
-    """complex_at for one member of the family: a sweep of one node, with
-    its tables unfolded to every p != 0 row."""
-    stack = unfold_pairs(complex_at(complex_sweep(path, g, sched), z), g)
-    tables = [MultiplierTable(g, C) for C in stack]
+    """complex_at for one member of the family: a sweep of one node."""
+    tables = [MultiplierTable(g, C) for C in complex_at(complex_sweep(path, g, sched), z)]
     return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])

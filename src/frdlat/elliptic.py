@@ -24,7 +24,7 @@ from .errors import (
     SingularSymbol,
 )
 from .lattice import TorusGeometry, p_flat
-from .spectral import MultiplierTable, _hermitize
+from .spectral import MultiplierTable, _hermitize, pair_rows
 
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e14
@@ -94,8 +94,9 @@ def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
 
 
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
-    """Chat(p) = Ahat(p)^-1 for p != 0, Hermitian PD."""
-    return MultiplierTable(g, green_from_body(symbol_flat(A.tensor, g)[1:]))
+    """Chat(p) = Ahat(p)^-1 on the pair rows, Hermitian PD."""
+    rows, _ = pair_rows(g)
+    return MultiplierTable(g, green_from_body(symbol_flat(A.tensor, g)[1:][rows]))
 
 
 def green_from_body(body: np.ndarray) -> np.ndarray:

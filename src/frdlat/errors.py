@@ -20,9 +20,8 @@ class CubeTooLarge(FrdError):
 
 
 class ImaginaryResidue(FrdError):
-    """Kernel reconstruction left a larger imaginary part than allowed, or a
-    sampler root breaks root(-p) = conj root(p), without which its fields
-    would not be real."""
+    """Kernel reconstruction left a larger imaginary part than allowed: the
+    multiplier table was not Hermitian."""
 
 
 class OrderTooHigh(FrdError):

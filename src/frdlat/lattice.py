@@ -136,7 +136,8 @@ def p_flat(g: TorusGeometry) -> np.ndarray:
     """Frequencies on the canonical grid, flattened C-order: shape (S^d, d).
 
     Row 0 is p = 0 and row order matches ravelling the canonical grid;
-    multiplier stacks hold rows 1.. (p != 0) in this order.
+    multiplier stacks hold the pair rows among rows 1.. (p != 0), in this
+    order (spectral.pair_rows).
     """
     S = g.side
     line = 2.0 * np.pi * centered(np.arange(S), S) / S

@@ -7,12 +7,12 @@ Every nonzero frequency is colored with the Hermitian root of the scale
 multiplier and p = 0 is dropped.  E[w_hat w_hat^H] = S^d I, so the
 field irfftn(x_hat) has covariance C_k exactly, provided the roots obey
 root(-p) = conj root(p): irfftn reads the colored half spectrum as the
-half of a Hermitian one.  build_sampler checks that symmetry once per
-scale (ImaginaryResidue otherwise), so every field is real by
-construction.  Sample i of scale k is the fixed slice i of one
-counter-based Philox stream keyed by (seed, k): every sample uses the
-same number of words, so any sample can be regenerated in isolation and
-thread scheduling cannot change the draw.
+half of a Hermitian one.  build_sampler takes each root on the pair
+rows and spectral.half_spectrum places it with that symmetry, so every
+field is real by construction.  Sample i of scale k is the fixed slice i
+of one counter-based Philox stream keyed by (seed, k): every sample uses
+the same number of words, so any sample can be regenerated in isolation
+and thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
 sample index) once, in fixed-size batches, and keeps each field as its
@@ -36,14 +36,13 @@ import numpy as np
 
 from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
-from .errors import FactorizationFailure, ImaginaryResidue, TooLargeForOracle
+from .errors import FactorizationFailure, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
-from .spectral import Kernel, _embed_body, _hermitize, pair_rows, spectral_norms
+from .spectral import Kernel, _hermitize, half_spectrum, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
-REAL_TOL = 1e-10
 
 
 @dataclass
@@ -66,15 +65,13 @@ class SamplerState:
 def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     """Hermitian multiplier roots, one half-grid stack per scale.
 
-    Each root, taken on every p != 0 row, is re-squared and compared
-    against its multiplier; a relative deviation beyond ROOT_TOL raises
-    FactorizationFailure.  The sampler colors only the half spectrum, so
-    each root must also satisfy root(-p) = conj root(p) on every pair; a
-    deviation beyond REAL_TOL of the root's norm raises ImaginaryResidue.
+    Each root, taken on the pair rows, is re-squared and compared against
+    its multiplier; a relative deviation beyond ROOT_TOL raises
+    FactorizationFailure.  The multiplier at -p is the transpose, the
+    conjugate of a Hermitian one, so its root is conj root(p), which
+    spectral.half_spectrum writes there.
     """
     g = result.geometry
-    rows, partner = pair_rows(g)
-    half = np.arange(g.site_count).reshape(g.site_shape)[..., : g.side // 2 + 1].ravel()
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
@@ -87,15 +84,8 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
             raise FactorizationFailure(
                 "scale %d root residual %.3g exceeds %.3g" % (idx, rel, ROOT_TOL)
             )
-        gap = float(np.max(spectral_norms(root[partner] - np.conj(root[rows]))))
-        norm = float(np.max(spectral_norms(root, hermitian=True)))
-        if gap > REAL_TOL * norm:
-            raise ImaginaryResidue(
-                "scale %d root breaks root(-p) = conj root(p) by %.3g of its norm %.3g"
-                % (idx, gap, norm)
-            )
         worst = max(worst, rel)
-        roots.append(_embed_body(root, g)[half])
+        roots.append(half_spectrum(root, g))
     return SamplerState(
         geometry=g,
         seed=int(seed),

@@ -5,12 +5,15 @@ the inverse carries the S^-d factor, which is exactly numpy's fftn/ifftn
 pair, so the transforms delegate to pocketfft (deterministic, handles the
 odd composite sizes L^N).  Kernels live on the canonical site grid.
 
-Multipliers are flat (S^d - 1, m, m) stacks over the frequencies p != 0,
-in lattice.p_flat row order from row 1: all operators here act on
-zero-mean fields, where constants vanish, so the p = 0 slot is zero by
-construction and the kernel's additive-constant ambiguity is fixed
-(kernels are stored in the canonical zero-mean gauge).  Only
-multiplier_to_kernel embeds the zero row and moves to the grid.
+Every kernel here is real with C(-x) = C(x)^T, so its multiplier at -p
+is the transpose of the one at p.  Multipliers are therefore (H, m, m)
+stacks over the H = (S^d - 1)/2 pair rows (pair_rows): the rows of the
+p != 0 stack, in lattice.p_flat order from row 1, that come before the
+row of -p.  All operators here act on zero-mean fields, where constants
+vanish, so the p = 0 slot is zero by construction and the kernel's
+additive-constant ambiguity is fixed (kernels are stored in the
+canonical zero-mean gauge).  Only multiplier_to_kernel builds the full
+grid, and half_spectrum the sampler's rfftn half grid.
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,8 @@ class Kernel:
 
 @dataclass
 class MultiplierTable:
-    """Complex m x m matrix per frequency p != 0, as an (S^d - 1, m, m) stack."""
+    """Complex m x m matrix per pair row p, as an (H, m, m) stack; the
+    matrix at -p is its transpose."""
 
     geometry: TorusGeometry
     values: np.ndarray
@@ -51,10 +55,10 @@ class MultiplierTable:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         g = self.geometry
-        shape = (g.site_count - 1, g.m, g.m)
+        shape = ((g.site_count - 1) // 2, g.m, g.m)
         if self.values.shape != shape:
             raise ShapeMismatch(
-                "multiplier values %s are not the p != 0 stack %s" % (self.values.shape, shape)
+                "multiplier values %s are not the pair-row stack %s" % (self.values.shape, shape)
             )
 
 
@@ -63,13 +67,19 @@ def _site_axes(values: np.ndarray, g: TorusGeometry) -> tuple:
 
 
 def multiplier_to_kernel(M: MultiplierTable) -> Kernel:
-    """Inverse transform, canonicalized to zero mean by the zero p = 0 slot.
+    """Inverse transform of the full grid: zero at p = 0, which fixes the
+    zero-mean gauge, the pair rows, and their transposes at -p.
 
-    The reconstruction must be real: the residual imaginary part is
-    recorded on the kernel and rejected beyond IMAG_TOL * max|entry|.
+    The reconstruction must be real, which needs a Hermitian table: the
+    residual imaginary part is recorded on the kernel and rejected beyond
+    IMAG_TOL * max|entry|.
     """
     g = M.geometry
-    grid = _grid_table(_embed_body(M.values, g), g)
+    rows, partner = pair_rows(g)
+    flat = np.zeros((g.site_count, g.m, g.m), dtype=np.complex128)
+    flat[rows + 1] = M.values
+    flat[partner + 1] = np.swapaxes(M.values, -1, -2)
+    grid = _grid_table(flat, g)
     vals = np.fft.ifftn(grid, axes=_site_axes(grid, g))
     scale = max(float(np.max(np.abs(vals.real))), 1e-300)
     residue = float(np.max(np.abs(vals.imag)))
@@ -113,13 +123,19 @@ def pair_rows(g: TorusGeometry):
     return rows, neg[rows]
 
 
-def unfold_pairs(half: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """(..., H, m, m) pair-row stacks -> (..., S^d - 1, m, m), row -p the
-    transpose of row p: the multiplier of a kernel with C(-x) = C(x)^T."""
+def half_spectrum(pairs: np.ndarray, g: TorusGeometry) -> np.ndarray:
+    """(H, m, m) pair rows -> (n, m, m) rows on the rfftn half grid, the
+    n = S^(d-1) (S//2 + 1) frequencies whose last index runs over 0..S//2,
+    in C order: zero at p = 0 and the conjugate of row p at -p.  irfftn
+    reads such a stack as half of a Hermitian spectrum."""
     rows, partner = pair_rows(g)
-    out = np.empty(half.shape[:-3] + (g.site_count - 1,) + half.shape[-2:], dtype=half.dtype)
-    out[..., rows, :, :] = half
-    out[..., partner, :, :] = np.swapaxes(half, -1, -2)
+    slot = np.zeros(g.site_count, dtype=np.intp)
+    slot[rows + 1] = np.arange(1, rows.shape[0] + 1)
+    slot[partner + 1] = -slot[rows + 1]
+    half = slot.reshape(g.site_shape)[..., : g.side // 2 + 1].ravel()
+    out = np.zeros(half.shape + pairs.shape[1:], dtype=np.complex128)
+    out[half > 0] = pairs[half[half > 0] - 1]
+    out[half < 0] = np.conj(pairs[-half[half < 0] - 1])
     return out
 
 
@@ -191,13 +207,6 @@ def stack_inv(a: np.ndarray) -> np.ndarray:
                 out[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
                 pass
-    return out
-
-
-def _embed_body(body: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Flat (S^d - 1, m, m) rows for p != 0 -> (S^d, m, m) with row 0 zero."""
-    out = np.zeros((g.site_count,) + body.shape[1:], dtype=np.complex128)
-    out[1:] = body
     return out
 
 

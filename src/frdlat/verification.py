@@ -60,7 +60,8 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
 
 
 def check_sum(result: DecompositionResult) -> float:
-    """Max over p != 0 of the relative telescoping deviation."""
+    """Max over p != 0 of the relative telescoping deviation, read on the
+    pair rows: the norms at -p, of the transposes, are the same."""
     green = result.green_table.values
     total = result.tables[0].values.copy()  # a running sum: no stack of all tables
     for t in result.tables[1:]:
@@ -86,7 +87,8 @@ def check_finite_range(result: DecompositionResult):
 
 
 def check_psd(result: DecompositionResult):
-    """Per-scale min eigenvalue over frequencies, normalized per frequency."""
+    """Per-scale min eigenvalue over frequencies, normalized per frequency,
+    read on the pair rows: C(p)^T at -p has the spectrum of C(p)."""
     out = []
     for t in result.tables:
         # LAPACK's eigenvalue of a 1 x 1 matrix is the real part of its entry.

@@ -19,7 +19,7 @@ from frdlat.decomposition import build_schedule, complex_at, complex_sweep, deco
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import reflect_sites, unfold_pairs
+from frdlat.spectral import pair_rows
 from frdlat import analyticity, decomposition
 
 
@@ -40,11 +40,14 @@ def setup_path(m=1, seed=None, d=2):
     return ComplexEllipticPath.from_direction(A, direction), g, sched
 
 
-def oracle_kernel(body, g):
-    """Real part of the inverse DFT of a p != 0 stack, zero at p = 0,
-    without multiplier_to_kernel's imaginary-residue check."""
+def oracle_kernel(pairs, g):
+    """Real part of the inverse DFT of a pair-row stack, zero at p = 0 and
+    the transpose at -p, without multiplier_to_kernel's imaginary-residue
+    check."""
+    rows, partner = pair_rows(g)
     grid = np.zeros((g.site_count, g.m, g.m), dtype=np.complex128)
-    grid[1:] = body
+    grid[rows + 1] = pairs
+    grid[partner + 1] = np.swapaxes(pairs, -1, -2)
     grid = np.moveaxis(grid.reshape(g.site_shape + (g.m, g.m)), (-2, -1), (0, 1))
     return np.fft.ifftn(grid, axes=tuple(range(2, 2 + g.d))).real
 
@@ -57,7 +60,7 @@ def full_circle_oracle(path, g, sched, orders, r, n_half):
     sums = {j: 0.0 for j in orders}
     for t in range(total):
         theta = np.pi * t / n_half
-        stack = unfold_pairs(complex_at(sweep, r * np.exp(1j * theta)), g)
+        stack = complex_at(sweep, r * np.exp(1j * theta))
         for j in orders:
             sums[j] += np.exp(-1j * j * theta) / total * stack
     out = {}
@@ -140,14 +143,15 @@ def test_half_sweep_matches_full_circle_oracle(monkeypatch, d, m, n_half):
 
 
 def test_derivative_tables_are_exactly_conjugate_symmetric():
-    """values(-p) == conj values(p) bitwise on every scale and Green table,
-    so the kernels' imaginary residue is the inverse FFT's round-off alone.
-    A full-circle sum leaves 1e-10 of the order-3 kernels' max here."""
+    """values(-p) == conj values(p) bitwise on every scale and Green table:
+    the pair rows are exactly Hermitian, so their transposes at -p are
+    their conjugates, and the kernels' imaginary residue is the inverse
+    FFT's round-off alone.  A full-circle sum leaves 1e-10 of the order-3
+    kernels' max here."""
     path, g, sched = setup_path(m=2, seed=31, d=3)
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     for res in contour_derivatives(path, g, sched, [0, 1, 3], n_half=16).values():
         for tab in res.tables + [res.green_table]:
-            assert np.array_equal(tab.values[neg], np.conj(tab.values))
+            assert np.array_equal(np.swapaxes(tab.values, -1, -2), np.conj(tab.values))
         for k in res.kernels + [res.green_kernel]:
             assert k.imag_residue <= 1e-14 * np.max(np.abs(k.values))
 
@@ -226,12 +230,11 @@ def test_jets_telescope_and_match_the_real_branch():
     assert sorted(jets) == [0, 1, 2, 3]
     assert origin_agreement(jets[0], base) <= 1e-11
     assert fd_agreement(jets[1], *fd_derivative(path, g, sched)) < 1e-6
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     for res in jets.values():
         assert derivative_sum_residual(res) < 1e-10
         assert (res.n_nodes, res.convergence) == (0, 0.0)
         for tab in res.tables + [res.green_table]:
-            assert np.array_equal(tab.values[neg], np.conj(tab.values))
+            assert np.array_equal(np.swapaxes(tab.values, -1, -2), np.conj(tab.values))
     assert derivative_bound_check(base, [jets[1], jets[2], jets[3]]).max_ratio < 10.0
 
 

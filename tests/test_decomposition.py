@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from frdlat.decomposition import (
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import pair_rows, reflect_sites, unfold_pairs
+from frdlat.spectral import pair_rows
 from frdlat.verification import diagnostics
 
 
@@ -152,7 +153,7 @@ def test_complex_branch_telescopes_exactly():
     cres = complex_decompose(path, z, g, sched)
     total = np.sum([t.values for t in cres.tables], axis=0)
     green = cres.green_table.values
-    assert green.shape == (g.site_count - 1, 1, 1)
+    assert green.shape == ((g.site_count - 1) // 2, 1, 1)
     assert np.max(np.abs(total - green)) < 1e-12 * np.max(np.abs(green))
 
 
@@ -241,38 +242,46 @@ def test_indefinite_base_fails_the_family_check():
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_complex_tables_are_exactly_transpose_symmetric(d, m):
-    """Ahat(z)(-p) = Ahat(z)(p)^T and Ghat(z)(-p) = Ghat(z)(p)^T, so every
-    complex_at table and the Green table, unfolded from the pair rows,
-    satisfy C(-p) = C(p)^T bit for bit, at random z in the disc and with
-    a skipped level."""
+    """complex_at evaluates the pair rows only, and a table's row -p is
+    its transpose by layout: multiplier_to_kernel writes C(-p) = C(p)^T
+    bit for bit.  The same formula on every p != 0 row gives the pair
+    rows bitwise and, at the rows left out, the transposes to round-off:
+    Ahat(z)(-p) = Ahat(z)(p)^T and Ghat(z)(-p) = Ghat(z)(p)^T, at random z
+    in the disc and with a skipped level."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     sched = build_schedule(g, override=[3, None, 5])
-    sweep = complex_sweep(random_path(d, m, seed=10 * d + m), g, sched)
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
+    path = random_path(d, m, seed=10 * d + m)
+    sweep = complex_sweep(path, g, sched)
+    rows, partner = pair_rows(g)
+    every = dataclasses.replace(
+        sweep, rows=np.arange(g.site_count - 1), body0=symbol_flat(path.A0.tensor, g)[1:],
+        body1=symbol_flat(path.A1.reshape(m, d, m, d), g)[1:])
     rng = np.random.default_rng(d + m)
     for z in np.sqrt(rng.uniform(0, 0.99, 3)) * np.exp(2j * np.pi * rng.uniform(size=3)):
         stack = complex_at(sweep, z)
         assert stack.shape == (sched.N + 2, (g.site_count - 1) // 2, m, m)
         assert not np.any(stack[1])
-        for X in unfold_pairs(stack, g):
-            assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))
+        full = complex_at(every, z)
+        assert np.array_equal(full[:, rows], stack)
+        gap = np.max(np.abs(full[:, partner] - np.swapaxes(stack, -1, -2)))
+        assert gap <= 1e-13 * np.max(np.abs(stack))
 
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 2)])
 def test_real_tables_are_exactly_transpose_and_conjugate_symmetric(d, m):
-    """decompose evaluates the pair rows and unfolds them, so every scale
-    table and the Green table satisfy C(-p) = C(p)^T = conj C(p) bit for
-    bit, for random SPD A and a skipped level."""
+    """decompose stores the pair rows, whose transposes are the rows at
+    -p, and hermitizes them, so every scale table and the Green table
+    satisfy C(-p) = C(p)^T = conj C(p) bit for bit, for random SPD A and
+    a skipped level."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     rng = np.random.default_rng(7 * d + m)
     n = m * d
     B = rng.standard_normal((n, n))
     A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
     res = decompose(A, g, build_schedule(g, override=[3, None, 5]))
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     for X in [t.values for t in res.tables] + [res.green_table.values]:
-        assert np.array_equal(X[neg], np.swapaxes(X, -1, -2))
-        assert np.array_equal(X[neg], np.conj(X))
+        assert X.shape == ((g.site_count - 1) // 2, m, m)
+        assert np.array_equal(np.swapaxes(X, -1, -2), np.conj(X))
 
 
 def _exact(x):
@@ -296,7 +305,7 @@ def test_scale_tables_match_exact_arithmetic(levels, seed):
     B = rng.standard_normal((2, 2))
     A = validate_map(B.T @ B / 2 + 0.5 * np.eye(2), 2, 1)
     res = decompose(A, g, build_schedule(g, override=levels))
-    rows, _ = pair_rows(g)  # X_j is stored on these rows; the other table rows are transposes
+    rows, _ = pair_rows(g)  # the rows of X_j and of the tables; the rows at -p are transposes
     body = symbol_flat(A.tensor, g)[1:][rows, 0, 0]
     X = [None if Xj is None else Xj[:, 0, 0] for Xj in res.symbols]
     exact = np.empty((res.n_scales, body.shape[0]), dtype=object)
@@ -314,7 +323,7 @@ def test_scale_tables_match_exact_arithmetic(levels, seed):
             exact[k, f] = (F_prev[0] - F[0], F_prev[1] - F[1])
         exact[-1, f] = F
     for k in range(1, res.n_scales + 1):
-        got = res.table(k).values[rows, 0, 0]
+        got = res.table(k).values[:, 0, 0]
         # decompose returns each table's Hermitian part: for m = 1 the real part.
         want = [re for re, _ in exact[k - 1]]
         scale = max(abs(w) for w in want)

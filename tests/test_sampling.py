@@ -6,8 +6,8 @@ import pytest
 
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, validate_map
-from frdlat.errors import ImaginaryResidue
 from frdlat.lattice import TorusGeometry, rho_inf_grid
+from frdlat.spectral import pair_rows
 from frdlat import sampling
 from frdlat.sampling import (
     BATCH,
@@ -170,17 +170,34 @@ def test_zero_samples_are_rejected_before_any_draw(monkeypatch):
             run_sampling_suite(state, n)
 
 
-def test_root_without_conjugate_symmetry_is_rejected():
-    """One multiplier row p scaled by 1.5 but not its row -p: the root
-    still re-squares to its table, but irfftn would read conj root(p) at
-    -p, so build_sampler rejects it and names the scale."""
-    g = TorusGeometry(d=2, m=1, L=3, N=2)
-    res = decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
-    build_sampler(res)
-    body = res.table(2).values
-    body[int(np.argmax(np.abs(body[:, 0, 0])))] *= 1.5
-    with pytest.raises(ImaginaryResidue, match="scale 2 "):
-        build_sampler(res)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_roots_are_conjugate_symmetric_eigh_roots_on_the_half_grid(m):
+    """On the half-grid plane of last index 0, which holds both p and -p,
+    root(-p) = conj root(p) bit for bit.  Every half-grid row is within
+    1e-12 of an eigh root, one matrix at a time, of C(p): the table row
+    at a pair row, its transpose at -p; p = 0 is zero."""
+    g = TorusGeometry(d=2, m=m, L=3, N=2)
+    rng = np.random.default_rng(40 + m)
+    B = rng.standard_normal((2 * m, 2 * m))
+    A = validate_map(B.T @ B / (2 * m) + 0.5 * np.eye(2 * m), 2, m)
+    res = decompose(A, g, build_schedule(g, override=[3, 5]))
+    state = build_sampler(res)
+    S, width = g.side, g.side // 2 + 1
+    rows, partner = pair_rows(g)
+    half = np.arange(g.site_count).reshape(g.site_shape)[:, :width].ravel()
+    for tab, root in zip(res.tables, state.roots):
+        assert root.shape == (S * width, m, m)
+        assert not np.any(root[0])
+        C = np.zeros((g.site_count, m, m), dtype=np.complex128)
+        C[rows + 1] = tab.values
+        C[partner + 1] = np.swapaxes(tab.values, -1, -2)
+        scale = max(np.max(np.abs(np.linalg.eigvalsh(tab.values))), 1e-300) ** 0.5
+        for h, f in enumerate(half[1:], start=1):
+            w, U = np.linalg.eigh(0.5 * (C[f] + C[f].conj().T))
+            want = (U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T
+            assert np.max(np.abs(root[h] - want)) <= 1e-12 * scale
+        for n in range(1, S):
+            assert np.array_equal(root[(S - n) * width], np.conj(root[n * width]))
 
 
 def test_single_sample_deviation_is_infinite():

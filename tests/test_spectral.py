@@ -15,7 +15,6 @@ from frdlat.spectral import (
     spectral_norms,
     stack_inv,
     stack_matmul,
-    unfold_pairs,
 )
 
 G3 = TorusGeometry(d=2, m=1, L=3, N=1)
@@ -24,17 +23,19 @@ G5 = TorusGeometry(d=2, m=2, L=5, N=1)
 
 def test_p_nonzero_indicator_is_the_centered_delta():
     # the indicator of p != 0 transforms back to delta_0 - 1/9
-    K = multiplier_to_kernel(MultiplierTable(G3, np.ones((8, 1, 1))))
+    K = multiplier_to_kernel(MultiplierTable(G3, np.ones((4, 1, 1))))
     delta = np.zeros((1, 3, 3))
     delta[0, 0, 0] = 1.0
     assert np.allclose(K.values[0], delta - 1.0 / 9.0)
 
 
 def test_multiplier_rejects_grid_and_full_layouts():
-    for shape in ((2, 2, 5, 5), (25, 2, 2)):
+    """The grid, the p = 0 embedded stack and the S^d - 1 rows p != 0 are
+    rejected; the H = 12 pair rows are the one layout."""
+    for shape in ((2, 2, 5, 5), (25, 2, 2), (24, 2, 2)):
         with pytest.raises(ShapeMismatch):
             MultiplierTable(G5, np.ones(shape, dtype=np.complex128))
-    assert MultiplierTable(G5, np.ones((24, 2, 2))).values.dtype == np.complex128
+    assert MultiplierTable(G5, np.ones((12, 2, 2))).values.dtype == np.complex128
 
 
 def test_kernel_multiplier_round_trip():
@@ -45,14 +46,15 @@ def test_kernel_multiplier_round_trip():
     sym -= sym.mean(axis=(2, 3), keepdims=True)
     flat = flat_table(np.fft.fftn(sym, axes=(2, 3)), G5)
     assert np.max(np.abs(flat[0])) < 1e-13
-    back = multiplier_to_kernel(MultiplierTable(G5, flat[1:]))
+    rows, _ = pair_rows(G5)
+    back = multiplier_to_kernel(MultiplierTable(G5, flat[rows + 1]))
     assert np.max(np.abs(back.values - sym)) < 1e-13
     assert back.imag_residue < 1e-13
 
 
 def test_multiplier_to_kernel_rejects_complex_kernels():
-    vals = np.zeros((8, 1, 1), dtype=np.complex128)
-    vals[0] = 1.0  # no conjugate partner at -p
+    vals = np.zeros((4, 1, 1), dtype=np.complex128)
+    vals[0] = 1j  # not Hermitian: row -p is the transpose 1j, not the conjugate
     with pytest.raises(ImaginaryResidue):
         multiplier_to_kernel(MultiplierTable(G3, vals))
 
@@ -81,8 +83,9 @@ def test_reflect_sites():
 @pytest.mark.parametrize("d, L", [(2, 3), (2, 5), (3, 3), (3, 5)])
 def test_pair_rows_partition_the_nonzero_frequencies(d, L):
     """Every p != 0 row is a pair row or the -p row of exactly one, with
-    -p as reflect_sites places it, and unfold_pairs writes the transposes
-    there."""
+    -p as reflect_sites places it, and multiplier_to_kernel puts the
+    transposes there: the forward transform of its kernel gives back the
+    pair rows and their transposes."""
     g = TorusGeometry(d=d, m=2, L=L, N=1)
     rows, partner = pair_rows(g)
     F = g.site_count - 1
@@ -91,11 +94,15 @@ def test_pair_rows_partition_the_nonzero_frequencies(d, L):
     assert np.all(rows < partner)
     neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
     assert np.array_equal(neg[rows], partner) and np.array_equal(neg[partner], rows)
-    half = np.random.default_rng(d + L).standard_normal((3, F // 2, 2, 2)) + 0j
-    full = unfold_pairs(half, g)
-    assert full.shape == (3, F, 2, 2)
-    assert np.array_equal(full[:, rows], half)
-    assert np.array_equal(full[:, partner], np.swapaxes(half, -1, -2))
+    rng = np.random.default_rng(d + L)
+    x = rng.standard_normal((F // 2, 2, 2)) + 1j * rng.standard_normal((F // 2, 2, 2))
+    half = x + np.conj(np.swapaxes(x, -1, -2))
+    K = multiplier_to_kernel(MultiplierTable(g, half))
+    flat = flat_table(np.fft.fftn(K.values, axes=tuple(range(2, 2 + d))), g)
+    scale = np.max(np.abs(half))
+    assert np.max(np.abs(flat[0])) <= 1e-13 * scale
+    assert np.max(np.abs(flat[rows + 1] - half)) <= 1e-13 * scale
+    assert np.max(np.abs(flat[partner + 1] - np.swapaxes(half, -1, -2))) <= 1e-13 * scale
 
 
 def test_flat_grid_round_trip_and_norms():
