@@ -17,7 +17,7 @@ Derivatives are reported in the normalized direction Adot = A1/(c0/2):
 with A(t) = A0 + t Adot, d^j/dt^j = (2/c0)^j d^j/dz^j.  A0 and A1 are
 real and symmetric, so every derivative table is Hermitian with
 C(-p) = C(p)^T: the jets are hermitized and the contour folds its lower
-half circle onto the upper one, so the pair-row tables of both are
+half circle onto the upper one, so the half-grid tables of both are
 exactly Hermitian, multipliers of real kernels.
 """
 
@@ -58,8 +58,8 @@ class DerivativeResult:
 
 
 def _derivative_result(path, order, stack, g, **quadrature) -> DerivativeResult:
-    """A DerivativeResult from an (N+2, H, m, m) stack on the pair rows:
-    the N+1 scale tables and then the Green table."""
+    """A DerivativeResult from an (N+2, n-1, m, m) stack on the half-grid
+    rows: the N+1 scale tables and then the Green table."""
     tables = [MultiplierTable(g, X) for X in stack]
     kernels = [multiplier_to_kernel(tab) for tab in tables]
     return DerivativeResult(path=path, order=order, tables=tables[:-1], green_table=tables[-1],
@@ -95,7 +95,7 @@ def contour_derivatives(
     complex decomposition is evaluated only at t = 0..n_half, n_half + 1
     nodes from one complex_sweep(path, g, sched).  Both rules
     accumulate in one pass into two arrays, `full` and `half`, of shape
-    (len(orders), N+2, H, m, m) on the pair rows: per order, the N+1 scale
+    (len(orders), N+2, n-1, m, m) on the half grid: per order, the N+1 scale
     multipliers and then the Green multiplier.  The real nodes t = 0 and
     t = n_half take half their weight, and each sum P then becomes P + P^H,
     the sum over the whole circle.  For odd n_half the node z = -r
@@ -151,7 +151,7 @@ def contour_derivatives(
 
 
 def derivative_sum_residual(result: DerivativeResult) -> float:
-    """Relative deviation of sum_k D^j C_k from D^j C over the pair rows."""
+    """Relative deviation of sum_k D^j C_k from D^j C over the half grid."""
     green = result.green_table.values
     total = np.sum([t.values for t in result.tables], axis=0)
     den = max(float(np.max(spectral_norms(green))), 1e-300)

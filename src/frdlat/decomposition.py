@@ -32,9 +32,9 @@ and in the arithmetic:
 That difference keeps the agreement of decompose with the order-0 jets,
 of the jets with the contour, and of the finite differences of decompose
 with the order-1 jets, independent checks.  A and A1 are symmetric, so
-C(-p) = C(p)^T: every branch works on the H = (S^d - 1)/2 pair rows
-(spectral.pair_rows), the layout of every table, and decompose's tables
-are exactly Hermitian.
+C(-p) = C(p)^T: every branch works on the n - 1 rows p != 0 of the rfftn
+half grid (lattice.p_flat), the layout of every table, and decompose's
+tables are exactly Hermitian.
 
 Every (F, m, m) product goes through spectral.stack_matmul, which avoids
 one BLAS call per small matrix.
@@ -61,7 +61,6 @@ from .spectral import (
     _hermitize,
     flat_table,
     multiplier_to_kernel,
-    pair_rows,
     series_mul,
     spectral_norms,
     stack_inv,
@@ -159,8 +158,8 @@ def _identity_stack(F: int, m: int) -> np.ndarray:
 @dataclass
 class DecompositionResult:
     """Scale tables and kernels C_1..C_{N+1}, plus the factors of the
-    product formula on the H pair rows (spectral.pair_rows): symbols[j-1]
-    is the (H, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
+    product formula on the half-grid rows p != 0: symbols[j-1] is the
+    (n - 1, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
     level j, and products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a
     skipped level repeats the previous product).  body is the symbol
     Ahat on the same rows."""
@@ -266,8 +265,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     error (CubeTooLarge, FactorizationFailure) names its level.
     """
     _check_schedule_fits(g, sched, dense=False)
-    rows, _ = pair_rows(g)
-    body = symbol_flat(A.tensor, g)[1:][rows]
+    body = symbol_flat(A.tensor, g)[1:]
     symbols = []
     for j, l in enumerate(sched.levels, start=1):
         if l is None:
@@ -276,7 +274,7 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         # The stiffness and Ghat_Q are temporaries: neither outlives its level.
         Q = cube(l, g)
         with _at_level(j):
-            G = local_green_flat(assemble_stiffness(A, Q), g)[1:][rows]
+            G = local_green_flat(assemble_stiffness(A, Q), g)[1:]
         symbols.append(stack_matmul(G, body) / Q.volume)
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
     tables, products = _scale_tables(symbols, green)
@@ -305,8 +303,8 @@ class ComplexDecompositionResult:
 
 
 def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, dense: bool):
-    """The checks of the family A0 + z A1, and the pair rows with the
-    symbol bodies Ahat0 and Ahat1 on them.  Every live cube must fit its
+    """The checks of the family A0 + z A1, and its symbol bodies Ahat0 and
+    Ahat1 on the half-grid rows p != 0.  Every live cube must fit its
     route (_check_schedule_fits), and |A1| <= c0/2, which keeps every
     member elliptic on the unit disc, is re-checked on the current entries
     of A0 and A1: OutsideDisc if either changed after the path was built."""
@@ -318,16 +316,16 @@ def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, de
             "direction norm %.6g exceeds c0/2 = %.6g: the family is not elliptic on the unit disc"
             % (norm, 0.5 * c0)
         )
-    rows, _ = pair_rows(g)
     A1 = path.A1.reshape(g.m, g.d, g.m, g.d)
-    return rows, symbol_flat(path.A0.tensor, g)[1:][rows], symbol_flat(A1, g)[1:][rows]
+    return symbol_flat(path.A0.tensor, g)[1:], symbol_flat(A1, g)[1:]
 
 
 def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
                 J: int) -> np.ndarray:
     """The Taylor coefficients [z^n] at z = 0, n < J, of the scale tables
-    and the Green table of the family A0 + z A1, as one (N+2, H, J, m, m)
-    stack on the pair rows: the N+1 scale tables and then the Green table.
+    and the Green table of the family A0 + z A1, as one (N+2, n-1, J, m, m)
+    stack on the half-grid rows: the N+1 scale tables and then the Green
+    table.
 
     Every factor of the product formula has an exact series, so
     _scale_tables runs on series of stacks (spectral.series_mul): Ghat_j
@@ -337,7 +335,7 @@ def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule
     decompose.  A cube error names its level; a direction above c0/2
     raises OutsideDisc.
     """
-    rows, body0, body1 = _family(path, g, sched, dense=False)
+    body0, body1 = _family(path, g, sched, dense=False)
     body = np.stack([body0, body1], axis=1)[:, :J]
 
     def mul(a, b):
@@ -352,14 +350,14 @@ def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule
         with _at_level(j):
             G = local_green_jets(assemble_stiffness(path.A0.tensor, Q),
                                  assemble_stiffness(path.A1.reshape(g.m, g.d, g.m, g.d), Q), g,
-                                 J)[1:][rows]
+                                 J)[1:]
         X.append(mul(G, body) / Q.volume)
-    Ainv = np.empty((rows.shape[0], J, g.m, g.m), dtype=np.complex128)
+    Ainv = np.empty((body0.shape[0], J, g.m, g.m), dtype=np.complex128)
     Ainv[:, 0] = stack_inv(body0)
     for n in range(1, J):
         Ainv[:, n] = -stack_matmul(Ainv[:, n - 1], stack_matmul(body1, Ainv[:, 0]))
     identity = np.zeros_like(Ainv)
-    identity[:, 0] = _identity_stack(rows.shape[0], g.m)
+    identity[:, 0] = _identity_stack(body0.shape[0], g.m)
     tables, _ = _scale_tables(X, Ainv, identity, mul)
     return np.stack(tables + [Ainv])
 
@@ -367,13 +365,12 @@ def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule
 @dataclass
 class ComplexSweep:
     """The z-independent part of the family A0 + z A1 on one torus, for
-    the contour oracle: Ahat(z) = body0 + z body1 on the pair rows
-    (spectral.pair_rows), and the cube of each live level (None for a
-    skipped level).  complex_at evaluates them at one node."""
+    the contour oracle: Ahat(z) = body0 + z body1 on the half-grid rows
+    p != 0, and the cube of each live level (None for a skipped level).
+    complex_at evaluates them at one node."""
 
     geometry: TorusGeometry
     path: ComplexEllipticPath
-    rows: np.ndarray = field(repr=False)
     body0: np.ndarray = field(repr=False)
     body1: np.ndarray = field(repr=False)
     cubes: list = field(repr=False)
@@ -381,17 +378,17 @@ class ComplexSweep:
 
 def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
     """Schedule and size checks and the symbol bodies of A0 and A1 on the
-    pair rows.  An oracle: every live cube must fit the dense limit of
-    the other cube oracles (CubeTooLarge naming the level), and a
+    half-grid rows p != 0.  An oracle: every live cube must fit the dense
+    limit of the other cube oracles (CubeTooLarge naming the level), and a
     direction above c0/2 raises OutsideDisc."""
-    rows, body0, body1 = _family(path, g, sched, dense=True)
-    return ComplexSweep(geometry=g, path=path, rows=rows, body0=body0, body1=body1,
+    body0, body1 = _family(path, g, sched, dense=True)
+    return ComplexSweep(geometry=g, path=path, body0=body0, body1=body1,
                         cubes=[None if l is None else cube(l, g) for l in sched.levels])
 
 
 def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
     """Scale multipliers of the family member A0 + z A1, |z| < 1, as one
-    (N+2, H, m, m) stack on the sweep's pair rows: the N+1 scale tables
+    (N+2, n-1, m, m) stack on the sweep's rows: the N+1 scale tables
     and then the Green table.
 
     The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
@@ -399,10 +396,9 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
     route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.
     """
     tensor = sweep.path.tensor_at(z)  # OutsideDisc for |z| >= 1
-    rows = sweep.rows + 1  # flat rows of local_green_flat, p = 0 included
     body = sweep.body0 + z * sweep.body1
     X = [None if Q is None
-         else stack_matmul(local_green_flat(assemble_stiffness(tensor, Q), sweep.geometry)[rows],
+         else stack_matmul(local_green_flat(assemble_stiffness(tensor, Q), sweep.geometry)[1:],
                            body) / Q.volume
          for Q in sweep.cubes]
     Ainv = stack_inv(body)

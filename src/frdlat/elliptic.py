@@ -24,7 +24,7 @@ from .errors import (
     SingularSymbol,
 )
 from .lattice import TorusGeometry, p_flat
-from .spectral import MultiplierTable, _hermitize, pair_rows
+from .spectral import MultiplierTable, _hermitize
 
 SYMMETRY_TOL = 1e-12
 COND_LIMIT = 1e14
@@ -88,15 +88,15 @@ def symbol_from_tensor(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def symbol_flat(tensor: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Symbols at all frequencies, shape (S^d, m, m); row 0 is p = 0."""
+    """Symbols on the half grid of lattice.p_flat, shape (n, m, m); row 0
+    is p = 0."""
     q = _q_of(p_flat(g))
     return np.einsum("fj,rjsk,fk->frs", np.conj(q), tensor, q)
 
 
 def green_symbol(A: EllipticMap, g: TorusGeometry) -> MultiplierTable:
-    """Chat(p) = Ahat(p)^-1 on the pair rows, Hermitian PD."""
-    rows, _ = pair_rows(g)
-    return MultiplierTable(g, green_from_body(symbol_flat(A.tensor, g)[1:][rows]))
+    """Chat(p) = Ahat(p)^-1 on the half-grid rows p != 0, Hermitian PD."""
+    return MultiplierTable(g, green_from_body(symbol_flat(A.tensor, g)[1:]))
 
 
 def green_from_body(body: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The lattice is the d-fold product of Z/SZ with S = L^N, L odd.  Sites are
 stored canonically with coordinates in {0,...,S-1}; the centered view in
 {-(S-1)/2,...,(S-1)/2} is derived on demand.  Frequencies are indexed by
 centered integer vectors n with p_j = 2*pi*n_j/S, so every component of p
-lies in (-pi, pi).
+lies in (-pi, pi).  Frequency stacks live on the rfftn half grid
+(half_shape, p_flat), where the last index runs over 0..S//2.
 """
 
 from dataclasses import dataclass
@@ -71,6 +72,17 @@ class TorusGeometry:
     def kernel_shape(self) -> tuple:
         return (self.m, self.m) + self.site_shape
 
+    @property
+    def half_shape(self) -> tuple:
+        """The rfftn half grid of the site grid: the last index runs over
+        0..S//2."""
+        return self.site_shape[:-1] + (self.side // 2 + 1,)
+
+    @property
+    def half_count(self) -> int:
+        """n = S^(d-1) (S+1)/2 frequencies on the half grid."""
+        return self.site_count // self.side * (self.side // 2 + 1)
+
 
 def oracle_fits(g: TorusGeometry) -> bool:
     """Whether the dense whole-torus oracles fit: site_count * m <= DENSE_LIMIT."""
@@ -133,18 +145,20 @@ def rho_inf_grid(g: TorusGeometry) -> np.ndarray:
 
 
 def p_flat(g: TorusGeometry) -> np.ndarray:
-    """Frequencies on the canonical grid, flattened C-order: shape (S^d, d).
+    """Frequencies on the rfftn half grid g.half_shape, flattened C-order:
+    shape (g.half_count, d).
 
-    Row 0 is p = 0 and row order matches ravelling the canonical grid;
-    multiplier stacks hold the pair rows among rows 1.. (p != 0), in this
-    order (spectral.pair_rows).
+    Row 0 is p = 0.  The plane where the last index is 0 holds both p and
+    -p; every other p of the full grid is the -p of exactly one row.
+    Every frequency stack of the package uses these rows, and its
+    multiplier tables the rows from 1 (p != 0).
     """
     S = g.side
     line = 2.0 * np.pi * centered(np.arange(S), S) / S
-    grids = np.meshgrid(*([line] * g.d), indexing="ij")
+    grids = np.meshgrid(*([line] * (g.d - 1) + [line[: S // 2 + 1]]), indexing="ij")
     return np.stack([a.ravel() for a in grids], axis=-1)
 
 
 def p_norms(g: TorusGeometry) -> np.ndarray:
-    """Euclidean |p| per canonical-grid frequency, flattened; entry 0 is 0."""
+    """Euclidean |p| per half-grid frequency, flattened; entry 0 is 0."""
     return np.sqrt(np.sum(p_flat(g) ** 2, axis=-1))

@@ -243,32 +243,36 @@ def _fold_slots(sites: np.ndarray, S: int) -> np.ndarray:
 
 
 def _fold(inv_real: np.ndarray, inv_imag, slot: np.ndarray, g: TorusGeometry):
-    """Ghat_Q over every frequency of g from the real and imaginary parts
-    of blocks of K^-1 (each with rows over (site, s) and columns over
-    (site', t); inv_imag is None for a real K): fold each entry into the
-    block kernel g(w) at its ravelled slot, then one unnormalized inverse
-    FFT."""
+    """Ghat_Q on the half grid of g (lattice.p_flat), shape (n, m, m),
+    from the real and imaginary parts of blocks of K^-1 (each with rows
+    over (site, s) and columns over (site', t); inv_imag is None for a real
+    K): fold each entry into the block kernel g(w) at its ravelled slot.
+    sum_w e^{i<p,w>} g(w) of a real part is conj rfftn of it, and the
+    imaginary part adds i times its own."""
     m, F = g.m, g.site_count
-    re = inv_real.reshape(inv_real.shape[0] // m, m, -1, m)
-    im = None if inv_imag is None else inv_imag.reshape(re.shape)
-    kernel = np.empty((F, m, m), dtype=np.complex128)
-    for s in range(m):
-        for t in range(m):
-            kernel[:, s, t] = np.bincount(slot, re[:, s, :, t].ravel(), F)
-            if im is not None:
-                kernel[:, s, t] += 1j * np.bincount(slot, im[:, s, :, t].ravel(), F)
-    grid = kernel.reshape(g.site_shape + (m, m))
-    return np.fft.ifftn(grid, axes=tuple(range(g.d)), norm="forward").reshape(F, m, m)
+
+    def transform(part):
+        blocks = part.reshape(part.shape[0] // m, m, -1, m)
+        kernel = np.empty((F, m, m))
+        for s in range(m):
+            for t in range(m):
+                kernel[:, s, t] = np.bincount(slot, blocks[:, s, :, t].ravel(), F)
+        hat = np.fft.rfftn(kernel.reshape(g.site_shape + (m, m)), axes=tuple(range(g.d)))
+        return np.conj(hat).reshape(-1, m, m)
+
+    if inv_imag is None:
+        return transform(inv_real)
+    return transform(inv_real) + 1j * transform(inv_imag)
 
 
 def local_green_flat(factor: StiffnessFactor, g: TorusGeometry) -> np.ndarray:
-    """Ghat_Q(p) for every frequency of g, shape (S^d, m, m).
+    """Ghat_Q(p) on the rfftn half grid of g, shape (n, m, m), in the row
+    order of lattice.p_flat.
 
     Ghat_Q(p)_{st} = sum_{z,z'} e^{i<p,z'-z>} K^-1[(z,s),(z',t)], so each
     entry of K^-1 belongs in the torus slot w = z' - z mod S of the block
-    kernel g(w), and one unnormalized inverse FFT evaluates
-    sum_w e^{i<p,w>} g(w).  Every p lies in 2 pi Z^d / S, so folding w
-    mod S is exact.  Row order matches lattice.p_flat.
+    kernel g(w), and a conjugated rfftn evaluates sum_w e^{i<p,w>} g(w)
+    (_fold).  Every p lies in 2 pi Z^d / S, so folding w mod S is exact.
 
     K^-1 is never formed.  With the left Schur recursion (A_i^-1, W_i) of
     _left_sweep (kept by the definiteness check, else formed here by LU),
@@ -306,7 +310,7 @@ def _series_inv(A: np.ndarray) -> np.ndarray:
 def local_green_jets(factor0: StiffnessFactor, factor1: StiffnessFactor, g: TorusGeometry,
                      J: int) -> np.ndarray:
     """The Taylor coefficients [z^n] Ghat_Q(z), n < J, at z = 0 of the
-    family K(z) = K0 + z K1 of one cube, shape (S^d, J, m, m) with rows as
+    family K(z) = K0 + z K1 of one cube, shape (n, J, m, m) with rows as
     in local_green_flat.
 
     D(z) = D0 + z D1 and E(z) = E0 + z E1, so _left_sweep and _layer_sums

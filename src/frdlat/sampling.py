@@ -5,14 +5,14 @@ spectrum w_hat = rfftn(w): the frequencies whose last index runs over
 0..S//2, which determine the rest through w_hat(-p) = conj w_hat(p).
 Every nonzero frequency is colored with the Hermitian root of the scale
 multiplier and p = 0 is dropped.  E[w_hat w_hat^H] = S^d I, so the
-field irfftn(x_hat) has covariance C_k exactly, provided the roots obey
-root(-p) = conj root(p): irfftn reads the colored half spectrum as the
-half of a Hermitian one.  build_sampler takes each root on the pair
-rows and spectral.half_spectrum places it with that symmetry, so every
-field is real by construction.  Sample i of scale k is the fixed slice i
-of one counter-based Philox stream keyed by (seed, k): every sample uses
-the same number of words, so any sample can be regenerated in isolation
-and thread scheduling cannot change the draw.
+field irfftn(x_hat) has covariance C_k: irfftn reads the colored half
+spectrum as the half of a Hermitian one, conj root(p) at -p, the root of
+C(-p) = conj C(p).  The tables live on the same half grid, so
+build_sampler takes each root row by row, and every field is real by
+construction.  Sample i of scale k is the fixed slice i of one
+counter-based Philox stream keyed by (seed, k): every sample uses the
+same number of words, so any sample can be regenerated in isolation and
+thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
 sample index) once, in fixed-size batches, and keeps each field as its
@@ -39,7 +39,7 @@ from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
-from .spectral import Kernel, _hermitize, half_spectrum, spectral_norms
+from .spectral import Kernel, _hermitize, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
@@ -48,8 +48,7 @@ ROOT_TOL = 1e-10
 @dataclass
 class SamplerState:
     """Per-scale multiplier roots on the rfftn half grid: (n, m, m) stacks
-    over its n = S^(d-1) (S//2 + 1) frequencies, flattened in C order,
-    with a zero row at p = 0."""
+    in the row order of lattice.p_flat, with a zero row at p = 0."""
 
     geometry: TorusGeometry
     seed: int
@@ -65,11 +64,9 @@ class SamplerState:
 def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     """Hermitian multiplier roots, one half-grid stack per scale.
 
-    Each root, taken on the pair rows, is re-squared and compared against
-    its multiplier; a relative deviation beyond ROOT_TOL raises
-    FactorizationFailure.  The multiplier at -p is the transpose, the
-    conjugate of a Hermitian one, so its root is conj root(p), which
-    spectral.half_spectrum writes there.
+    Each root is re-squared and compared against its multiplier; a
+    relative deviation beyond ROOT_TOL raises FactorizationFailure.  A
+    zero row at p = 0 completes the half grid of the draw.
     """
     g = result.geometry
     roots = []
@@ -85,7 +82,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
                 "scale %d root residual %.3g exceeds %.3g" % (idx, rel, ROOT_TOL)
             )
         worst = max(worst, rel)
-        roots.append(half_spectrum(root, g))
+        roots.append(np.concatenate([np.zeros((1, g.m, g.m)), root]))
     return SamplerState(
         geometry=g,
         seed=int(seed),

@@ -5,15 +5,14 @@ the inverse carries the S^-d factor, which is exactly numpy's fftn/ifftn
 pair, so the transforms delegate to pocketfft (deterministic, handles the
 odd composite sizes L^N).  Kernels live on the canonical site grid.
 
-Every kernel here is real with C(-x) = C(x)^T, so its multiplier at -p
-is the transpose of the one at p.  Multipliers are therefore (H, m, m)
-stacks over the H = (S^d - 1)/2 pair rows (pair_rows): the rows of the
-p != 0 stack, in lattice.p_flat order from row 1, that come before the
-row of -p.  All operators here act on zero-mean fields, where constants
-vanish, so the p = 0 slot is zero by construction and the kernel's
+Every kernel here is real with C(-x) = C(x)^T, so its multiplier is
+Hermitian, C(-p) = C(p)^T = conj C(p): a Hermitian spectrum, which the
+rfftn half grid stores (lattice.p_flat).  Multipliers are (n - 1, m, m)
+stacks over its rows p != 0, and multiplier_to_kernel is one irfftn.
+All operators here act on zero-mean fields, where constants vanish, so
+the p = 0 slot is zero by construction and the kernel's
 additive-constant ambiguity is fixed (kernels are stored in the
-canonical zero-mean gauge).  Only multiplier_to_kernel builds the full
-grid, and half_spectrum the sampler's rfftn half grid.
+canonical zero-mean gauge).
 """
 
 from dataclasses import dataclass
@@ -46,8 +45,8 @@ class Kernel:
 
 @dataclass
 class MultiplierTable:
-    """Complex m x m matrix per pair row p, as an (H, m, m) stack; the
-    matrix at -p is its transpose."""
+    """Complex m x m matrix per half-grid row p != 0, as an (n - 1, m, m)
+    stack."""
 
     geometry: TorusGeometry
     values: np.ndarray
@@ -55,10 +54,10 @@ class MultiplierTable:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         g = self.geometry
-        shape = ((g.site_count - 1) // 2, g.m, g.m)
+        shape = (g.half_count - 1, g.m, g.m)
         if self.values.shape != shape:
             raise ShapeMismatch(
-                "multiplier values %s are not the pair-row stack %s" % (self.values.shape, shape)
+                "multiplier values %s are not the half-grid stack %s" % (self.values.shape, shape)
             )
 
 
@@ -67,28 +66,28 @@ def _site_axes(values: np.ndarray, g: TorusGeometry) -> tuple:
 
 
 def multiplier_to_kernel(M: MultiplierTable) -> Kernel:
-    """Inverse transform of the full grid: zero at p = 0, which fixes the
-    zero-mean gauge, the pair rows, and their transposes at -p.
+    """The real kernel of a Hermitian table: one irfftn of the half grid,
+    zero at p = 0, which fixes the zero-mean gauge.
 
-    The reconstruction must be real, which needs a Hermitian table: the
-    residual imaginary part is recorded on the kernel and rejected beyond
-    IMAG_TOL * max|entry|.
+    irfftn reads the half grid as a Hermitian spectrum, conj C(p) at -p,
+    which is C(p)^T, the multiplier of C(-x) = C(x)^T, only if each C(p)
+    is Hermitian.  The Hermitian defect max |C - C^H| / 2 bounds the
+    imaginary part the transposes at -p would leave; it is recorded on the
+    kernel as imag_residue and rejected beyond IMAG_TOL * max |C|.
     """
     g = M.geometry
-    rows, partner = pair_rows(g)
-    flat = np.zeros((g.site_count, g.m, g.m), dtype=np.complex128)
-    flat[rows + 1] = M.values
-    flat[partner + 1] = np.swapaxes(M.values, -1, -2)
-    grid = _grid_table(flat, g)
-    vals = np.fft.ifftn(grid, axes=_site_axes(grid, g))
-    scale = max(float(np.max(np.abs(vals.real))), 1e-300)
-    residue = float(np.max(np.abs(vals.imag)))
+    C = M.values
+    residue = 0.5 * float(np.max(np.abs(C - np.conj(np.swapaxes(C, -1, -2)))))
+    scale = max(float(np.max(np.abs(C))), 1e-300)
     if residue > IMAG_TOL * scale:
         raise ImaginaryResidue(
-            "imaginary residue %.3e exceeds %.1e of max entry %.3e"
-            % (residue, IMAG_TOL, scale)
+            "Hermitian defect %.3e exceeds %.1e of max entry %.3e" % (residue, IMAG_TOL, scale)
         )
-    return Kernel(g, vals.real.copy(), imag_residue=residue)
+    grid = np.zeros((g.m, g.m, g.half_count), dtype=np.complex128)
+    grid[..., 1:] = np.moveaxis(C, 0, -1)
+    grid = grid.reshape((g.m, g.m) + g.half_shape)
+    return Kernel(g, np.fft.irfftn(grid, s=g.site_shape, axes=_site_axes(grid, g)),
+                  imag_residue=residue)
 
 
 def kernel_derivative(K: Kernel, alpha) -> Kernel:
@@ -112,30 +111,6 @@ def reflect_sites(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
     out = values
     for axis in _site_axes(values, g):
         out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
-
-
-def pair_rows(g: TorusGeometry):
-    """The rows of the p != 0 stack that come before the row of -p, and the
-    -p row of each.  S is odd, so the two cover every row exactly once."""
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
-    rows = np.flatnonzero(np.arange(neg.shape[0]) < neg)
-    return rows, neg[rows]
-
-
-def half_spectrum(pairs: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """(H, m, m) pair rows -> (n, m, m) rows on the rfftn half grid, the
-    n = S^(d-1) (S//2 + 1) frequencies whose last index runs over 0..S//2,
-    in C order: zero at p = 0 and the conjugate of row p at -p.  irfftn
-    reads such a stack as half of a Hermitian spectrum."""
-    rows, partner = pair_rows(g)
-    slot = np.zeros(g.site_count, dtype=np.intp)
-    slot[rows + 1] = np.arange(1, rows.shape[0] + 1)
-    slot[partner + 1] = -slot[rows + 1]
-    half = slot.reshape(g.site_shape)[..., : g.side // 2 + 1].ravel()
-    out = np.zeros(half.shape + pairs.shape[1:], dtype=np.complex128)
-    out[half > 0] = pairs[half[half > 0] - 1]
-    out[half < 0] = np.conj(pairs[-half[half < 0] - 1])
     return out
 
 
@@ -211,17 +186,10 @@ def stack_inv(a: np.ndarray) -> np.ndarray:
 
 
 def flat_table(values: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """(m, m, *grid) -> (S^d, m, m), rows aligned with lattice.p_flat."""
+    """(m, m, *grid) -> (S^d, m, m), one row per site in C order."""
     m = g.m
     moved = np.moveaxis(values, (0, 1), (-2, -1))
     return moved.reshape(g.site_count, m, m)
-
-
-def _grid_table(flat: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """(S^d, m, m) -> (m, m, *grid), inverse of flat_table."""
-    m = g.m
-    grid = flat.reshape(g.site_shape + (m, m))
-    return np.moveaxis(grid, (-2, -1), (0, 1))
 
 
 def spectral_norms(flat: np.ndarray, hermitian: bool = False) -> np.ndarray:

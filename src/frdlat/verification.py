@@ -16,9 +16,9 @@ from .decomposition import DecompositionResult, far_field_constant, kernel_sup_n
 from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
-from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
-from .spectral import (Kernel, _hermitize, kernel_derivative, pair_rows, reflect_sites,
-                       spectral_norms, stack_inv, stack_matmul)
+from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_flat, p_norms
+from .spectral import (Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms,
+                       stack_inv, stack_matmul)
 
 
 def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
@@ -61,7 +61,7 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
 
 def check_sum(result: DecompositionResult) -> float:
     """Max over p != 0 of the relative telescoping deviation, read on the
-    pair rows: the norms at -p, of the transposes, are the same."""
+    half grid: the norms at -p, of the conjugates, are the same."""
     green = result.green_table.values
     total = result.tables[0].values.copy()  # a running sum: no stack of all tables
     for t in result.tables[1:]:
@@ -88,7 +88,7 @@ def check_finite_range(result: DecompositionResult):
 
 def check_psd(result: DecompositionResult):
     """Per-scale min eigenvalue over frequencies, normalized per frequency,
-    read on the pair rows: C(p)^T at -p has the spectrum of C(p)."""
+    read on the half grid: conj C(p) at -p has the spectrum of C(p)."""
     out = []
     for t in result.tables:
         # LAPACK's eigenvalue of a 1 x 1 matrix is the real part of its entry.
@@ -106,8 +106,8 @@ def diagnostics(result: DecompositionResult) -> dict:
     the relative far-field residual per scale k = 1..N, None where the
     far region is empty (check_finite_range), min_psd_eig the per-scale
     normalized minimum eigenvalue (check_psd), and imag_residue the worst
-    imaginary part left by a kernel reconstruction, relative to that
-    kernel's largest entry.  The schedule and its ranges ride along.
+    Hermitian defect of a table (spectral.multiplier_to_kernel), relative
+    to its kernel's largest entry.  The schedule and its ranges ride along.
     """
     imag = max(
         kern.imag_residue / max(float(np.max(np.abs(kern.values))), 1e-300)
@@ -254,8 +254,8 @@ class EnvelopeReport:
 
 
 def _annulus_index(g: TorusGeometry) -> np.ndarray:
-    """Annulus label per p != 0: j = 0 for |p| >= pi, else the unique j
-    with pi L^-j <= |p| < pi L^-(j-1)."""
+    """Annulus label per half-grid p != 0: j = 0 for |p| >= pi, else the
+    unique j with pi L^-j <= |p| < pi L^-(j-1)."""
     norms = p_norms(g)[1:]
     ratio = np.pi / norms
     j = np.ceil(np.log(ratio) / math.log(g.L) - 1e-12).astype(int)
@@ -293,7 +293,9 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     Mtilde_k = Ahat^{1/2} P_k Ahat^{-1/2}.  With the Cholesky factor
     Ahat = L L^H, Ahat^{1/2} L^{-H} is unitary, so the similarity
     Y -> L^H Y L^{-H} gives the same operator norms without a root.
-    A norm at -p equals the one at p, so the fits read only the pair rows.
+    A norm at -p equals the one at p, so the fits read only the half grid;
+    annulus_counts count every p != 0 of the full grid, a half-grid row
+    off the plane of last index 0 once for p and once for -p.
 
     Fits the minimal admissible constants: c_product for the product
     envelope (1 on annuli j >= k, c^{k-j} L^{-(k-j)(k-j+1)/2} below),
@@ -303,10 +305,9 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """
     g = result.geometry
     L = float(g.L)
-    rows, _ = pair_rows(g)
-    ann = _annulus_index(g)
-    counts = [int(np.count_nonzero(ann == j)) for j in range(g.N + 1)]
-    ann, norms = ann[rows], p_norms(g)[1:][rows]
+    ann, norms = _annulus_index(g), p_norms(g)[1:]
+    twice = 2 - (p_flat(g)[1:, -1] == 0.0)
+    counts = [int(np.sum(twice[ann == j])) for j in range(g.N + 1)]
     Lh = np.conj(np.swapaxes(_cholesky(result.body), -1, -2))
     Lh_inv = stack_inv(Lh)
 

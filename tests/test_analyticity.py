@@ -19,7 +19,7 @@ from frdlat.decomposition import build_schedule, complex_at, complex_sweep, deco
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import pair_rows
+from frdlat.spectral import _hermitize
 from frdlat import analyticity, decomposition
 
 
@@ -40,16 +40,13 @@ def setup_path(m=1, seed=None, d=2):
     return ComplexEllipticPath.from_direction(A, direction), g, sched
 
 
-def oracle_kernel(pairs, g):
-    """Real part of the inverse DFT of a pair-row stack, zero at p = 0 and
-    the transpose at -p, without multiplier_to_kernel's imaginary-residue
-    check."""
-    rows, partner = pair_rows(g)
-    grid = np.zeros((g.site_count, g.m, g.m), dtype=np.complex128)
-    grid[rows + 1] = pairs
-    grid[partner + 1] = np.swapaxes(pairs, -1, -2)
-    grid = np.moveaxis(grid.reshape(g.site_shape + (g.m, g.m)), (-2, -1), (0, 1))
-    return np.fft.ifftn(grid, axes=tuple(range(2, 2 + g.d))).real
+def oracle_kernel(table, g):
+    """The kernel of a half-grid table's Hermitian part, zero at p = 0,
+    without multiplier_to_kernel's Hermitian-defect check."""
+    grid = np.zeros((g.half_count, g.m, g.m), dtype=np.complex128)
+    grid[1:] = _hermitize(table)
+    grid = np.moveaxis(grid.reshape(g.half_shape + (g.m, g.m)), (-2, -1), (0, 1))
+    return np.fft.irfftn(grid, s=g.site_shape, axes=tuple(range(2, 2 + g.d)))
 
 
 def full_circle_oracle(path, g, sched, orders, r, n_half):
@@ -143,17 +140,16 @@ def test_half_sweep_matches_full_circle_oracle(monkeypatch, d, m, n_half):
 
 
 def test_derivative_tables_are_exactly_conjugate_symmetric():
-    """values(-p) == conj values(p) bitwise on every scale and Green table:
-    the pair rows are exactly Hermitian, so their transposes at -p are
-    their conjugates, and the kernels' imaginary residue is the inverse
-    FFT's round-off alone.  A full-circle sum leaves 1e-10 of the order-3
+    """Every row of every scale and Green table is exactly Hermitian,
+    values^T == conj values bitwise, so the kernels' Hermitian defect
+    (imag_residue) is 0.  A full-circle sum leaves 1e-10 of the order-3
     kernels' max here."""
     path, g, sched = setup_path(m=2, seed=31, d=3)
     for res in contour_derivatives(path, g, sched, [0, 1, 3], n_half=16).values():
         for tab in res.tables + [res.green_table]:
             assert np.array_equal(np.swapaxes(tab.values, -1, -2), np.conj(tab.values))
         for k in res.kernels + [res.green_kernel]:
-            assert k.imag_residue <= 1e-14 * np.max(np.abs(k.values))
+            assert k.imag_residue == 0.0
 
 
 def test_nan_in_a_contour_sum_fails_the_doubling_gate(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,6 @@ from frdlat.decomposition import (
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
-from frdlat.spectral import pair_rows
 from frdlat.verification import diagnostics
 
 
@@ -153,7 +151,7 @@ def test_complex_branch_telescopes_exactly():
     cres = complex_decompose(path, z, g, sched)
     total = np.sum([t.values for t in cres.tables], axis=0)
     green = cres.green_table.values
-    assert green.shape == ((g.site_count - 1) // 2, 1, 1)
+    assert green.shape == (g.half_count - 1, 1, 1)
     assert np.max(np.abs(total - green)) < 1e-12 * np.max(np.abs(green))
 
 
@@ -242,37 +240,36 @@ def test_indefinite_base_fails_the_family_check():
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_complex_tables_are_exactly_transpose_symmetric(d, m):
-    """complex_at evaluates the pair rows only, and a table's row -p is
-    its transpose by layout: multiplier_to_kernel writes C(-p) = C(p)^T
-    bit for bit.  The same formula on every p != 0 row gives the pair
-    rows bitwise and, at the rows left out, the transposes to round-off:
-    Ahat(z)(-p) = Ahat(z)(p)^T and Ghat(z)(-p) = Ghat(z)(p)^T, at random z
-    in the disc and with a skipped level."""
+    """complex_at evaluates the n - 1 half-grid rows, and on the plane of
+    last index 0, which holds both p and -p, the row at -p is the
+    transpose of the row at p to round-off: Ahat(z)(-p) = Ahat(z)(p)^T
+    and Ghat(z)(-p) = Ghat(z)(p)^T, at random z in the disc and with a
+    skipped level."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     sched = build_schedule(g, override=[3, None, 5])
     path = random_path(d, m, seed=10 * d + m)
     sweep = complex_sweep(path, g, sched)
-    rows, partner = pair_rows(g)
-    every = dataclasses.replace(
-        sweep, rows=np.arange(g.site_count - 1), body0=symbol_flat(path.A0.tensor, g)[1:],
-        body1=symbol_flat(path.A1.reshape(m, d, m, d), g)[1:])
+    S = g.side
+    plane = np.arange(g.site_count // S)  # p = (k, 0) in rows k * (S // 2 + 1)
+    k = np.array(np.unravel_index(plane, g.site_shape[:-1]))
+    neg = np.ravel_multi_index(-k % S, g.site_shape[:-1])
+    rows, partner = plane * (S // 2 + 1) - 1, neg * (S // 2 + 1) - 1
+    rows, partner = rows[1:], partner[1:]
     rng = np.random.default_rng(d + m)
     for z in np.sqrt(rng.uniform(0, 0.99, 3)) * np.exp(2j * np.pi * rng.uniform(size=3)):
         stack = complex_at(sweep, z)
-        assert stack.shape == (sched.N + 2, (g.site_count - 1) // 2, m, m)
+        assert stack.shape == (sched.N + 2, g.half_count - 1, m, m)
         assert not np.any(stack[1])
-        full = complex_at(every, z)
-        assert np.array_equal(full[:, rows], stack)
-        gap = np.max(np.abs(full[:, partner] - np.swapaxes(stack, -1, -2)))
+        gap = np.max(np.abs(stack[:, partner] - np.swapaxes(stack[:, rows], -1, -2)))
         assert gap <= 1e-13 * np.max(np.abs(stack))
 
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 2)])
 def test_real_tables_are_exactly_transpose_and_conjugate_symmetric(d, m):
-    """decompose stores the pair rows, whose transposes are the rows at
-    -p, and hermitizes them, so every scale table and the Green table
-    satisfy C(-p) = C(p)^T = conj C(p) bit for bit, for random SPD A and
-    a skipped level."""
+    """decompose hermitizes its half-grid rows, so every row of every scale
+    table and of the Green table satisfies C(p)^T = conj C(p) bit for
+    bit, which irfftn reads as C(-p), for random SPD A and a skipped
+    level."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     rng = np.random.default_rng(7 * d + m)
     n = m * d
@@ -280,7 +277,7 @@ def test_real_tables_are_exactly_transpose_and_conjugate_symmetric(d, m):
     A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
     res = decompose(A, g, build_schedule(g, override=[3, None, 5]))
     for X in [t.values for t in res.tables] + [res.green_table.values]:
-        assert X.shape == ((g.site_count - 1) // 2, m, m)
+        assert X.shape == (g.half_count - 1, m, m)
         assert np.array_equal(np.swapaxes(X, -1, -2), np.conj(X))
 
 
@@ -305,8 +302,7 @@ def test_scale_tables_match_exact_arithmetic(levels, seed):
     B = rng.standard_normal((2, 2))
     A = validate_map(B.T @ B / 2 + 0.5 * np.eye(2), 2, 1)
     res = decompose(A, g, build_schedule(g, override=levels))
-    rows, _ = pair_rows(g)  # the rows of X_j and of the tables; the rows at -p are transposes
-    body = symbol_flat(A.tensor, g)[1:][rows, 0, 0]
+    body = symbol_flat(A.tensor, g)[1:, 0, 0]  # the rows of X_j and of the tables
     X = [None if Xj is None else Xj[:, 0, 0] for Xj in res.symbols]
     exact = np.empty((res.n_scales, body.shape[0]), dtype=object)
     for f, a in enumerate(body):

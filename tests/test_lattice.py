@@ -96,12 +96,12 @@ def test_rho_inf_grid_matches_pointwise():
 def test_p_flat_layout():
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     P = p_flat(g)
-    assert P.shape == (9, 2)
+    assert g.half_shape == (3, 2) and g.half_count == 6
+    assert P.shape == (6, 2)
     assert np.all(P[0] == 0.0)
     norms = p_norms(g)
     assert norms[0] == 0.0
     assert np.all(norms[1:] > 0.0)
-    # row order matches the canonical grid ravel
+    # row order ravels the rfftn half grid: the last index runs over 0..S//2
     w = 2.0 * np.pi / 3.0
-    assert np.allclose(P[1], [0.0, w])
-    assert np.allclose(P[3], [w, 0.0])
+    assert np.array_equal(P, [[0, 0], [0, w], [w, 0], [w, w], [-w, 0], [-w, w]])

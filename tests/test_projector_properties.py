@@ -16,6 +16,7 @@ from frdlat.elliptic import ComplexEllipticPath, symbol_flat, validate_map
 from frdlat.lattice import TorusGeometry, cube, p_flat, rho_inf_grid
 from frdlat.projector import (assemble_stiffness, local_green_flat, local_green_jets,
                               projector_symbol)
+from frdlat.spectral import reflect_sites
 
 # (d, L, N) with small enough tori and cubes to keep each example cheap.
 TORI = [(2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 3, 2), (3, 3, 1), (3, 5, 1)]
@@ -42,7 +43,7 @@ def projector_cases(draw):
         )
     else:
         coefficients = A
-    rows = draw(st.lists(st.integers(min_value=1, max_value=g.site_count - 1), min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(min_value=1, max_value=g.half_count - 1), min_size=1, max_size=4))
     return g, cube(l, g), coefficients, rows
 
 
@@ -68,11 +69,15 @@ def test_block_kernel_vanishes_beyond_cube_range(case):
     if 2 * reach >= g.side:
         return
     green = local_green_flat(assemble_stiffness(coefficients, Q), g)
-    grid = green.reshape(g.site_shape + (g.m, g.m))
-    kernel = np.fft.fftn(grid, axes=tuple(range(g.d)), norm="forward")
+    h = g.side // 2 + 1
+    grid = np.zeros(g.kernel_shape(), dtype=np.complex128)
+    grid[..., :h] = np.moveaxis(green.reshape(g.half_shape + (g.m, g.m)), (-2, -1), (0, 1))
+    # K is symmetric, so Ghat_Q(-p) = Ghat_Q(p)^T fills the rest of the full grid.
+    grid[..., h:] = np.swapaxes(reflect_sites(grid, g), 0, 1)[..., h:]
+    kernel = np.fft.fftn(grid, axes=tuple(range(2, 2 + g.d)), norm="forward")
     far = rho_inf_grid(g) > reach
-    assert np.max(np.abs(kernel[~far])) > 0.0
-    assert np.all(np.abs(kernel[far]) <= 1e-13 * np.max(np.abs(kernel)))
+    assert np.max(np.abs(kernel[..., ~far])) > 0.0
+    assert np.all(np.abs(kernel[..., far]) <= 1e-13 * np.max(np.abs(kernel)))
 
 
 @st.composite
@@ -105,7 +110,7 @@ def test_jets_sum_to_assembled_family_member(case):
     m, d = g.m, g.d
     jets = local_green_jets(assemble_stiffness(path.A0.tensor, Q),
                             assemble_stiffness(path.A1.reshape(m, d, m, d), Q), g, 12)
-    assert jets.shape == (g.site_count, 12, m, m)
+    assert jets.shape == (g.half_count, 12, m, m)
     for point in (0.0, z):
         expected = local_green_flat(assemble_stiffness(path.tensor_at(point), Q), g)
         got = np.einsum("n,fnst->fst", point ** np.arange(12), jets)

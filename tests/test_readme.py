@@ -15,5 +15,5 @@ def test_library_quick_start_runs_as_documented():
     res = scope["res"]
     assert res.schedule.ranges == (3, 11)
     assert res.kernel(1).values.shape == (1, 1, 25, 25)
-    assert res.table(1).values.shape == (312, 1, 1)
+    assert res.table(1).values.shape == (324, 1, 1)
     assert scope["xi"].values.shape == (1, 25, 25)

@@ -7,7 +7,6 @@ import pytest
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, validate_map
 from frdlat.lattice import TorusGeometry, rho_inf_grid
-from frdlat.spectral import pair_rows
 from frdlat import sampling
 from frdlat.sampling import (
     BATCH,
@@ -124,7 +123,7 @@ def test_empirical_covariance_of_white_noise():
 def white_state(g, n_scales=1, seed=0):
     """Sampler whose roots are identity stacks on the rfftn half grid, zero
     at p = 0: it draws the white noise with its p = 0 mode removed."""
-    root = np.tile(np.eye(g.m), (g.site_count // g.side * (g.side // 2 + 1), 1, 1))
+    root = np.tile(np.eye(g.m), (g.half_count, 1, 1))
     root[0] = 0.0
     return SamplerState(geometry=g, seed=seed, roots=[root] * n_scales)
 
@@ -172,32 +171,22 @@ def test_zero_samples_are_rejected_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_roots_are_conjugate_symmetric_eigh_roots_on_the_half_grid(m):
-    """On the half-grid plane of last index 0, which holds both p and -p,
-    root(-p) = conj root(p) bit for bit.  Every half-grid row is within
-    1e-12 of an eigh root, one matrix at a time, of C(p): the table row
-    at a pair row, its transpose at -p; p = 0 is zero."""
+    """Every half-grid row is within 1e-12 of an eigh root, one matrix at a
+    time, of the table's row C(p); p = 0 is zero."""
     g = TorusGeometry(d=2, m=m, L=3, N=2)
     rng = np.random.default_rng(40 + m)
     B = rng.standard_normal((2 * m, 2 * m))
     A = validate_map(B.T @ B / (2 * m) + 0.5 * np.eye(2 * m), 2, m)
     res = decompose(A, g, build_schedule(g, override=[3, 5]))
     state = build_sampler(res)
-    S, width = g.side, g.side // 2 + 1
-    rows, partner = pair_rows(g)
-    half = np.arange(g.site_count).reshape(g.site_shape)[:, :width].ravel()
     for tab, root in zip(res.tables, state.roots):
-        assert root.shape == (S * width, m, m)
+        assert root.shape == (g.half_count, m, m)
         assert not np.any(root[0])
-        C = np.zeros((g.site_count, m, m), dtype=np.complex128)
-        C[rows + 1] = tab.values
-        C[partner + 1] = np.swapaxes(tab.values, -1, -2)
         scale = max(np.max(np.abs(np.linalg.eigvalsh(tab.values))), 1e-300) ** 0.5
-        for h, f in enumerate(half[1:], start=1):
-            w, U = np.linalg.eigh(0.5 * (C[f] + C[f].conj().T))
+        for h, C in enumerate(tab.values, start=1):
+            w, U = np.linalg.eigh(0.5 * (C + C.conj().T))
             want = (U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T
             assert np.max(np.abs(root[h] - want)) <= 1e-12 * scale
-        for n in range(1, S):
-            assert np.array_equal(root[(S - n) * width], np.conj(root[n * width]))
 
 
 def test_single_sample_deviation_is_infinite():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,10 @@ from frdlat.lattice import TorusGeometry
 from frdlat.spectral import (
     Kernel,
     MultiplierTable,
-    _grid_table,
+    _hermitize,
     flat_table,
     kernel_derivative,
     multiplier_to_kernel,
-    pair_rows,
     reflect_sites,
     spectral_norms,
     stack_inv,
@@ -23,19 +24,21 @@ G5 = TorusGeometry(d=2, m=2, L=5, N=1)
 
 def test_p_nonzero_indicator_is_the_centered_delta():
     # the indicator of p != 0 transforms back to delta_0 - 1/9
-    K = multiplier_to_kernel(MultiplierTable(G3, np.ones((4, 1, 1))))
+    K = multiplier_to_kernel(MultiplierTable(G3, np.ones((5, 1, 1))))
     delta = np.zeros((1, 3, 3))
     delta[0, 0, 0] = 1.0
     assert np.allclose(K.values[0], delta - 1.0 / 9.0)
 
 
 def test_multiplier_rejects_grid_and_full_layouts():
-    """The grid, the p = 0 embedded stack and the S^d - 1 rows p != 0 are
-    rejected; the H = 12 pair rows are the one layout."""
-    for shape in ((2, 2, 5, 5), (25, 2, 2), (24, 2, 2)):
+    """The grid, the p = 0 embedded full stack, the S^d - 1 full-grid rows
+    p != 0, the 12 rows of one p per pair +-p and the half grid with
+    p = 0 are rejected; the n - 1 = 14 half-grid rows p != 0 are the one
+    layout."""
+    for shape in ((2, 2, 5, 5), (25, 2, 2), (24, 2, 2), (12, 2, 2), (15, 2, 2)):
         with pytest.raises(ShapeMismatch):
             MultiplierTable(G5, np.ones(shape, dtype=np.complex128))
-    assert MultiplierTable(G5, np.ones((12, 2, 2))).values.dtype == np.complex128
+    assert MultiplierTable(G5, np.ones((14, 2, 2))).values.dtype == np.complex128
 
 
 def test_kernel_multiplier_round_trip():
@@ -44,17 +47,16 @@ def test_kernel_multiplier_round_trip():
     # symmetrize so the multiplier is that of a real kernel with K(-x) = K(x)^T
     sym = 0.5 * (raw + np.swapaxes(reflect_sites(raw, G5), 0, 1))
     sym -= sym.mean(axis=(2, 3), keepdims=True)
-    flat = flat_table(np.fft.fftn(sym, axes=(2, 3)), G5)
-    assert np.max(np.abs(flat[0])) < 1e-13
-    rows, _ = pair_rows(G5)
-    back = multiplier_to_kernel(MultiplierTable(G5, flat[rows + 1]))
+    half = np.moveaxis(np.fft.rfftn(sym, axes=(2, 3)), (0, 1), (-2, -1)).reshape(-1, 2, 2)
+    assert np.max(np.abs(half[0])) < 1e-13
+    back = multiplier_to_kernel(MultiplierTable(G5, half[1:]))
     assert np.max(np.abs(back.values - sym)) < 1e-13
     assert back.imag_residue < 1e-13
 
 
 def test_multiplier_to_kernel_rejects_complex_kernels():
-    vals = np.zeros((4, 1, 1), dtype=np.complex128)
-    vals[0] = 1j  # not Hermitian: row -p is the transpose 1j, not the conjugate
+    vals = np.zeros((5, 1, 1), dtype=np.complex128)
+    vals[0] = 1j  # not Hermitian: the transpose 1j at -p is not the conjugate
     with pytest.raises(ImaginaryResidue):
         multiplier_to_kernel(MultiplierTable(G3, vals))
 
@@ -80,29 +82,39 @@ def test_reflect_sites():
     assert np.sum(np.abs(ref)) == 7.0
 
 
-@pytest.mark.parametrize("d, L", [(2, 3), (2, 5), (3, 3), (3, 5)])
-def test_pair_rows_partition_the_nonzero_frequencies(d, L):
-    """Every p != 0 row is a pair row or the -p row of exactly one, with
-    -p as reflect_sites places it, and multiplier_to_kernel puts the
-    transposes there: the forward transform of its kernel gives back the
-    pair rows and their transposes."""
-    g = TorusGeometry(d=d, m=2, L=L, N=1)
-    rows, partner = pair_rows(g)
-    F = g.site_count - 1
-    assert rows.shape == partner.shape == (F // 2,)
-    assert np.array_equal(np.sort(np.concatenate([rows, partner])), np.arange(F))
-    assert np.all(rows < partner)
-    neg = reflect_sites(np.arange(g.site_count).reshape(g.site_shape), g).ravel()[1:] - 1
-    assert np.array_equal(neg[rows], partner) and np.array_equal(neg[partner], rows)
-    rng = np.random.default_rng(d + L)
-    x = rng.standard_normal((F // 2, 2, 2)) + 1j * rng.standard_normal((F // 2, 2, 2))
-    half = x + np.conj(np.swapaxes(x, -1, -2))
-    K = multiplier_to_kernel(MultiplierTable(g, half))
-    flat = flat_table(np.fft.fftn(K.values, axes=tuple(range(2, 2 + d))), g)
-    scale = np.max(np.abs(half))
-    assert np.max(np.abs(flat[0])) <= 1e-13 * scale
-    assert np.max(np.abs(flat[rows + 1] - half)) <= 1e-13 * scale
-    assert np.max(np.abs(flat[partner + 1] - np.swapaxes(half, -1, -2))) <= 1e-13 * scale
+def direct_sum_kernel(table, g):
+    """S^-d sum over every p of the full grid of C(p) e^{i<p,x>}, one
+    frequency at a time: C(p) is the table's row where p lies on the half
+    grid, C(-p)^T elsewhere, and zero at p = 0."""
+    S, m = g.side, g.m
+    half = np.concatenate([np.zeros((1, m, m)), table]).reshape(g.half_shape + (m, m))
+    sites = np.indices(g.site_shape)
+    out = np.zeros((m, m, g.site_count), dtype=np.complex128)
+    for k in product(range(S), repeat=g.d):
+        C = half[k] if k[-1] <= S // 2 else half[tuple(-np.array(k) % S)].T
+        phase = np.exp(2j * np.pi * np.tensordot(k, sites, axes=1) / S)
+        out += C[:, :, None] * phase.ravel()
+    return out / g.site_count
+
+
+@pytest.mark.parametrize("d, m, L", list(product((2, 3), (1, 2), (3, 5))))
+def test_multiplier_to_kernel_matches_direct_sum(d, m, L):
+    """multiplier_to_kernel against the direct-sum inverse DFT on a random
+    table of a real kernel with K(-x) = K(x)^T: the Hermitian part of
+    X(p) + X(-p)^T, so its two rows at +-p on the plane of last index 0
+    agree with the transposes the oracle puts off the half grid."""
+    g = TorusGeometry(d=d, m=m, L=L, N=1)
+    rng = np.random.default_rng(10 * d + m + L)
+    X = rng.standard_normal(g.kernel_shape()) + 1j * rng.standard_normal(g.kernel_shape())
+    Y = X + np.swapaxes(reflect_sites(X, g), 0, 1)
+    full = _hermitize(np.moveaxis(Y, (0, 1), (-2, -1)))
+    table = full[..., : g.side // 2 + 1, :, :].reshape(-1, m, m)[1:]
+    K = multiplier_to_kernel(MultiplierTable(g, table))
+    want = direct_sum_kernel(table, g).reshape(K.values.shape)
+    scale = np.max(np.abs(table))
+    assert K.imag_residue == 0.0
+    assert np.max(np.abs(want.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(K.values - want.real)) <= 1e-13 * scale
 
 
 def test_flat_grid_round_trip_and_norms():
@@ -110,7 +122,7 @@ def test_flat_grid_round_trip_and_norms():
     vals = rng.standard_normal((2, 2, 5, 5)) + 1j * rng.standard_normal((2, 2, 5, 5))
     flat = flat_table(vals, G5)
     assert flat.shape == (25, 2, 2)
-    assert np.allclose(_grid_table(flat, G5), vals)
+    assert np.allclose(np.moveaxis(flat.reshape(5, 5, 2, 2), (-2, -1), (0, 1)), vals)
     norms = spectral_norms(flat)
     want = np.array([np.linalg.norm(flat[i], ord=2) for i in range(25)])
     np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0)

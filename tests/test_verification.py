@@ -6,8 +6,8 @@ import pytest
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
-from frdlat.lattice import TorusGeometry
-from frdlat.spectral import _hermitize, multiplier_to_kernel, pair_rows, spectral_norms
+from frdlat.lattice import TorusGeometry, centered
+from frdlat.spectral import _hermitize, multiplier_to_kernel, spectral_norms
 from frdlat.verification import (
     _annulus_index,
     _cholesky,
@@ -112,7 +112,11 @@ def test_envelope_report_counts_and_bounds():
     rep = envelope_report(res)
     g = res.geometry
     assert sum(rep.annulus_counts) == g.side**g.d - 1
-    assert rep.annulus_counts == np.bincount(_annulus_index(g), minlength=g.N + 1).tolist()
+    # every p != 0 of the full grid, labelled by the annulus rule of _annulus_index
+    n = np.indices(g.site_shape).reshape(g.d, -1).T[1:]
+    norms = 2.0 * np.pi / g.side * np.linalg.norm(centered(n, g.side), axis=-1)
+    j = np.clip(np.ceil(np.log(np.pi / norms) / np.log(g.L) - 1e-12).astype(int), 0, g.N)
+    assert rep.annulus_counts == np.bincount(j, minlength=g.N + 1).tolist()
     assert len(rep.annulus_counts) == g.N + 1
     assert rep.contraction_max <= 1.0 + 1e-12
     for c in (rep.c_product, rep.c_tm, rep.c_low, rep.c_high):
@@ -135,15 +139,14 @@ def test_envelope_norms_match_independent_roots(d, m):
 
     w, U = np.linalg.eigh(symbol_flat(A.tensor, g)[1:])
     Uh = np.conj(np.swapaxes(U, -1, -2))
-    rows, _ = pair_rows(g)  # the rows of the stored symbols and products
-    assert np.array_equal(res.body, symbol_flat(A.tensor, g)[1:][rows])
-    root = ((U * np.sqrt(w)[:, None, :]) @ Uh)[rows]
-    invroot = ((U / np.sqrt(w)[:, None, :]) @ Uh)[rows]
+    assert np.array_equal(res.body, symbol_flat(A.tensor, g)[1:])  # the rows of the products
+    root = (U * np.sqrt(w)[:, None, :]) @ Uh
+    invroot = (U / np.sqrt(w)[:, None, :]) @ Uh
 
     def norms(Y):
         return np.linalg.norm(root @ Y @ invroot, ord=2, axis=(-2, -1))
 
-    ann = _annulus_index(g)[rows]
+    ann = _annulus_index(g)
 
     def close(got, want):
         assert abs(got - want) <= 1e-12 * want
