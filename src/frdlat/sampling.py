@@ -1,18 +1,16 @@
 """Spectral sampling of the scale fields and their empirical covariances.
 
-Each sample draws real white noise w on the torus and takes its half
-spectrum w_hat = rfftn(w): the frequencies whose last index runs over
-0..S//2, which determine the rest through w_hat(-p) = conj w_hat(p).
-Every nonzero frequency is colored with the Hermitian root of the scale
-multiplier and p = 0 is dropped.  E[w_hat w_hat^H] = S^d I, so the
-field irfftn(x_hat) has covariance C_k: irfftn reads the colored half
-spectrum as the half of a Hermitian one, conj root(p) at -p, the root of
-C(-p) = conj C(p).  The tables live on the same half grid, so
-build_sampler takes each root row by row, and every field is real by
-construction.  Sample i of scale k is the fixed slice i of one
-counter-based Philox stream keyed by (seed, k): every sample uses the
-same number of words, so any sample can be regenerated in isolation and
-thread scheduling cannot change the draw.
+Each sample draws w_hat directly on the rfftn half grid (last index
+0..S//2) with the law of the half spectrum of real unit white noise:
+independent circular normals with E|w_hat(p)|^2 = S^d, made Hermitian on
+the plane of last index 0, which holds both p and -p.  Every nonzero
+frequency is colored with the Hermitian root of the scale multiplier and
+p = 0 is dropped, so the field irfftn(x_hat) has covariance C_k: irfftn
+reads the half spectrum as half of a Hermitian one, conj root(p) at -p,
+the root of C(-p) = conj C(p), and every field is real by construction.
+Sample i of scale k is the fixed slice i of one counter-based Philox
+stream keyed by (seed, k), so any sample can be regenerated in isolation
+and thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
 sample index) once, in fixed-size batches, and keeps each field as its
@@ -39,7 +37,7 @@ from .elliptic import hermitian_sqrt_flat
 from .errors import FactorizationFailure, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
-from .spectral import Kernel, _hermitize, spectral_norms
+from .spectral import Kernel, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
@@ -72,10 +70,9 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
-        flat = _hermitize(tab.values)
-        root = hermitian_sqrt_flat(flat, "scale %d multiplier" % idx)
-        resid = float(np.max(spectral_norms(root @ root - flat)))
-        scale = max(float(np.max(spectral_norms(flat, hermitian=True))), 1e-300)
+        root = hermitian_sqrt_flat(tab.values, "scale %d multiplier" % idx)
+        resid = float(np.max(spectral_norms(root @ root - tab.values)))
+        scale = max(float(np.max(spectral_norms(tab.values, hermitian=True))), 1e-300)
         rel = resid / scale
         if rel > ROOT_TOL:
             raise FactorizationFailure(
@@ -94,23 +91,26 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
 
 def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.ndarray:
     """Colored half spectra of scale k for indices start..start+count-1,
-    shaped (count, m, *site_shape[:-1], S//2 + 1); the p = 0 slot is zero.
+    shaped (count, m, *half_shape); the p = 0 slot is zero.
 
     Sample i reads the 4B words of Philox counter blocks [i B, (i+1) B)
-    under the key (seed, k), B = ceil(m S^d / 4), and turns each word pair
-    into two standard normals by Box-Muller on 53-bit uniforms.  The first
-    m S^d normals, in (component, site) C order, are the white noise w,
-    and the result is root_k(p) rfftn(w)(p) on the half grid.
+    under the key (seed, k), B = ceil(m n / 2), n = half_count.  Each word
+    pair (u0, u1) of 53-bit uniforms is one complex normal
+    sqrt(-S^d log1p(-u0)) exp(2 pi i u1); the first m n, in (component,
+    half grid) C order, are w_hat.  On the plane of last index 0,
+    w_hat(p) becomes (w_hat(p) + conj w_hat(-p)) / sqrt 2, and the result
+    is root_k(p) w_hat(p).
     """
     g = state.geometry
-    n = g.m * g.site_count
-    blocks = -(-n // 4)
+    n = g.m * g.half_count
+    blocks = -(-n // 2)
     bits = np.random.Philox(key=np.array([state.seed, k], dtype=np.uint64))
     bits.advance(start * blocks)
     u = (bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks) >> 11) * 2.0**-53
-    z = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
-    w = z.view(np.float64)[:, :n].reshape((count, g.m) + g.site_shape)
-    what = np.fft.rfftn(w, axes=tuple(range(-g.d, 0)))
+    z = np.sqrt(-g.site_count * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
+    what = z[:, :n].reshape((count, g.m) + g.half_shape)
+    plane, axes = what[..., 0], tuple(range(2, g.d + 1))
+    what[..., 0] = (plane + np.conj(np.roll(np.flip(plane, axes), 1, axes))) / np.sqrt(2.0)
     xhat = np.einsum("prs,bsp->brp", state.roots[k - 1], what.reshape(count, g.m, -1))
     return xhat.reshape(what.shape)
 

@@ -7,6 +7,7 @@ import pytest
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, validate_map
 from frdlat.lattice import TorusGeometry, rho_inf_grid
+from frdlat.spectral import MultiplierTable
 from frdlat import sampling
 from frdlat.sampling import (
     BATCH,
@@ -147,6 +148,72 @@ def test_white_noise_moments():
     ):
         mean, se = mean_and_se(per_sample)
         assert abs(mean - expected) < 5.0 * se
+
+
+@pytest.mark.parametrize("d, m, N", [(2, 1, 2), (3, 2, 1)])
+def test_half_grid_draw_has_the_law_of_rfftn_white_noise(d, m, N):
+    """w_hat is Hermitian on the plane of last index 0 (an irfftn round trip
+    returns it), and at one frequency on that plane and one off it, Re and
+    Im have variance S^d / 2 and E[w_hat^2] = 0, each within 5 SE."""
+    g = TorusGeometry(d=d, m=m, L=3, N=N)
+    n = 4000
+    hat = _component_batch(white_state(g), 1, 0, n)
+    axes = tuple(range(2, 2 + d))
+    back = np.fft.rfftn(np.fft.irfftn(hat, s=g.site_shape, axes=axes), axes=axes)
+    assert np.max(np.abs(back - hat)) <= 1e-12 * np.max(np.abs(hat))
+    for p in ((1,) + (0,) * (d - 1), (2,) * (d - 1) + (1,)):
+        for r in range(m):
+            v = hat[(slice(None), r) + p]
+            for per_sample, expected in (
+                (v.real**2, g.site_count / 2.0),
+                (v.imag**2, g.site_count / 2.0),
+                ((v * v).real, 0.0),
+                ((v * v).imag, 0.0),
+            ):
+                mean, se = mean_and_se(per_sample)
+                assert abs(mean - expected) < 5.0 * se
+
+
+def philox_reference(state, k, i):
+    """Sample i of scale k rebuilt from its Philox counter blocks, with
+    the plane pairs (p, -p) matched index by index; identity roots only."""
+    g = state.geometry
+    n = g.m * g.half_count
+    blocks = -(-n // 2)
+    bits = np.random.Philox(key=np.array([state.seed, k], dtype=np.uint64))
+    bits.advance(i * blocks)
+    u = (bits.random_raw(4 * blocks) >> 11) * 2.0**-53
+    z = np.sqrt(-g.site_count * np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])
+    what = z[:n].reshape((g.m,) + g.half_shape)
+    out = what.copy()
+    for r, p in product(range(g.m), product(range(g.side), repeat=g.d - 1)):
+        mirror = (r,) + tuple(-v % g.side for v in p) + (0,)
+        out[(r,) + p + (0,)] = (what[(r,) + p + (0,)] + np.conj(what[mirror])) / np.sqrt(2.0)
+    out[(slice(None),) + (0,) * g.d] = 0.0
+    return out
+
+
+def test_draw_reads_its_philox_counter_blocks():
+    """_component_batch(state, k, i, 1) is the draw rebuilt from Philox
+    (seed, k) advanced by i B blocks, B = ceil(m n / 2): n = 45 (odd) at
+    d=2 m=1 and m n = 36 at d=3 m=2."""
+    for g in (TorusGeometry(d=2, m=1, L=3, N=2), TorusGeometry(d=3, m=2, L=3, N=1)):
+        state = white_state(g, n_scales=2, seed=11)
+        for k, i in ((1, 0), (2, 0), (1, 37), (2, 300)):
+            want = philox_reference(state, k, i)
+            assert np.array_equal(_component_batch(state, k, i, 1)[0], want)
+
+
+def test_sampler_rejects_a_table_that_is_not_hermitian():
+    """build_sampler takes decompose's tables as they are; the root's own
+    Hermitian check still refuses a broken one."""
+    g = TorusGeometry(d=2, m=2, L=3, N=1)
+    res = decompose(identity_map(2, 2), g, build_schedule(g, override=[3]))
+    bad = res.tables[1].values.copy()
+    bad[4, 0, 1] += 1e-6
+    res.tables[1] = MultiplierTable(g, bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_sampler(res)
 
 
 def test_single_sample_has_infinite_width():
