@@ -140,8 +140,11 @@ def rho_inf_grid(g: TorusGeometry) -> np.ndarray:
     """rho_inf(x, 0) on the canonical site grid, shape (S,)*d."""
     S = g.side
     line = np.abs(centered(np.arange(S), S))
-    grids = np.meshgrid(*([line] * g.d), indexing="ij")
-    return np.maximum.reduce(grids)
+    # One axis at a time from broadcast lines: no dense (S,)*d meshgrids.
+    grid = line
+    for _ in range(g.d - 1):
+        grid = np.maximum(grid[..., None], line)
+    return grid
 
 
 def p_flat(g: TorusGeometry) -> np.ndarray:

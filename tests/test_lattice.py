@@ -93,6 +93,14 @@ def test_rho_inf_grid_matches_pointwise():
             assert grid[x0, x1] == rho_inf((x0, x1), (0, 0), g)
 
 
+def test_rho_inf_grid_matches_pointwise_in_three_dimensions():
+    g = TorusGeometry(d=3, m=1, L=3, N=1)
+    grid = rho_inf_grid(g)
+    assert grid.shape == (3, 3, 3) and grid.dtype == np.int64
+    for x in np.ndindex(grid.shape):
+        assert grid[x] == rho_inf(x, (0, 0, 0), g)
+
+
 def test_p_flat_layout():
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     P = p_flat(g)

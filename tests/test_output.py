@@ -1,12 +1,16 @@
 import io
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frdlat.lattice import TorusGeometry, centered
 from frdlat.output import (
+    _spell,
     decay_csv_text,
     dumps_json,
     envelope_csv_text,
@@ -64,6 +68,79 @@ def test_format_float_is_exact_and_stable():
     assert format_float(2.0) == "2"
     assert format_float(float("nan")) == "NaN"
     assert format_float(float("-inf")) == "-Infinity"
+
+
+def spelled_as_format_float(values):
+    """The values _spell misspells: (value, _spell's text, format_float's)."""
+    values = np.asarray(values, dtype=np.float64)
+    got = [b.decode() for b in _spell(values).tolist()]
+    return [(v, g, format_float(v)) for v, g in zip(values.tolist(), got) if g != format_float(v)]
+
+
+def random_finite_bits(n, seed):
+    """n finite doubles from random bit patterns: half over every biased
+    exponent, half over those of 1e-28..1e17, where _spell computes."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+    exponent = np.concatenate([rng.integers(0, 2047, n // 2), rng.integers(929, 1080, n - n // 2)])
+    bits = bits & np.uint64(0x800FFFFFFFFFFFFF) | exponent.astype(np.uint64) << np.uint64(52)
+    return bits.view(np.float64)
+
+
+def near_ties():
+    """Doubles v in [1e-28, 1e-6) (10^(16 - x) no longer a double) whose
+    v * 10^(16 - x) lies 2^-s, 2^(1-s) from a half-integer, s = 40..63:
+    v = m 2^e solves m 5^k = 2^(s-1) + offset (mod 2^s), e = -s - k."""
+    out = []
+    for k in range(23, 45):
+        for s in range(40, 64):
+            lo = max(2**52, -(-(10**16) * 2**s // 5**k))
+            hi = min(2**53, 10**17 * 2**s // 5**k)
+            inverse = pow(5**k, -1, 2**s) if lo < hi else 0
+            for offset in (-2, -1, 1, 2):
+                m = (2 ** (s - 1) + offset) * inverse % 2**s
+                m += -(-(lo - m) // 2**s) * 2**s
+                if m < hi:
+                    out.append(math.ldexp(m, -s - k))
+    return out
+
+
+def edge_values():
+    """Zeros, subnormals, the extremes, powers of ten and their neighbours,
+    exact ties at the 17th digit (k/4 near 1.2e15), NaN payloads, +-Inf."""
+    powers = np.array([float("1e%d" % p) for p in range(-30, 23)] + [2.0**p for p in range(-100, 60)])
+    neighbours = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                  np.nextafter(np.nextafter(powers, 0), 0), np.nextafter(np.nextafter(powers, np.inf), np.inf)]
+    ties = (4 * 1234567890123456 + np.arange(-64, 64)) / 4.0
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, 1e-28, 1e17,
+               0.1, 0.5, 1.5, 2.5, 1e16 + 2, 99999999999999984.0, 0.0001, 0.00001, 9.9999999999999991e-05]
+    values = np.concatenate(neighbours + [ties, nans, special, near_ties(), np.arange(-4000, 4000) / 4.0])
+    return np.concatenate([values, -values])
+
+
+def test_spell_matches_format_float_on_random_bit_patterns():
+    values = random_finite_bits(200_000, seed=31)
+    assert np.isfinite(values).all()
+    assert spelled_as_format_float(values) == []
+
+
+def test_spell_matches_format_float_on_edges():
+    """Exact ties round half to even; %g switches to d.ddde-XX below 1e-4;
+    near-ties beyond 10^22 and log10 misses at powers of ten fall back."""
+    values = edge_values()
+    assert spelled_as_format_float(values) == []
+    assert _spell([1234567890123456.25, 1234567890123456.75, 1e-4, 1e-5]).tolist() == [
+        b"1234567890123456.2", b"1234567890123456.8", b"0.0001", b"1.0000000000000001e-05"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_spell_matches_format_float_property(values):
+    """Repeated out to 160 values, so _spell computes them in numpy rather
+    than leaving a short slice to format_float."""
+    assert spelled_as_format_float(np.resize(values, 160)) == []
 
 
 def test_dumps_json_sorted_and_parseable():
@@ -164,8 +241,10 @@ def pooled_kernel_values(g: TorusGeometry) -> np.ndarray:
 @pytest.mark.parametrize(
     "d,m,L,N,kind",
     [(2, 1, 3, 2, "random"), (2, 2, 3, 1, "random"), (3, 2, 3, 1, "random"),
-     (2, 1, 7, 1, "random"), (2, 2, 5, 1, "repeats"), (2, 2, 5, 1, "pooled")],
-    ids=["2-1-3-2", "2-2-3-1", "3-2-3-1", "2-1-7-1", "2-2-5-1-repeats", "2-2-5-1-pooled"],
+     (2, 1, 7, 1, "random"), (2, 1, 3, 3, "random"), (2, 2, 5, 1, "repeats"),
+     (2, 2, 5, 1, "pooled")],
+    ids=["2-1-3-2", "2-2-3-1", "3-2-3-1", "2-1-7-1", "2-1-3-3", "2-2-5-1-repeats",
+         "2-2-5-1-pooled"],
 )
 def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, kind):
     """Byte-identical to the per-value writer, non-finite, extreme and
@@ -173,7 +252,8 @@ def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, kind):
     kernels with repeats share bit patterns, and two of them are written
     back to back, so a spelling that outlived its file would show in the
     second; the pooled kernel holds more distinct values than a chunk,
-    each repeated across chunks."""
+    each repeated across chunks; the 27 x 27 kernel's 729 values are
+    spelled in numpy, the smaller tables' with format_float."""
     g = TorusGeometry(d=d, m=m, L=L, N=N)
     widest = set(map(format_float, WIDEST))
     if kind == "repeats":

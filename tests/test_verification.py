@@ -6,7 +6,7 @@ import pytest
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
-from frdlat.lattice import TorusGeometry, centered
+from frdlat.lattice import TorusGeometry, centered, p_norms
 from frdlat.spectral import _hermitize, multiplier_to_kernel, spectral_norms
 from frdlat.verification import (
     _annulus_index,
@@ -160,6 +160,34 @@ def test_envelope_norms_match_independent_roots(d, m):
         close(rep.level_t_max[k], np.max(norms(res.symbols[k - 1])))
         close(rep.level_r_max[k], np.max(norms(np.eye(m) - res.symbols[k - 1])))
 
+    # The constants, by the formulas of envelope_report's docstring, from
+    # the eigh-root norms: the least c >= 1 with norm <= c^{k-j}
+    # L^{-(k-j)(k-j+1)/2} on annuli j < k, for products and smoothed
+    # products; norm <= c L^8 L^{4(k-j)} on j >= k for smoothed products;
+    # |Ttilde_k(p)| <= c (|p| l_k)^4; |Rtilde_k(p)| <= (c/l_k)(1 + 1/|p|)
+    # where |p| l_k >= 1.
+    L = float(g.L)
+    p = p_norms(g)[1:]
+
+    def lower_branch(meas, k):
+        kj = k - ann[ann < k]
+        return np.max((meas[ann < k] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj), initial=1.0)
+
+    c_product = max(lower_branch(norms(P), k) for k, P in enumerate(res.products))
+    c_tm = c_low = c_high = 0.0
+    for k, l in enumerate(res.schedule.levels):
+        if l is None:
+            continue
+        meas = norms(res.symbols[k] @ res.products[k])
+        high = ann >= k
+        c_tm = max(c_tm, lower_branch(meas, k), np.max(meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)))
+        c_low = max(c_low, np.max(norms(res.symbols[k]) / (p * l) ** 4))
+        sel = p * l >= 1.0
+        c_high = max(c_high, np.max(norms(np.eye(m) - res.symbols[k])[sel] * l / (1.0 + 1.0 / p[sel])))
+    assert c_product > 1.0 and c_tm > 1.0 and c_low > 0.0 and c_high > 0.0
+    for got, want in ((rep.c_product, c_product), (rep.c_tm, c_tm), (rep.c_low, c_low), (rep.c_high, c_high)):
+        close(got, want)
+
 
 def bits(x) -> np.ndarray:
     """The IEEE bit patterns of a float or complex array (signed zeros apart)."""
@@ -188,6 +216,33 @@ def test_check_psd_m1_is_lapack_bitwise():
         want.append(float(np.min(eigs[:, 0] / norms)))
     assert np.array_equal(bits(np.array(got)), bits(np.array(want)))
     assert got[0] == 0.0 and min(got[1:]) == -1.0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_check_psd_matches_per_row_eigvalsh(m):
+    """At m >= 2 check_psd is, per scale, the least over rows of the least
+    eigenvalue of the Hermitian part over its largest |eigenvalue|: per-row
+    eigvalsh, on random PSD tables with anti-Hermitian noise, one with a
+    planted row whose diagonal and first row are positive but whose least
+    eigenvalue is -1/3 of its largest."""
+    rng = np.random.default_rng(20 + m)
+    F = 60
+    tables = []
+    for planted in (False, True):
+        B = rng.standard_normal((F, m, m)) + 1j * rng.standard_normal((F, m, m))
+        noise = rng.standard_normal((F, m, m)) + 1j * rng.standard_normal((F, m, m))
+        t = B @ np.conj(np.swapaxes(B, -1, -2)) + 0.1 * (noise - np.conj(np.swapaxes(noise, -1, -2)))
+        if planted:
+            t[17] = np.eye(m)
+            t[17, 0, 1] = t[17, 1, 0] = 2.0
+        tables.append(t)
+    got = check_psd(SimpleNamespace(tables=[SimpleNamespace(values=t) for t in tables]))
+    want = []
+    for t in tables:
+        rows = [np.linalg.eigvalsh(0.5 * (row + np.conj(row.T))) for row in t]
+        want.append(min(w[0] / np.max(np.abs(w)) for w in rows))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert got[0] > 0.0 and got[1] == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
 
 def test_cholesky_m1_is_lapack_bitwise():
