@@ -41,7 +41,9 @@ one BLAS call per small matrix.
 
 Skipped levels are explicit: they contribute the identity to every
 product and an identically zero kernel.  Scale N+1 carries the remainder
-and makes no finite-range claim.
+and makes no finite-range claim.  One generator (_products) walks the
+products P_k level by level for every caller, so no list of them is
+held.
 """
 
 import warnings
@@ -149,20 +151,15 @@ def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
     return sched
 
 
-def _identity_stack(F: int, m: int) -> np.ndarray:
-    out = np.zeros((F, m, m), dtype=np.complex128)
-    out[:, np.arange(m), np.arange(m)] = 1.0
-    return out
-
-
 @dataclass
 class DecompositionResult:
     """Scale tables and kernels C_1..C_{N+1}, plus the factors of the
     product formula on the half-grid rows p != 0: symbols[j-1] is the
     (n - 1, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
-    level j, and products[k] is P_k = R_1 ... R_k for k = 0..N (P_0 = I; a
-    skipped level repeats the previous product).  body is the symbol
-    Ahat on the same rows."""
+    level j, and body is the symbol Ahat on the same rows.  The products
+    P_k are not stored: a caller walks them level by level from symbols
+    (_products).  Every skipped level holds the same read-only zero table
+    and zero kernel."""
 
     geometry: TorusGeometry
     A: EllipticMap
@@ -171,7 +168,6 @@ class DecompositionResult:
     kernels: list
     green_table: MultiplierTable
     symbols: list = field(repr=False)
-    products: list = field(repr=False)
     body: np.ndarray = field(repr=False)
 
     @property
@@ -228,33 +224,66 @@ def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
                 check_cube_size(cube(l, g), g.m, dense)
 
 
+def _products(X: list, identity, mul=stack_matmul):
+    """Walk the recursion P_k = P_{k-1} - P_{k-1} X_k from P_0 = identity.
+
+    Yields (P_{k-1}, P_{k-1} X_k) for k = 1..N, with None for the second
+    at a skipped level (X_k is None), which repeats the product, and then
+    (P_N, None).  No product is formed while P = I, and each P_k is
+    dropped when the next one is formed, so a caller that keeps none of
+    them holds one level's products at a time.
+    """
+    P = identity
+    for Xk in X:
+        PX = None if Xk is None else Xk if P is identity else mul(P, Xk)
+        yield P, PX
+        if PX is not None:
+            P = P - PX
+    yield P, None
+
+
 def _scale_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul):
-    """The N+1 scale stacks of the product formula, and the products.
+    """Yield the N+1 scale stacks of the product formula, one at a time.
 
     X[j-1] is the (F, m, m) stack X_j, or None for a skipped level, and
-    Ainv is Ahat^-1 on the same rows.  Returns the tables
-    C_k = P_{k-1} X_k (Q_{k-1} + Q_k) for k = 1..N (zero at a skipped
-    level) and C_{N+1} = P_N Q_N, and the products P_0 = I, ..., P_N.
-    P_{k-1} X_k serves both C_k and P_k = P_{k-1} - P_{k-1} X_k.  mul is
-    the product and identity its unit (the identity stack by default), so
-    the same formula runs on power series of stacks.
+    Ainv is Ahat^-1 on the same rows.  Yields C_k = P_{k-1} X_k
+    (Q_{k-1} + Q_k) for k = 1..N, None at a skipped level (its table is
+    zero), and then C_{N+1} = P_N Q_N.  _products' P_{k-1} X_k serves both
+    C_k and P_k.  mul is the product and identity its unit (the m x m identity
+    matrix by default, which broadcasts over the rows), so the same formula
+    runs on power series of stacks.
     """
     if identity is None:
-        identity = _identity_stack(Ainv.shape[0], Ainv.shape[-1])
-    P, Q = identity, Ainv
-    tables = []
-    products = [P]
-    for Xk in X:
+        identity = np.eye(Ainv.shape[-1], dtype=np.complex128)
+    Q = Ainv
+    steps = _products(X, identity, mul)
+    for Xk, (_, PX) in zip(X, steps):
         if Xk is None:
-            tables.append(np.zeros_like(Ainv))
-        else:
-            PX = Xk if P is identity else mul(P, Xk)  # no product while P = I
-            Q_next = Q - mul(Xk, Q)
-            tables.append(mul(PX, Q + Q_next))
-            P, Q = P - PX, Q_next
-        products.append(P)
-    tables.append(mul(P, Q))
-    return tables, products
+            yield None
+            continue
+        Q_next = Q - mul(Xk, Q)
+        yield mul(PX, Q + Q_next)  # held by no local: the consumer may drop it
+        Q = Q_next
+    P, _ = next(steps)
+    yield mul(P, Q)
+
+
+def _stacked_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul) -> np.ndarray:
+    """The N+1 scale tables of _scale_tables, zero at a skipped level, and
+    then Ainv, as one stack."""
+    return np.stack([np.zeros_like(Ainv) if C is None else C
+                     for C in _scale_tables(X, Ainv, identity, mul)] + [Ainv])
+
+
+def _zero_scale(g: TorusGeometry):
+    """The zero table and zero kernel that every skipped level of one
+    result shares, read-only.  irfftn of a zero spectrum is +0.0
+    everywhere, so the kernel is the one a transform would give."""
+    values = np.zeros((g.half_count - 1, g.m, g.m), dtype=np.complex128)
+    kernel = np.zeros(g.kernel_shape())
+    values.flags.writeable = False
+    kernel.flags.writeable = False
+    return MultiplierTable(g, values), Kernel(g, kernel)
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
@@ -263,6 +292,11 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     The construction only; verification.diagnostics measures how well
     the result telescopes, stays positive and has finite range.  A cube
     error (CubeTooLarge, FactorizationFailure) names its level.
+
+    The scales are made one at a time, and each raw table is dropped once
+    its Hermitian part exists.  The skipped levels of the
+    schedule share one read-only zero table and zero kernel, with no
+    Hermitian part or transform of their own; no product P_k is kept.
     """
     _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
@@ -275,19 +309,34 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         Q = cube(l, g)
         with _at_level(j):
             G = local_green_flat(assemble_stiffness(A, Q), g)[1:]
-        symbols.append(stack_matmul(G, body) / Q.volume)
+        X = stack_matmul(G, body)
+        del G
+        X /= Q.volume
+        symbols.append(X)
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
-    tables, products = _scale_tables(symbols, green)
-    tables = [MultiplierTable(g, _hermitize(C)) for C in tables]
+    # One scale at a time: each raw table is dropped once its Hermitian
+    # part exists, before its kernel is made.
+    tables, kernels = [], []
+    zero = None
+    for C in _scale_tables(symbols, green):
+        if C is None:
+            if zero is None:
+                zero = _zero_scale(g)
+            table, kernel = zero
+        else:
+            table = MultiplierTable(g, _hermitize(C))
+            del C
+            kernel = multiplier_to_kernel(table)
+        tables.append(table)
+        kernels.append(kernel)
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
-        kernels=[multiplier_to_kernel(table) for table in tables],
+        kernels=kernels,
         green_table=MultiplierTable(g, green),
         symbols=symbols,
-        products=products,
         body=body,
     )
 
@@ -357,9 +406,8 @@ def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule
     for n in range(1, J):
         Ainv[:, n] = -stack_matmul(Ainv[:, n - 1], stack_matmul(body1, Ainv[:, 0]))
     identity = np.zeros_like(Ainv)
-    identity[:, 0] = _identity_stack(body0.shape[0], g.m)
-    tables, _ = _scale_tables(X, Ainv, identity, mul)
-    return np.stack(tables + [Ainv])
+    identity[:, 0] = np.eye(g.m)
+    return _stacked_tables(X, Ainv, identity, mul)
 
 
 @dataclass
@@ -401,9 +449,7 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
          else stack_matmul(local_green_flat(assemble_stiffness(tensor, Q), sweep.geometry)[1:],
                            body) / Q.volume
          for Q in sweep.cubes]
-    Ainv = stack_inv(body)
-    tables, _ = _scale_tables(X, Ainv)
-    return np.stack(tables + [Ainv])
+    return _stacked_tables(X, stack_inv(body))
 
 
 def complex_decompose(

@@ -11,10 +11,10 @@ over its values' spellings, so no file is ever held as one string.
 Every CSV writer spells its values through _spell, which computes the
 "%.17g" digits in numpy, in slices of fixed length, with integer
 arithmetic on an exact two-product (see the comment above _SPLIT); short
-slices and the few values that path does not cover (zeros, non-finite
-values, magnitudes outside [1e-28, 1e17), near-ties) go through
-format_float one by one, so the bytes are those of format_float for
-every value.  A finite-range kernel
+slices go through one "%.17g" pass, and the few values that path does
+not cover (zeros, non-finite values, magnitudes outside [1e-28, 1e17),
+near-ties) through format_float one by one, so the bytes are those of
+format_float for every value.  A finite-range kernel
 repeats a few far-field values at most sites, so a kernel file spells
 each distinct float64 bit pattern once, into a table of 24-byte ASCII
 entries.  samples.csv is written by a consumer that spells each batch of
@@ -241,14 +241,19 @@ def _spell(values) -> np.ndarray:
     under 1 kB for reuse, per exact size, and such blocks of many sizes,
     left between large arrays, fragment the heap and raise the peak RSS of
     runs repeated in one process.  A slice of fewer than _SHORT values
-    costs less spelled with format_float one by one than padded.
+    costs less spelled by one "%.17g" pass than padded; its non-finite
+    values are then respelled by format_float.
     """
     values = np.ravel(np.asarray(values, dtype=np.float64))
     out = np.empty(values.size, dtype="S24")
     for i in range(0, values.size, _SLICE):
         part = values[i : i + _SLICE]
         if part.size < _SHORT:
-            out[i : i + part.size] = list(map(format_float, part.tolist()))
+            # One "%.17g" pass; only the non-finite values need format_float.
+            spelled = ("%.17g " * part.size % tuple(part.tolist())).split()
+            for j in np.flatnonzero(~np.isfinite(part)).tolist():
+                spelled[j] = format_float(part[j])
+            out[i : i + part.size] = spelled
             continue
         padded = np.full(_SLICE, 0.5)
         padded[: part.size] = part

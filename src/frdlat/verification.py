@@ -12,11 +12,11 @@ from itertools import product
 
 import numpy as np
 
-from .decomposition import DecompositionResult, far_field_constant, kernel_sup_norm
+from .decomposition import DecompositionResult, _products, far_field_constant, kernel_sup_norm
 from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
-from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_flat, p_norms
+from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, p_norms
 from .spectral import (Kernel, _hermitize, kernel_derivative, reflect_sites, spectral_norms,
                        stack_inv, stack_matmul)
 
@@ -132,7 +132,9 @@ def green_equation_residual(result: DecompositionResult) -> float:
     arithmetic of the decomposition, and it runs on every torus.
     """
     g = result.geometry
-    total = np.sum([kern.values for kern in result.kernels], axis=0)
+    total = result.kernels[0].values.copy()  # a running sum: no stack of all kernels
+    for kern in result.kernels[1:]:
+        total += kern.values
     worst = 0.0
     for s in range(g.m):
         rhs = np.zeros(g.field_shape())
@@ -253,10 +255,9 @@ class EnvelopeReport:
         return max(values) if values else 0.0
 
 
-def _annulus_index(g: TorusGeometry) -> np.ndarray:
-    """Annulus label per half-grid p != 0: j = 0 for |p| >= pi, else the
-    unique j with pi L^-j <= |p| < pi L^-(j-1)."""
-    norms = p_norms(g)[1:]
+def _annulus_index(g: TorusGeometry, norms: np.ndarray) -> np.ndarray:
+    """Annulus label per half-grid p != 0, from its |p| (norms): j = 0 for
+    |p| >= pi, else the unique j with pi L^-j <= |p| < pi L^-(j-1)."""
     ratio = np.pi / norms
     j = np.ceil(np.log(ratio) / math.log(g.L) - 1e-12).astype(int)
     return np.clip(j, 0, g.N)
@@ -274,8 +275,11 @@ def _annulus_fit(meas: np.ndarray, ann: np.ndarray, k: int, L: float):
     low = ann < k
     if np.any(low):
         kj = k - ann[low]
-        need = (meas[low] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj)
-        c = max(c, float(np.max(need)))
+        # (meas L^{kj (kj + 1) / 2})^{1 / kj}, in one array.
+        need = kj * (kj + 1) / 2.0
+        np.power(L, need, out=need)
+        np.multiply(meas[low], need, out=need)
+        c = max(c, float(np.max(np.power(need, 1.0 / kj, out=need))))
     return maxima, c
 
 
@@ -305,32 +309,35 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     """
     g = result.geometry
     L = float(g.L)
-    ann, norms = _annulus_index(g), p_norms(g)[1:]
-    twice = 2 - (p_flat(g)[1:, -1] == 0.0)
+    norms = p_norms(g)[1:]
+    ann = _annulus_index(g, norms)
+    # 1 on the plane of last index 0 (row indices 0 mod S//2 + 1), else 2.
+    twice = 2 - (np.arange(1, g.half_count) % (g.side // 2 + 1) == 0)
     counts = [int(np.sum(twice[ann == j])) for j in range(g.N + 1)]
+    del twice
     Lh = np.conj(np.swapaxes(_cholesky(result.body), -1, -2))
     Lh_inv = stack_inv(Lh)
+    identity = np.eye(g.m, dtype=np.complex128)  # P_0, broadcast over the rows
 
     def similar(Y):
         return stack_matmul(stack_matmul(Lh, Y), Lh_inv)
 
     product_max = {}
-    c_product = 1.0
-    for k, Pk in enumerate(result.products):
-        maxima, c = _annulus_fit(spectral_norms(similar(Pk)), ann, k, L)
-        product_max.update(maxima)
-        c_product = max(c_product, c)
-
     tm_max = {}
-    c_tm = 1.0
-    c_low = 0.0
-    c_high = 0.0
+    c_product = c_tm = 1.0
+    c_low = c_high = 0.0
     level_t_max = {}
     level_r_max = {}
-    for k, (l, X) in enumerate(zip(result.schedule.levels, result.symbols)):
-        if X is None:
+    # One level at a time: P_k is live only while level k is measured.
+    for k, (P, _) in enumerate(_products(result.symbols, identity)):
+        maxima, c = _annulus_fit(spectral_norms(similar(P)), ann, k, L)
+        product_max.update(maxima)
+        c_product = max(c_product, c)
+        if k == result.schedule.N or result.symbols[k] is None:
             continue
-        meas = spectral_norms(similar(stack_matmul(X, result.products[k])))
+        X, l = result.symbols[k], result.schedule.levels[k]
+        # Nested calls, so one temporary of the similarity is live at a time.
+        meas = spectral_norms(stack_matmul(stack_matmul(Lh, stack_matmul(X, P)), Lh_inv))
         maxima, c = _annulus_fit(meas, ann, k, L)
         tm_max.update(maxima)
         c_tm = max(c_tm, c)
@@ -340,7 +347,8 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
             c_tm = max(c_tm, float(np.max(need)))
         T = _hermitize(similar(X))
         tnorm = spectral_norms(T, hermitian=True)
-        rnorm = spectral_norms(result.products[0] - T, hermitian=True)  # P_0 = I
+        rnorm = spectral_norms(np.subtract(identity, T, out=T), hermitian=True)  # I - T, in place
+        del T
         level_t_max[k + 1] = float(np.max(tnorm))
         level_r_max[k + 1] = float(np.max(rnorm))
         c_low = max(c_low, float(np.max(tnorm / (norms * l) ** 4)))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from frdlat.config import parse_config
 from frdlat.decomposition import decompose
 from frdlat.elliptic import EllipticMap
 from frdlat.errors import NotConverged
+from frdlat.lattice import TorusGeometry
 from frdlat.output import samples_csv_writer
 from frdlat.sampling import build_sampler, sample_total
 from frdlat.spectral import Kernel
@@ -150,6 +152,34 @@ def test_verify_with_two_live_scales(tmp_path):
     assert os.path.exists(os.path.join(out, "decay.csv"))
     assert report["diagnostics"]["range_residual"][0] is not None
     assert report["green_equation"] <= cli.GREEN_TOL
+
+
+def test_verify_memory_high_water(tmp_path):
+    """The traced peak of one verify at d=2 L=3 N=5 (S=243, default
+    schedule, two skipped levels) stays below 27 n-row stacks, an n-row
+    stack being one (n - 1, 1, 1) complex stack on the rfftn half grid
+    (474,320 bytes).  The result holds about 15: four live tables and one
+    zero table shared by the skipped levels, as many kernels, three
+    symbols, the body and the Green table.  Holding every product P_k, a
+    zero table and kernel per skipped level and a stack of all kernels
+    for the Green-equation check peaked at about 31."""
+    g = TorusGeometry(d=2, m=1, L=3, N=5)
+    stack = (g.half_count - 1) * 16
+    assert stack == 474_320
+    cfg = write_cfg(tmp_path, L=3, N=5)
+    out = outdir(tmp_path)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 27 * stack, "peak %.1f n-row stacks" % (peak / stack)
 
 
 def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from frdlat.decomposition import (
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
 from frdlat.lattice import TorusGeometry
+from frdlat.spectral import MultiplierTable, multiplier_to_kernel
 from frdlat.verification import diagnostics
 
 
@@ -79,6 +80,38 @@ def test_all_skipped_levels_reduce_to_green():
     assert np.max(np.abs(res.table(1).values)) == 0.0
     assert np.allclose(res.table(2).values, res.green_table.values)
     assert res.n_scales == 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_zero_spectrum_transforms_to_positive_zero(d, m):
+    """irfftn of a zero half spectrum is +0.0 at every site, which is the
+    shared zero kernel a skipped level gets instead of a transform."""
+    g = TorusGeometry(d=d, m=m, L=3, N=2)
+    values = multiplier_to_kernel(MultiplierTable(g, np.zeros((g.half_count - 1, m, m)))).values
+    assert values.shape == g.kernel_shape()
+    assert not np.any(values) and not np.any(np.signbit(values))
+    res = decompose(identity_map(d, m) if m == 1 else validate_map(np.eye(d * m), d, m), g,
+                    build_schedule(g, override=[None, 3]))
+    assert np.array_equal(res.kernel(1).values.view(np.uint64), values.view(np.uint64))
+    assert res.kernel(1).imag_residue == 0.0
+
+
+def test_skipped_levels_share_one_read_only_zero_scale():
+    """Every skipped level of a result holds the same table and kernel
+    objects, all +0.0, and neither array can be written."""
+    g = TorusGeometry(d=2, m=1, L=3, N=4)
+    res = decompose(identity_map(2, 1), g, build_schedule(g))
+    assert res.schedule.levels[:2] == (None, None)
+    assert res.table(1) is res.table(2) and res.kernel(1) is res.kernel(2)
+    for arr in (res.table(1).values, res.kernel(1).values):
+        assert not np.any(arr) and not np.any(np.signbit(arr.view(np.float64)))
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+    live = {id(res.table(k).values) for k in range(3, res.n_scales + 1)}
+    assert len(live) == res.n_scales - 2 and id(res.table(1).values) not in live
 
 
 def test_telescoping_and_psd():

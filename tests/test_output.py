@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from frdlat.lattice import TorusGeometry, centered
 from frdlat.output import (
+    _SHORT,
     _spell,
     decay_csv_text,
     dumps_json,
@@ -133,6 +134,23 @@ def test_spell_matches_format_float_on_edges():
     assert spelled_as_format_float(values) == []
     assert _spell([1234567890123456.25, 1234567890123456.75, 1e-4, 1e-5]).tolist() == [
         b"1234567890123456.2", b"1234567890123456.8", b"0.0001", b"1.0000000000000001e-05"]
+
+
+def test_spell_matches_format_float_on_short_slices():
+    """A slice shorter than _SHORT is one "%.17g" pass whose non-finite
+    values are respelled: every length 1..127, with NaN and +-inf mixed
+    in among finite values of every exponent and signed zeros."""
+    rng = np.random.default_rng(32)
+    finite = np.concatenate([random_finite_bits(4000, seed=33), [0.0, -0.0]])
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf])
+    assert _SHORT == 128
+    for n in range(1, _SHORT):
+        values = rng.choice(finite, n)
+        picked = rng.random(n) < 0.25
+        values[picked] = rng.choice(special, int(picked.sum()))
+        assert spelled_as_format_float(values) == []
+    assert _spell([np.nan, 1.5, -np.inf, np.inf, -0.0]).tolist() == [
+        b"NaN", b"1.5", b"-Infinity", b"Infinity", b"-0"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -128,7 +128,8 @@ def test_envelope_report_counts_and_bounds():
 def test_envelope_norms_match_independent_roots(d, m):
     """envelope_report measures the Ahat^{1/2}-conjugates through a Cholesky
     similarity; the same norms with Ahat^{+-1/2} from eigh, per frequency,
-    for random SPD A and a skipped level."""
+    for random SPD A and a skipped level.  The products are formed here,
+    P_0 = I and P_k = P_{k-1} (I - X_k) with matmul, from the stored X_k."""
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     rng = np.random.default_rng(10 * d + m)
     n = m * d
@@ -142,19 +143,22 @@ def test_envelope_norms_match_independent_roots(d, m):
     assert np.array_equal(res.body, symbol_flat(A.tensor, g)[1:])  # the rows of the products
     root = (U * np.sqrt(w)[:, None, :]) @ Uh
     invroot = (U / np.sqrt(w)[:, None, :]) @ Uh
+    products = [np.broadcast_to(np.eye(m), res.body.shape)]
+    for X in res.symbols:
+        products.append(products[-1] if X is None else products[-1] @ (np.eye(m) - X))
 
     def norms(Y):
         return np.linalg.norm(root @ Y @ invroot, ord=2, axis=(-2, -1))
 
-    ann = _annulus_index(g)
+    ann = _annulus_index(g, p_norms(g)[1:])
 
     def close(got, want):
         assert abs(got - want) <= 1e-12 * want
 
     for (k, j), got in rep.product_max.items():
-        close(got, np.max(norms(res.products[k])[ann == j]))
+        close(got, np.max(norms(products[k])[ann == j]))
     for (k, j), got in rep.tm_max.items():
-        close(got, np.max(norms(res.symbols[k] @ res.products[k])[ann == j]))
+        close(got, np.max(norms(res.symbols[k] @ products[k])[ann == j]))
     assert sorted(rep.level_t_max) == sorted(rep.level_r_max) == [1, 3]
     for k in (1, 3):
         close(rep.level_t_max[k], np.max(norms(res.symbols[k - 1])))
@@ -173,12 +177,12 @@ def test_envelope_norms_match_independent_roots(d, m):
         kj = k - ann[ann < k]
         return np.max((meas[ann < k] * L ** (kj * (kj + 1) / 2.0)) ** (1.0 / kj), initial=1.0)
 
-    c_product = max(lower_branch(norms(P), k) for k, P in enumerate(res.products))
+    c_product = max(lower_branch(norms(P), k) for k, P in enumerate(products))
     c_tm = c_low = c_high = 0.0
     for k, l in enumerate(res.schedule.levels):
         if l is None:
             continue
-        meas = norms(res.symbols[k] @ res.products[k])
+        meas = norms(res.symbols[k] @ products[k])
         high = ann >= k
         c_tm = max(c_tm, lower_branch(meas, k), np.max(meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)))
         c_low = max(c_low, np.max(norms(res.symbols[k]) / (p * l) ** 4))
