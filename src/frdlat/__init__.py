@@ -81,6 +81,7 @@ from .spectral import Kernel, MultiplierTable, kernel_derivative, multiplier_to_
 from .verification import (
     DecayReport,
     EnvelopeReport,
+    KernelPass,
     brute_force_green,
     check_finite_range,
     check_psd,
@@ -91,6 +92,7 @@ from .verification import (
     envelope_report,
     eta,
     green_equation_residual,
+    kernel_pass,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

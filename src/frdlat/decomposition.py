@@ -43,7 +43,10 @@ Skipped levels are explicit: they contribute the identity to every
 product and an identically zero kernel.  Scale N+1 carries the remainder
 and makes no finite-range claim.  One generator (_products) walks the
 products P_k level by level for every caller, so no list of them is
-held.
+held.  No kernel is held either: a DecompositionResult keeps the tables,
+and each kernel is one irfftn of its table, made when it is asked for
+(DecompositionResult.kernel), so a caller that takes each kernel once
+and drops it holds one at a time.
 """
 
 import warnings
@@ -153,22 +156,24 @@ def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
 
 @dataclass
 class DecompositionResult:
-    """Scale tables and kernels C_1..C_{N+1}, plus the factors of the
-    product formula on the half-grid rows p != 0: symbols[j-1] is the
-    (n - 1, m, m) stack X_j = Ghat_j Ahat / v_j, or None for a skipped
-    level j, and body is the symbol Ahat on the same rows.  The products
-    P_k are not stored: a caller walks them level by level from symbols
-    (_products).  Every skipped level holds the same read-only zero table
-    and zero kernel."""
+    """Scale tables C_1..C_{N+1}, plus the factors of the product formula
+    on the half-grid rows p != 0: symbols[j-1] is the (n - 1, m, m) stack
+    X_j = Ghat_j Ahat / v_j, or None for a skipped level j, and body is
+    the symbol Ahat on the same rows.  The products P_k are not stored: a
+    caller walks them level by level from symbols (_products).  Nor are
+    the kernels: kernel(k) transforms table k on every call, so a caller
+    that reads a kernel twice keeps it.  Every skipped level holds the
+    same read-only zero table, and its kernel is the one read-only
+    zero_kernel."""
 
     geometry: TorusGeometry
     A: EllipticMap
     schedule: CubeSchedule
     tables: list
-    kernels: list
     green_table: MultiplierTable
     symbols: list = field(repr=False)
     body: np.ndarray = field(repr=False)
+    zero_kernel: Kernel = field(default=None, repr=False)
 
     @property
     def n_scales(self) -> int:
@@ -179,7 +184,11 @@ class DecompositionResult:
         return self.tables[k - 1]
 
     def kernel(self, k: int) -> Kernel:
-        return self.kernels[k - 1]
+        """The kernel of table k: one irfftn (multiplier_to_kernel) per
+        call, or zero_kernel at a skipped level."""
+        if k <= self.schedule.N and self.schedule.is_skipped(k):
+            return self.zero_kernel
+        return multiplier_to_kernel(self.table(k))
 
 
 def kernel_sup_norm(K: Kernel) -> float:
@@ -287,16 +296,17 @@ def _zero_scale(g: TorusGeometry):
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
-    """Build all scale kernels C_1..C_{N+1}.
+    """Build all scale tables C_1..C_{N+1}; their kernels are made on
+    demand (DecompositionResult.kernel).
 
     The construction only; verification.diagnostics measures how well
     the result telescopes, stays positive and has finite range.  A cube
     error (CubeTooLarge, FactorizationFailure) names its level.
 
     The scales are made one at a time, and each raw table is dropped once
-    its Hermitian part exists.  The skipped levels of the
-    schedule share one read-only zero table and zero kernel, with no
-    Hermitian part or transform of their own; no product P_k is kept.
+    its Hermitian part exists.  The skipped levels of the schedule share
+    one read-only zero table and zero kernel, with no Hermitian part or
+    transform of their own; no product P_k is kept.
     """
     _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
@@ -314,30 +324,22 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         X /= Q.volume
         symbols.append(X)
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
+    zero_table, zero_kernel = _zero_scale(g) if None in sched.levels else (None, None)
     # One scale at a time: each raw table is dropped once its Hermitian
-    # part exists, before its kernel is made.
-    tables, kernels = [], []
-    zero = None
+    # part exists, before the next one is made.
+    tables = []
     for C in _scale_tables(symbols, green):
-        if C is None:
-            if zero is None:
-                zero = _zero_scale(g)
-            table, kernel = zero
-        else:
-            table = MultiplierTable(g, _hermitize(C))
-            del C
-            kernel = multiplier_to_kernel(table)
-        tables.append(table)
-        kernels.append(kernel)
+        tables.append(zero_table if C is None else MultiplierTable(g, _hermitize(C)))
+        del C
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
         tables=tables,
-        kernels=kernels,
         green_table=MultiplierTable(g, green),
         symbols=symbols,
         body=body,
+        zero_kernel=zero_kernel,
     )
 
 

@@ -274,22 +274,46 @@ def _kernel_csv_chunks(values, g: TorusGeometry):
 
     Each distinct float64 bit pattern of the file (which keeps 0.0 apart
     from -0.0) is spelled once into a table of 24-byte entries.  A chunk
-    is then one % pass of its line template over its values' entries.
+    is then one % pass of its line template over its values' entries; a
+    kernel of one pattern (a skipped scale's zero kernel) fills the
+    template with its one spelling instead.
     """
     yield (",".join("x_%d" % (a + 1) for a in range(g.d)) + ",r,s,value\n").encode()
-    # S is odd, so fftshift puts every site axis in centered order -h..h;
-    # with (r, s) moved last, ravelling gives the file's row order.
-    shifted = np.fft.fftshift(values.reshape(g.kernel_shape()), axes=tuple(range(2, 2 + g.d)))
-    rows = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(g.side, -1)
-    patterns, slots = np.unique(rows.view(np.uint64), return_inverse=True)
-    spelled = _spell(patterns.view(np.float64))
     h = (g.side - 1) // 2
     axis = [str(c) for c in range(-h, h + 1)]
     suffixes = ["%d,%d," % rs for rs in product(range(g.m), repeat=2)]
     # "@" stands for the chunk's x_1.
     lines = _line_template(["@," + ",".join(c) + "," + rs
                             for c in product(axis, repeat=g.d - 1) for rs in suffixes], 1)
-    for x1, row in zip(axis, slots.reshape(rows.shape)):
+    bits = np.ravel(values).view(np.uint64)
+    if bits.min() == bits.max():
+        lines = lines.replace(b"%s", _spell(bits[:1].view(np.float64))[0])
+        for x1 in axis:
+            yield lines.replace(b"@", x1.encode())
+        return
+    # S is odd, so fftshift puts every site axis in centered order -h..h;
+    # with (r, s) moved last, ravelling gives the file's row order.
+    shifted = np.fft.fftshift(values.reshape(g.kernel_shape()), axes=tuple(range(2, 2 + g.d)))
+    flat = np.moveaxis(shifted, (0, 1), (-2, -1)).reshape(-1).view(np.uint64)
+    del shifted
+    # One sort: the sorted buffer gives the patterns, then holds the
+    # inverse's slot numbers, which the sort order scatters back.
+    order = np.argsort(flat)
+    ranked = flat[order]
+    del flat
+    fresh = np.empty(ranked.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    patterns = ranked[fresh]
+    ids = np.cumsum(fresh, out=ranked.view(np.int64))
+    del fresh
+    ids -= 1
+    slots = np.empty_like(order)
+    slots[order] = ids
+    del order, ranked, ids
+    spelled = _spell(patterns.view(np.float64))
+    del patterns
+    for x1, row in zip(axis, slots.reshape(g.side, -1)):
         yield lines.replace(b"@", x1.encode()) % tuple(spelled[row].tolist())
 
 

@@ -4,6 +4,13 @@ Everything here is a pure function of a DecompositionResult (or of the
 coefficient map for the oracle), so repeated runs produce identical
 reports.  Decay claims are verified as envelopes and fitted slopes, not
 sharp constants: only the scaling is falsifiable at desk scale.
+
+A result makes each kernel on demand, so every per-kernel measure
+(imag_ratio, range_ratio, symmetry_defect, decay_rows, and the running
+sum that green_residual reads) is one function of one kernel.
+kernel_pass takes them all in one pass over the scales, making and
+dropping one kernel at a time, and the result-level checks read its
+measures.
 """
 
 import math
@@ -70,22 +77,6 @@ def check_sum(result: DecompositionResult) -> float:
     return float(np.max(spectral_norms(total - green) / denom))
 
 
-def check_finite_range(result: DecompositionResult):
-    """Relative far-field residual per scale k = 1..N; None when the far
-    region beyond r_k is empty (claim vacuous on this torus)."""
-    out = []
-    for k in range(1, result.schedule.N + 1):
-        r = result.schedule.ranges[k - 1]
-        try:
-            _, residual = far_field_constant(result.kernel(k), r)
-        except EmptyFarRegion:
-            out.append(None)
-            continue
-        sup = kernel_sup_norm(result.kernel(k))
-        out.append(residual / sup if sup > 0.0 else 0.0)
-    return out
-
-
 def check_psd(result: DecompositionResult):
     """Per-scale min eigenvalue over frequencies, normalized per frequency,
     read on the half grid: conj C(p) at -p has the spectrum of C(p)."""
@@ -99,61 +90,49 @@ def check_psd(result: DecompositionResult):
     return out
 
 
-def diagnostics(result: DecompositionResult) -> dict:
-    """The decomposition's own invariants, as written to diagnostics.json.
-
-    sum_residual is the telescoping residual (check_sum), range_residual
-    the relative far-field residual per scale k = 1..N, None where the
-    far region is empty (check_finite_range), min_psd_eig the per-scale
-    normalized minimum eigenvalue (check_psd), and imag_residue the worst
-    Hermitian defect of a table (spectral.multiplier_to_kernel), relative
-    to its kernel's largest entry.  The schedule and its ranges ride along.
-    """
-    imag = max(
-        kern.imag_residue / max(float(np.max(np.abs(kern.values))), 1e-300)
-        for kern in result.kernels
-    )
-    return {
-        "sum_residual": check_sum(result),
-        "range_residual": check_finite_range(result),
-        "min_psd_eig": check_psd(result),
-        "imag_residue": imag,
-        "schedule": list(result.schedule.levels),
-        "ranges": list(result.schedule.ranges),
-    }
+def imag_ratio(kern: Kernel) -> float:
+    """The kernel's Hermitian defect (imag_residue, recorded by
+    spectral.multiplier_to_kernel) relative to its largest entry."""
+    return kern.imag_residue / max(float(np.max(np.abs(kern.values))), 1e-300)
 
 
-def green_equation_residual(result: DecompositionResult) -> float:
-    """max over s of |A (sum_k C_k)[:, s] - (delta_0 - S^-d) e_s|.
+def range_ratio(kern: Kernel, r: int):
+    """Far-field residual of the kernel beyond range r relative to its sup
+    norm; None when no site lies beyond r (the claim is vacuous on this
+    torus)."""
+    try:
+        _, residual = far_field_constant(kern, r)
+    except EmptyFarRegion:
+        return None
+    sup = kernel_sup_norm(kern)
+    return residual / sup if sup > 0.0 else 0.0
+
+
+def symmetry_defect(kern: Kernel) -> float:
+    """max |C(-x) - C(x)^T| relative to max |C|."""
+    reflected = reflect_sites(kern.values, kern.geometry)
+    transposed = np.swapaxes(kern.values, 0, 1)
+    scale = max(float(np.max(np.abs(kern.values))), 1e-300)
+    return float(np.max(np.abs(reflected - transposed))) / scale
+
+
+def green_residual(A: EllipticMap, total: Kernel) -> float:
+    """max over s of |A total[:, s] - (delta_0 - S^-d) e_s|, for total the
+    sum of a result's scale kernels.
 
     Applies the real-space operator (fields.apply_elliptic, the one the
-    dense oracle is built from) to each column of the summed scale
-    kernels, so it shares neither the symbols nor the multiplier
-    arithmetic of the decomposition, and it runs on every torus.
+    dense oracle is built from) to each column, so it shares neither the
+    symbols nor the multiplier arithmetic of the decomposition, and it
+    runs on every torus.
     """
-    g = result.geometry
-    total = result.kernels[0].values.copy()  # a running sum: no stack of all kernels
-    for kern in result.kernels[1:]:
-        total += kern.values
+    g = total.geometry
     worst = 0.0
     for s in range(g.m):
         rhs = np.zeros(g.field_shape())
         rhs[s] = -1.0 / g.site_count
         rhs[(s,) + (0,) * g.d] += 1.0
-        lhs = apply_elliptic(result.A, Field(g, total[:, s])).values
+        lhs = apply_elliptic(A, Field(g, total.values[:, s])).values
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def check_symmetry(result: DecompositionResult) -> float:
-    """Max over scales of max |C_k(-x) - C_k(x)^T| relative to max |C_k|."""
-    g = result.geometry
-    worst = 0.0
-    for kern in result.kernels:
-        reflected = reflect_sites(kern.values, g)
-        transposed = np.swapaxes(kern.values, 0, 1)
-        scale = max(float(np.max(np.abs(kern.values))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(reflected - transposed))) / scale)
     return worst
 
 
@@ -192,39 +171,138 @@ class DecayReport:
         raise KeyError((k, alpha))
 
 
-def decay_table(result: DecompositionResult) -> DecayReport:
-    """Sup-norms of kernel differences of order <= 2 per scale with
-    envelope shapes.
+def decay_rows(kern: Kernel, k: int) -> list:
+    """One DecayRow per difference order alpha, |alpha| <= 2, of the scale-k
+    kernel: its sup norm, the envelope shape L^{-(k-1)(d-2+|a|)}
+    L^{eta(|a|,d)}, and the implied constant, the sup norm over the shape."""
+    g = kern.geometry
+    rows = []
+    for alpha in _all_alphas(g.d, 2):
+        sup = kernel_sup_norm(kernel_derivative(kern, alpha))
+        shape = float(g.L ** (-(k - 1) * (g.d - 2 + sum(alpha))) * g.L ** eta(sum(alpha), g.d))
+        rows.append(DecayRow(k=k, alpha=alpha, sup_norm=sup, envelope_shape=shape,
+                             constant=sup / shape))
+    return rows
 
-    The envelope shape is L^{-(k-1)(d-2+|a|)} L^{eta(|a|,d)}; the implied
-    constant is the measurement divided by the shape.  Slopes are least
-    squares fits of log sup-norm against k over non-skipped scales up to
-    N and require at least two such scales.
+
+def _live_scales(result: DecompositionResult) -> list:
+    """The non-skipped scales k <= N, which the slope fits read."""
+    return [k for k in range(1, result.schedule.N + 1) if not result.schedule.is_skipped(k)]
+
+
+@dataclass
+class KernelPass:
+    """What one pass over a result's kernels measured, per scale k =
+    1..N+1: imag_ratio (imag) and, for k <= N, range_ratio (ranges).  A
+    full pass also holds the worst symmetry_defect (symmetry), the
+    decay_rows of every scale (decay; None with fewer than two live
+    scales) and green_residual of the kernels' sum (green)."""
+
+    imag: list
+    ranges: list
+    symmetry: float = None
+    decay: list = None
+    green: float = None
+
+
+def kernel_pass(result: DecompositionResult, full: bool = False, each=None) -> KernelPass:
+    """Measure every scale kernel in one pass over k = 1..N+1.
+
+    Each kernel is made once (result.kernel), handed to each(k, kernel)
+    when given (the CLI writes its CSV there), measured, and dropped
+    before the next one is made; a full pass also keeps the running sum
+    of the kernels, in scale order, for the Green equation.  So one kernel
+    and the sum are live at a time, whatever N is.
+    """
+    sched = result.schedule
+    out = KernelPass(imag=[], ranges=[])
+    if full:
+        out.symmetry = 0.0
+        out.decay = [] if len(_live_scales(result)) >= 2 else None
+    total = None
+    for k in range(1, result.n_scales + 1):
+        kern = result.kernel(k)
+        if each is not None:
+            each(k, kern)
+        out.imag.append(imag_ratio(kern))
+        if k <= sched.N:
+            out.ranges.append(range_ratio(kern, sched.ranges[k - 1]))
+        if full:
+            out.symmetry = max(out.symmetry, symmetry_defect(kern))
+            if out.decay is not None:
+                out.decay += decay_rows(kern, k)
+            if total is None:
+                total = kern.values.copy()  # the zero kernel is read-only
+            else:
+                total += kern.values
+        del kern  # before the next kernel is made
+    if full:
+        out.green = green_residual(result.A, Kernel(result.geometry, total))
+    return out
+
+
+def check_finite_range(result: DecompositionResult):
+    """Relative far-field residual per scale k = 1..N (range_ratio); None
+    when the far region beyond r_k is empty (claim vacuous on this torus)."""
+    return kernel_pass(result).ranges
+
+
+def diagnostics(result: DecompositionResult, measured: KernelPass = None) -> dict:
+    """The decomposition's own invariants, as written to diagnostics.json.
+
+    sum_residual is the telescoping residual (check_sum), range_residual
+    the relative far-field residual per scale k = 1..N, None where the
+    far region is empty (range_ratio), min_psd_eig the per-scale
+    normalized minimum eigenvalue (check_psd), and imag_residue the worst
+    relative Hermitian defect of a table (imag_ratio).  The kernel
+    measures are read from measured, a kernel_pass of result, which is
+    taken here when not given.  The schedule and its ranges ride along.
+    """
+    if measured is None:
+        measured = kernel_pass(result)
+    return {
+        "sum_residual": check_sum(result),
+        "range_residual": measured.ranges,
+        "min_psd_eig": check_psd(result),
+        "imag_residue": max(measured.imag),
+        "schedule": list(result.schedule.levels),
+        "ranges": list(result.schedule.ranges),
+    }
+
+
+def green_equation_residual(result: DecompositionResult) -> float:
+    """green_residual of the running sum of the scale kernels."""
+    return kernel_pass(result, full=True).green
+
+
+def check_symmetry(result: DecompositionResult) -> float:
+    """Max over scales of symmetry_defect."""
+    return kernel_pass(result, full=True).symmetry
+
+
+def decay_table(result: DecompositionResult, measured: KernelPass = None) -> DecayReport:
+    """Sup-norms of kernel differences of order <= 2 per scale with
+    envelope shapes (decay_rows), read from measured, a full kernel_pass
+    of result, which is taken here when not given.
+
+    Slopes are least squares fits of log sup-norm against k over
+    non-skipped scales up to N and require at least two such scales
+    (InsufficientScales); fitted_constants holds the largest implied
+    constant per alpha over every scale.
     """
     g = result.geometry
-    alphas = _all_alphas(g.d, 2)
-    live = [k for k in range(1, result.schedule.N + 1) if not result.schedule.is_skipped(k)]
+    live = _live_scales(result)
     if len(live) < 2:
         raise InsufficientScales(
             "%d non-skipped scales; need at least 2 for slope fits" % len(live)
         )
-    rows = []
-    sups = {}
-    for k in range(1, result.n_scales + 1):
-        kern = result.kernel(k)
-        for alpha in alphas:
-            dk = kernel_derivative(kern, alpha)
-            sup = kernel_sup_norm(dk)
-            shape = float(
-                g.L ** (-(k - 1) * (g.d - 2 + sum(alpha))) * g.L ** eta(sum(alpha), g.d)
-            )
-            rows.append(
-                DecayRow(k=k, alpha=alpha, sup_norm=sup, envelope_shape=shape, constant=sup / shape)
-            )
-            sups[(k, alpha)] = sup
+    if measured is None:
+        measured = kernel_pass(result, full=True)
+    rows = measured.decay
+    sups = {(row.k, row.alpha): row.sup_norm for row in rows}
     slopes = {}
     constants = {}
-    for alpha in alphas:
+    for alpha in _all_alphas(g.d, 2):
         ks = [k for k in live if sups[(k, alpha)] > 0.0]
         constants[alpha] = max(
             (row.constant for row in rows if row.alpha == alpha), default=0.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import frdlat
-from frdlat import analyticity, cli, decomposition, sampling
+from frdlat import analyticity, cli, decomposition, sampling, spectral
 from frdlat.analyticity import contour_derivatives
 from frdlat.cli import main
 from frdlat.config import parse_config
@@ -156,13 +156,16 @@ def test_verify_with_two_live_scales(tmp_path):
 
 def test_verify_memory_high_water(tmp_path):
     """The traced peak of one verify at d=2 L=3 N=5 (S=243, default
-    schedule, two skipped levels) stays below 27 n-row stacks, an n-row
+    schedule, two skipped levels) stays below 22 n-row stacks, an n-row
     stack being one (n - 1, 1, 1) complex stack on the rfftn half grid
-    (474,320 bytes).  The result holds about 15: four live tables and one
-    zero table shared by the skipped levels, as many kernels, three
-    symbols, the body and the Green table.  Holding every product P_k, a
-    zero table and kernel per skipped level and a stack of all kernels
-    for the Green-equation check peaked at about 31."""
+    (474,320 bytes).  The result holds about 10: four live tables and one
+    zero table shared by the skipped levels, three symbols, the body and
+    the Green table; its kernels are made one at a time, each with the
+    running sum of the Green equation beside it.  It measures about 20.8
+    on a first invocation and 20.0 after.  Keeping all kernels for the
+    whole run peaked at about 24.8, and, before that, holding every
+    product P_k, a zero table and kernel per skipped level and a stack of
+    all kernels at about 31."""
     g = TorusGeometry(d=2, m=1, L=3, N=5)
     stack = (g.half_count - 1) * 16
     assert stack == 474_320
@@ -179,7 +182,43 @@ def test_verify_memory_high_water(tmp_path):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 27 * stack, "peak %.1f n-row stacks" % (peak / stack)
+    assert peak < 22 * stack, "peak %.1f n-row stacks" % (peak / stack)
+
+
+D3M2 = {"d": 3, "m": 2, "L": 3, "N": 2, "schedule": [3, 5], "samples": 300, "write_samples": True,
+        "derivative": {"order": 2, "nodes": 16},
+        "A": [[2.0, 0.5, 0.0, 0.0, 0.0, 0.3], [0.5, 2.0, 0.5, 0.0, 0.0, 0.0],
+              [0.0, 0.5, 2.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 2.0, 0.5, 0.0],
+              [0.0, 0.0, 0.0, 0.5, 2.0, 0.5], [0.3, 0.0, 0.0, 0.0, 0.5, 2.0]]}
+
+
+@pytest.mark.parametrize("command,config,most", [
+    ("decompose", {"L": 3, "N": 5}, 4), ("verify", {"L": 3, "N": 5}, 4),
+    ("sample", D3M2, 4), ("deriv", D3M2, 28)])
+def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config, most):
+    """Every kernel is one multiplier_to_kernel of its table, made on
+    demand.  decompose and verify at d=2 L=3 N=5 (two skipped levels)
+    make one per live scale, 4, in their one pass over the scales; sample
+    and deriv on the d=3 m=2 config of the CI smoke run make no more than
+    when every kernel was kept: 3 scales and the Green kernel for
+    sample; for deriv also 4 orders of 4 jet kernels and 2 finite
+    difference decompositions of 4."""
+    real = spectral.multiplier_to_kernel
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frdlat") and getattr(module, "multiplier_to_kernel", None) is real:
+            monkeypatch.setattr(module, "multiplier_to_kernel", counted)
+    cfg = write_cfg(tmp_path, **config)
+    assert main([command, "--config", cfg, "--out", outdir(tmp_path)]) == 0
+    if command in ("decompose", "verify"):
+        assert len(calls) == most
+    else:
+        assert 0 < len(calls) <= most
 
 
 def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, monkeypatch):
@@ -188,7 +227,9 @@ def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, mon
 
     def dropped(A, g, sched):
         res = decompose(A, g, sched)
-        res.kernels[-1] = Kernel(g, np.zeros(g.kernel_shape()))
+        made = res.kernel
+        # The on-demand kernel of scale N+1 comes out zero.
+        res.kernel = lambda k: Kernel(g, np.zeros(g.kernel_shape())) if k == res.n_scales else made(k)
         return res
 
     monkeypatch.setattr(cli, "decompose", dropped)

@@ -290,6 +290,24 @@ def test_kernel_csv_matches_per_value_oracle(tmp_path, d, m, L, N, kind):
         assert spelled <= {line.rsplit(",", 1)[1] for line in text.splitlines()}
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.25e-7], ids=["zero", "negative-zero", "nonzero"])
+@pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (3, 2)], ids=["2-1", "2-2", "3-2"])
+def test_constant_kernel_csv_matches_per_value_oracle(tmp_path, value, d, m):
+    """A kernel of one bit pattern, such as a skipped scale's read-only
+    zero kernel, fills its line template with one spelling: the bytes of
+    the per-value writer.  One -0.0 among +0.0 is two patterns, and each
+    keeps its own spelling."""
+    g = TorusGeometry(d=d, m=m, L=3, N=1)
+    values = np.full(g.kernel_shape(), value)
+    values.flags.writeable = False
+    text = kernel_csv_file(tmp_path, values, g)
+    assert text == oracle_kernel_csv_text(values, g)
+    assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == {format_float(value)}
+    mixed = np.array(values)
+    mixed.flat[-1] = -value if value == 0.0 else 0.0
+    assert kernel_csv_file(tmp_path, mixed, g) == oracle_kernel_csv_text(mixed, g)
+
+
 @pytest.mark.parametrize("special", [False, True])
 def test_decay_and_envelope_csv_match_per_value_oracle(special):
     """Byte-identical to formatting one value at a time with format_float,

@@ -7,7 +7,7 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry, centered, p_norms
-from frdlat.spectral import _hermitize, multiplier_to_kernel, spectral_norms
+from frdlat.spectral import Kernel, _hermitize, multiplier_to_kernel, spectral_norms
 from frdlat.verification import (
     _annulus_index,
     _cholesky,
@@ -16,9 +16,16 @@ from frdlat.verification import (
     check_psd,
     check_sum,
     check_symmetry,
+    decay_rows,
     decay_table,
+    diagnostics,
     envelope_report,
     eta,
+    green_residual,
+    imag_ratio,
+    kernel_pass,
+    range_ratio,
+    symmetry_defect,
 )
 
 
@@ -79,6 +86,39 @@ def test_check_finite_range_values_and_empty():
     g3 = TorusGeometry(d=2, m=1, L=3, N=1)
     res3 = decompose(identity_map(2, 1), g3, build_schedule(g3, override=[3]))
     assert check_finite_range(res3) == [None]
+
+
+@pytest.mark.parametrize("L,N,override,m,seed", [(5, 2, (3, 5), 2, 21), (3, 3, (None, 3, None), 1, 4),
+                                                 (3, 2, (None, 3), 1, None)])
+def test_kernel_pass_matches_the_result_level_checks(L, N, override, m, seed):
+    """One full kernel_pass, which verify takes while writing the CSVs,
+    hands each kernel to the consumer once, in scale order, and its
+    measures are the per-kernel functions applied to each kernel: the
+    far-field ratios, the imaginary residue, the symmetry defect, the
+    decay rows and the Green-equation residual of the kernels' sum.  A
+    light pass, which decompose takes, measures the first two only.
+    With one live level there are no decay rows."""
+    res = small_result(L=L, N=N, override=override, m=m, seed=seed)
+    seen = []
+    measured = kernel_pass(res, full=True, each=lambda k, kern: seen.append((k, kern.values.copy())))
+    assert [k for k, _ in seen] == list(range(1, res.n_scales + 1))
+    kernels = [res.kernel(k) for k in range(1, res.n_scales + 1)]
+    for (_, values), kern in zip(seen, kernels):
+        assert np.array_equal(values, kern.values)
+    assert measured.imag == [imag_ratio(kern) for kern in kernels]
+    assert measured.ranges == [range_ratio(kern, r) for kern, r in zip(kernels, res.schedule.ranges)]
+    assert measured.symmetry == max([0.0] + [symmetry_defect(kern) for kern in kernels])
+    assert measured.green == green_residual(res.A, Kernel(res.geometry, sum(k.values for k in kernels)))
+    if sum(l is not None for l in override) < 2:
+        assert measured.decay is None
+        with pytest.raises(InsufficientScales):
+            decay_table(res, measured)
+    else:
+        assert measured.decay == [row for k, kern in enumerate(kernels, 1) for row in decay_rows(kern, k)]
+    light = kernel_pass(res)
+    assert (light.imag, light.ranges) == (measured.imag, measured.ranges)
+    assert light.symmetry is light.decay is light.green is None
+    assert diagnostics(res, measured) == diagnostics(res)
 
 
 def test_eta_values():
