@@ -118,11 +118,11 @@ def green_from_body(body: np.ndarray) -> np.ndarray:
     return _hermitize(1.0 / body if scalar else np.linalg.inv(body))
 
 
-def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:
-    """Batched Hermitian PSD square root; eigenvalues down to -1e-10 of
-    each matrix's scale are clamped to zero, lower ones raise NotPSD.
-    A stack that is not Hermitian within 1e-12 of its largest entry
-    raises ValueError."""
+def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table", out=None) -> np.ndarray:
+    """Batched Hermitian PSD square root, written into out if given;
+    eigenvalues down to -1e-10 of each matrix's scale are clamped to zero,
+    lower ones raise NotPSD.  A stack that is not Hermitian within 1e-12
+    of its largest entry raises ValueError."""
     herm_defect = np.max(np.abs(flat - np.conj(np.swapaxes(flat, -1, -2))))
     if herm_defect > 1e-12 * max(float(np.max(np.abs(flat))), 1e-300):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -131,7 +131,7 @@ def hermitian_sqrt_flat(flat: np.ndarray, context: str = "table") -> np.ndarray:
     if worst < -1e-10:
         raise NotPSD("%s has eigenvalue %.3e of scale, below the -1e-10 floor" % (context, worst))
     Uh = np.conj(np.swapaxes(U, -1, -2))
-    return (U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ Uh
+    return np.matmul(U * np.sqrt(np.maximum(w, 0.0))[..., None, :], Uh, out=out)
 
 
 def check_direction(raw: np.ndarray, bound: float, scale: float = 0.0) -> np.ndarray:

@@ -58,6 +58,10 @@ class ZeroFrequency(FrdError):
     """Operation undefined at the zero frequency."""
 
 
+class SampleTooLarge(FrdError):
+    """One sample's working arrays do not fit the sampler's byte budget."""
+
+
 class TooLargeForOracle(FrdError):
     """Problem size exceeds the dense-oracle guard."""
 

@@ -13,34 +13,46 @@ stream keyed by (seed, k), so any sample can be regenerated in isolation
 and thread scheduling cannot change the draw.
 
 run_sampling_suite is the one sampling pass.  It draws every (scale,
-sample index) once, in fixed-size batches, and keeps each field as its
-colored half spectrum from the draw to its correlation: the total is
-the sum of the scale spectra in scale order, a gradient channel is the
-spectrum times e^{i p_j} - 1, and a correlation is one irfftn of
-x_hat_r conj(x_hat_s).  Only the total fields handed to the optional
-consumer are inverse transformed to sites; samples.csv is written that
-way, from the draw the estimates use.  Per-batch sums are combined in
-batch-index order, which makes multi-threaded runs bitwise identical to
-single-threaded ones.  sample_component and sample_total regenerate
-single indices in the suite's arithmetic, and dense_reference_samples is
-an independent dense-factorization oracle with its own stream.
+sample index) once, in batches sized from a byte budget, and keeps each
+field as its colored half spectrum from the draw to its correlation.
+A batch streams the scales: it draws one scale, takes its correlation
+sums (and its gradient channels' sums if the scale is checked), adds it
+into the running total in scale order and drops it before the next
+draw.  A gradient channel is the spectrum times e^{i p_j} - 1, and a
+correlation is one irfftn of x_hat_r conj(x_hat_s), taken one channel
+pair (r, s) at a time and reduced to its batch sums at once.  Only the
+total fields handed to the optional consumer are inverse transformed to
+sites; samples.csv is written that way, from the draw the estimates
+use.  Per-batch sums are combined in batch-index order, and the batch
+size does not depend on the thread count, which makes multi-threaded
+runs bitwise identical to single-threaded ones.  sample_component and
+sample_total regenerate single indices in the suite's arithmetic, and
+dense_reference_samples is an independent dense-factorization oracle
+with its own stream.
 """
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .decomposition import DecompositionResult
 from .elliptic import hermitian_sqrt_flat
-from .errors import FactorizationFailure, TooLargeForOracle
+from .errors import FactorizationFailure, SampleTooLarge, TooLargeForOracle
 from .fields import Field
 from .lattice import DENSE_LIMIT, TorusGeometry, oracle_fits, rho_inf_grid
 from .spectral import Kernel, spectral_norms
 
 BATCH = 256
 ROOT_TOL = 1e-10
+# Bytes the sampling suite may hold at once: the batches in flight, each
+# with its working arrays and its per-batch sums, and the running sums.
+BATCH_BYTES = 2**30
+# Batches the budget is shared by: the batch size must not depend on the
+# thread count, or the sums would group differently.
+IN_FLIGHT = 2
 
 
 @dataclass
@@ -70,7 +82,9 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     roots = []
     worst = 0.0
     for idx, tab in enumerate(result.tables, start=1):
-        root = hermitian_sqrt_flat(tab.values, "scale %d multiplier" % idx)
+        stack = np.empty((g.half_count, g.m, g.m), dtype=complex)
+        stack[0] = 0.0
+        root = hermitian_sqrt_flat(tab.values, "scale %d multiplier" % idx, out=stack[1:])
         resid = float(np.max(spectral_norms(root @ root - tab.values)))
         scale = max(float(np.max(spectral_norms(tab.values, hermitian=True))), 1e-300)
         rel = resid / scale
@@ -79,7 +93,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
                 "scale %d root residual %.3g exceeds %.3g" % (idx, rel, ROOT_TOL)
             )
         worst = max(worst, rel)
-        roots.append(np.concatenate([np.zeros((1, g.m, g.m)), root]))
+        roots.append(stack)
     return SamplerState(
         geometry=g,
         seed=int(seed),
@@ -106,8 +120,20 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
     blocks = -(-n // 2)
     bits = np.random.Philox(key=np.array([state.seed, k], dtype=np.uint64))
     bits.advance(start * blocks)
-    u = (bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks) >> 11) * 2.0**-53
-    z = np.sqrt(-g.site_count * np.log1p(-u[:, 0::2])) * np.exp(2j * np.pi * u[:, 1::2])
+    raw = bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
+    raw >>= 11
+    u = raw * 2.0**-53
+    del raw
+    # sqrt(-S^d log1p(-u0)) exp(2 pi i u1), each step in place.
+    r = np.negative(u[:, 0::2])
+    np.log1p(r, out=r)
+    np.multiply(-g.site_count, r, out=r)
+    np.sqrt(r, out=r)
+    z = 2j * np.pi * u[:, 1::2]
+    del u
+    np.exp(z, out=z)
+    np.multiply(r, z, out=z)
+    del r
     what = z[:, :n].reshape((count, g.m) + g.half_shape)
     plane, axes = what[..., 0], tuple(range(2, g.d + 1))
     what[..., 0] = (plane + np.conj(np.roll(np.flip(plane, axes), 1, axes))) / np.sqrt(2.0)
@@ -142,11 +168,38 @@ class CovarianceEstimate:
     n: int = 0
 
 
-def _correlation_batch(hat: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Translation-averaged covariance estimate per sample from half
-    spectra hat (batch, c, *half) of real fields, shaped (batch, c, c, *site):
-    S^-d sum_x f_r(x + z) f_s(x) as the irfftn of hat_r conj(hat_s)."""
-    return _to_sites(hat[:, :, None] * np.conj(hat[:, None]), g) / g.site_count
+def _correlation_batch(hat: np.ndarray, g: TorusGeometry):
+    """Batch sums of the translation-averaged covariance estimates of real
+    fields with half spectra hat (batch, c, *half): the estimate of channel
+    pair (r, s) is S^-d sum_x f_r(x + z) f_s(x), the irfftn of
+    hat_r conj(hat_s).  Returns the sums of the estimates and of their
+    squares over the batch, each shaped (c, c, *site).  The pairs are
+    transformed and reduced one at a time, each step in place, so the
+    working arrays are one half spectrum and one site array per sample."""
+    c = hat.shape[1]
+    sums = np.empty((2, c, c) + g.site_shape)
+    prod = None if c == 1 else np.empty_like(hat[:, 0])
+    est = np.empty((len(hat),) + g.site_shape)
+    # irfftn's own steps: ifft along every site axis but the last, then irfft.
+    axes = tuple(range(1, g.d + 1))
+    for r, s in product(range(c), repeat=2):
+        if c == 1:
+            # One expression, which numpy evaluates in place on the conj
+            # temporary, as conj(x) * x, once that temporary holds 256 KiB;
+            # with FMA the two orders round differently, and the m = 1
+            # estimates keep the bits of that rule.
+            prod = hat[:, 0] * np.conj(hat[:, 0])
+        else:
+            np.conjugate(hat[:, s], out=prod)
+            np.multiply(hat[:, r], prod, out=prod)
+        for axis in axes[:-1]:
+            np.fft.ifft(prod, axis=axis, out=prod)
+        np.fft.irfft(prod, n=g.side, axis=axes[-1], out=est)
+        est /= g.site_count
+        est.sum(axis=0, out=sums[0, r, s])
+        est *= est
+        est.sum(axis=0, out=sums[1, r, s])
+    return sums[0], sums[1]
 
 
 def _estimate(total: np.ndarray, totsq: np.ndarray, n: int, g: TorusGeometry) -> CovarianceEstimate:
@@ -217,6 +270,45 @@ def _in_order(ex, work, items, depth: int):
         yield pending.popleft().result()
 
 
+def _batch_bytes(g: TorusGeometry, widths, sites: bool):
+    """Bytes a batch in flight holds for correlations of the given channel
+    counts: its sums, and its working arrays per sample.
+
+    The sums are those of every estimate and of its square, 16 S^d c^2
+    bytes per estimate.  A sample's working arrays are the running total
+    and one scale's spectrum, the larger of the draw's temporaries and the
+    correlation's (the gradient channels, one pair's product and its
+    transform), and with sites its total fields at 8 bytes a value plus
+    half the 32 bytes a value of the one batch being spelled for
+    samples.csv.  Both are upper bounds of tracemalloc peaks.
+    """
+    m, half, sites_n = g.m, g.half_count, g.site_count
+    sums = 16 * sites_n * sum(c * c for c in widths)
+    per_sample = 16 * half * (2 * m + max(3 * m, max(widths) + 2)) + 8 * sites_n
+    if sites:
+        per_sample += 24 * m * sites_n
+    return sums, per_sample
+
+
+def _batch_plan(sums: int, per_sample: int, threads: int):
+    """Batch size and batches in flight that keep the suite within
+    BATCH_BYTES, the running sums included.
+
+    The size is BATCH or what IN_FLIGHT batches leave room for, whatever
+    the thread count; the pool keeps as many batches in flight as fit, at
+    least IN_FLIGHT and two per worker at most.  Raises SampleTooLarge
+    when not one sample fits.
+    """
+    batch = min(BATCH, (BATCH_BYTES - (IN_FLIGHT + 1) * sums) // (IN_FLIGHT * per_sample))
+    if batch < 1:
+        need = (IN_FLIGHT + 1) * sums + IN_FLIGHT * per_sample
+        raise SampleTooLarge(
+            "%d batches of one sample need %.1f MB with the running sums, above "
+            "the sampler's budget of %.1f MB" % (IN_FLIGHT, need / 1e6, BATCH_BYTES / 1e6)
+        )
+    return batch, min(2 * threads, (BATCH_BYTES - sums) // (sums + batch * per_sample))
+
+
 def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=None) -> dict:
     """Per-scale and total covariance estimates plus per-scale gradient
     range reports from one draw of each (scale, sample index).
@@ -227,7 +319,8 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     estimators.  on_total, if given, is called on the calling thread
     with each batch of total fields, shaped (count, m, *site), in
     batch-index order; without it no field is transformed back to sites.
-    Raises ValueError for n < 1 or threads < 1 before any draw.
+    Raises ValueError for n < 1 or threads < 1, and SampleTooLarge when
+    one sample does not fit BATCH_BYTES, before any draw.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1, got %d" % n)
@@ -236,24 +329,34 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     rho = rho_inf_grid(g)
     masks = {k: rho > r + 2 for k, r in enumerate(state.ranges, start=1)}
     checked = [k for k, mask in masks.items() if np.any(mask)]
+    widths = [g.m] * (len(scales) + 1) + [g.m * g.d] * len(checked)
+    batch, depth = _batch_plan(*_batch_bytes(g, widths, on_total is not None), threads)
 
     def work(start):
-        comps = [_component_batch(state, k, start, min(BATCH, n - start)) for k in scales]
-        total = sum(comps[1:], comps[0])
-        sums = []
-        for hat in comps + [total] + [_gradient_channels(comps[k - 1], g) for k in checked]:
-            est = _correlation_batch(hat, g)
-            sums.append((est.sum(axis=0), (est * est).sum(axis=0)))
+        # One scale's spectrum at a time: its sums are taken, then it joins
+        # the running total in scale order and is dropped.
+        comps, grads, total = [], [], None
+        for k in scales:
+            hat = _component_batch(state, k, start, min(batch, n - start))
+            comps.append(_correlation_batch(hat, g))
+            if k in checked:
+                grads.append(_correlation_batch(_gradient_channels(hat, g), g))
+            if total is None:
+                total = hat
+            else:
+                total += hat
+            del hat
+        sums = comps + [_correlation_batch(total, g)] + grads
         return sums, _to_sites(total, g) if on_total is not None else None
 
     # Batches come back in batch-index order, whatever the thread count, and
-    # their sums are added in that order.  Two batches per worker stay in
+    # their sums are added in that order.  At most depth batches stay in
     # flight, so a slow on_total does not let finished batches pile up.
     # One thread draws on the calling thread.
-    starts = range(0, n, BATCH)
+    starts = range(0, n, batch)
     acc = None
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        batches = _in_order(ex, work, starts, 2 * threads) if threads > 1 else map(work, starts)
+        batches = _in_order(ex, work, starts, depth) if threads > 1 else map(work, starts)
         for sums, total in batches:
             if on_total is not None:
                 on_total(total)

@@ -185,6 +185,49 @@ def test_verify_memory_high_water(tmp_path):
     assert peak < 22 * stack, "peak %.1f n-row stacks" % (peak / stack)
 
 
+def test_sample_memory_high_water(tmp_path):
+    """The traced peak of one sample run at d=2 L=3 N=3 (S=27, default
+    schedule, three scales with a far region) with 256 samples, one batch,
+    stays below 8 batch stacks, a batch stack being one (256, 1, 27, 14)
+    complex batch of half spectra (1,548,288 bytes).  A batch streams its
+    scales and correlates one channel pair at a time: the running total,
+    one scale's spectrum, the draw's temporaries or the gradient channels
+    and one pair's product and transform.  It measures about 6.2.  Holding
+    every scale's spectrum, the gradient channels and each
+    (batch, c, c, *site) correlation of the batch at once peaked at
+    about 26.9."""
+    g = TorusGeometry(d=2, m=1, L=3, N=3)
+    stack = 256 * g.half_count * 16
+    assert stack == 1_548_288
+    cfg = write_cfg(tmp_path, L=3, N=3, samples=256)
+    out = outdir(tmp_path)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(["sample", "--config", cfg, "--out", out, "--threads", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * stack, "peak %.1f batch stacks" % (peak / stack)
+
+
+def test_sample_too_large_for_the_budget_exits_numeric(tmp_path, capsys, monkeypatch):
+    """A budget below one sample per batch exits 4 naming SampleTooLarge,
+    before any draw."""
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(sampling, "_component_batch", no_draw)
+    monkeypatch.setattr(sampling, "BATCH_BYTES", 1)
+    capsys.readouterr()
+    assert main(["sample", "--config", write_cfg(tmp_path), "--out", outdir(tmp_path)]) == 4
+    assert "SampleTooLarge: " in capsys.readouterr().err
+
+
 D3M2 = {"d": 3, "m": 2, "L": 3, "N": 2, "schedule": [3, 5], "samples": 300, "write_samples": True,
         "derivative": {"order": 2, "nodes": 16},
         "A": [[2.0, 0.5, 0.0, 0.0, 0.0, 0.3], [0.5, 2.0, 0.5, 0.0, 0.0, 0.0],

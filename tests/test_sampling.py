@@ -6,6 +6,7 @@ import pytest
 
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, validate_map
+from frdlat.errors import SampleTooLarge
 from frdlat.lattice import TorusGeometry, rho_inf_grid
 from frdlat.spectral import MultiplierTable
 from frdlat import sampling
@@ -116,9 +117,9 @@ def test_empirical_covariance_of_white_noise():
     g = TorusGeometry(d=2, m=1, L=3, N=1)
     rng = np.random.default_rng(5)
     hat = np.fft.rfftn(rng.standard_normal((4000, 1, 3, 3)), axes=(2, 3))
-    mean, se = mean_and_se(sampling._correlation_batch(hat, g))
-    assert abs(mean[0, 0, 0, 0] - 1.0) < 5.0 * se[0, 0, 0, 0]
-    assert abs(mean[0, 0, 1, 2]) < 5.0 * max(se[0, 0, 1, 2], 1e-12)
+    est = sampling._estimate(*sampling._correlation_batch(hat, g), len(hat), g)
+    assert abs(est.mean[0, 0, 0, 0] - 1.0) < 5.0 * est.se[0, 0, 0, 0]
+    assert abs(est.mean[0, 0, 1, 2]) < 5.0 * max(est.se[0, 0, 1, 2], 1e-12)
 
 
 def white_state(g, n_scales=1, seed=0):
@@ -408,15 +409,23 @@ def test_d3m2_suite_matches_a_per_index_estimator():
 
 
 def test_d3m2_gradient_correlations_match_real_space():
-    """Gradient channels formed on the half spectrum correlate like the
-    real-space forward differences of the same fields."""
+    """Correlation sums taken one channel pair at a time match the
+    real-space shift sums of the same fields, within 1e-12 relative: the
+    6 gradient channels formed on the half spectrum (c = 6, against the
+    real-space forward differences), the 2 components (c = 2) and one
+    component alone (c = 1)."""
     state = make_d3m2_state()
     g = state.geometry
     hat = _component_batch(state, 1, 0, 40)
-    est = sampling._correlation_batch(sampling._gradient_channels(hat, g), g)
-    grads = gradient_channels(sampling._to_sites(hat, g), g)
-    ref = direct_correlations(grads, grads, g)
-    assert np.allclose(est, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
+    vals = sampling._to_sites(hat, g)
+    cases = [(sampling._gradient_channels(hat, g), gradient_channels(vals, g)),
+             (hat, vals), (hat[:, :1], vals[:, :1])]
+    for channels, real in cases:
+        s, ss = sampling._correlation_batch(channels, g)
+        ref = direct_correlations(real, real, g)
+        scale = np.max(np.abs(ref))
+        assert np.allclose(s, ref.sum(axis=0), rtol=1e-12, atol=40 * 1e-13 * scale)
+        assert np.allclose(ss, (ref * ref).sum(axis=0), rtol=1e-12, atol=40 * 1e-13 * scale**2)
 
 
 def test_batch_rows_equal_single_draws():
@@ -453,6 +462,87 @@ def test_in_order_bounds_batches_in_flight():
         assert len(submitted) - len(seen) <= 3
         seen.append(item)
     assert seen == [10 * i for i in range(9)]
+
+
+def suite_batch_bytes(state, sites=False):
+    """_batch_bytes for the suite's estimates of state: each scale and the
+    total, then the gradient channels of each scale with a far region."""
+    g = state.geometry
+    rho = rho_inf_grid(g)
+    checked = sum(bool(np.any(rho > r + 2)) for r in state.ranges)
+    return sampling._batch_bytes(g, [g.m] * (state.n_scales + 1) + [g.m * g.d] * checked, sites)
+
+
+def budget_for(sums, per_sample, batch):
+    """The least BATCH_BYTES whose batches hold the given sample count."""
+    return (sampling.IN_FLIGHT + 1) * sums + sampling.IN_FLIGHT * batch * per_sample
+
+
+def counting_draws(monkeypatch):
+    """Patch _component_batch to record the count of every draw."""
+    counts = []
+    original = sampling._component_batch
+
+    def counting(state, k, start, count):
+        counts.append(count)
+        return original(state, k, start, count)
+
+    monkeypatch.setattr(sampling, "_component_batch", counting)
+    return counts
+
+
+@pytest.mark.parametrize("make", [make_ranged_state, make_d3m2_state])
+def test_budget_batches_match_full_batches(monkeypatch, make):
+    """A budget that holds 5 samples a batch, total fields included: the
+    pool keeps IN_FLIGHT batches, the draws come 5 at a time, one and two
+    threads agree bit for bit, the total fields equal those of the
+    256-sample batches bit for bit, and the estimates stay within the
+    stated tolerance of them (they sum in other groups): means within
+    1e-13 of the largest |mean|, standard errors and gradient figures
+    within 1e-10 relative."""
+    state = make()
+    n = 300
+    fields = {"full": [], 1: [], 2: []}
+    full = run_sampling_suite(state, n=n, on_total=fields["full"].append)
+    sums, per_sample = suite_batch_bytes(state, sites=True)
+    monkeypatch.setattr(sampling, "BATCH_BYTES", budget_for(sums, per_sample, 5))
+    assert sampling._batch_plan(sums, per_sample, 2) == (5, sampling.IN_FLIGHT)
+    counts = counting_draws(monkeypatch)
+    a = run_sampling_suite(state, n=n, threads=1, on_total=fields[1].append)
+    assert set(counts) == {5} and len(counts) == state.n_scales * n // 5
+    b = run_sampling_suite(state, n=n, threads=2, on_total=fields[2].append)
+    totals = {key: np.concatenate(batches) for key, batches in fields.items()}
+    assert np.array_equal(totals[1], totals["full"]) and np.array_equal(totals[2], totals["full"])
+    for k in a["component"]:
+        assert same_estimate(a["component"][k], b["component"][k])
+    assert same_estimate(a["total"], b["total"])
+    assert a["gradient"] == b["gradient"]
+    for est, ref in zip(list(a["component"].values()) + [a["total"]],
+                        list(full["component"].values()) + [full["total"]]):
+        assert np.allclose(est.mean, ref.mean, rtol=0.0, atol=1e-13 * np.max(np.abs(ref.mean)))
+        assert np.allclose(est.se, ref.se, rtol=1e-10, atol=0.0)
+    for rep, ref in zip(a["gradient"].values(), full["gradient"].values()):
+        assert (rep is None) == (ref is None)
+        if rep is not None:
+            assert np.isclose(rep.max_abs, ref.max_abs, rtol=1e-10, atol=0.0)
+            assert np.isclose(rep.max_se_ratio, ref.max_se_ratio, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("sites", [False, True])
+def test_budget_below_one_sample_fails_before_any_draw(monkeypatch, sites):
+    """One byte short of one sample per batch raises SampleTooLarge with
+    no draw; at the exact budget the suite runs one sample a batch."""
+    state = make_ranged_state()
+    sums, per_sample = suite_batch_bytes(state, sites)
+    counts = counting_draws(monkeypatch)
+    on_total = (lambda total: None) if sites else None
+    monkeypatch.setattr(sampling, "BATCH_BYTES", budget_for(sums, per_sample, 1) - 1)
+    with pytest.raises(SampleTooLarge):
+        run_sampling_suite(state, n=4, on_total=on_total)
+    assert counts == []
+    monkeypatch.setattr(sampling, "BATCH_BYTES", budget_for(sums, per_sample, 1))
+    run_sampling_suite(state, n=4, on_total=on_total)
+    assert counts == [1] * 4 * state.n_scales
 
 
 def test_threaded_estimates_are_identical():
