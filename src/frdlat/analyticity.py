@@ -191,7 +191,7 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
         raw = A0.entries + sign * FD_STEP * adot.reshape(m * d, m * d)
         Ah = validate_map(raw, d, m)
         res = decompose(Ah, g, sched)
-        kernels[sign] = [res.kernel(k).values for k in range(1, res.n_scales + 1)] + [
+        kernels[sign] = [kern.values for kern in res.kernels()] + [
             multiplier_to_kernel(res.green_table).values
         ]
     out = []
@@ -206,12 +206,13 @@ def fd_agreement(res: DerivativeResult, fd_kernels, fd_green) -> float:
     return _relative_gap(res, fd_kernels, fd_green)
 
 
-def origin_agreement(res: DerivativeResult, base) -> float:
+def origin_agreement(res: DerivativeResult, base, kernels=None) -> float:
     """Relative sup-norm gap between order-0 derivatives and the kernels
-    of decompose, max over scales and the Green kernel; each kernel of
-    base is made once."""
-    return _relative_gap(res, map(base.kernel, range(1, base.n_scales + 1)),
-                         multiplier_to_kernel(base.green_table))
+    of decompose, max over scales and the Green kernel.  kernels are
+    base's kernels in scale order, when the caller has them; else one
+    walk of base makes them."""
+    kernels = base.kernels() if kernels is None else kernels
+    return _relative_gap(res, kernels, multiplier_to_kernel(base.green_table))
 
 
 @dataclass
@@ -228,37 +229,26 @@ class BoundReport:
     max_ratio: float
 
 
-def bound_rows(k: int, kern: Kernel, derivs) -> list:
-    """The BoundRows of scale k, whose kernel is kern: order 0, then one
-    per derivative result when kern is not zero.
+def derivative_bound_check(base, derivs, kernels=None) -> BoundReport:
+    """Cauchy-type growth check across derivative orders, on base's
+    kernels (kernels, as in origin_agreement): per scale k, a BoundRow of
+    order 0, then one per derivative result when the kernel of base is
+    not zero.
 
     value_j is the sup norm of D^j C_k divided by j! (2/c0)^j, and its
     ratio is value_j / value_0; analyticity on the unit disc keeps it
     bounded.  The stored derivative kernels already carry the (2/c0)^j
     direction normalization, so both factors are divided out here.
+    max_ratio is the largest ratio of a derivative order.
     """
-    v0 = kernel_sup_norm(kern)
-    rows = [BoundRow(k=k, order=0, value=v0, ratio=1.0)]
-    if v0 <= 0.0:
-        return rows
-    for res in derivs:
-        vj = kernel_sup_norm(res.kernel(k))
-        vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
-        rows.append(BoundRow(k=k, order=res.order, value=vj, ratio=vj / v0))
-    return rows
-
-
-def bound_report(rows) -> BoundReport:
-    """The BoundReport of rows: max_ratio over the derivative orders."""
-    max_ratio = 0.0
-    for row in rows:
-        if row.order > 0:
-            max_ratio = max(max_ratio, row.ratio)
-    return BoundReport(rows=rows, max_ratio=max_ratio)
-
-
-def derivative_bound_check(base, derivs) -> BoundReport:
-    """Cauchy-type growth check across derivative orders: the bound_rows
-    of every scale of base, each kernel of base made once."""
-    return bound_report([row for k in range(1, base.n_scales + 1)
-                         for row in bound_rows(k, base.kernel(k), derivs)])
+    rows = []
+    for k, kern in enumerate(base.kernels() if kernels is None else kernels, start=1):
+        v0 = kernel_sup_norm(kern)
+        rows.append(BoundRow(k=k, order=0, value=v0, ratio=1.0))
+        if v0 <= 0.0:
+            continue
+        for res in derivs:
+            vj = kernel_sup_norm(res.kernel(k))
+            vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
+            rows.append(BoundRow(k=k, order=res.order, value=vj, ratio=vj / v0))
+    return BoundReport(rows=rows, max_ratio=max([0.0] + [r.ratio for r in rows if r.order > 0]))

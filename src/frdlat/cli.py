@@ -14,13 +14,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .analyticity import (
-    bound_report,
-    bound_rows,
+    derivative_bound_check,
     derivative_sum_residual,
     fd_agreement,
     fd_derivative,
     jet_derivatives,
-    kernel_gap,
+    origin_agreement,
 )
 from .config import parse_config
 from .decomposition import decompose
@@ -230,9 +229,9 @@ def run_sample(cfg, out_dir, threads) -> int:
     checks = CheckSet()
     report = {"n": n, "seed": cfg.seed, "root_residual": state.root_residual}
     comp = {}
-    for k in range(1, state.n_scales + 1):
+    for k, kern in enumerate(result.kernels(), start=1):
         est = suite["component"][k]
-        dev = covariance_deviation(est, result.kernel(k).values)
+        dev = covariance_deviation(est, kern.values)
         comp[str(k)] = checks.within("covariance_k%d" % k, dev, SE_LIMIT, " SE")
         write_kernel_csv(os.path.join(out_dir, "covariance_k%d.csv" % k), Kernel(g, est.mean))
         write_kernel_csv(os.path.join(out_dir, "covariance_k%d_se.csv" % k), Kernel(g, est.se))
@@ -271,20 +270,12 @@ def run_deriv(cfg, out_dir) -> int:
     ders = jet_derivatives(path, g, sched, top)
     main_res = ders[order]
     fd_kernels, fd_green = fd_derivative(path, g, sched)
-
-    # One pass over decompose's kernels, each made once for both the
-    # origin_agreement and the derivative_bound_check of the report.
-    derivs = [ders[j] for j in range(1, top + 1)]
-    gaps, rows = [0.0], []
-    for k in range(1, result.n_scales + 1):
-        kern = result.kernel(k)
-        gaps.append(kernel_gap(ders[0].kernel(k), kern))
-        rows += bound_rows(k, kern, derivs)
-    gaps.append(kernel_gap(ders[0].green_kernel, multiplier_to_kernel(result.green_table)))
-    bound = bound_report(rows)
+    # Both checks read decompose's kernels: one walk makes them for the two.
+    kernels = list(result.kernels())
+    bound = derivative_bound_check(result, [ders[j] for j in range(1, top + 1)], kernels)
 
     checks = CheckSet()
-    origin = checks.within("jet_origin", max(gaps), ORIGIN_TOL)
+    origin = checks.within("jet_origin", origin_agreement(ders[0], result, kernels), ORIGIN_TOL)
     fd_diff = checks.within("fd_agreement", fd_agreement(ders[1], fd_kernels, fd_green), FD_TOL)
     sum_res = checks.within(
         "derivative_telescoping", derivative_sum_residual(main_res), DERIV_SUM_TOL

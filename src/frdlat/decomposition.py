@@ -41,17 +41,18 @@ one BLAS call per small matrix.
 
 Skipped levels are explicit: they contribute the identity to every
 product and an identically zero kernel.  Scale N+1 carries the remainder
-and makes no finite-range claim.  One generator (_products) walks the
-products P_k level by level for every caller, so no list of them is
-held.  No kernel is held either: a DecompositionResult keeps the tables,
-and each kernel is one irfftn of its table, made when it is asked for
-(DecompositionResult.kernel), so a caller that takes each kernel once
-and drops it holds one at a time.
+and makes no finite-range claim.  The products P_k are walked level by
+level (_scale_tables, and envelope_report likewise), so no list of them
+is held.  No table or kernel is held either: a DecompositionResult keeps
+the factors X_j, the body and the Green table, and its walk makes the
+tables in scale order, each kernel one irfftn of its table, so a caller
+that takes each scale once and drops it holds one at a time.
 """
 
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -156,39 +157,52 @@ def build_schedule(g: TorusGeometry, override=None) -> CubeSchedule:
 
 @dataclass
 class DecompositionResult:
-    """Scale tables C_1..C_{N+1}, plus the factors of the product formula
-    on the half-grid rows p != 0: symbols[j-1] is the (n - 1, m, m) stack
-    X_j = Ghat_j Ahat / v_j, or None for a skipped level j, and body is
-    the symbol Ahat on the same rows.  The products P_k are not stored: a
-    caller walks them level by level from symbols (_products).  Nor are
-    the kernels: kernel(k) transforms table k on every call, so a caller
-    that reads a kernel twice keeps it.  Every skipped level holds the
-    same read-only zero table, and its kernel is the one read-only
-    zero_kernel."""
+    """The factors of the product formula on the half-grid rows p != 0:
+    symbols[j-1] is the (n - 1, m, m) stack X_j = Ghat_j Ahat / v_j, or
+    None for a skipped level j, body is the symbol Ahat and green_table
+    Ahat^-1.  No scale table, product P_k or kernel is stored: walk()
+    makes the tables C_1..C_{N+1} in scale order, and kernels() their
+    kernels, so a caller that needs every scale takes one walk.  Every
+    skipped level yields the same read-only zero_table, whose kernel is
+    the one read-only zero_kernel."""
 
     geometry: TorusGeometry
     A: EllipticMap
     schedule: CubeSchedule
-    tables: list
     green_table: MultiplierTable
     symbols: list = field(repr=False)
     body: np.ndarray = field(repr=False)
+    zero_table: MultiplierTable = field(default=None, repr=False)
     zero_kernel: Kernel = field(default=None, repr=False)
 
     @property
     def n_scales(self) -> int:
         return self.schedule.N + 1
 
+    def walk(self):
+        """The Hermitian tables C_1..C_{N+1}, one at a time, from one walk
+        of the product formula (_scale_tables).  map holds no raw table
+        between steps, so each is dropped once its Hermitian part exists."""
+        g, zero = self.geometry, self.zero_table
+        return map(lambda C: zero if C is None else MultiplierTable(g, _hermitize(C)),
+                   _scale_tables(self.symbols, self.green_table.values))
+
+    def kernel_of(self, table: MultiplierTable) -> Kernel:
+        """The kernel of a table of this result: one irfftn
+        (multiplier_to_kernel), or zero_kernel for zero_table."""
+        return self.zero_kernel if table is self.zero_table else multiplier_to_kernel(table)
+
+    def kernels(self):
+        """The kernels of walk(), one at a time."""
+        return map(self.kernel_of, self.walk())
+
     def table(self, k: int) -> MultiplierTable:
-        """Scale index k is 1-based, up to N+1."""
-        return self.tables[k - 1]
+        """Table k, 1-based up to N+1, from a walk of the first k scales."""
+        return next(islice(self.walk(), k - 1, None))
 
     def kernel(self, k: int) -> Kernel:
-        """The kernel of table k: one irfftn (multiplier_to_kernel) per
-        call, or zero_kernel at a skipped level."""
-        if k <= self.schedule.N and self.schedule.is_skipped(k):
-            return self.zero_kernel
-        return multiplier_to_kernel(self.table(k))
+        """The kernel of table k (kernel_of)."""
+        return self.kernel_of(self.table(k))
 
 
 def kernel_sup_norm(K: Kernel) -> float:
@@ -205,7 +219,12 @@ def far_field_constant(K: Kernel, r: int):
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise EmptyFarRegion("no site lies beyond range %d" % r)
-    far = K.values[:, :, mask]
+    # K.values[:, :, mask] in its layout (sites first, which the mean's bits
+    # follow), one entry at a time: this index makes no integer index arrays.
+    far = np.empty((count, g.m, g.m))
+    for i, j in np.ndindex(g.m, g.m):
+        far[:, i, j] = K.values[i, j][mask]
+    far = np.moveaxis(far, 0, -1)
     C = far.mean(axis=-1)
     dev = np.moveaxis(far - C[:, :, None], -1, 0)
     residual = float(np.max(spectral_norms(dev)))
@@ -233,48 +252,35 @@ def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
                 check_cube_size(cube(l, g), g.m, dense)
 
 
-def _products(X: list, identity, mul=stack_matmul):
-    """Walk the recursion P_k = P_{k-1} - P_{k-1} X_k from P_0 = identity.
-
-    Yields (P_{k-1}, P_{k-1} X_k) for k = 1..N, with None for the second
-    at a skipped level (X_k is None), which repeats the product, and then
-    (P_N, None).  No product is formed while P = I, and each P_k is
-    dropped when the next one is formed, so a caller that keeps none of
-    them holds one level's products at a time.
-    """
-    P = identity
-    for Xk in X:
-        PX = None if Xk is None else Xk if P is identity else mul(P, Xk)
-        yield P, PX
-        if PX is not None:
-            P = P - PX
-    yield P, None
-
-
 def _scale_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul):
     """Yield the N+1 scale stacks of the product formula, one at a time.
 
     X[j-1] is the (F, m, m) stack X_j, or None for a skipped level, and
     Ainv is Ahat^-1 on the same rows.  Yields C_k = P_{k-1} X_k
     (Q_{k-1} + Q_k) for k = 1..N, None at a skipped level (its table is
-    zero), and then C_{N+1} = P_N Q_N.  _products' P_{k-1} X_k serves both
-    C_k and P_k.  mul is the product and identity its unit (the m x m identity
-    matrix by default, which broadcasts over the rows), so the same formula
-    runs on power series of stacks.
+    zero), and then C_{N+1} = P_N Q_N.  P_k = P_{k-1} - P_{k-1} X_k, with
+    no product formed while P = I, so P_{k-1} X_k serves both C_k and P_k.
+    mul is the product and identity its unit (the m x m identity matrix by
+    default, which broadcasts over the rows), so the same formula runs on
+    power series of stacks.
     """
     if identity is None:
         identity = np.eye(Ainv.shape[-1], dtype=np.complex128)
-    Q = Ainv
-    steps = _products(X, identity, mul)
-    for Xk, (_, PX) in zip(X, steps):
+    P, Q = identity, Ainv
+    for Xk in X:
         if Xk is None:
             yield None
             continue
-        Q_next = Q - mul(Xk, Q)
-        yield mul(PX, Q + Q_next)  # held by no local: the consumer may drop it
-        Q = Q_next
-    P, _ = next(steps)
-    yield mul(P, Q)
+        PX = Xk if P is identity else mul(P, Xk)
+        C = [mul(PX, Q + (Q := Q - mul(Xk, Q)))]  # Q_{k-1} + Q_k, and Q becomes Q_k
+        P = P - PX
+        del PX
+        # Popped as it is yielded: while the consumer holds C_k, this frame
+        # holds only P_k and Q_k.
+        yield C.pop()
+    C = [mul(P, Q)]
+    del P, Q  # nor P_N and Q_N while the consumer holds C_{N+1}
+    yield C.pop()
 
 
 def _stacked_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul) -> np.ndarray:
@@ -296,17 +302,15 @@ def _zero_scale(g: TorusGeometry):
 
 
 def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> DecompositionResult:
-    """Build all scale tables C_1..C_{N+1}; their kernels are made on
-    demand (DecompositionResult.kernel).
+    """Build the factors of the product formula: the symbols X_j of the
+    live levels and the Green table.  No scale table is made here; a
+    caller walks them (DecompositionResult.walk).
 
     The construction only; verification.diagnostics measures how well
     the result telescopes, stays positive and has finite range.  A cube
-    error (CubeTooLarge, FactorizationFailure) names its level.
-
-    The scales are made one at a time, and each raw table is dropped once
-    its Hermitian part exists.  The skipped levels of the schedule share
-    one read-only zero table and zero kernel, with no Hermitian part or
-    transform of their own; no product P_k is kept.
+    error (CubeTooLarge, FactorizationFailure) names its level.  The
+    skipped levels of the schedule share one read-only zero table and
+    zero kernel.
     """
     _check_schedule_fits(g, sched, dense=False)
     body = symbol_flat(A.tensor, g)[1:]
@@ -325,20 +329,14 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
         symbols.append(X)
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
     zero_table, zero_kernel = _zero_scale(g) if None in sched.levels else (None, None)
-    # One scale at a time: each raw table is dropped once its Hermitian
-    # part exists, before the next one is made.
-    tables = []
-    for C in _scale_tables(symbols, green):
-        tables.append(zero_table if C is None else MultiplierTable(g, _hermitize(C)))
-        del C
     return DecompositionResult(
         geometry=g,
         A=A,
         schedule=sched,
-        tables=tables,
         green_table=MultiplierTable(g, green),
         symbols=symbols,
         body=body,
+        zero_table=zero_table,
         zero_kernel=zero_kernel,
     )
 

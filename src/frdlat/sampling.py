@@ -72,7 +72,8 @@ class SamplerState:
 
 
 def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
-    """Hermitian multiplier roots, one half-grid stack per scale.
+    """Hermitian multiplier roots, one half-grid stack per scale, from one
+    walk of the result's tables.
 
     Each root is re-squared and compared against its multiplier; a
     relative deviation beyond ROOT_TOL raises FactorizationFailure.  A
@@ -81,7 +82,7 @@ def build_sampler(result: DecompositionResult, seed: int = 0) -> SamplerState:
     g = result.geometry
     roots = []
     worst = 0.0
-    for idx, tab in enumerate(result.tables, start=1):
+    for idx, tab in enumerate(result.walk(), start=1):
         stack = np.empty((g.half_count, g.m, g.m), dtype=complex)
         stack[0] = 0.0
         root = hermitian_sqrt_flat(tab.values, "scale %d multiplier" % idx, out=stack[1:])

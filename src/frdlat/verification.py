@@ -5,12 +5,13 @@ coefficient map for the oracle), so repeated runs produce identical
 reports.  Decay claims are verified as envelopes and fitted slopes, not
 sharp constants: only the scaling is falsifiable at desk scale.
 
-A result makes each kernel on demand, so every per-kernel measure
-(imag_ratio, range_ratio, symmetry_defect, decay_rows, and the running
-sum that green_residual reads) is one function of one kernel.
-kernel_pass takes them all in one pass over the scales, making and
-dropping one kernel at a time, and the result-level checks read its
-measures.
+A result makes each table and kernel on demand, so every per-scale
+measure (psd_ratio of a table; imag_ratio, range_ratio,
+symmetry_defect and decay_rows of a kernel; and the running sums that
+the telescoping residual and green_residual read) is one function of
+one scale.  kernel_pass takes them all in one walk over the scales,
+making and dropping one table and its kernel at a time, and the
+result-level checks read its measures.
 """
 
 import math
@@ -19,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .decomposition import DecompositionResult, _products, far_field_constant, kernel_sup_norm
+from .decomposition import DecompositionResult, far_field_constant, kernel_sup_norm
 from .elliptic import EllipticMap
 from .errors import EmptyFarRegion, InsufficientScales, TooLargeForOracle
 from .fields import Field, apply_elliptic
@@ -67,27 +68,24 @@ def brute_force_green(A: EllipticMap, g: TorusGeometry) -> Kernel:
 
 
 def check_sum(result: DecompositionResult) -> float:
-    """Max over p != 0 of the relative telescoping deviation, read on the
-    half grid: the norms at -p, of the conjugates, are the same."""
-    green = result.green_table.values
-    total = result.tables[0].values.copy()  # a running sum: no stack of all tables
-    for t in result.tables[1:]:
-        total += t.values
-    denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
-    return float(np.max(spectral_norms(total - green) / denom))
+    """Max over p != 0 of the relative telescoping deviation (the
+    sum_residual of a kernel_pass)."""
+    return kernel_pass(result).sum_residual
 
 
 def check_psd(result: DecompositionResult):
-    """Per-scale min eigenvalue over frequencies, normalized per frequency,
-    read on the half grid: conj C(p) at -p has the spectrum of C(p)."""
-    out = []
-    for t in result.tables:
-        # LAPACK's eigenvalue of a 1 x 1 matrix is the real part of its entry.
-        eigs = (t.values[:, 0].real if t.values.shape[-1] == 1
-                else np.linalg.eigvalsh(_hermitize(t.values)))
-        norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
-        out.append(float(np.min(eigs[:, 0] / norms)))
-    return out
+    """Per-scale psd_ratio of the tables (the psd of a kernel_pass)."""
+    return kernel_pass(result).psd
+
+
+def psd_ratio(values: np.ndarray) -> float:
+    """Min eigenvalue over frequencies of an (F, m, m) table, normalized
+    per frequency, read on the half grid: conj C(p) at -p has the
+    spectrum of C(p)."""
+    # LAPACK's eigenvalue of a 1 x 1 matrix is the real part of its entry.
+    eigs = values[:, 0].real if values.shape[-1] == 1 else np.linalg.eigvalsh(_hermitize(values))
+    norms = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
+    return float(np.min(eigs[:, 0] / norms))
 
 
 def imag_ratio(kern: Kernel) -> float:
@@ -192,36 +190,47 @@ def _live_scales(result: DecompositionResult) -> list:
 
 @dataclass
 class KernelPass:
-    """What one pass over a result's kernels measured, per scale k =
-    1..N+1: imag_ratio (imag) and, for k <= N, range_ratio (ranges).  A
+    """What one pass over a result's scales measured, per scale k =
+    1..N+1: psd_ratio of the table (psd), imag_ratio of the kernel (imag)
+    and, for k <= N, range_ratio (ranges); and the relative telescoping
+    deviation of the tables' sum from the Green table (sum_residual).  A
     full pass also holds the worst symmetry_defect (symmetry), the
     decay_rows of every scale (decay; None with fewer than two live
     scales) and green_residual of the kernels' sum (green)."""
 
+    psd: list
     imag: list
     ranges: list
+    sum_residual: float = None
     symmetry: float = None
     decay: list = None
     green: float = None
 
 
 def kernel_pass(result: DecompositionResult, full: bool = False, each=None) -> KernelPass:
-    """Measure every scale kernel in one pass over k = 1..N+1.
+    """Measure every scale table and kernel in one walk over k = 1..N+1.
 
-    Each kernel is made once (result.kernel), handed to each(k, kernel)
-    when given (the CLI writes its CSV there), measured, and dropped
-    before the next one is made; a full pass also keeps the running sum
-    of the kernels, in scale order, for the Green equation.  So one kernel
-    and the sum are live at a time, whatever N is.
+    Each table is made once (result.walk), added into the running sum of
+    the tables and measured; its kernel is made from it, handed to
+    each(k, kernel) when given (the CLI writes its CSV there), measured,
+    and dropped with it before the next table is made.  A full pass also
+    keeps the running sum of the kernels for the Green equation.
     """
     sched = result.schedule
-    out = KernelPass(imag=[], ranges=[])
+    out = KernelPass(psd=[], imag=[], ranges=[])
     if full:
         out.symmetry = 0.0
         out.decay = [] if len(_live_scales(result)) >= 2 else None
-    total = None
-    for k in range(1, result.n_scales + 1):
-        kern = result.kernel(k)
+    k, table_sum, total = 0, None, None
+    for tab in result.walk():  # not enumerate, whose cached tuple would keep a table
+        k += 1
+        if table_sum is None:
+            table_sum = tab.values.copy()  # the zero table is read-only
+        else:
+            table_sum += tab.values
+        out.psd.append(psd_ratio(tab.values))
+        kern = result.kernel_of(tab)
+        del tab
         if each is not None:
             each(k, kern)
         out.imag.append(imag_ratio(kern))
@@ -232,10 +241,15 @@ def kernel_pass(result: DecompositionResult, full: bool = False, each=None) -> K
             if out.decay is not None:
                 out.decay += decay_rows(kern, k)
             if total is None:
-                total = kern.values.copy()  # the zero kernel is read-only
+                total = kern.values.copy()  # so is the zero kernel
             else:
                 total += kern.values
-        del kern  # before the next kernel is made
+        del kern  # before the next table is made
+    # The norms at -p, of the conjugates, are the same: the half grid suffices.
+    green = result.green_table.values
+    denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
+    out.sum_residual = float(np.max(spectral_norms(table_sum - green) / denom))
+    del table_sum
     if full:
         out.green = green_residual(result.A, Kernel(result.geometry, total))
     return out
@@ -250,20 +264,20 @@ def check_finite_range(result: DecompositionResult):
 def diagnostics(result: DecompositionResult, measured: KernelPass = None) -> dict:
     """The decomposition's own invariants, as written to diagnostics.json.
 
-    sum_residual is the telescoping residual (check_sum), range_residual
-    the relative far-field residual per scale k = 1..N, None where the
-    far region is empty (range_ratio), min_psd_eig the per-scale
-    normalized minimum eigenvalue (check_psd), and imag_residue the worst
-    relative Hermitian defect of a table (imag_ratio).  The kernel
-    measures are read from measured, a kernel_pass of result, which is
-    taken here when not given.  The schedule and its ranges ride along.
+    sum_residual is the telescoping residual, range_residual the relative
+    far-field residual per scale k = 1..N, None where the far region is
+    empty (range_ratio), min_psd_eig the per-scale normalized minimum
+    eigenvalue (psd_ratio), and imag_residue the worst relative Hermitian
+    defect of a table (imag_ratio).  All are read from measured, a
+    kernel_pass of result, which is taken here when not given.  The
+    schedule and its ranges ride along.
     """
     if measured is None:
         measured = kernel_pass(result)
     return {
-        "sum_residual": check_sum(result),
+        "sum_residual": measured.sum_residual,
         "range_residual": measured.ranges,
-        "min_psd_eig": check_psd(result),
+        "min_psd_eig": measured.psd,
         "imag_residue": max(measured.imag),
         "schedule": list(result.schedule.levels),
         "ranges": list(result.schedule.ranges),
@@ -406,8 +420,10 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     c_low = c_high = 0.0
     level_t_max = {}
     level_r_max = {}
-    # One level at a time: P_k is live only while level k is measured.
-    for k, (P, _) in enumerate(_products(result.symbols, identity)):
+    # One level at a time: P_k = P_{k-1} - P_{k-1} X_k is formed after
+    # level k-1 is measured, and no product is formed while P = I.
+    P = identity
+    for k in range(result.schedule.N + 1):
         maxima, c = _annulus_fit(spectral_norms(similar(P)), ann, k, L)
         product_max.update(maxima)
         c_product = max(c_product, c)
@@ -433,6 +449,7 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
         sel = norms * l >= 1.0
         if np.any(sel):
             c_high = max(c_high, float(np.max(rnorm[sel] * l / (1.0 + 1.0 / norms[sel]))))
+        P = P - (X if P is identity else stack_matmul(P, X))
 
     return EnvelopeReport(
         annulus_counts=counts,

@@ -156,16 +156,18 @@ def test_verify_with_two_live_scales(tmp_path):
 
 def test_verify_memory_high_water(tmp_path):
     """The traced peak of one verify at d=2 L=3 N=5 (S=243, default
-    schedule, two skipped levels) stays below 22 n-row stacks, an n-row
+    schedule, two skipped levels) stays below 17 n-row stacks, an n-row
     stack being one (n - 1, 1, 1) complex stack on the rfftn half grid
-    (474,320 bytes).  The result holds about 10: four live tables and one
-    zero table shared by the skipped levels, three symbols, the body and
-    the Green table; its kernels are made one at a time, each with the
-    running sum of the Green equation beside it.  It measures about 20.8
-    on a first invocation and 20.0 after.  Keeping all kernels for the
-    whole run peaked at about 24.8, and, before that, holding every
-    product P_k, a zero table and kernel per skipped level and a stack of
-    all kernels at about 31."""
+    (474,320 bytes).  The result holds about 6: three symbols, the body,
+    the Green table and the zero table that the skipped levels share.  No
+    scale table is stored: one walk makes each table and its kernel in
+    turn, beside the walk's P_k and Q_k and the running sums of the tables
+    and of the kernels.  Writing a kernel's CSV there is the high-water,
+    at about 16.4 on a first invocation and 15.6 after; envelope_report
+    peaks at about 15.9.  Storing every table peaked at about 20.8;
+    keeping all kernels as well at about 24.8, and, before that, holding
+    every product P_k, a zero table and kernel per skipped level and a
+    stack of all kernels at about 31."""
     g = TorusGeometry(d=2, m=1, L=3, N=5)
     stack = (g.half_count - 1) * 16
     assert stack == 474_320
@@ -182,7 +184,7 @@ def test_verify_memory_high_water(tmp_path):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 22 * stack, "peak %.1f n-row stacks" % (peak / stack)
+    assert peak < 17 * stack, "peak %.1f n-row stacks" % (peak / stack)
 
 
 def test_sample_memory_high_water(tmp_path):
@@ -264,15 +266,41 @@ def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config
         assert 0 < len(calls) <= most
 
 
+@pytest.mark.parametrize("command,config,walks", [
+    ("decompose", {"L": 3, "N": 5}, 1), ("verify", {"L": 3, "N": 5}, 1), ("sample", D3M2, 2)])
+def test_scale_walks_per_invocation(tmp_path, monkeypatch, command, config, walks):
+    """A result stores no scale table: every one is made by the product
+    walk (decomposition._scale_tables) when it is read.  decompose and
+    verify read every table in their one pass over the scales, one walk;
+    sample reads them twice, for the roots and then for the covariance
+    references, two walks at most."""
+    real = decomposition._scale_tables
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decomposition, "_scale_tables", counted)
+    cfg = write_cfg(tmp_path, **config)
+    assert main([command, "--config", cfg, "--out", outdir(tmp_path)]) == 0
+    if command == "sample":
+        assert 0 < len(calls) <= walks
+    else:
+        assert len(calls) == walks
+
+
 def test_verify_green_equation_catches_a_dropped_remainder(tmp_path, capsys, monkeypatch):
     """Zeroing the real-space remainder kernel leaves every multiplier-side
     check passing; only the Green equation sees it."""
 
     def dropped(A, g, sched):
         res = decompose(A, g, sched)
-        made = res.kernel
-        # The on-demand kernel of scale N+1 comes out zero.
-        res.kernel = lambda k: Kernel(g, np.zeros(g.kernel_shape())) if k == res.n_scales else made(k)
+        made, scales = res.kernel_of, iter(range(1, res.n_scales + 1))
+        # The kernel of scale N+1, made from the last table of the one walk,
+        # comes out zero.
+        res.kernel_of = lambda t: (Kernel(g, np.zeros(g.kernel_shape()))
+                                   if next(scales) == res.n_scales else made(t))
         return res
 
     monkeypatch.setattr(cli, "decompose", dropped)

@@ -16,8 +16,8 @@ from frdlat.decomposition import (
 )
 from frdlat.elliptic import ComplexEllipticPath, identity_map, symbol_flat, validate_map
 from frdlat.errors import EmptyFarRegion, FactorizationFailure, InvalidSchedule, OutsideDisc
-from frdlat.lattice import TorusGeometry
-from frdlat.spectral import MultiplierTable, multiplier_to_kernel
+from frdlat.lattice import TorusGeometry, rho_inf_grid
+from frdlat.spectral import Kernel, MultiplierTable, multiplier_to_kernel, spectral_norms
 from frdlat.verification import diagnostics
 
 
@@ -110,7 +110,9 @@ def test_skipped_levels_share_one_read_only_zero_scale():
             arr[0] = 1.0
         with pytest.raises(ValueError):
             arr += 1.0
-    live = {id(res.table(k).values) for k in range(3, res.n_scales + 1)}
+    tables = list(res.walk())
+    assert len(tables) == res.n_scales and tables[0] is tables[1] is res.zero_table
+    live = {id(t.values) for t in tables[2:]}
     assert len(live) == res.n_scales - 2 and id(res.table(1).values) not in live
 
 
@@ -153,6 +155,22 @@ def test_far_field_constant_empty_region():
     with pytest.raises(EmptyFarRegion):
         far_field_constant(res.kernel(1), 1)
     assert diagnostics(res)["range_residual"] == [None]
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_far_field_constant_is_the_fancy_index_mean_bitwise(d, m):
+    """far_field_constant gathers the far sites one entry at a time, into
+    the layout of K.values[:, :, mask] (sites first), so its mean and
+    residual are bitwise those of that index, on values over many
+    magnitudes, where the order of the additions shows in the last bits."""
+    g = TorusGeometry(d=d, m=m, L=3, N=2)
+    rng = np.random.default_rng(10 * d + m)
+    values = rng.standard_normal(g.kernel_shape()) * 10.0 ** rng.integers(-8, 9, g.kernel_shape())
+    C, residual = far_field_constant(Kernel(g, values), 2)
+    far = values[:, :, rho_inf_grid(g) > 2]
+    want = far.mean(axis=-1)
+    assert np.array_equal(C.view(np.uint64), want.view(np.uint64))
+    assert residual == float(np.max(spectral_norms(np.moveaxis(far - want[:, :, None], -1, 0))))
 
 
 def test_kernel_sup_norm_matches_direct_max():
@@ -309,7 +327,7 @@ def test_real_tables_are_exactly_transpose_and_conjugate_symmetric(d, m):
     B = rng.standard_normal((n, n))
     A = validate_map(B.T @ B / n + 0.5 * np.eye(n), d, m)
     res = decompose(A, g, build_schedule(g, override=[3, None, 5]))
-    for X in [t.values for t in res.tables] + [res.green_table.values]:
+    for X in [t.values for t in res.walk()] + [res.green_table.values]:
         assert X.shape == (g.half_count - 1, m, m)
         assert np.array_equal(np.swapaxes(X, -1, -2), np.conj(X))
 

@@ -205,14 +205,16 @@ def test_draw_reads_its_philox_counter_blocks():
             assert np.array_equal(_component_batch(state, k, i, 1)[0], want)
 
 
-def test_sampler_rejects_a_table_that_is_not_hermitian():
-    """build_sampler takes decompose's tables as they are; the root's own
-    Hermitian check still refuses a broken one."""
+def test_sampler_rejects_a_table_that_is_not_hermitian(monkeypatch):
+    """build_sampler takes the tables of the result's walk as they are; the
+    root's own Hermitian check still refuses a broken one."""
     g = TorusGeometry(d=2, m=2, L=3, N=1)
     res = decompose(identity_map(2, 2), g, build_schedule(g, override=[3]))
-    bad = res.tables[1].values.copy()
+    tables = list(res.walk())
+    bad = tables[1].values.copy()
     bad[4, 0, 1] += 1e-6
-    res.tables[1] = MultiplierTable(g, bad)
+    tables[1] = MultiplierTable(g, bad)
+    monkeypatch.setattr(res, "walk", lambda: iter(tables))
     with pytest.raises(ValueError, match="not Hermitian"):
         build_sampler(res)
 
@@ -247,7 +249,7 @@ def test_roots_are_conjugate_symmetric_eigh_roots_on_the_half_grid(m):
     A = validate_map(B.T @ B / (2 * m) + 0.5 * np.eye(2 * m), 2, m)
     res = decompose(A, g, build_schedule(g, override=[3, 5]))
     state = build_sampler(res)
-    for tab, root in zip(res.tables, state.roots):
+    for tab, root in zip(res.walk(), state.roots):
         assert root.shape == (g.half_count, m, m)
         assert not np.any(root[0])
         scale = max(np.max(np.abs(np.linalg.eigvalsh(tab.values))), 1e-300) ** 0.5

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry, centered, p_norms
-from frdlat.spectral import Kernel, _hermitize, multiplier_to_kernel, spectral_norms
+from frdlat.spectral import (Kernel, MultiplierTable, _hermitize, multiplier_to_kernel,
+                             spectral_norms)
 from frdlat.verification import (
     _annulus_index,
     _cholesky,
@@ -24,6 +24,7 @@ from frdlat.verification import (
     green_residual,
     imag_ratio,
     kernel_pass,
+    psd_ratio,
     range_ratio,
     symmetry_defect,
 )
@@ -95,9 +96,11 @@ def test_kernel_pass_matches_the_result_level_checks(L, N, override, m, seed):
     hands each kernel to the consumer once, in scale order, and its
     measures are the per-kernel functions applied to each kernel: the
     far-field ratios, the imaginary residue, the symmetry defect, the
-    decay rows and the Green-equation residual of the kernels' sum.  A
-    light pass, which decompose takes, measures the first two only.
-    With one live level there are no decay rows."""
+    decay rows and the Green-equation residual of the kernels' sum; and,
+    from the same walk, the psd ratio of each table and the telescoping
+    residual of their sum, which check_psd and check_sum read.  A light
+    pass, which decompose takes, skips the symmetry, decay and Green
+    measures.  With one live level there are no decay rows."""
     res = small_result(L=L, N=N, override=override, m=m, seed=seed)
     seen = []
     measured = kernel_pass(res, full=True, each=lambda k, kern: seen.append((k, kern.values.copy())))
@@ -115,8 +118,12 @@ def test_kernel_pass_matches_the_result_level_checks(L, N, override, m, seed):
             decay_table(res, measured)
     else:
         assert measured.decay == [row for k, kern in enumerate(kernels, 1) for row in decay_rows(kern, k)]
+    tables = list(res.walk())
+    assert measured.psd == [psd_ratio(t.values) for t in tables] == check_psd(res)
+    assert measured.sum_residual == check_sum(res)
     light = kernel_pass(res)
-    assert (light.imag, light.ranges) == (measured.imag, measured.ranges)
+    assert (light.psd, light.imag, light.ranges, light.sum_residual) == (
+        measured.psd, measured.imag, measured.ranges, measured.sum_residual)
     assert light.symmetry is light.decay is light.green is None
     assert diagnostics(res, measured) == diagnostics(res)
 
@@ -239,8 +246,8 @@ def bits(x) -> np.ndarray:
 
 
 def test_check_psd_m1_is_lapack_bitwise():
-    """At m = 1 check_psd reads the real part; eigvalsh of the Hermitian
-    part gives the same bits on m = 1 tables over many magnitudes: a zero
+    """At m = 1 psd_ratio, check_psd's measure of one table, reads the real
+    part; eigvalsh of the Hermitian part gives the same bits on m = 1 tables over many magnitudes: a zero
     table (a skipped level), then tables with -0.0, negative and
     imaginary parts."""
     rng = np.random.default_rng(3)
@@ -252,7 +259,7 @@ def test_check_psd_m1_is_lapack_bitwise():
         t[:5] = -0.0
         t[5:8] = complex(-0.0, 1.0)
         tables.append(t)
-    got = check_psd(SimpleNamespace(tables=[SimpleNamespace(values=t) for t in tables]))
+    got = [psd_ratio(t) for t in tables]
     want = []
     for t in tables:
         eigs = np.linalg.eigvalsh(_hermitize(t))
@@ -264,7 +271,7 @@ def test_check_psd_m1_is_lapack_bitwise():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_check_psd_matches_per_row_eigvalsh(m):
-    """At m >= 2 check_psd is, per scale, the least over rows of the least
+    """At m >= 2 psd_ratio, check_psd's measure of one table, is the least over rows of the least
     eigenvalue of the Hermitian part over its largest |eigenvalue|: per-row
     eigvalsh, on random PSD tables with anti-Hermitian noise, one with a
     planted row whose diagonal and first row are positive but whose least
@@ -280,7 +287,7 @@ def test_check_psd_matches_per_row_eigvalsh(m):
             t[17] = np.eye(m)
             t[17, 0, 1] = t[17, 1, 0] = 2.0
         tables.append(t)
-    got = check_psd(SimpleNamespace(tables=[SimpleNamespace(values=t) for t in tables]))
+    got = [psd_ratio(t) for t in tables]
     want = []
     for t in tables:
         rows = [np.linalg.eigvalsh(0.5 * (row + np.conj(row.T))) for row in t]
@@ -302,19 +309,25 @@ def test_cholesky_m1_is_lapack_bitwise():
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_check_sum_running_sum_matches_stacked_sum(m):
-    """check_sum adds the tables one after another in table order; the
-    result is bitwise that of summing the stacked tables, on a real
-    decomposition and on tables over many magnitudes, where the order of
-    the additions shows in the last bits."""
+def test_check_sum_running_sum_matches_stacked_sum(m, monkeypatch):
+    """check_sum adds the tables of the walk one after another in table
+    order; the result is bitwise that of summing the stacked tables, on a
+    real decomposition and on tables over many magnitudes, where the order
+    of the additions shows in the last bits."""
     res = small_result(L=5, N=2, override=(3, None), m=m, seed=22)
     rng = np.random.default_rng(m)
     shape = res.green_table.values.shape
-    tables = [SimpleNamespace(values=rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-                              + 1j * rng.standard_normal(shape)) for _ in range(6)]
-    for case in (res, SimpleNamespace(green_table=res.green_table, tables=tables)):
-        green = case.green_table.values
-        total = np.sum([t.values for t in case.tables], axis=0)
+    synthetic = [MultiplierTable(res.geometry,
+                                 rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+                                 + 1j * rng.standard_normal(shape)) for _ in range(6)]
+    for tables in (list(res.walk()), synthetic):
+        monkeypatch.setattr(res, "walk", lambda: iter(tables))
+        if tables is synthetic:
+            # The sum reads the tables only, and these are not multipliers
+            # of real kernels: the pass measures the zero kernel instead.
+            monkeypatch.setattr(res, "kernel_of", lambda t: res.zero_kernel)
+        green = res.green_table.values
+        total = np.sum([t.values for t in tables], axis=0)
         denom = np.maximum(spectral_norms(green, hermitian=True), 1e-300)
         want = float(np.max(spectral_norms(total - green) / denom))
-        assert np.array_equal(bits(np.array(check_sum(case))), bits(np.array(want)))
+        assert np.array_equal(bits(np.array(check_sum(res))), bits(np.array(want)))

@@ -70,6 +70,6 @@ def test_scale_recursion_invariants_for_random_spd_coefficients(case):
 
     path = ComplexEllipticPath.from_direction(A, np.eye(g.m * g.d))
     cres = complex_decompose(path, 0.0, g, sched)
-    for a, b in zip(res.tables, cres.tables):
+    for a, b in zip(res.walk(), cres.tables):
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) <= 1e-11 * scale
