@@ -39,16 +39,16 @@ FD_STEP = 1e-5
 
 @dataclass
 class DerivativeResult:
-    """Normalized order-j derivative tables and kernels of every scale and
-    of the Green kernel.  n_nodes and convergence are the contour's node
-    count and doubling gap; jets leave them 0."""
+    """Normalized order-j derivative tables and kernels of every scale, and
+    the Green derivative table, whose kernel is made when it is read.
+    n_nodes and convergence are the contour's node count and doubling
+    gap; jets leave them 0."""
 
     path: ComplexEllipticPath
     order: int
     tables: list = field(repr=False)
     green_table: MultiplierTable = field(repr=False)
     kernels: list = field(repr=False)
-    green_kernel: Kernel = field(repr=False)
     n_nodes: int = 0
     convergence: float = 0.0
 
@@ -56,26 +56,36 @@ class DerivativeResult:
         """Scale index k is 1-based, up to N+1."""
         return self.kernels[k - 1]
 
+    @property
+    def green_kernel(self) -> Kernel:
+        """The kernel of green_table: one irfftn per read."""
+        return multiplier_to_kernel(self.green_table)
+
 
 def _derivative_result(path, order, stack, g, **quadrature) -> DerivativeResult:
     """A DerivativeResult from an (N+2, n-1, m, m) stack on the half-grid
     rows: the N+1 scale tables and then the Green table."""
     tables = [MultiplierTable(g, X) for X in stack]
-    kernels = [multiplier_to_kernel(tab) for tab in tables]
     return DerivativeResult(path=path, order=order, tables=tables[:-1], green_table=tables[-1],
-                            kernels=kernels[:-1], green_kernel=kernels[-1], **quadrature)
+                            kernels=[multiplier_to_kernel(tab) for tab in tables[:-1]],
+                            **quadrature)
 
 
 def jet_derivatives(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
                     max_order: int) -> dict:
     """Normalized derivatives of orders 0..max_order of every scale kernel
-    and of the Green kernel, from one taylor_jets series with
-    max_order + 1 terms: D^j C_k(0) = j! (2/c0)^j [z^j] C_k.  Each table
-    is hermitized, as in decompose."""
-    jets = taylor_jets(path, g, sched, max_order + 1)
-    return {j: _derivative_result(path, j, _hermitize(
-                jets[:, :, j] * (math.factorial(j) * (2.0 / path.A0.c0) ** j)), g)
-            for j in range(max_order + 1)}
+    and of the Green kernel, from one taylor_jets walk with max_order + 1
+    terms: D^j C_k(0) = j! (2/c0)^j [z^j] C_k.  Each series the walk
+    yields is written into the per-order stacks, hermitized as in
+    decompose, and dropped; a skipped level stays zero."""
+    J = max_order + 1
+    facs = [math.factorial(j) * (2.0 / path.A0.c0) ** j for j in range(J)]
+    stacks = np.zeros((J, sched.N + 2, g.half_count - 1, g.m, g.m), dtype=np.complex128)
+    for k, C in enumerate(taylor_jets(path, g, sched, J)):
+        if C is not None:
+            for j in range(J):
+                stacks[j, k] = _hermitize(C[:, j] * facs[j])
+    return {j: _derivative_result(path, j, stacks[j], g) for j in range(J)}
 
 
 def contour_derivatives(
@@ -88,7 +98,7 @@ def contour_derivatives(
 ) -> dict:
     """Normalized coefficient derivatives of every scale kernel, one node
     sweep shared across the requested orders: the oracle of
-    jet_derivatives, for tori whose cubes fit the dense limit.
+    jet_derivatives, on the schedules the jets accept.
 
     The full rule has 2 * n_half equispaced contour nodes z_t, and the
     half rule the even t.  Nodes t and 2 * n_half - t are conjugate, so the

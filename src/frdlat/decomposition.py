@@ -14,9 +14,11 @@ so every scale table is one product with no cancelling difference:
 For real A, X_j is similar to Ahat^{1/2} Ghat_j Ahat^{1/2} / v_j,
 Hermitian with spectrum in [0, 1], and Q_k = Ahat^-1 P_k^H, so
 Chat_k = P_{k-1} (2 Ghat_k / v_k - Ghat_k Ahat Ghat_k / v_k^2) P_{k-1}^H is
-positive semidefinite per frequency.  _scale_tables evaluates the
-formula for three callers, which differ in the cube route, in Ahat^-1
-and in the arithmetic:
+positive semidefinite per frequency.  Three branches evaluate the
+formula with one level loop (_symbols), which makes X_j per live level,
+and one walk (_scale_tables), which makes the tables from the X_j and
+Ahat^-1.  They differ in the cube route that gives Ghat_j, in Ahat^-1 and
+in the arithmetic:
 
 - decompose (real A) solves each cube by the layered Schur route with
   its Cholesky check (projector.local_green_flat), takes Ahat^-1 from
@@ -29,9 +31,11 @@ and in the arithmetic:
   the member's stiffness and solves it by local_green_flat's LU route,
   and inverts Ahat(z) by spectral.stack_inv.
 
-That difference keeps the agreement of decompose with the order-0 jets,
-of the jets with the contour, and of the finite differences of decompose
-with the order-1 jets, independent checks.  A and A1 are symmetric, so
+Every cube route holds the same layer blocks, so every branch takes the
+layered size rule (projector.check_cube_size).  The differences keep the
+agreement of decompose with the order-0 jets, of the jets with the
+contour, and of the finite differences of decompose with the order-1
+jets, independent checks.  A and A1 are symmetric, so
 C(-p) = C(p)^T: every branch works on the n - 1 rows p != 0 of the rfftn
 half grid (lattice.p_flat), the layout of every table, and decompose's
 tables are exactly Hermitian.
@@ -46,13 +50,16 @@ level (_scale_tables, and envelope_report likewise), so no list of them
 is held.  No table or kernel is held either: a DecompositionResult keeps
 the factors X_j, the body and the Green table, and its walk makes the
 tables in scale order, each kernel one irfftn of its table, so a caller
-that takes each scale once and drops it holds one at a time.
+that takes each scale once and drops it holds one at a time.  The jets
+hand their walk to their caller the same way; only the contour oracle,
+on small tori, stacks its tables.
 """
 
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -240,16 +247,35 @@ def _at_level(j: int):
         raise type(exc)("level %d: %s" % (j, exc)) from exc
 
 
-def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule, dense: bool):
+def _check_schedule_fits(g: TorusGeometry, sched: CubeSchedule):
     """Fail before any frequency work: the schedule matches the torus and
-    every live cube fits the size rule of its route, dense or layered
-    (projector.check_cube_size)."""
+    every live cube fits the layered size rule (projector.check_cube_size)."""
     if sched.S != g.side:
         raise InvalidSchedule("schedule was built for side %d, not %d" % (sched.S, g.side))
     for j, l in enumerate(sched.levels, start=1):
         if l is not None:
             with _at_level(j):
-                check_cube_size(cube(l, g), g.m, dense)
+                check_cube_size(cube(l, g), g.m)
+
+
+def _symbols(g: TorusGeometry, sched: CubeSchedule, body: np.ndarray, green_of,
+             mul=stack_matmul) -> list:
+    """The level loop of every branch: X_j = Ghat_j body / v_j for each
+    level j, None at a skipped level.  green_of(Q) gives Ghat_Q on the
+    rows of body by the branch's cube route, and mul is the branch's
+    product.  A cube error names its level.  The stiffness and Ghat_Q are
+    temporaries: neither outlives its level."""
+    X = []
+    for j, l in enumerate(sched.levels, start=1):
+        if l is None:
+            X.append(None)
+            continue
+        Q = cube(l, g)
+        with _at_level(j):
+            Xj = mul(green_of(Q), body)
+        Xj /= Q.volume
+        X.append(Xj)
+    return X
 
 
 def _scale_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul):
@@ -283,13 +309,6 @@ def _scale_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul):
     yield C.pop()
 
 
-def _stacked_tables(X: list, Ainv: np.ndarray, identity=None, mul=stack_matmul) -> np.ndarray:
-    """The N+1 scale tables of _scale_tables, zero at a skipped level, and
-    then Ainv, as one stack."""
-    return np.stack([np.zeros_like(Ainv) if C is None else C
-                     for C in _scale_tables(X, Ainv, identity, mul)] + [Ainv])
-
-
 def _zero_scale(g: TorusGeometry):
     """The zero table and zero kernel that every skipped level of one
     result shares, read-only.  irfftn of a zero spectrum is +0.0
@@ -312,33 +331,14 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
     skipped levels of the schedule share one read-only zero table and
     zero kernel.
     """
-    _check_schedule_fits(g, sched, dense=False)
+    _check_schedule_fits(g, sched)
     body = symbol_flat(A.tensor, g)[1:]
-    symbols = []
-    for j, l in enumerate(sched.levels, start=1):
-        if l is None:
-            symbols.append(None)
-            continue
-        # The stiffness and Ghat_Q are temporaries: neither outlives its level.
-        Q = cube(l, g)
-        with _at_level(j):
-            G = local_green_flat(assemble_stiffness(A, Q), g)[1:]
-        X = stack_matmul(G, body)
-        del G
-        X /= Q.volume
-        symbols.append(X)
+    symbols = _symbols(g, sched, body, lambda Q: local_green_flat(assemble_stiffness(A, Q), g)[1:])
     green = green_from_body(body)  # after the cubes, so no cube solve runs beside it
     zero_table, zero_kernel = _zero_scale(g) if None in sched.levels else (None, None)
-    return DecompositionResult(
-        geometry=g,
-        A=A,
-        schedule=sched,
-        green_table=MultiplierTable(g, green),
-        symbols=symbols,
-        body=body,
-        zero_table=zero_table,
-        zero_kernel=zero_kernel,
-    )
+    return DecompositionResult(geometry=g, A=A, schedule=sched,
+                               green_table=MultiplierTable(g, green), symbols=symbols, body=body,
+                               zero_table=zero_table, zero_kernel=zero_kernel)
 
 
 @dataclass
@@ -351,13 +351,13 @@ class ComplexDecompositionResult:
         return self.tables[k - 1]
 
 
-def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, dense: bool):
+def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule):
     """The checks of the family A0 + z A1, and its symbol bodies Ahat0 and
-    Ahat1 on the half-grid rows p != 0.  Every live cube must fit its
-    route (_check_schedule_fits), and |A1| <= c0/2, which keeps every
+    Ahat1 on the half-grid rows p != 0.  Every live cube must fit the
+    layered rule (_check_schedule_fits), and |A1| <= c0/2, which keeps every
     member elliptic on the unit disc, is re-checked on the current entries
     of A0 and A1: OutsideDisc if either changed after the path was built."""
-    _check_schedule_fits(g, sched, dense)
+    _check_schedule_fits(g, sched)
     c0 = float(np.linalg.eigvalsh(path.A0.entries)[0])
     norm = float(np.max(np.abs(np.linalg.eigvalsh(path.A1))))
     if not norm <= 0.5 * c0 * (1.0 + 1e-12):
@@ -369,69 +369,56 @@ def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, de
     return symbol_flat(path.A0.tensor, g)[1:], symbol_flat(A1, g)[1:]
 
 
-def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
-                J: int) -> np.ndarray:
+def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule, J: int):
     """The Taylor coefficients [z^n] at z = 0, n < J, of the scale tables
-    and the Green table of the family A0 + z A1, as one (N+2, n-1, J, m, m)
-    stack on the half-grid rows: the N+1 scale tables and then the Green
-    table.
+    and the Green table of the family A0 + z A1, as a walk of
+    (n-1, J, m, m) series on the half-grid rows: the N+1 scale series,
+    None at a skipped level (its table is zero), and then the Green
+    series.
 
     Every factor of the product formula has an exact series, so
     _scale_tables runs on series of stacks (spectral.series_mul): Ghat_j
     from local_green_jets on K0 and K1, assembled once per live level;
     X_j = Ghat_j (Ahat0 + z Ahat1) / v_j; and Ahat(z)^-1, whose terms are
-    Ahat0^-1 (-Ahat1 Ahat0^-1)^n.  The cubes take the layered size rule of
-    decompose.  A cube error names its level; a direction above c0/2
-    raises OutsideDisc.
+    Ahat0^-1 (-Ahat1 Ahat0^-1)^n.  The checks and the cubes run before the
+    walk is returned: a cube error names its level, and a direction above
+    c0/2 raises OutsideDisc.
     """
-    body0, body1 = _family(path, g, sched, dense=False)
+    body0, body1 = _family(path, g, sched)
     body = np.stack([body0, body1], axis=1)[:, :J]
-
-    def mul(a, b):
-        return series_mul(a, b, stack_matmul)
-
-    X = []
-    for j, l in enumerate(sched.levels, start=1):
-        if l is None:
-            X.append(None)
-            continue
-        Q = cube(l, g)
-        with _at_level(j):
-            G = local_green_jets(assemble_stiffness(path.A0.tensor, Q),
-                                 assemble_stiffness(path.A1.reshape(g.m, g.d, g.m, g.d), Q), g,
-                                 J)[1:]
-        X.append(mul(G, body) / Q.volume)
+    A1 = path.A1.reshape(g.m, g.d, g.m, g.d)
+    mul = partial(series_mul, mul=stack_matmul)
+    X = _symbols(g, sched, body, lambda Q: local_green_jets(
+        assemble_stiffness(path.A0.tensor, Q), assemble_stiffness(A1, Q), g, J)[1:], mul)
     Ainv = np.empty((body0.shape[0], J, g.m, g.m), dtype=np.complex128)
     Ainv[:, 0] = stack_inv(body0)
     for n in range(1, J):
         Ainv[:, n] = -stack_matmul(Ainv[:, n - 1], stack_matmul(body1, Ainv[:, 0]))
-    identity = np.zeros_like(Ainv)
-    identity[:, 0] = np.eye(g.m)
-    return _stacked_tables(X, Ainv, identity, mul)
+    identity = np.zeros((J, g.m, g.m), dtype=np.complex128)  # broadcasts over the rows
+    identity[0] = np.eye(g.m)
+    return chain(_scale_tables(X, Ainv, identity, mul), [Ainv])
 
 
 @dataclass
 class ComplexSweep:
     """The z-independent part of the family A0 + z A1 on one torus, for
     the contour oracle: Ahat(z) = body0 + z body1 on the half-grid rows
-    p != 0, and the cube of each live level (None for a skipped level).
-    complex_at evaluates them at one node."""
+    p != 0, and the schedule.  complex_at evaluates them at one node."""
 
     geometry: TorusGeometry
     path: ComplexEllipticPath
+    schedule: CubeSchedule
     body0: np.ndarray = field(repr=False)
     body1: np.ndarray = field(repr=False)
-    cubes: list = field(repr=False)
 
 
 def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
     """Schedule and size checks and the symbol bodies of A0 and A1 on the
-    half-grid rows p != 0.  An oracle: every live cube must fit the dense
-    limit of the other cube oracles (CubeTooLarge naming the level), and a
-    direction above c0/2 raises OutsideDisc."""
-    body0, body1 = _family(path, g, sched, dense=True)
-    return ComplexSweep(geometry=g, path=path, body0=body0, body1=body1,
-                        cubes=[None if l is None else cube(l, g) for l in sched.levels])
+    half-grid rows p != 0.  Every live cube must fit the layered rule
+    (CubeTooLarge naming the level), and a direction above c0/2 raises
+    OutsideDisc."""
+    body0, body1 = _family(path, g, sched)
+    return ComplexSweep(geometry=g, path=path, schedule=sched, body0=body0, body1=body1)
 
 
 def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
@@ -441,15 +428,17 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
 
     The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
     from local_green_flat of the member's assembled stiffness (its LU
-    route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.
+    route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.  A cube
+    error names its level.
     """
+    g = sweep.geometry
     tensor = sweep.path.tensor_at(z)  # OutsideDisc for |z| >= 1
     body = sweep.body0 + z * sweep.body1
-    X = [None if Q is None
-         else stack_matmul(local_green_flat(assemble_stiffness(tensor, Q), sweep.geometry)[1:],
-                           body) / Q.volume
-         for Q in sweep.cubes]
-    return _stacked_tables(X, stack_inv(body))
+    X = _symbols(g, sweep.schedule, body,
+                 lambda Q: local_green_flat(assemble_stiffness(tensor, Q), g)[1:])
+    Ainv = stack_inv(body)
+    return np.stack([np.zeros_like(Ainv) if C is None else C for C in _scale_tables(X, Ainv)]
+                    + [Ainv])
 
 
 def complex_decompose(

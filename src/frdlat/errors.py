@@ -16,7 +16,8 @@ class ShapeMismatch(FrdError):
 class CubeTooLarge(FrdError):
     """Requested cube does not fit inside the torus, or is above the size
     limit of its route: DENSE_LIMIT unknowns for the dense stiffness K, or
-    DENSE_LIMIT^2 words for the layer blocks of decompose."""
+    DENSE_LIMIT^2 words for the layer blocks of every cube route of the
+    product formula."""
 
 
 class ImaginaryResidue(FrdError):

@@ -17,9 +17,9 @@ from .errors import CubeTooLarge
 # Largest dimension n of any dense n x n matrix the package builds: the dense
 # cube stiffness K of the projector oracles, and the dense Green and
 # covariance oracles.  At the limit one complex matrix takes 268 MB.  The
-# layered cube solver of decompose and deriv holds stacks of l - 1 blocks
-# of b x b and allows (l - 1) b^2 <= DENSE_LIMIT^2 words, the size of one
-# dense matrix at the limit (projector.check_cube_size).
+# layered cube solver of decompose, the jets and the contour oracle holds
+# stacks of l - 1 blocks of b x b and allows (l - 1) b^2 <= DENSE_LIMIT^2
+# words, the size of one dense matrix at the limit (projector.check_cube_size).
 DENSE_LIMIT = 4096
 
 # Largest torus site count S^d that TorusGeometry accepts.

@@ -98,9 +98,11 @@ class StiffnessFactor:
     @property
     def matrix(self) -> np.ndarray:
         """The dense K, built from D and E on each access; CubeTooLarge
-        above DENSE_LIMIT unknowns."""
-        check_cube_size(self.cube, self.m, dense=True)
+        above DENSE_LIMIT unknowns, the one route that forms K."""
         layers, b = self.cube.l - 1, self.D.shape[0]
+        if layers * b > DENSE_LIMIT:
+            raise CubeTooLarge("cube l=%d has %d unknowns, above the dense limit %d"
+                               % (self.cube.l, layers * b, DENSE_LIMIT))
         K = np.zeros((layers, b, layers, b), dtype=self.D.dtype)
         i = np.arange(layers)
         K[i, :, i, :] = self.D
@@ -119,22 +121,19 @@ class StiffnessFactor:
         return X[:, : B.shape[1]] + 1j * X[:, B.shape[1]:]
 
 
-def check_cube_size(cube: Cube, m: int, dense: bool):
-    """Reject a cube too large for its route, before anything is assembled.
+def check_cube_size(cube: Cube, m: int):
+    """Reject a cube too large for the layered route, before anything is
+    assembled.
 
-    The dense route (the projector oracles) forms K, so it allows
-    n = (l-1)^d m <= DENSE_LIMIT unknowns; the contour oracle keeps that
-    limit too.  The layered route (assemble_stiffness, local_green_flat
-    and local_green_jets) holds stacks of l - 1 blocks
-    of b x b, b = n / (l-1), and allows (l-1) b^2 <= DENSE_LIMIT^2 words:
-    the size of one dense matrix at the limit.
+    Every cube route of the product formula (local_green_flat, real or
+    complex, and local_green_jets) holds stacks of l - 1 blocks of b x b,
+    n = (l-1)^d m unknowns and b = n / (l-1), and allows
+    (l-1) b^2 <= DENSE_LIMIT^2 words: the size of one dense matrix at the
+    limit.  Only StiffnessFactor.matrix, which the dense oracles use,
+    forms K, and it checks n <= DENSE_LIMIT itself.
     """
     layers = cube.l - 1
     n = cube.interior_count * m
-    if dense and n > DENSE_LIMIT:
-        raise CubeTooLarge(
-            "cube l=%d has %d unknowns, above the dense limit %d" % (cube.l, n, DENSE_LIMIT)
-        )
     words = layers * (n // layers) ** 2
     if words > DENSE_LIMIT ** 2:
         raise CubeTooLarge(
@@ -209,7 +208,7 @@ def assemble_stiffness(A, cube: Cube) -> StiffnessFactor:
     m, d = tensor.shape[0], tensor.shape[1]
     if cube.d != d:
         raise ShapeMismatch("cube dimension %d does not match coefficients %d" % (cube.d, d))
-    check_cube_size(cube, m, dense=False)
+    check_cube_size(cube, m)
     layers = cube.l - 1
     box = (2,) + (layers,) * (d - 1)
     K = np.zeros(box + (m,) + box + (m,), dtype=np.result_type(tensor, np.float64))

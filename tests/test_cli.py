@@ -239,15 +239,17 @@ D3M2 = {"d": 3, "m": 2, "L": 3, "N": 2, "schedule": [3, 5], "samples": 300, "wri
 
 @pytest.mark.parametrize("command,config,most", [
     ("decompose", {"L": 3, "N": 5}, 4), ("verify", {"L": 3, "N": 5}, 4),
-    ("sample", D3M2, 4), ("deriv", D3M2, 28)])
+    ("sample", D3M2, 4), ("deriv", D3M2, 27)])
 def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config, most):
     """Every kernel is one multiplier_to_kernel of its table, made on
     demand.  decompose and verify at d=2 L=3 N=5 (two skipped levels)
-    make one per live scale, 4, in their one pass over the scales; sample
-    and deriv on the d=3 m=2 config of the CI smoke run make no more than
-    when every kernel was kept: 3 scales and the Green kernel for
-    sample; for deriv also 4 orders of 4 jet kernels and 2 finite
-    difference decompositions of 4."""
+    make one per live scale, 4, in their one pass over the scales.  On
+    the d=3 m=2 config of the CI smoke run, sample makes at most its 3
+    scales and the Green kernel, and deriv at most 27: 4 orders of 3 jet
+    scale kernels, the Green kernels of the 3 orders it reads (jet_origin
+    at order 0, fd_agreement at order 1 and the written order 2), 2
+    finite-difference decompositions of 4 and decompose's 4.  Order 3's
+    Green kernel is never read, so never made."""
     real = spectral.multiplier_to_kernel
     calls = []
 

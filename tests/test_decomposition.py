@@ -258,21 +258,47 @@ def test_oversized_direction_fails_the_pencil():
 
 
 def test_layered_failure_names_its_level(monkeypatch):
-    """A cube error from the layered route of decompose names its level,
-    as the cube errors of taylor_jets do."""
+    """A cube error names its level in every branch of the product
+    formula: the failure is planted in the cube route of each, the real
+    and LU local_green_flat of decompose and complex_decompose and the
+    local_green_jets of taylor_jets."""
     import frdlat.decomposition as decomposition
 
-    real = decomposition.local_green_flat
+    def planted(route):
+        real = getattr(decomposition, route)
 
-    def fail_at_cube_5(factor, g):
-        if factor.cube.l == 5:
-            raise FactorizationFailure("planted failure for cube l=5")
-        return real(factor, g)
+        def fail_at_cube_5(factor, *args):
+            if factor.cube.l == 5:
+                raise FactorizationFailure("planted failure for cube l=5")
+            return real(factor, *args)
 
-    monkeypatch.setattr(decomposition, "local_green_flat", fail_at_cube_5)
+        monkeypatch.setattr(decomposition, route, fail_at_cube_5)
+
+    planted("local_green_flat")
+    planted("local_green_jets")
     g = TorusGeometry(d=2, m=1, L=5, N=2)
-    with pytest.raises(FactorizationFailure, match=r"^level 2: planted failure for cube l=5$"):
-        decompose(identity_map(2, 1), g, build_schedule(g, override=[3, 5]))
+    sched = build_schedule(g, override=[3, 5])
+    path = ComplexEllipticPath.from_direction(identity_map(2, 1), np.eye(2))
+    for run in (lambda: decompose(path.A0, g, sched),
+                lambda: taylor_jets(path, g, sched, 2),
+                lambda: complex_decompose(path, 0.1, g, sched)):
+        with pytest.raises(FactorizationFailure, match=r"^level 2: planted failure for cube l=5$"):
+            run()
+
+
+def test_contour_takes_the_layered_rule_past_the_dense_limit():
+    """The contour oracle runs the layered cube route, so it takes its
+    size rule, not the dense limit: at d=2 S=81 the l=66 cube has 4225
+    unknowns, above 4096, and complex_decompose at z = 0 matches
+    decompose's tables within the 1e-11 of acceptance criterion 10."""
+    g = TorusGeometry(d=2, m=1, L=3, N=4)
+    sched = build_schedule(g, override=[None, None, 3, 66])
+    A = identity_map(2, 1)
+    res = decompose(A, g, sched)
+    cres = complex_decompose(ComplexEllipticPath.from_direction(A, np.eye(2)), 0.0, g, sched)
+    worst = max(float(np.max(np.abs(a.values - cres.table(k).values)))
+                for k, a in enumerate(res.walk(), start=1))
+    assert worst <= 1e-11
 
 
 def test_indefinite_base_fails_the_family_check():
