@@ -46,8 +46,8 @@ one BLAS call per small matrix.
 Skipped levels are explicit: they contribute the identity to every
 product and an identically zero kernel.  Scale N+1 carries the remainder
 and makes no finite-range claim.  The products P_k are walked level by
-level (_scale_tables, and envelope_report likewise), so no list of them
-is held.  No table or kernel is held either: a DecompositionResult keeps
+level in _scale_tables, the one walk of them, so no list of them is
+held.  No table or kernel is held either: a DecompositionResult keeps
 the factors X_j, the body and the Green table, and its walk makes the
 tables in scale order, each kernel one irfftn of its table, so a caller
 that takes each scale once and drops it holds one at a time.  The jets

@@ -357,22 +357,16 @@ def _annulus_index(g: TorusGeometry, norms: np.ndarray) -> np.ndarray:
 
 def _annulus_fit(meas: np.ndarray, ann: np.ndarray, k: int, L: float):
     """Max of meas on each non-empty annulus j, keyed (k, j), and the least
-    c >= 1 with meas <= c^{k-j} L^{-(k-j)(k-j+1)/2} on the annuli j < k."""
+    c >= 1 with meas <= c^{k-j} L^{-(k-j)(k-j+1)/2} on the annuli j < k.
+    That c rises with meas, so it is read from the annulus maxima."""
     maxima = {}
     for j in range(int(ann.max()) + 1):
         sel = ann == j
         if np.any(sel):
             maxima[(k, j)] = float(np.max(meas[sel]))
-    c = 1.0
-    low = ann < k
-    if np.any(low):
-        kj = k - ann[low]
-        # (meas L^{kj (kj + 1) / 2})^{1 / kj}, in one array.
-        need = kj * (kj + 1) / 2.0
-        np.power(L, need, out=need)
-        np.multiply(meas[low], need, out=need)
-        c = max(c, float(np.max(np.power(need, 1.0 / kj, out=need))))
-    return maxima, c
+    c = [(v * L ** ((k - j) * (k - j + 1) / 2.0)) ** (1.0 / (k - j))
+         for (_, j), v in maxima.items() if j < k]
+    return maxima, max(c + [1.0])
 
 
 def _cholesky(body: np.ndarray) -> np.ndarray:
@@ -386,9 +380,13 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
 
     The bounds are stated for the Ahat^{1/2}-conjugates Ttilde_j =
     Ahat^{1/2} X_j Ahat^{-1/2} (Hermitian), Rtilde_j = I - Ttilde_j and
-    Mtilde_k = Ahat^{1/2} P_k Ahat^{-1/2}.  With the Cholesky factor
-    Ahat = L L^H, Ahat^{1/2} L^{-H} is unitary, so the similarity
-    Y -> L^H Y L^{-H} gives the same operator norms without a root.
+    Mtilde_k = Ahat^{1/2} P_k Ahat^{-1/2}, and are measured in that frame.
+    With the Cholesky factor Ahat = L L^H, Ahat^{1/2} L^{-H} is unitary, so
+    Ttilde_j is the Hermitian part of L^H X_j L^{-H}: one similarity per
+    live level and no root.  P_k = P_{k-1} (I - X_k) becomes Mtilde_k =
+    Mtilde_{k-1} Rtilde_k from Mtilde_0 = I, and the smoothed product
+    X_{k+1} P_k becomes Ttilde_{k+1} Mtilde_k.  While Mtilde is I neither
+    is a product, and a skipped level (X_k = 0) and k = N form none.
     A norm at -p equals the one at p, so the fits read only the half grid;
     annulus_counts count every p != 0 of the full grid, a half-grid row
     off the plane of last index 0 once for p and once for -p.
@@ -409,10 +407,7 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     del twice
     Lh = np.conj(np.swapaxes(_cholesky(result.body), -1, -2))
     Lh_inv = stack_inv(Lh)
-    identity = np.eye(g.m, dtype=np.complex128)  # P_0, broadcast over the rows
-
-    def similar(Y):
-        return stack_matmul(stack_matmul(Lh, Y), Lh_inv)
+    identity = np.eye(g.m, dtype=np.complex128)
 
     product_max = {}
     tm_max = {}
@@ -420,36 +415,30 @@ def envelope_report(result: DecompositionResult) -> EnvelopeReport:
     c_low = c_high = 0.0
     level_t_max = {}
     level_r_max = {}
-    # One level at a time: P_k = P_{k-1} - P_{k-1} X_k is formed after
-    # level k-1 is measured, and no product is formed while P = I.
-    P = identity
+    M = None  # Mtilde_k, None while it is the identity
     for k in range(result.schedule.N + 1):
-        maxima, c = _annulus_fit(spectral_norms(similar(P)), ann, k, L)
+        maxima, c = _annulus_fit(np.ones_like(norms) if M is None else spectral_norms(M), ann, k, L)
         product_max.update(maxima)
         c_product = max(c_product, c)
         if k == result.schedule.N or result.symbols[k] is None:
             continue
         X, l = result.symbols[k], result.schedule.levels[k]
-        # Nested calls, so one temporary of the similarity is live at a time.
-        meas = spectral_norms(stack_matmul(stack_matmul(Lh, stack_matmul(X, P)), Lh_inv))
-        maxima, c = _annulus_fit(meas, ann, k, L)
+        T = _hermitize(stack_matmul(stack_matmul(Lh, X), Lh_inv))
+        maxima, c = _annulus_fit(spectral_norms(T if M is None else stack_matmul(T, M)), ann, k, L)
         tm_max.update(maxima)
-        c_tm = max(c_tm, c)
-        high = ann >= k
-        if np.any(high):
-            need = meas[high] * L ** (4.0 * (ann[high] - k) - 8.0)
-            c_tm = max(c_tm, float(np.max(need)))
-        T = _hermitize(similar(X))
-        tnorm = spectral_norms(T, hermitian=True)
-        rnorm = spectral_norms(np.subtract(identity, T, out=T), hermitian=True)  # I - T, in place
-        del T
-        level_t_max[k + 1] = float(np.max(tnorm))
-        level_r_max[k + 1] = float(np.max(rnorm))
-        c_low = max(c_low, float(np.max(tnorm / (norms * l) ** 4)))
+        high = [v * L ** (4.0 * (j - k) - 8.0) for (_, j), v in maxima.items() if j >= k]
+        c_tm = max([c_tm, c] + high)
+        meas = spectral_norms(T, hermitian=True)
+        level_t_max[k + 1] = float(np.max(meas))
+        c_low = max(c_low, float(np.max(meas / (norms * l) ** 4)))
+        R = np.subtract(identity, T, out=T)  # Rtilde, in place of Ttilde
+        meas = spectral_norms(R, hermitian=True)
+        level_r_max[k + 1] = float(np.max(meas))
         sel = norms * l >= 1.0
         if np.any(sel):
-            c_high = max(c_high, float(np.max(rnorm[sel] * l / (1.0 + 1.0 / norms[sel]))))
-        P = P - (X if P is identity else stack_matmul(P, X))
+            c_high = max(c_high, float(np.max(meas[sel] * l / (1.0 + 1.0 / norms[sel]))))
+        M = R if M is None else stack_matmul(M, R)
+        del T, R, meas  # before the next level's similarity is formed
 
     return EnvelopeReport(
         annulus_counts=counts,

@@ -164,7 +164,7 @@ def test_verify_memory_high_water(tmp_path):
     turn, beside the walk's P_k and Q_k and the running sums of the tables
     and of the kernels.  Writing a kernel's CSV there is the high-water,
     at about 16.4 on a first invocation and 15.6 after; envelope_report
-    peaks at about 15.9.  Storing every table peaked at about 20.8;
+    peaks at about 15.0.  Storing every table peaked at about 20.8;
     keeping all kernels as well at about 24.8, and, before that, holding
     every product P_k, a zero table and kernel per skipped level and a
     stack of all kernels at about 31."""

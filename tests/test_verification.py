@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
+from frdlat import verification
 from frdlat.decomposition import build_schedule, decompose
 from frdlat.elliptic import identity_map, symbol_flat, validate_map
 from frdlat.errors import InsufficientScales, TooLargeForOracle
 from frdlat.lattice import TorusGeometry, centered, p_norms
 from frdlat.spectral import (Kernel, MultiplierTable, _hermitize, multiplier_to_kernel,
-                             spectral_norms)
+                             spectral_norms, stack_matmul)
 from frdlat.verification import (
     _annulus_index,
     _cholesky,
@@ -171,7 +172,7 @@ def test_envelope_report_counts_and_bounds():
     assert all(v <= 1.0 + 1e-12 for v in rep.product_max.values())
 
 
-@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_envelope_norms_match_independent_roots(d, m):
     """envelope_report measures the Ahat^{1/2}-conjugates through a Cholesky
     similarity; the same norms with Ahat^{+-1/2} from eigh, per frequency,
@@ -238,6 +239,31 @@ def test_envelope_norms_match_independent_roots(d, m):
     assert c_product > 1.0 and c_tm > 1.0 and c_low > 0.0 and c_high > 0.0
     for got, want in ((rep.c_product, c_product), (rep.c_tm, c_tm), (rep.c_low, c_low), (rep.c_high, c_high)):
         close(got, want)
+
+
+
+@pytest.mark.parametrize("override, m, seed, products", [
+    ((3, None, 5), 1, 5, 6),
+    ((3, None, 5), 2, 5, 6),
+    ((None, None, 4, 11, 31), 1, None, 10),
+])
+def test_envelope_stack_products(override, m, seed, products, monkeypatch):
+    """envelope_report forms Ttilde = L^H X L^{-H} once per live level (two
+    products) and, from the second live level on, Ttilde Mtilde and
+    Mtilde Rtilde (two more): Mtilde_0 = I and the first Rtilde form none,
+    and a skipped level or k = N forms no product.  So 2 + 4 on the
+    schedule (3, -, 5) and 2 + 4 + 4 on (-, -, 4, 11, 31).  Conjugating
+    P_k, X_{k+1} P_k and X_{k+1} apart took 19 and 29."""
+    res = small_result(L=3, N=len(override), override=override, m=m, seed=seed)
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return stack_matmul(a, b)
+
+    monkeypatch.setattr(verification, "stack_matmul", counted)
+    envelope_report(res)
+    assert len(calls) == products
 
 
 def bits(x) -> np.ndarray:
