@@ -9,7 +9,6 @@ derivatives from exact Taylor jets, with a contour quadrature oracle.
 
 from .analyticity import (
     BoundReport,
-    DerivativeResult,
     contour_derivatives,
     derivative_bound_check,
     derivative_sum_residual,
@@ -20,9 +19,9 @@ from .analyticity import (
 )
 from .config import RunConfig, parse_config
 from .decomposition import (
-    ComplexDecompositionResult,
     CubeSchedule,
     DecompositionResult,
+    DerivativeResult,
     build_schedule,
     complex_decompose,
     decompose,
@@ -91,7 +90,6 @@ from .verification import (
     diagnostics,
     envelope_report,
     eta,
-    green_equation_residual,
     kernel_pass,
 )
 

@@ -22,12 +22,12 @@ exactly Hermitian, multipliers of real kernels.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (CubeSchedule, complex_at, complex_sweep, decompose, kernel_sup_norm,
-                            taylor_jets)
+from .decomposition import (CubeSchedule, DerivativeResult, _zero_scale, complex_at, complex_sweep,
+                            decompose, kernel_sup_norm, taylor_jets)
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
@@ -37,55 +37,24 @@ CONVERGENCE_TOL = 1e-9
 FD_STEP = 1e-5
 
 
-@dataclass
-class DerivativeResult:
-    """Normalized order-j derivative tables and kernels of every scale, and
-    the Green derivative table, whose kernel is made when it is read.
-    n_nodes and convergence are the contour's node count and doubling
-    gap; jets leave them 0."""
-
-    path: ComplexEllipticPath
-    order: int
-    tables: list = field(repr=False)
-    green_table: MultiplierTable = field(repr=False)
-    kernels: list = field(repr=False)
-    n_nodes: int = 0
-    convergence: float = 0.0
-
-    def kernel(self, k: int) -> Kernel:
-        """Scale index k is 1-based, up to N+1."""
-        return self.kernels[k - 1]
-
-    @property
-    def green_kernel(self) -> Kernel:
-        """The kernel of green_table: one irfftn per read."""
-        return multiplier_to_kernel(self.green_table)
-
-
-def _derivative_result(path, order, stack, g, **quadrature) -> DerivativeResult:
-    """A DerivativeResult from an (N+2, n-1, m, m) stack on the half-grid
-    rows: the N+1 scale tables and then the Green table."""
-    tables = [MultiplierTable(g, X) for X in stack]
-    return DerivativeResult(path=path, order=order, tables=tables[:-1], green_table=tables[-1],
-                            kernels=[multiplier_to_kernel(tab) for tab in tables[:-1]],
-                            **quadrature)
-
-
 def jet_derivatives(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
                     max_order: int) -> dict:
     """Normalized derivatives of orders 0..max_order of every scale kernel
     and of the Green kernel, from one taylor_jets walk with max_order + 1
     terms: D^j C_k(0) = j! (2/c0)^j [z^j] C_k.  Each series the walk
-    yields is written into the per-order stacks, hermitized as in
-    decompose, and dropped; a skipped level stays zero."""
+    yields is split into one table per order, hermitized as in decompose,
+    and dropped.  The skipped levels of every order share one read-only
+    zero table and zero kernel (decomposition._zero_scale)."""
     J = max_order + 1
     facs = [math.factorial(j) * (2.0 / path.A0.c0) ** j for j in range(J)]
-    stacks = np.zeros((J, sched.N + 2, g.half_count - 1, g.m, g.m), dtype=np.complex128)
-    for k, C in enumerate(taylor_jets(path, g, sched, J)):
-        if C is not None:
-            for j in range(J):
-                stacks[j, k] = _hermitize(C[:, j] * facs[j])
-    return {j: _derivative_result(path, j, stacks[j], g) for j in range(J)}
+    zero_table, zero_kernel = _zero_scale(g) if None in sched.levels else (None, None)
+    tables = [[] for _ in range(J)]
+    for C in taylor_jets(path, g, sched, J):
+        for j in range(J):
+            tables[j].append(zero_table if C is None
+                             else MultiplierTable(g, _hermitize(C[:, j] * facs[j])))
+    return {j: DerivativeResult(path, j, tabs[:-1], tabs[-1], zero_table=zero_table,
+                                zero_kernel=zero_kernel) for j, tabs in enumerate(tables)}
 
 
 def contour_derivatives(
@@ -156,7 +125,8 @@ def contour_derivatives(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
                 % (j, n_half, total, convergence, CONVERGENCE_TOL)
             )
-        out[j] = _derivative_result(path, j, full_i, g, n_nodes=total, convergence=convergence)
+        out[j] = DerivativeResult(path, j, [MultiplierTable(g, C) for C in full_i[:-1]],
+                                  MultiplierTable(g, full_i[-1]), total, convergence)
     return out
 
 
@@ -191,22 +161,23 @@ def fd_derivative(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedu
     with step FD_STEP.
 
     Returns per-scale kernels plus the Green kernel, directly comparable
-    to jet_derivatives at order 1.
+    to jet_derivatives at order 1.  One list is held: the kernels of the
+    + decomposition, each replaced by its difference as the kernel of the
+    - decomposition is made.
     """
     A0 = path.A0
     adot = path.direction
     d, m = A0.d, A0.m
-    kernels = {}
-    for sign in (+1.0, -1.0):
-        raw = A0.entries + sign * FD_STEP * adot.reshape(m * d, m * d)
-        Ah = validate_map(raw, d, m)
-        res = decompose(Ah, g, sched)
-        kernels[sign] = [kern.values for kern in res.kernels()] + [
-            multiplier_to_kernel(res.green_table).values
-        ]
-    out = []
-    for plus, minus in zip(kernels[1.0], kernels[-1.0]):
-        out.append(Kernel(g, (plus - minus) / (2.0 * FD_STEP)))
+
+    def kernels(sign):
+        res = decompose(validate_map(A0.entries + sign * FD_STEP * adot.reshape(m * d, m * d), d, m),
+                        g, sched)
+        yield from res.kernels()
+        yield multiplier_to_kernel(res.green_table)
+
+    out = list(kernels(+1.0))
+    for i, minus in enumerate(kernels(-1.0)):
+        out[i] = Kernel(g, (out[i].values - minus.values) / (2.0 * FD_STEP))
     return out[:-1], out[-1]
 
 

@@ -3,7 +3,7 @@
 Every run reads one JSON config, writes artifacts into an existing
 output directory, and exits 0 only if all enabled checks pass.  Failing
 checks are named on standard error.  Outputs are byte-identical across
-runs and thread counts for a fixed config and seed.
+runs and --threads values for a fixed config, seed and BLAS thread count.
 """
 
 import argparse

@@ -58,7 +58,7 @@ on small tori, stacks its tables.
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice
 
 import numpy as np
@@ -212,6 +212,43 @@ class DecompositionResult:
         return self.kernel_of(self.table(k))
 
 
+@dataclass
+class DerivativeResult:
+    """Order-j derivative tables of the family A0 + z A1 on the half-grid
+    rows: tables holds the N+1 scale tables and green_table the Green
+    table.  Each kernel is made once, when first read: kernels those of
+    every scale (kernel_of, so a skipped level of the jets, which holds
+    zero_table, reads zero_kernel), green_kernel the Green one.  n_nodes
+    and convergence are the contour's node count and doubling gap; the
+    jets and complex_decompose (one member, order 0) leave them 0."""
+
+    path: ComplexEllipticPath
+    order: int
+    tables: list = field(repr=False)
+    green_table: MultiplierTable = field(repr=False)
+    n_nodes: int = 0
+    convergence: float = 0.0
+    zero_table: MultiplierTable = field(default=None, repr=False)
+    zero_kernel: Kernel = field(default=None, repr=False)
+
+    kernel_of = DecompositionResult.kernel_of
+
+    @cached_property
+    def kernels(self) -> list:
+        return [self.kernel_of(table) for table in self.tables]
+
+    @cached_property
+    def green_kernel(self) -> Kernel:
+        return multiplier_to_kernel(self.green_table)
+
+    def table(self, k: int) -> MultiplierTable:
+        """Scale index k is 1-based, up to N+1."""
+        return self.tables[k - 1]
+
+    def kernel(self, k: int) -> Kernel:
+        return self.kernels[k - 1]
+
+
 def kernel_sup_norm(K: Kernel) -> float:
     """sup over sites of the operator norm of K(x)."""
     g = K.geometry
@@ -341,16 +378,6 @@ def decompose(A: EllipticMap, g: TorusGeometry, sched: CubeSchedule) -> Decompos
                                zero_table=zero_table, zero_kernel=zero_kernel)
 
 
-@dataclass
-class ComplexDecompositionResult:
-    geometry: TorusGeometry
-    tables: list
-    green_table: MultiplierTable
-
-    def table(self, k: int) -> MultiplierTable:
-        return self.tables[k - 1]
-
-
 def _family(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule):
     """The checks of the family A0 + z A1, and its symbol bodies Ahat0 and
     Ahat1 on the half-grid rows p != 0.  Every live cube must fit the
@@ -443,7 +470,10 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
 
 def complex_decompose(
     path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
-) -> ComplexDecompositionResult:
-    """complex_at for one member of the family: a sweep of one node."""
-    tables = [MultiplierTable(g, C) for C in complex_at(complex_sweep(path, g, sched), z)]
-    return ComplexDecompositionResult(geometry=g, tables=tables[:-1], green_table=tables[-1])
+) -> DerivativeResult:
+    """complex_at for one member of the family, a sweep of one node: its
+    tables as an order-0 DerivativeResult, which transforms none until its
+    kernels are read."""
+    stack = complex_at(complex_sweep(path, g, sched), z)
+    return DerivativeResult(path, 0, [MultiplierTable(g, C) for C in stack[:-1]],
+                            MultiplierTable(g, stack[-1]))

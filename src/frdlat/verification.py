@@ -284,11 +284,6 @@ def diagnostics(result: DecompositionResult, measured: KernelPass = None) -> dic
     }
 
 
-def green_equation_residual(result: DecompositionResult) -> float:
-    """green_residual of the running sum of the scale kernels."""
-    return kernel_pass(result, full=True).green
-
-
 def check_symmetry(result: DecompositionResult) -> float:
     """Max over scales of symmetry_defect."""
     return kernel_pass(result, full=True).symmetry

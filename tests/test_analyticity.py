@@ -15,7 +15,8 @@ from frdlat.analyticity import (
     radius_agreement,
 )
 from frdlat.config import parse_config
-from frdlat.decomposition import build_schedule, complex_at, complex_sweep, decompose
+from frdlat.decomposition import (build_schedule, complex_at, complex_decompose, complex_sweep,
+                                  decompose)
 from frdlat.elliptic import ComplexEllipticPath, identity_map, validate_map
 from frdlat.errors import NotConverged, OutsideDisc
 from frdlat.lattice import TorusGeometry
@@ -232,6 +233,54 @@ def test_jets_telescope_and_match_the_real_branch():
         for tab in res.tables + [res.green_table]:
             assert np.array_equal(np.swapaxes(tab.values, -1, -2), np.conj(tab.values))
     assert derivative_bound_check(base, [jets[1], jets[2], jets[3]]).max_ratio < 10.0
+
+
+def counted_transforms(monkeypatch):
+    """The list of tables that multiplier_to_kernel transforms from here on."""
+    real = decomposition.multiplier_to_kernel
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(decomposition, "multiplier_to_kernel", counted)
+    monkeypatch.setattr(analyticity, "multiplier_to_kernel", counted)
+    return calls
+
+
+def test_contour_and_complex_decompose_transform_only_what_is_read(monkeypatch):
+    """A DerivativeResult keeps its tables and makes each kernel once, when
+    first read: the contour and complex_decompose transform none before
+    then, and a second read transforms none again."""
+    path, g, sched = setup_path()
+    calls = counted_transforms(monkeypatch)
+    results = list(contour_derivatives(path, g, sched, [0, 1]).values())
+    results.append(complex_decompose(path, 0.2, g, sched))
+    assert calls == []
+    for res in results:
+        before = len(calls)
+        kernels, green = res.kernels, res.green_kernel
+        assert len(calls) == before + sched.N + 2
+        assert res.kernels is kernels and res.green_kernel is green
+        assert all(res.kernel(k) is kern for k, kern in enumerate(kernels, start=1))
+        assert len(calls) == before + sched.N + 2
+
+
+def test_jets_share_one_zero_scale(monkeypatch):
+    """Every skipped level of every order holds one read-only zero table,
+    whose kernel is the one zero kernel: no transform is made for it."""
+    g = TorusGeometry(d=2, m=1, L=5, N=2)
+    sched = build_schedule(g, override=[None, 5])
+    path = ComplexEllipticPath.from_direction(identity_map(2, 1), np.eye(2))
+    calls = counted_transforms(monkeypatch)
+    jets = jet_derivatives(path, g, sched, 2)
+    zero_table, zero_kernel = jets[0].zero_table, jets[0].zero_kernel
+    assert not zero_table.values.flags.writeable and not zero_kernel.values.flags.writeable
+    for res in jets.values():
+        assert res.table(1) is zero_table and res.kernel(1) is zero_kernel
+        assert res.table(2) is not zero_table
+    assert len(calls) == 2 * len(jets)
 
 
 D3M2_CI = {

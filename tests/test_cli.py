@@ -237,19 +237,23 @@ D3M2 = {"d": 3, "m": 2, "L": 3, "N": 2, "schedule": [3, 5], "samples": 300, "wri
               [0.0, 0.0, 0.0, 0.5, 2.0, 0.5], [0.3, 0.0, 0.0, 0.0, 0.5, 2.0]]}
 
 
-@pytest.mark.parametrize("command,config,most", [
+@pytest.mark.parametrize("command,config,count", [
     ("decompose", {"L": 3, "N": 5}, 4), ("verify", {"L": 3, "N": 5}, 4),
-    ("sample", D3M2, 4), ("deriv", D3M2, 27)])
-def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config, most):
+    ("sample", D3M2, 4), ("deriv", D3M2, 27), ("deriv", {"L": 3, "N": 5}, 33)])
+def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config, count):
     """Every kernel is one multiplier_to_kernel of its table, made on
-    demand.  decompose and verify at d=2 L=3 N=5 (two skipped levels)
-    make one per live scale, 4, in their one pass over the scales.  On
-    the d=3 m=2 config of the CI smoke run, sample makes at most its 3
-    scales and the Green kernel, and deriv at most 27: 4 orders of 3 jet
-    scale kernels, the Green kernels of the 3 orders it reads (jet_origin
-    at order 0, fd_agreement at order 1 and the written order 2), 2
-    finite-difference decompositions of 4 and decompose's 4.  Order 3's
-    Green kernel is never read, so never made."""
+    demand, and a skipped level's is the shared zero kernel.  decompose
+    and verify at d=2 L=3 N=5 (two skipped levels) make one per live
+    scale, 4, in their one pass over the scales.  On the d=3 m=2 config of
+    the CI smoke run, sample makes its 3 scales and the Green kernel, and
+    deriv 27: 4 orders of 3 jet scale kernels, the Green kernels of the 3
+    orders it reads (jet_origin at order 0, fd_agreement at order 1 and
+    the written order 2), 2 finite-difference decompositions of 4 and
+    decompose's 4.  Order 3's Green kernel is never read, so never made.
+    deriv at d=2 L=3 N=5, order 1, makes 33: 4 orders of 4 live jet
+    scales, the Green kernels of orders 0 and 1, each made once though
+    order 1's is read twice, and 3 decompositions of 4 live scales and the
+    Green kernel."""
     real = spectral.multiplier_to_kernel
     calls = []
 
@@ -262,10 +266,7 @@ def test_kernel_transforms_per_invocation(tmp_path, monkeypatch, command, config
             monkeypatch.setattr(module, "multiplier_to_kernel", counted)
     cfg = write_cfg(tmp_path, **config)
     assert main([command, "--config", cfg, "--out", outdir(tmp_path)]) == 0
-    if command in ("decompose", "verify"):
-        assert len(calls) == most
-    else:
-        assert 0 < len(calls) <= most
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("command,config,walks", [

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from frdlat.decomposition import build_schedule, complex_decompose, decompose
 from frdlat.elliptic import ComplexEllipticPath, validate_map
 from frdlat.lattice import TorusGeometry
-from frdlat.verification import check_psd, check_sum, envelope_report, green_equation_residual
+from frdlat.verification import check_psd, check_sum, envelope_report, kernel_pass
 
 # (d, L, N) small enough that every cube side fits the dense limit.
 TORI = [(2, 3, 1), (2, 5, 1), (2, 3, 2), (3, 3, 1), (3, 5, 1)]
@@ -46,7 +46,7 @@ def decomposition_cases(draw):
 def test_green_equation_holds_for_random_spd_coefficients(case):
     A, g, levels = case
     res = decompose(A, g, build_schedule(g, override=levels))
-    assert green_equation_residual(res) <= 1e-12
+    assert kernel_pass(res, full=True).green <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:range r_")
