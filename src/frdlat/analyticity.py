@@ -10,7 +10,7 @@ deriv`.  contour_derivatives reads the same derivatives off a circle of
 radius r < 1 with the trapezoid rule, which converges geometrically in
 the node count, behind a doubling gate that compares the 2M-node rule
 against its M-node subset.  Its nodes solve each member's stiffness
-(decomposition.complex_at) and share no series code with the jets, so it
+(decomposition._member) and share no series code with the jets, so it
 is their independent oracle on small tori.
 
 Derivatives are reported in the normalized direction Adot = A1/(c0/2):
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (CubeSchedule, DerivativeResult, _zero_scale, complex_at, complex_sweep,
-                            decompose, kernel_sup_norm, taylor_jets)
+from .decomposition import (CubeSchedule, DerivativeResult, _family, _member, _zero_scale, decompose,
+                            kernel_sup_norm, taylor_jets)
 from .elliptic import ComplexEllipticPath, validate_map
 from .errors import NotConverged, OutsideDisc
 from .lattice import TorusGeometry
@@ -71,8 +71,9 @@ def contour_derivatives(
 
     The full rule has 2 * n_half equispaced contour nodes z_t, and the
     half rule the even t.  Nodes t and 2 * n_half - t are conjugate, so the
-    complex decomposition is evaluated only at t = 0..n_half, n_half + 1
-    nodes from one complex_sweep(path, g, sched).  Both rules
+    complex decomposition is evaluated only at t = 0..n_half: n_half + 1
+    calls of decomposition._member on the bodies of one _family(path, g,
+    sched), which makes the checks and the bodies once.  Both rules
     accumulate in one pass into two arrays, `full` and `half`, of shape
     (len(orders), N+2, n-1, m, m) on the half grid: per order, the N+1 scale
     multipliers and then the Green multiplier.  The real nodes t = 0 and
@@ -99,12 +100,12 @@ def contour_derivatives(
     if n_half < max(2, orders[-1] + 1):
         raise ValueError("need at least max(2, order + 1) half-rule nodes")
     total = 2 * n_half
-    sweep = complex_sweep(path, g, sched)
-    full, half = np.zeros((2, len(orders), sched.N + 2) + sweep.body0.shape, dtype=np.complex128)
+    bodies = _family(path, g, sched)
+    full, half = np.zeros((2, len(orders), sched.N + 2) + bodies[0].shape, dtype=np.complex128)
     for t in range(n_half + 1):
         theta = np.pi * t / n_half
         z = r * complex(np.cos(theta), np.sin(theta))
-        stack = complex_at(sweep, z)
+        stack = _member(path, g, sched, *bodies, z)
         share = 0.5 if t in (0, n_half) else 1.0
         for i, j in enumerate(orders):
             w_full = share * np.exp(-1j * j * theta) / total
@@ -119,23 +120,29 @@ def contour_derivatives(
         # The half rule is not read after the gate, so its rows take the gap.
         num = float(np.max(spectral_norms(np.subtract(full_i, half_i, out=half_i))))
         den = max(1e-300, float(np.max(spectral_norms(full_i))))
-        convergence = num / den
-        if not convergence <= CONVERGENCE_TOL:  # a NaN sum fails the gate too
+        if not num / den <= CONVERGENCE_TOL:  # a NaN sum fails the gate too
             raise NotConverged(
                 "order %d: doubling from %d to %d nodes moved the result by %.3g (tol %.3g)"
-                % (j, n_half, total, convergence, CONVERGENCE_TOL)
+                % (j, n_half, total, num / den, CONVERGENCE_TOL)
             )
         out[j] = DerivativeResult(path, j, [MultiplierTable(g, C) for C in full_i[:-1]],
-                                  MultiplierTable(g, full_i[-1]), total, convergence)
+                                  MultiplierTable(g, full_i[-1]))
     return out
 
 
 def derivative_sum_residual(result: DerivativeResult) -> float:
-    """Relative deviation of sum_k D^j C_k from D^j C over the half grid."""
+    """Relative deviation of sum_k D^j C_k from D^j C over the half grid.
+    The tables are summed in scale order into one running total, the bits
+    np.sum gives over their stack, and the Green table is subtracted in
+    place: one table-sized buffer in all."""
     green = result.green_table.values
-    total = np.sum([t.values for t in result.tables], axis=0)
+    tables = iter(result.tables)
+    total = next(tables).values.copy()
+    for t in tables:
+        total += t.values
+    total -= green
     den = max(float(np.max(spectral_norms(green))), 1e-300)
-    return float(np.max(spectral_norms(total - green))) / den
+    return float(np.max(spectral_norms(total))) / den
 
 
 def kernel_gap(ka: Kernel, kb: Kernel) -> float:
@@ -200,7 +207,6 @@ def origin_agreement(res: DerivativeResult, base, kernels=None) -> float:
 class BoundRow:
     k: int
     order: int
-    value: float
     ratio: float
 
 
@@ -216,8 +222,8 @@ def derivative_bound_check(base, derivs, kernels=None) -> BoundReport:
     order 0, then one per derivative result when the kernel of base is
     not zero.
 
-    value_j is the sup norm of D^j C_k divided by j! (2/c0)^j, and its
-    ratio is value_j / value_0; analyticity on the unit disc keeps it
+    A row's ratio is v_j / v_0, where v_j is the sup norm of D^j C_k
+    divided by j! (2/c0)^j; analyticity on the unit disc keeps it
     bounded.  The stored derivative kernels already carry the (2/c0)^j
     direction normalization, so both factors are divided out here.
     max_ratio is the largest ratio of a derivative order.
@@ -225,11 +231,11 @@ def derivative_bound_check(base, derivs, kernels=None) -> BoundReport:
     rows = []
     for k, kern in enumerate(base.kernels() if kernels is None else kernels, start=1):
         v0 = kernel_sup_norm(kern)
-        rows.append(BoundRow(k=k, order=0, value=v0, ratio=1.0))
+        rows.append(BoundRow(k=k, order=0, ratio=1.0))
         if v0 <= 0.0:
             continue
         for res in derivs:
             vj = kernel_sup_norm(res.kernel(k))
             vj /= math.factorial(res.order) * (2.0 / res.path.A0.c0) ** res.order
-            rows.append(BoundRow(k=k, order=res.order, value=vj, ratio=vj / v0))
+            rows.append(BoundRow(k=k, order=res.order, ratio=vj / v0))
     return BoundReport(rows=rows, max_ratio=max([0.0] + [r.ratio for r in rows if r.order > 0]))

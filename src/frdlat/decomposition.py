@@ -27,9 +27,11 @@ in the arithmetic:
   series: Ghat_j(z) from projector.local_green_jets, Ahat(z) = Ahat0 +
   z Ahat1 and Ahat(z)^-1 = sum_n z^n Ahat0^-1 (-Ahat1 Ahat0^-1)^n with
   Ahat0^-1 from spectral.stack_inv, and Cauchy products throughout;
-- complex_at (one node z of the family, the contour oracle) assembles
-  the member's stiffness and solves it by local_green_flat's LU route,
-  and inverts Ahat(z) by spectral.stack_inv.
+- _member (one node z of the family, the contour oracle's evaluation)
+  assembles the member's stiffness and solves it by local_green_flat's
+  LU route, and inverts Ahat(z) by spectral.stack_inv.  Its callers run
+  _family, the family's checks and symbol bodies, once per call, not
+  once per node.
 
 Every cube route holds the same layer blocks, so every branch takes the
 layered size rule (projector.check_cube_size).  The differences keep the
@@ -218,16 +220,12 @@ class DerivativeResult:
     rows: tables holds the N+1 scale tables and green_table the Green
     table.  Each kernel is made once, when first read: kernels those of
     every scale (kernel_of, so a skipped level of the jets, which holds
-    zero_table, reads zero_kernel), green_kernel the Green one.  n_nodes
-    and convergence are the contour's node count and doubling gap; the
-    jets and complex_decompose (one member, order 0) leave them 0."""
+    zero_table, reads zero_kernel), green_kernel the Green one."""
 
     path: ComplexEllipticPath
     order: int
     tables: list = field(repr=False)
     green_table: MultiplierTable = field(repr=False)
-    n_nodes: int = 0
-    convergence: float = 0.0
     zero_table: MultiplierTable = field(default=None, repr=False)
     zero_kernel: Kernel = field(default=None, repr=False)
 
@@ -426,43 +424,20 @@ def taylor_jets(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule
     return chain(_scale_tables(X, Ainv, identity, mul), [Ainv])
 
 
-@dataclass
-class ComplexSweep:
-    """The z-independent part of the family A0 + z A1 on one torus, for
-    the contour oracle: Ahat(z) = body0 + z body1 on the half-grid rows
-    p != 0, and the schedule.  complex_at evaluates them at one node."""
-
-    geometry: TorusGeometry
-    path: ComplexEllipticPath
-    schedule: CubeSchedule
-    body0: np.ndarray = field(repr=False)
-    body1: np.ndarray = field(repr=False)
-
-
-def complex_sweep(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule) -> ComplexSweep:
-    """Schedule and size checks and the symbol bodies of A0 and A1 on the
-    half-grid rows p != 0.  Every live cube must fit the layered rule
-    (CubeTooLarge naming the level), and a direction above c0/2 raises
-    OutsideDisc."""
-    body0, body1 = _family(path, g, sched)
-    return ComplexSweep(geometry=g, path=path, schedule=sched, body0=body0, body1=body1)
-
-
-def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
+def _member(path: ComplexEllipticPath, g: TorusGeometry, sched: CubeSchedule,
+            body0: np.ndarray, body1: np.ndarray, z: complex) -> np.ndarray:
     """Scale multipliers of the family member A0 + z A1, |z| < 1, as one
-    (N+2, n-1, m, m) stack on the sweep's rows: the N+1 scale tables
-    and then the Green table.
+    (N+2, n-1, m, m) stack on the rows of _family's bodies body0 and
+    body1: the N+1 scale tables and then the Green table.
 
     The product formula (_scale_tables), with X_j = Ghat_j(z) Ahat(z) / v_j
     from local_green_flat of the member's assembled stiffness (its LU
     route) and Q_0 = Ahat(z)^-1 from stack_inv: no series code.  A cube
     error names its level.
     """
-    g = sweep.geometry
-    tensor = sweep.path.tensor_at(z)  # OutsideDisc for |z| >= 1
-    body = sweep.body0 + z * sweep.body1
-    X = _symbols(g, sweep.schedule, body,
-                 lambda Q: local_green_flat(assemble_stiffness(tensor, Q), g)[1:])
+    tensor = path.tensor_at(z)  # OutsideDisc for |z| >= 1
+    body = body0 + z * body1
+    X = _symbols(g, sched, body, lambda Q: local_green_flat(assemble_stiffness(tensor, Q), g)[1:])
     Ainv = stack_inv(body)
     return np.stack([np.zeros_like(Ainv) if C is None else C for C in _scale_tables(X, Ainv)]
                     + [Ainv])
@@ -471,9 +446,9 @@ def complex_at(sweep: ComplexSweep, z: complex) -> np.ndarray:
 def complex_decompose(
     path: ComplexEllipticPath, z: complex, g: TorusGeometry, sched: CubeSchedule
 ) -> DerivativeResult:
-    """complex_at for one member of the family, a sweep of one node: its
+    """One member of the family (_member after _family's checks): its
     tables as an order-0 DerivativeResult, which transforms none until its
     kernels are read."""
-    stack = complex_at(complex_sweep(path, g, sched), z)
+    stack = _member(path, g, sched, *_family(path, g, sched), z)
     return DerivativeResult(path, 0, [MultiplierTable(g, C) for C in stack[:-1]],
                             MultiplierTable(g, stack[-1]))

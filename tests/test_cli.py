@@ -96,8 +96,8 @@ def test_deriv_makes_no_contour_call(tmp_path, monkeypatch):
 
     monkeypatch.setattr(decomposition, "assemble_stiffness", counted)
     monkeypatch.setattr(analyticity, "contour_derivatives", no_contour)
-    monkeypatch.setattr(analyticity, "complex_sweep", no_contour)
-    monkeypatch.setattr(decomposition, "complex_at", no_contour)
+    monkeypatch.setattr(analyticity, "_member", no_contour)
+    monkeypatch.setattr(decomposition, "_member", no_contour)
     cfg = write_cfg(tmp_path, L=5, N=2, schedule=[3, 5], derivative={"nodes": 16})
     assert main(["deriv", "--config", cfg, "--out", outdir(tmp_path)]) == 0
     assert sorted(built) == [3, 3, 5, 5]

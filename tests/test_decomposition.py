@@ -5,10 +5,10 @@ import pytest
 
 from frdlat.decomposition import (
     CubeSchedule,
+    _family,
+    _member,
     build_schedule,
-    complex_at,
     complex_decompose,
-    complex_sweep,
     decompose,
     far_field_constant,
     kernel_sup_norm,
@@ -317,7 +317,7 @@ def test_indefinite_base_fails_the_family_check():
 
 @pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_complex_tables_are_exactly_transpose_symmetric(d, m):
-    """complex_at evaluates the n - 1 half-grid rows, and on the plane of
+    """_member evaluates the n - 1 half-grid rows, and on the plane of
     last index 0, which holds both p and -p, the row at -p is the
     transpose of the row at p to round-off: Ahat(z)(-p) = Ahat(z)(p)^T
     and Ghat(z)(-p) = Ghat(z)(p)^T, at random z in the disc and with a
@@ -325,7 +325,7 @@ def test_complex_tables_are_exactly_transpose_symmetric(d, m):
     g = TorusGeometry(d=d, m=m, L=3, N=3)
     sched = build_schedule(g, override=[3, None, 5])
     path = random_path(d, m, seed=10 * d + m)
-    sweep = complex_sweep(path, g, sched)
+    bodies = _family(path, g, sched)
     S = g.side
     plane = np.arange(g.site_count // S)  # p = (k, 0) in rows k * (S // 2 + 1)
     k = np.array(np.unravel_index(plane, g.site_shape[:-1]))
@@ -334,7 +334,7 @@ def test_complex_tables_are_exactly_transpose_symmetric(d, m):
     rows, partner = rows[1:], partner[1:]
     rng = np.random.default_rng(d + m)
     for z in np.sqrt(rng.uniform(0, 0.99, 3)) * np.exp(2j * np.pi * rng.uniform(size=3)):
-        stack = complex_at(sweep, z)
+        stack = _member(path, g, sched, *bodies, z)
         assert stack.shape == (sched.N + 2, g.half_count - 1, m, m)
         assert not np.any(stack[1])
         gap = np.max(np.abs(stack[:, partner] - np.swapaxes(stack[:, rows], -1, -2)))
