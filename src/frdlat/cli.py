@@ -2,8 +2,8 @@
 
 Every run reads one JSON config, writes artifacts into an existing
 output directory, and exits 0 only if all enabled checks pass.  Failing
-checks are named on standard error.  Outputs are byte-identical across
-runs and --threads values for a fixed config, seed and BLAS thread count.
+checks are named on standard error.  For one config and seed, outputs are the
+same bytes across runs, --threads and BLAS thread counts (cube blocks < 100 rows).
 """
 
 import argparse
@@ -59,7 +59,7 @@ exit codes:
   0  run completed and every enabled check passed
   1  run completed but at least one check failed (named on stderr)
   2  usage or configuration error
-  3  I/O error (unreadable config, missing output directory)
+  3  I/O error (unreadable config, missing output directory, unwritable artifact)
   4  numerical or domain error (schedule, factorization, direction), or
      any other unexpected error; the exception type is named on stderr
 """

@@ -169,7 +169,8 @@ def _layer_sums(Ainv: np.ndarray, W: np.ndarray, mul=np.matmul) -> np.ndarray:
     G = np.empty_like(Ainv)
     G[-1] = Ainv[-1]
     for i in range(layers - 2, -1, -1):
-        G[i] = Ainv[i] + mul(mul(W[i], G[i + 1]), np.swapaxes(W[i], -1, -2))
+        # W_i^T contiguous: BLAS rounds a transposed view by its thread count.
+        G[i] = Ainv[i] + mul(mul(W[i], G[i + 1]), np.ascontiguousarray(np.swapaxes(W[i], -1, -2)))
     sums = np.empty((2 * layers - 1,) + Ainv.shape[1:], dtype=G.dtype)
     sums[layers - 1] = G.sum(axis=0)
     for delta in range(1, layers):

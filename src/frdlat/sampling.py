@@ -163,10 +163,8 @@ def sample_total(state: SamplerState, sample_index: int) -> Field:
 
 @dataclass
 class CovarianceEstimate:
-    geometry: TorusGeometry
     mean: np.ndarray = field(repr=False)
     se: np.ndarray = field(repr=False)
-    n: int = 0
 
 
 def _correlation_batch(hat: np.ndarray, g: TorusGeometry):
@@ -179,20 +177,13 @@ def _correlation_batch(hat: np.ndarray, g: TorusGeometry):
     working arrays are one half spectrum and one site array per sample."""
     c = hat.shape[1]
     sums = np.empty((2, c, c) + g.site_shape)
-    prod = None if c == 1 else np.empty_like(hat[:, 0])
+    prod = np.empty_like(hat[:, 0])
     est = np.empty((len(hat),) + g.site_shape)
     # irfftn's own steps: ifft along every site axis but the last, then irfft.
     axes = tuple(range(1, g.d + 1))
     for r, s in product(range(c), repeat=2):
-        if c == 1:
-            # One expression, which numpy evaluates in place on the conj
-            # temporary, as conj(x) * x, once that temporary holds 256 KiB;
-            # with FMA the two orders round differently, and the m = 1
-            # estimates keep the bits of that rule.
-            prod = hat[:, 0] * np.conj(hat[:, 0])
-        else:
-            np.conjugate(hat[:, s], out=prod)
-            np.multiply(hat[:, r], prod, out=prod)
+        np.conjugate(hat[:, s], out=prod)
+        np.multiply(hat[:, r], prod, out=prod)
         for axis in axes[:-1]:
             np.fft.ifft(prod, axis=axis, out=prod)
         np.fft.irfft(prod, n=g.side, axis=axes[-1], out=est)
@@ -203,14 +194,14 @@ def _correlation_batch(hat: np.ndarray, g: TorusGeometry):
     return sums[0], sums[1]
 
 
-def _estimate(total: np.ndarray, totsq: np.ndarray, n: int, g: TorusGeometry) -> CovarianceEstimate:
+def _estimate(total: np.ndarray, totsq: np.ndarray, n: int) -> CovarianceEstimate:
     """Mean and standard error from per-entry sums over n samples; the
     standard error is infinite for a single sample."""
     mean = total / n
     if n < 2:
-        return CovarianceEstimate(g, mean, np.full_like(mean, np.inf), n)
+        return CovarianceEstimate(mean, np.full_like(mean, np.inf))
     var = np.maximum((totsq - n * mean**2) / (n - 1), 0.0)
-    return CovarianceEstimate(g, np.ascontiguousarray(mean), np.sqrt(var / n), n)
+    return CovarianceEstimate(mean, np.sqrt(var / n))
 
 
 def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
@@ -367,7 +358,7 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
             for (s, ss), (bs, bss) in zip(acc, sums):
                 s += bs
                 ss += bss
-    ests = [_estimate(s, ss, n, g) for s, ss in acc]
+    ests = [_estimate(s, ss, n) for s, ss in acc]
     suite = {
         "component": dict(zip(scales, ests)),
         "gradient": dict.fromkeys(masks),

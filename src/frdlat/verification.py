@@ -286,7 +286,7 @@ def diagnostics(result: DecompositionResult, measured: KernelPass = None) -> dic
 
 def check_symmetry(result: DecompositionResult) -> float:
     """Max over scales of symmetry_defect."""
-    return kernel_pass(result, full=True).symmetry
+    return max(symmetry_defect(kern) for kern in result.kernels())
 
 
 def decay_table(result: DecompositionResult, measured: KernelPass = None) -> DecayReport:

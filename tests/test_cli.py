@@ -517,6 +517,26 @@ def test_exit_codes(tmp_path, capsys):
         contour_derivatives(cfg.path, cfg.geometry, cfg.schedule, [6], n_half=4)
 
 
+def test_unwritable_artifact_exits_io(tmp_path, capsys):
+    """A directory where an artifact belongs makes its open fail: exit 3."""
+    cfg = write_cfg(tmp_path)
+    out = outdir(tmp_path)
+    os.mkdir(os.path.join(out, "kernel_k1.csv"))
+    capsys.readouterr()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 3
+    assert "I/O error: " in capsys.readouterr().err
+
+
+def test_singular_symbol_exits_numeric(tmp_path, capsys):
+    """A = diag(1, 1e-15) passes validation, but the symbol's conditioning,
+    1.0e15, is above SingularSymbol's limit of 1e14."""
+    cfg = write_cfg(tmp_path, A=[[1.0, 0.0], [0.0, 1e-15]])
+    out = outdir(tmp_path)
+    capsys.readouterr()
+    assert main(["decompose", "--config", cfg, "--out", out]) == 4
+    assert "SingularSymbol: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sizes", [{"L": 3, "N": 3000000}, {"d": 20000000, "N": 1}])
 def test_oversized_torus_exits_config_at_once(tmp_path, capsys, sizes):
     """The site-count cap is checked without forming (L^N)^d."""

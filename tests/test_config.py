@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frdlat.cli import main
 from frdlat.config import DEFAULT_TOLERANCES, parse_config
 from frdlat.errors import ParseError, ValidationError
 
@@ -46,6 +47,24 @@ def test_missing_and_unknown_keys():
     with pytest.raises(ValidationError) as info:
         parse({"mystery": 1})
     assert "mystery" in str(info.value)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"d": 2.5}, "d: expected an integer"),
+    ({"A": [[1.0, "x"], [0.0, 1.0]]}, "A[0][1]: expected a number"),
+    ({"A": []}, "A: expected a non-empty array"),
+    ({"A": [[1.0, 0.0], [0.0]]}, "A: expected 2 rows of 2 entries"),
+    ({"schedule": 3}, "schedule: expected an array of 1 levels"),
+    ({"derivative": 3}, "derivative: expected an object"),
+    ({"tolerances": []}, "tolerances: expected an object"),
+])
+def test_malformed_field_exits_config_naming_it(tmp_path, capsys, overrides, message):
+    doc = base()
+    doc.update(overrides)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
 
 
 def test_even_side_rejected():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,3 +217,27 @@ def test_dense_limit_is_checked_before_assembly(monkeypatch):
     phi = Field(G81, np.zeros(G81.field_shape()))
     with pytest.raises(CubeTooLarge, match="dense limit"):
         oracle_projection(identity_map(2, 1), Cube(l=66, d=2), phi)
+
+
+def test_l92_symbol_does_not_depend_on_blas_threads():
+    """The l=92 cube on S=729, whose 91-row blocks BLAS rounded differently
+    at one and at two threads when handed a transposed view, gives one
+    symbol, bit for bit, in processes at one and at two BLAS threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projector.__file__)))
+    code = (
+        "import hashlib\n"
+        "from frdlat.elliptic import identity_map\n"
+        "from frdlat.lattice import TorusGeometry, cube\n"
+        "from frdlat.projector import assemble_stiffness, local_green_flat\n"
+        "g = TorusGeometry(d=2, m=1, L=3, N=6)\n"
+        "sym = local_green_flat(assemble_stiffness(identity_map(2, 1), cube(92, g)), g)\n"
+        "print(hashlib.sha256(sym.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]

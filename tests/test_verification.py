@@ -80,6 +80,20 @@ def test_check_sum_and_symmetry_are_tiny():
     assert min(check_psd(res)) > -1e-10
 
 
+def test_check_symmetry_measures_only_symmetry(monkeypatch):
+    """check_symmetry walks the kernels for symmetry_defect alone: no decay
+    rows and no Green residual, and the value of a full kernel_pass."""
+    res = small_result(L=5, N=2, override=(3, 5), m=2, seed=21)
+    expected = kernel_pass(res, full=True).symmetry
+    calls = []
+    for name in ("decay_rows", "green_residual"):
+        real = getattr(verification, name)
+        monkeypatch.setattr(verification, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert check_symmetry(res) == expected
+    assert calls == []
+
+
 def test_check_finite_range_values_and_empty():
     res = small_result(L=5, N=2, override=(3, 5))
     values = check_finite_range(res)
