@@ -4,6 +4,12 @@ Every run reads one JSON config, writes artifacts into an existing
 output directory, and exits 0 only if all enabled checks pass.  Failing
 checks are named on standard error.  For one config and seed, outputs are the
 same bytes across runs, --threads and BLAS thread counts (cube blocks < 100 rows).
+
+sample writes each covariance estimate's mean, one inverse transform of
+its products summed over the samples, and its exact standard error if the
+fields have the kernel under test.  That error depends on the config and
+the sample count, not on the seed; an estimate's check fails where its
+mean lies more than SE_LIMIT of them from the kernel of decompose.
 """
 
 import argparse

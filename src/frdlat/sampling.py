@@ -15,20 +15,25 @@ and thread scheduling cannot change the draw.
 run_sampling_suite is the one sampling pass.  It draws every (scale,
 sample index) once, in batches sized from a byte budget, and keeps each
 field as its colored half spectrum from the draw to its correlation.
-A batch streams the scales: it draws one scale, takes its correlation
-sums (and its gradient channels' sums if the scale is checked), adds it
-into the running total in scale order and drops it before the next
-draw.  A gradient channel is the spectrum times e^{i p_j} - 1, and a
-correlation is one irfftn of x_hat_r conj(x_hat_s), taken one channel
-pair (r, s) at a time and reduced to its batch sums at once.  Only the
-total fields handed to the optional consumer are inverse transformed to
-sites; samples.csv is written that way, from the draw the estimates
-use.  Per-batch sums are combined in batch-index order, and the batch
-size does not depend on the thread count, which makes multi-threaded
-runs bitwise identical to single-threaded ones.  sample_component and
-sample_total regenerate single indices in the suite's arithmetic, and
-dense_reference_samples is an independent dense-factorization oracle
-with its own stream.
+A batch streams the scales: it draws one scale, takes its product sums,
+the batch sums of x_hat_r conj(x_hat_s) on the half grid one channel
+pair (r, s) at a time, adds it into the running total in scale order and
+drops it before the next draw.  Per-batch sums are combined in
+batch-index order, and the batch size does not depend on the thread
+count, which makes multi-threaded runs bitwise identical to
+single-threaded ones.  Each estimate then takes one irfftn of its sums
+for its mean.  A gradient channel is a spectrum times e^{i p_j} - 1, so
+the gradient estimates take their sums from their scale's, with no
+per-sample work.  An estimate's standard error is the exact one under
+the null: the fields are Gaussian, so Isserlis' theorem gives the
+variance of every entry from the kernel under test, which the suite
+takes from the roots it samples with.  That standard error depends on
+the sample count and the roots, not on the seed.  Only the total fields
+handed to the optional consumer are inverse transformed to sites;
+samples.csv is written that way, from the draw the estimates use.
+sample_component and sample_total regenerate single indices in the
+suite's arithmetic, and dense_reference_samples is an independent
+dense-factorization oracle with its own stream.
 """
 
 from collections import deque
@@ -123,19 +128,23 @@ def _component_batch(state: SamplerState, k: int, start: int, count: int) -> np.
     bits.advance(start * blocks)
     raw = bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
     raw >>= 11
-    u = raw * 2.0**-53
+    u = np.multiply(raw, 2.0**-53, out=raw.view(np.float64))
     del raw
-    # sqrt(-S^d log1p(-u0)) exp(2 pi i u1), each step in place.
+    # sqrt(-S^d log1p(-u0)) exp(2 pi i u1), each step in place: the word
+    # pairs (u0, u1) become the complex values 2 pi i u1 before the exp.
     r = np.negative(u[:, 0::2])
     np.log1p(r, out=r)
     np.multiply(-g.site_count, r, out=r)
     np.sqrt(r, out=r)
-    z = 2j * np.pi * u[:, 1::2]
+    u[:, 0::2] = 0.0
+    np.multiply(2.0 * np.pi, u[:, 1::2], out=u[:, 1::2])
+    z = u.view(complex)
     del u
     np.exp(z, out=z)
     np.multiply(r, z, out=z)
     del r
     what = z[:, :n].reshape((count, g.m) + g.half_shape)
+    del z
     plane, axes = what[..., 0], tuple(range(2, g.d + 1))
     what[..., 0] = (plane + np.conj(np.roll(np.flip(plane, axes), 1, axes))) / np.sqrt(2.0)
     xhat = np.einsum("prs,bsp->brp", state.roots[k - 1], what.reshape(count, g.m, -1))
@@ -167,48 +176,58 @@ class CovarianceEstimate:
     se: np.ndarray = field(repr=False)
 
 
-def _correlation_batch(hat: np.ndarray, g: TorusGeometry):
-    """Batch sums of the translation-averaged covariance estimates of real
-    fields with half spectra hat (batch, c, *half): the estimate of channel
-    pair (r, s) is S^-d sum_x f_r(x + z) f_s(x), the irfftn of
-    hat_r conj(hat_s).  Returns the sums of the estimates and of their
-    squares over the batch, each shaped (c, c, *site).  The pairs are
-    transformed and reduced one at a time, each step in place, so the
-    working arrays are one half spectrum and one site array per sample."""
+def _correlation_batch(hat: np.ndarray) -> np.ndarray:
+    """Batch sums of the channel products hat_r conj(hat_s) of half spectra
+    hat (batch, c, *half), shaped (c, c, *half).  Each pair's product is
+    formed in place in one preallocated array and reduced over the batch at
+    once, so a channel's sums do not depend on the channels beside it."""
     c = hat.shape[1]
-    sums = np.empty((2, c, c) + g.site_shape)
+    sums = np.empty((c, c) + hat.shape[2:], dtype=hat.dtype)
     prod = np.empty_like(hat[:, 0])
-    est = np.empty((len(hat),) + g.site_shape)
-    # irfftn's own steps: ifft along every site axis but the last, then irfft.
-    axes = tuple(range(1, g.d + 1))
     for r, s in product(range(c), repeat=2):
         np.conjugate(hat[:, s], out=prod)
         np.multiply(hat[:, r], prod, out=prod)
-        for axis in axes[:-1]:
-            np.fft.ifft(prod, axis=axis, out=prod)
-        np.fft.irfft(prod, n=g.side, axis=axes[-1], out=est)
-        est /= g.site_count
-        est.sum(axis=0, out=sums[0, r, s])
-        est *= est
-        est.sum(axis=0, out=sums[1, r, s])
-    return sums[0], sums[1]
+        prod.sum(axis=0, out=sums[r, s])
+    return sums
 
 
-def _estimate(total: np.ndarray, totsq: np.ndarray, n: int) -> CovarianceEstimate:
-    """Mean and standard error from per-entry sums over n samples; the
-    standard error is infinite for a single sample."""
-    mean = total / n
-    if n < 2:
-        return CovarianceEstimate(mean, np.full_like(mean, np.inf))
-    var = np.maximum((totsq - n * mean**2) / (n - 1), 0.0)
-    return CovarianceEstimate(mean, np.sqrt(var / n))
+def _estimate(sums: np.ndarray, spec: np.ndarray, n: int, g: TorusGeometry,
+              own=None) -> CovarianceEstimate:
+    """Mean of the estimates S^-d sum_x f_r(x + z) f_s(x) of n samples whose
+    half-grid products x_hat_r conj(x_hat_s) sum to sums, and its exact
+    standard error under the null: Gaussian fields with the product
+    spectrum spec = S^-d E[x_hat_r conj(x_hat_s)], both (c, c, *half).
+    own holds the spectra S^-d E|x_hat_r|^2 and S^-d E|x_hat_s|^2 of the
+    row and the column channels, each (c, *half), when those are not the
+    same channels; by default both are the diagonal of spec.
+
+    One sample's estimate is the irfftn of its product over S^d, so the
+    mean is one irfftn of the sums.  With K the irfftn of a spectrum, the
+    kernel K_rs(z) = E f_r(x + z) f_s(x), Isserlis' theorem gives
+    Var est_rs(z) = S^-d [sum_w K_rr(w) K_ss(w) + (K_rs * K_rs)(2z)], where
+    * is circular convolution, the irfftn of spec^2; S is odd, so z -> 2z
+    is a bijection of the torus.
+    """
+    c = len(spec)
+    if own is None:
+        own = (spec[range(c), range(c)],) * 2
+    rows, cols = (_to_sites(o, g).reshape(c, -1) for o in own)
+    mean = _to_sites(sums, g)
+    mean /= g.site_count
+    mean /= n
+    var = _to_sites(spec * spec, g)
+    twice = 2 * np.arange(g.side) % g.side
+    for axis in range(2, 2 + g.d):
+        var = np.take(var, twice, axis=axis)
+    var += np.einsum("rx,sx->rs", rows, cols).reshape((c, c) + (1,) * g.d)
+    var /= g.site_count * n
+    return CovarianceEstimate(mean, np.sqrt(np.maximum(var, 0.0)))
 
 
 def _max_se_ratio(diff: np.ndarray, se: np.ndarray) -> float:
-    """Max per-entry diff / se; infinite where se is infinite (a single
-    sample tests nothing) or where se is zero but diff is not."""
-    ratio = np.where(np.isinf(se) | (diff > 0.0), np.inf, 0.0)
-    live = (se > 0.0) & np.isfinite(se)
+    """Max per-entry diff / se; infinite where se is zero but diff is not."""
+    ratio = np.where(diff > 0.0, np.inf, 0.0)
+    live = se > 0.0
     ratio[live] = diff[live] / se[live]
     return float(np.max(ratio))
 
@@ -227,27 +246,46 @@ class GradientRangeReport:
     trivial: bool
 
 
-def _gradient_channels(hat: np.ndarray, g: TorusGeometry) -> np.ndarray:
-    """Forward differences of (batch, m, *half) half spectra as
-    (batch, m*d, *half): channel r*d + j is (e^{2 pi i n_j / S} - 1) hat_r,
-    with n_j the frequency index along site axis j."""
-    out = np.empty((hat.shape[0], g.m * g.d) + hat.shape[2:], dtype=hat.dtype)
-    for j in range(g.d):
-        n = hat.shape[2 + j]
-        phase = np.exp(2j * np.pi * np.arange(n) / g.side) - 1.0
-        out[:, j :: g.d] = phase.reshape((n,) + (1,) * (g.d - 1 - j)) * hat
-    return out
+def _spectra(state: SamplerState) -> list:
+    """S^-d E[x_hat_r conj(x_hat_s)] of each scale, root root^H shaped
+    (m, m, *half), then of the total, their sum."""
+    shape = (state.geometry.m,) * 2 + state.geometry.half_shape
+    specs = [np.einsum("prs,pts->rtp", root, np.conj(root)).reshape(shape) for root in state.roots]
+    return specs + [sum(specs[1:], specs[0])]
 
 
-def _far_report(est: CovarianceEstimate, mask: np.ndarray, r: int) -> GradientRangeReport:
-    diff = np.abs(est.mean[:, :, mask])
-    return GradientRangeReport(
-        r=r,
-        far_sites=int(np.count_nonzero(mask)),
-        max_abs=float(np.max(diff)),
-        max_se_ratio=_max_se_ratio(diff, est.se[:, :, mask]),
-        trivial=bool(np.max(diff) == 0.0),
-    )
+def _gradient_blocks(sums: np.ndarray, spec: np.ndarray, n: int, g: TorusGeometry):
+    """Estimates of a scale's forward-difference channels from the scale's
+    product sums and spectrum, each (m, m, *half): yields (j, k, estimate)
+    for each block of directions, the estimate of the m x m channel pairs
+    (r*d + j, s*d + k).
+
+    Channel r*d + j of a spectrum is phase_j x_hat_r, with
+    phase_j = e^{2 pi i n_j / S} - 1 and n_j the frequency index along
+    site axis j, so its products with channel s*d + k are
+    phase_j conj(phase_k) x_hat_r conj(x_hat_s).  One block at a time, no
+    (m d)^2-channel array is held: at d=3 m=2 that is 36 channel pairs to
+    the block's 4.
+    """
+    phases = np.exp(2j * np.pi * np.indices(g.half_shape) / g.side) - 1.0
+    own = spec[range(g.m), range(g.m)]
+    for j, k in product(range(g.d), repeat=2):
+        pair = phases[j] * np.conj(phases[k])
+        yield j, k, _estimate(pair * sums, pair * spec, n, g,
+                              (np.abs(phases[j]) ** 2 * own, np.abs(phases[k]) ** 2 * own))
+
+
+def _gradient_report(sums: np.ndarray, spec: np.ndarray, n: int, g: TorusGeometry,
+                     mask: np.ndarray, r: int) -> GradientRangeReport:
+    """Far-region report of a scale's forward-difference channels, reduced
+    over the far sites one block of _gradient_blocks at a time."""
+    max_abs = max_ratio = 0.0
+    for _, _, est in _gradient_blocks(sums, spec, n, g):
+        diff = np.abs(est.mean[:, :, mask])
+        max_abs = max(max_abs, float(np.max(diff)))
+        max_ratio = max(max_ratio, _max_se_ratio(diff, est.se[:, :, mask]))
+    return GradientRangeReport(r=r, far_sites=int(np.count_nonzero(mask)), max_abs=max_abs,
+                               max_se_ratio=max_ratio, trivial=max_abs == 0.0)
 
 
 def _in_order(ex, work, items, depth: int):
@@ -262,23 +300,24 @@ def _in_order(ex, work, items, depth: int):
         yield pending.popleft().result()
 
 
-def _batch_bytes(g: TorusGeometry, widths, sites: bool):
-    """Bytes a batch in flight holds for correlations of the given channel
-    counts: its sums, and its working arrays per sample.
+def _batch_bytes(g: TorusGeometry, estimates: int, sites: bool):
+    """Bytes a batch in flight holds for the given number of m-channel
+    estimates: its sums, and its working arrays per sample.
 
-    The sums are those of every estimate and of its square, 16 S^d c^2
-    bytes per estimate.  A sample's working arrays are the running total
-    and one scale's spectrum, the larger of the draw's temporaries and the
-    correlation's (the gradient channels, one pair's product and its
-    transform), and with sites its total fields at 8 bytes a value plus
-    half the 32 bytes a value of the one batch being spelled for
-    samples.csv.  Both are upper bounds of tracemalloc peaks.
+    The sums are the m^2 complex half-grid products of each estimate,
+    16 n m^2 bytes for n = half_count.  In 16 n-byte rows, a sample holds
+    the running total (m rows) and 2m more: the draw's words and its
+    uniforms, or the spectrum it returns and the complex normals it
+    colors, or the scale's spectrum and one pair's product; with sites
+    also its total fields at 8 bytes a value plus half the 32 bytes a
+    value of the one batch being spelled for samples.csv.  Both are upper
+    bounds of tracemalloc peaks.
     """
-    m, half, sites_n = g.m, g.half_count, g.site_count
-    sums = 16 * sites_n * sum(c * c for c in widths)
-    per_sample = 16 * half * (2 * m + max(3 * m, max(widths) + 2)) + 8 * sites_n
+    m, half = g.m, g.half_count
+    sums = 16 * half * m * m * estimates
+    per_sample = 48 * half * m
     if sites:
-        per_sample += 24 * m * sites_n
+        per_sample += 24 * m * g.site_count
     return sums, per_sample
 
 
@@ -305,9 +344,13 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     """Per-scale and total covariance estimates plus per-scale gradient
     range reports from one draw of each (scale, sample index).
 
-    The total is the scale fields summed in scale order.  A gradient
-    report is None where the scale's far region is empty, which is
-    decided before any draw; only the other scales feed gradient
+    The total is the scale fields summed in scale order.  Each estimate's
+    mean is one irfftn of its product sums, and its standard error is the
+    exact null one of _estimate, from the product spectrum that the roots
+    give: root root^H for a scale and their sum for the total.  A scale's
+    gradient channels take both from the scale's (_gradient_blocks).  A
+    gradient report is None where the scale's far region is empty, which
+    is decided before any draw; only the other scales feed gradient
     estimators.  on_total, if given, is called on the calling thread
     with each batch of total fields, shaped (count, m, *site), in
     batch-index order; without it no field is transformed back to sites.
@@ -321,24 +364,24 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
     rho = rho_inf_grid(g)
     masks = {k: rho > r + 2 for k, r in enumerate(state.ranges, start=1)}
     checked = [k for k, mask in masks.items() if np.any(mask)]
-    widths = [g.m] * (len(scales) + 1) + [g.m * g.d] * len(checked)
-    batch, depth = _batch_plan(*_batch_bytes(g, widths, on_total is not None), threads)
+    batch, depth = _batch_plan(*_batch_bytes(g, len(scales) + 1, on_total is not None), threads)
+    # As many batches as that size needs, evened out, so that a pool's
+    # workers share the draw: 300 samples go in two batches of 150.
+    batch = -(-n // -(-n // batch))
 
     def work(start):
         # One scale's spectrum at a time: its sums are taken, then it joins
         # the running total in scale order and is dropped.
-        comps, grads, total = [], [], None
+        sums, total = [], None
         for k in scales:
             hat = _component_batch(state, k, start, min(batch, n - start))
-            comps.append(_correlation_batch(hat, g))
-            if k in checked:
-                grads.append(_correlation_batch(_gradient_channels(hat, g), g))
+            sums.append(_correlation_batch(hat))
             if total is None:
                 total = hat
             else:
                 total += hat
             del hat
-        sums = comps + [_correlation_batch(total, g)] + grads
+        sums.append(_correlation_batch(total))
         return sums, _to_sites(total, g) if on_total is not None else None
 
     # Batches come back in batch-index order, whatever the thread count, and
@@ -355,17 +398,21 @@ def run_sampling_suite(state: SamplerState, n: int, threads: int = 1, on_total=N
             if acc is None:
                 acc = sums
                 continue
-            for (s, ss), (bs, bss) in zip(acc, sums):
+            for s, bs in zip(acc, sums):
                 s += bs
-                ss += bss
-    ests = [_estimate(s, ss, n) for s, ss in acc]
+    # One transform per estimate for its mean and two for its null.  A
+    # scale's gradient channels take their sums and spectrum from its own.
+    specs = _spectra(state)
+    ests = [_estimate(sums, spec, n, g) for sums, spec in zip(acc, specs)]
     suite = {
         "component": dict(zip(scales, ests)),
         "gradient": dict.fromkeys(masks),
-        "total": ests[len(scales)],
+        "total": ests[-1],
     }
-    for k, est in zip(checked, ests[len(scales) + 1 :]):
-        suite["gradient"][k] = _far_report(est, masks[k], state.ranges[k - 1])
+    for k in checked:
+        suite["gradient"][k] = _gradient_report(
+            acc[k - 1], specs[k - 1], n, g, masks[k], state.ranges[k - 1]
+        )
     return suite
 
 

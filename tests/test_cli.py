@@ -190,14 +190,15 @@ def test_verify_memory_high_water(tmp_path):
 def test_sample_memory_high_water(tmp_path):
     """The traced peak of one sample run at d=2 L=3 N=3 (S=27, default
     schedule, three scales with a far region) with 256 samples, one batch,
-    stays below 8 batch stacks, a batch stack being one (256, 1, 27, 14)
+    stays below 7 batch stacks, a batch stack being one (256, 1, 27, 14)
     complex batch of half spectra (1,548,288 bytes).  A batch streams its
-    scales and correlates one channel pair at a time: the running total,
-    one scale's spectrum, the draw's temporaries or the gradient channels
-    and one pair's product and transform.  It measures about 6.2.  Holding
+    scales and takes one channel pair's product sums at a time: the running
+    total, one scale's spectrum, the draw's temporaries or the gradient
+    channels and one pair's product.  It measures about 5.9 on a first
+    invocation and 5.2 after.  Transforming every sample's products to
+    sites for squared sums peaked at about 6.9 (6.2 after), and holding
     every scale's spectrum, the gradient channels and each
-    (batch, c, c, *site) correlation of the batch at once peaked at
-    about 26.9."""
+    (batch, c, c, *site) correlation of the batch at once at about 26.9."""
     g = TorusGeometry(d=2, m=1, L=3, N=3)
     stack = 256 * g.half_count * 16
     assert stack == 1_548_288
@@ -214,7 +215,30 @@ def test_sample_memory_high_water(tmp_path):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 8 * stack, "peak %.1f batch stacks" % (peak / stack)
+    assert peak < 7 * stack, "peak %.1f batch stacks" % (peak / stack)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_checks_catch_planted_root_defects(tmp_path, capsys, monkeypatch, k):
+    """On the sample-9x9 shape (A = [1.0], schedule [3, 5], 2000 samples),
+    scale k's root scaled by 1.05 or zeroed exits 1 naming covariance_k;
+    the run without a planted defect exits 0."""
+    cfg = write_cfg(tmp_path, L=3, N=2, schedule=[3, 5], samples=2000, seed=1)
+    assert main(["sample", "--config", cfg, "--out", outdir(tmp_path, "clean")]) == 0
+    real = cli.build_sampler
+    for factor in (1.05, 0.0):
+        def planted(result, seed, factor=factor):
+            state = real(result, seed)
+            state.roots[k - 1] = factor * state.roots[k - 1]
+            return state
+
+        monkeypatch.setattr(cli, "build_sampler", planted)
+        out = outdir(tmp_path, "planted")
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--out", out]) == 1
+        assert "check failed: covariance_k%d (" % k in capsys.readouterr().err
+        report = json.loads(Path(out, "sample_report.json").read_text())
+        assert report["checks"]["covariance_k%d" % k] is False
 
 
 def test_sample_too_large_for_the_budget_exits_numeric(tmp_path, capsys, monkeypatch):

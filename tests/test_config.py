@@ -128,7 +128,8 @@ def test_seed_and_samples_bounds():
         parse({"seed": -1})
     with pytest.raises(ValidationError):
         parse({"samples": 0})
-    # One sample has an infinite standard error, which no deviation exceeds.
+    # The floor of two samples is kept from when the standard error was the
+    # empirical one, which one sample cannot give.
     with pytest.raises(ValidationError, match="samples: 1 is below the minimum 2"):
         parse({"samples": 1})
     assert parse({"samples": 2}).samples == 2
